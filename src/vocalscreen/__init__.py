@@ -53,6 +53,7 @@ from .evaluation import (
 )
 from .features import (
     FeatureConfig,
+    FeaturesFileError,
     FeatureVector,
     SegmentTooShort,
     extract_features,

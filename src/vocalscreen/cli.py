@@ -107,10 +107,13 @@ def _feature_config_from(ns) -> FeatureConfig:
     if path is None:
         return FeatureConfig()
     with open(path) as fh:
-        payload = json.load(fh)
-    if "feature_config" in payload:  # accept an extract run_config.json directly
-        payload = payload["feature_config"]
-    return FeatureConfig(**payload)
+        try:
+            payload = json.load(fh)
+            if "feature_config" in payload:  # accept an extract run_config.json directly
+                payload = payload["feature_config"]
+            return FeatureConfig(**payload)
+        except (TypeError, ValueError) as exc:  # bad JSON, unknown key, bad value
+            raise VocalScreenError(f"{path}: bad feature config: {exc}") from exc
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -153,9 +156,8 @@ def cmd_extract(ns) -> int:
         hop=_resolve(ns, "fft_hop", 512),
         n_mels=_resolve(ns, "n_mels", 128),
     )
-    jobs = _resolve(ns, "jobs", 1)
-
-    def process(row: dataset.ManifestRow):
+    feature_rows, segment_rows = [], []
+    for row in manifest.rows:
         wav_path = Path(row.path)
         if not wav_path.is_absolute():
             wav_path = manifest_path.parent / wav_path
@@ -167,27 +169,15 @@ def cmd_extract(ns) -> int:
             segments = preprocess.segment(voiced, segment_seconds, source_id=row.path)
         except (VocalScreenError, OSError, ValueError) as exc:
             raise VocalScreenError(f"{row.path}: {exc}") from exc
-        return [
-            (extract_features(seg, config, segment_id=_segment_id(row.path, i)), row)
-            for i, seg in enumerate(segments)
-        ]
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_file = list(pool.map(process, manifest.rows))
-    else:
-        per_file = [process(row) for row in manifest.rows]
+        for i, seg in enumerate(segments):
+            vec = extract_features(seg, config, segment_id=_segment_id(row.path, i))
+            feature_rows.append((vec, row.label))
+            segment_rows.append(dataset.ManifestRow(path=vec.segment_id, label=row.label,
+                                                    participant=row.participant))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    feature_rows = [(vec, row.label) for file_rows in per_file for vec, row in file_rows]
     write_features_csv(out_dir / "features.csv", feature_rows)
-    segment_manifest = dataset.DatasetManifest(rows=[
-        dataset.ManifestRow(path=vec.segment_id, label=row.label, participant=row.participant)
-        for file_rows in per_file
-        for vec, row in file_rows
-    ])
+    segment_manifest = dataset.DatasetManifest(rows=segment_rows)
     dataset.save_manifest(out_dir / "segments.csv", segment_manifest)
     _write_run_config(out_dir, "extract", {
         "manifest": str(manifest_path),
@@ -198,7 +188,6 @@ def cmd_extract(ns) -> int:
             "threshold_ratio": silence.threshold_ratio,
         },
         "feature_config": config.as_dict(),
-        "jobs": jobs,
     })
     counts = segment_manifest.label_counts()
     summary = ", ".join(f"{label}={counts[label]}" for label in sorted(counts))
@@ -303,11 +292,10 @@ def cmd_select(ns) -> int:
     out_dir = Path(ns.out)
     seed = _resolve(ns, "seed", _default_seed())
     folds = _resolve(ns, "folds", 5)
-    jobs = _resolve(ns, "jobs", 1)
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, manifest)
     report = evaluation.grid_select(evaluation.default_grid(), features, labels,
-                                    folds=folds, seed=seed, jobs=jobs)
+                                    folds=folds, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_json(out_dir / "selection_report.json", report.to_json_dict())
     _write_run_config(out_dir, "select", {
@@ -315,7 +303,6 @@ def cmd_select(ns) -> int:
         "manifest": str(ns.manifest),
         "folds": folds,
         "seed": seed,
-        "jobs": jobs,
     })
     print(evaluation.render_selection_text(report), end="")
     return 0
@@ -349,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deterministic seed (default: $VOCALSCREEN_SEED or 0)")
     common.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for extraction/selection (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="vocalscreen",

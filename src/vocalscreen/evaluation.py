@@ -211,29 +211,20 @@ def select_best(results) -> CandidateResult:
     )
 
 
-def grid_select(space, features, labels, folds: int = 5, seed: int = 0,
-                jobs: int = 1) -> SelectionReport:
+def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> SelectionReport:
     """Cross-validate every candidate and pick the best.
 
-    Candidates may be evaluated concurrently, but the report always lists
-    them in definition order and the best-so-far curve follows that order.
+    The report lists candidates in definition order and the best-so-far
+    curve follows that order.
     """
     space = list(space)
     if not space:
         raise ValueError("candidate space is empty")
-
-    def evaluate(candidate: PipelineCandidate) -> CandidateResult:
+    results = []
+    for candidate in space:
         scores = cross_validate(candidate, features, labels, folds=folds, seed=seed)
-        return CandidateResult(candidate=candidate, fold_scores=tuple(scores),
-                               mean=float(scores.mean()))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, space))
-    else:
-        results = [evaluate(c) for c in space]
+        results.append(CandidateResult(candidate=candidate, fold_scores=tuple(scores),
+                                       mean=float(scores.mean())))
 
     generations = []
     best_so_far = -math.inf

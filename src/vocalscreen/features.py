@@ -18,6 +18,7 @@ zero-crossing rate is computed over the whole segment with sign(0) = +1.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,10 @@ CSV_HEADER = ["segment_id", "label"] + FEATURE_COLUMNS
 
 class SegmentTooShort(VocalScreenError):
     """Segment has too few samples for the requested analysis."""
+
+
+class FeaturesFileError(VocalScreenError):
+    """A features CSV whose header or rows do not form a finite feature table."""
 
 
 @dataclass(frozen=True)
@@ -201,43 +206,56 @@ def dct_basis(n: int) -> np.ndarray:
     return basis
 
 
-def mfcc(segment: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Per-segment MFCCs 0..12: per-frame cepstra averaged across frames."""
-    spectra = power_spectra(segment, config)
-    bank = mel_filterbank(segment.sample_rate, config)
+def _cepstra(spectra: np.ndarray, sample_rate: int, config: FeatureConfig) -> np.ndarray:
+    """Across-frame mean of the per-frame MFCCs of a (frames, bins) power stack."""
+    bank = mel_filterbank(sample_rate, config)
     energies = spectra @ bank.T
     log_mel = 10.0 * np.log10(np.maximum(energies, config.log_floor))
     coeffs = log_mel @ dct_basis(config.n_mels)[: config.n_mfcc].T
     return coeffs.mean(axis=0)
 
 
-def spectral_centroid(spectrum: np.ndarray) -> float:
+def mfcc(segment: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Per-segment MFCCs 0..12: per-frame cepstra averaged across frames."""
+    return _cepstra(power_spectra(segment, config), segment.sample_rate, config)
+
+
+def spectral_centroid(spectrum: np.ndarray) -> float | np.ndarray:
     """Balance point of a one-sided power spectrum on the normalized
-    frequency axis k/n_fft; an all-zero spectrum maps to 0."""
+    frequency axis k/n_fft; an all-zero spectrum maps to 0.
+
+    Takes one spectrum (returns a float) or a (frames, bins) stack
+    (returns one centroid per row), reducing over the last axis.
+    """
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    total = spectrum.sum()
-    if total == 0.0:
-        return 0.0
-    n_fft = 2 * (len(spectrum) - 1)
-    fhat = np.arange(len(spectrum)) / n_fft
-    return float((fhat * spectrum).sum() / total)
+    n_bins = spectrum.shape[-1]
+    fhat = np.arange(n_bins) / (2 * (n_bins - 1))
+    total = spectrum.sum(axis=-1)
+    weighted = (fhat * spectrum).sum(axis=-1)
+    centroid = np.divide(weighted, total, out=np.zeros_like(total), where=total != 0.0)
+    return float(centroid) if spectrum.ndim == 1 else centroid
 
 
 def spectral_complexity(spectrum: np.ndarray, peak_threshold_db: float = 30.0,
-                        log_floor: float = 1e-10) -> int:
+                        log_floor: float = 1e-10) -> int | np.ndarray:
     """Count of prominent spectral peaks in one frame.
 
     A peak is a strict local maximum on the dB spectrum that lies within
     peak_threshold_db of the loudest bin. Power is floored before the log
-    so empty bins compare equal rather than -inf.
+    so empty bins compare equal rather than -inf; an all-zero spectrum is
+    therefore flat and has no peaks. Takes one spectrum (returns an int)
+    or a (frames, bins) stack (returns one count per row), reducing over
+    the last axis.
     """
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    if len(spectrum) < 3 or spectrum.max() == 0.0:
-        return 0
     db = 10.0 * np.log10(np.maximum(spectrum, log_floor))
-    inner = db[1:-1]
-    peaks = (inner > db[:-2]) & (inner > db[2:]) & (inner > db.max() - peak_threshold_db)
-    return int(np.count_nonzero(peaks))
+    # initial keeps a spectrum of no bins at 0 peaks instead of raising
+    loudest = db.max(axis=-1, keepdims=True, initial=-np.inf)
+    inner = db[..., 1:-1]
+    peaks = ((inner > db[..., :-2]) & (inner > db[..., 2:])
+             & (inner > loudest - peak_threshold_db))
+    counts = np.count_nonzero(peaks, axis=-1)
+    return int(counts) if spectrum.ndim == 1 else counts
 
 
 def zero_crossing_rate(segment: AudioClip) -> float:
@@ -253,21 +271,17 @@ def extract_features(segment: AudioClip, config: FeatureConfig = FeatureConfig()
                      segment_id: str = "") -> FeatureVector:
     """All 16 features of one segment, in the fixed column order.
 
-    Defined as the composition of the public sub-operations: MFCCs 0..12,
+    One power-spectrum pass feeds every spectral feature: MFCCs 0..12,
     then the across-frame means of spectral centroid and complexity, then
-    the zero-crossing rate.
+    the zero-crossing rate. Equal to the composition of mfcc(), the
+    per-frame spectral_centroid() and spectral_complexity(), and
+    zero_crossing_rate().
     """
-    cepstra = mfcc(segment, config)
     spectra = power_spectra(segment, config)
-    centroid = float(np.mean([spectral_centroid(row) for row in spectra]))
-    complexity = float(
-        np.mean(
-            [
-                spectral_complexity(row, config.peak_threshold_db, config.log_floor)
-                for row in spectra
-            ]
-        )
-    )
+    cepstra = _cepstra(spectra, segment.sample_rate, config)
+    centroid = float(np.mean(spectral_centroid(spectra)))
+    complexity = float(np.mean(
+        spectral_complexity(spectra, config.peak_threshold_db, config.log_floor)))
     zcr = zero_crossing_rate(segment)
     values = np.concatenate([cepstra, [centroid, complexity, zcr]])
     return FeatureVector(values=values, segment_id=segment_id)
@@ -287,18 +301,28 @@ def write_features_csv(path, rows) -> None:
 
 
 def read_features_csv(path):
-    """Read a features CSV -> (segment_ids, labels, matrix of shape (N, 16))."""
+    """Read a features CSV -> (segment_ids, labels, matrix of shape (N, 16)).
+
+    A wrong header, a row with the wrong field count, or a value that is
+    not a finite float raises FeaturesFileError naming the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected features header: {header}")
+            raise FeaturesFileError(f"{path}:1: unexpected features header: {header}")
         ids, labels, values = [], [], []
         for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"bad features row: {row}")
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                floats = [float(v) for v in row[2:]]
+                if not all(map(math.isfinite, floats)):
+                    raise ValueError("non-finite feature value")
+            except ValueError as exc:
+                raise FeaturesFileError(f"{path}:{reader.line_num}: {exc}") from exc
             ids.append(row[0])
             labels.append(row[1])
-            values.append([float(v) for v in row[2:]])
+            values.append(floats)
     matrix = np.asarray(values, dtype=np.float64).reshape(len(ids), N_FEATURES)
     return ids, labels, matrix

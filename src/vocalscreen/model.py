@@ -113,11 +113,6 @@ def minkowski_distance(a, b, p: float = 2.0) -> float:
     return float(np.sum(np.abs(a - b) ** p) ** (1.0 / p))
 
 
-def _config_digest(config_dict: dict) -> str:
-    canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class KnnModel:
     """Standardized training matrix plus the hyperparameters that query it."""
@@ -144,7 +139,7 @@ class KnnModel:
 
     @property
     def feature_config_digest(self) -> str:
-        return _config_digest(self.feature_config)
+        return _payload_digest(self.feature_config)
 
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
@@ -195,10 +190,6 @@ def knn_predict(model: KnnModel, v) -> tuple:
     # deterministic even in the impossible even-vote case: lexicographic label
     winner = max(sorted(votes), key=lambda label: votes[label])
     return winner, votes[winner] / model.k
-
-
-def predict_many(model: KnnModel, features) -> list:
-    return [knn_predict(model, row) for row in as_matrix(features)]
 
 
 def _model_payload(model: KnnModel) -> dict:

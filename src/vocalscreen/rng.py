@@ -43,11 +43,6 @@ def fisher_yates(items: list, stream: SplitMix64) -> list:
     return out
 
 
-def shuffled(items: list, seed: int) -> list:
-    """One-shot shuffle of ``items`` under a fresh SplitMix64 stream."""
-    return fisher_yates(items, SplitMix64(seed))
-
-
 def round_half_up(x: float) -> int:
     """Round to nearest integer with ties going up (0.5 -> 1)."""
     import math

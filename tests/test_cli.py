@@ -34,16 +34,12 @@ def test_extract_segment_count_matches_voiced_durations(small_cohort):
     assert [r.label for r in segments] == labels
 
 
-def test_extract_rerun_and_jobs_byte_identical(small_cohort):
+def test_extract_rerun_byte_identical(small_cohort):
     with chdir(small_cohort):
         assert main(["extract", "--manifest", "cohort/cohort.csv", "--out", "work2"]) == 0
-        assert main(["extract", "--manifest", "cohort/cohort.csv", "--out", "work3",
-                     "--jobs", "3"]) == 0
-    baseline = (small_cohort / "work" / "features.csv").read_bytes()
-    assert (small_cohort / "work2" / "features.csv").read_bytes() == baseline
-    assert (small_cohort / "work3" / "features.csv").read_bytes() == baseline
-    segs = (small_cohort / "work" / "segments.csv").read_bytes()
-    assert (small_cohort / "work3" / "segments.csv").read_bytes() == segs
+    for name in ("features.csv", "segments.csv"):
+        baseline = (small_cohort / "work" / name).read_bytes()
+        assert (small_cohort / "work2" / name).read_bytes() == baseline
 
 
 def test_extract_empty_manifest_fails(tmp_path, capsys):
@@ -168,6 +164,43 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["not-a-command"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["select", "--features", "f.csv", "--manifest", "m.csv", "--out", "o",
+              "--jobs", "2"])  # not an option
+    assert excinfo.value.code == 2
+
+
+def test_train_rejects_non_finite_features(small_cohort, tmp_path, capsys):
+    work = small_cohort / "work"
+    lines = (work / "features.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[5] = "nan"
+    lines[1] = ",".join(fields)
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--features", str(features), "--manifest", str(work / "train.csv"),
+               "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {features}:2: non-finite")
+    assert not (tmp_path / "fit" / "model.json").exists()
+
+
+@pytest.mark.parametrize("content, reason", [
+    ('{"n_fft": 2048,', "Expecting"),  # malformed JSON
+    ('{"n_fft": 2048, "window": "hann"}', "unexpected keyword argument 'window'"),
+])
+def test_train_rejects_bad_feature_config(small_cohort, tmp_path, capsys, content, reason):
+    work = small_cohort / "work"
+    config = tmp_path / "features.json"
+    config.write_text(content)
+    rc = main(["train", "--features", str(work / "features.csv"),
+               "--manifest", str(work / "train.csv"), "--out", str(tmp_path / "fit"),
+               "--feature-config", str(config)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: bad feature config: ")
+    assert reason in err
+    assert not (tmp_path / "fit" / "model.json").exists()
 
 
 def test_bad_label_manifest_fails(tmp_path, capsys):

@@ -164,13 +164,6 @@ def test_grid_select_default_grid_shape():
     assert report.to_json_dict()["best"]["mean_cv_score"] == report.best.mean
 
 
-def test_grid_select_parallel_matches_serial():
-    features, labels = majority_dataset()
-    serial = grid_select(default_grid(), features, labels, folds=5, seed=0, jobs=1)
-    parallel = grid_select(default_grid(), features, labels, folds=5, seed=0, jobs=4)
-    assert serial == parallel
-
-
 def result(k, p, use_scaler, mean):
     return CandidateResult(candidate=PipelineCandidate(k=k, p=p, use_scaler=use_scaler),
                            fold_scores=(mean,), mean=mean)

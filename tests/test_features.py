@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     brute_force_mfcc,
@@ -15,6 +18,7 @@ from vocalscreen.audio_io import AudioClip
 from vocalscreen.features import (
     CSV_HEADER,
     FeatureConfig,
+    FeaturesFileError,
     FeatureVector,
     SegmentTooShort,
     complex_spectrum,
@@ -230,6 +234,54 @@ def test_complexity_two_tones_constructed():
     assert spectral_complexity(spectrum, peak_threshold_db=30.0) == 2
 
 
+def _centroid_one_frame(spectrum):
+    """The single-frame centroid as defined before stacks were accepted."""
+    total = spectrum.sum()
+    if total == 0.0:
+        return 0.0
+    fhat = np.arange(len(spectrum)) / (2 * (len(spectrum) - 1))
+    return float((fhat * spectrum).sum() / total)
+
+
+def _complexity_one_frame(spectrum, peak_threshold_db=30.0, log_floor=1e-10):
+    """The single-frame complexity as defined before stacks were accepted."""
+    if len(spectrum) < 3 or spectrum.max() == 0.0:
+        return 0
+    db = 10.0 * np.log10(np.maximum(spectrum, log_floor))
+    inner = db[1:-1]
+    peaks = (inner > db[:-2]) & (inner > db[2:]) & (inner > db.max() - peak_threshold_db)
+    return int(np.count_nonzero(peaks))
+
+
+@st.composite
+def spectrum_stacks(draw):
+    # at least 2 bins: a 1-bin spectrum has no frequency axis (n_fft = 0)
+    frames, bins = draw(st.integers(1, 6)), draw(st.integers(2, 300))
+    stack = draw(arrays(np.float64, (frames, bins), elements=st.floats(0.0, 1e6)))
+    # rows at levels decades apart: each row must be judged against its own loudest bin
+    levels = draw(arrays(np.float64, (frames, 1), elements=st.sampled_from([1e-9, 1e-3, 1.0])))
+    stack *= levels
+    silent = draw(arrays(np.bool_, frames))
+    stack[silent] = 0.0
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectrum_stacks())
+@example(np.zeros((1, 2)))
+@example(np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0]]))
+@example(np.array([[0.0, 1e6, 0.0, 1e6, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0]]))
+def test_stacked_spectral_functions_equal_per_frame_calls(stack):
+    centroids = [spectral_centroid(row) for row in stack]
+    counts = [spectral_complexity(row) for row in stack]
+    assert all(type(c) is float for c in centroids)
+    assert all(type(c) is int for c in counts)
+    assert centroids == [_centroid_one_frame(row) for row in stack]
+    assert counts == [_complexity_one_frame(row) for row in stack]
+    assert spectral_centroid(stack).tolist() == centroids
+    assert spectral_complexity(stack).tolist() == counts
+
+
 def test_zcr_alternating_and_constant():
     alt = AudioClip(samples=np.tile([0.5, -0.5], 50), sample_rate=RATE)
     assert zero_crossing_rate(alt) == 1.0
@@ -266,16 +318,22 @@ def test_extract_features_length_and_order():
 
 
 def test_extract_features_equals_composition():
-    clip = tone(330.0, seconds=1.0, amplitude=0.4)
+    voiced = tone(330.0, seconds=1.0, amplitude=0.4)
+    samples = voiced.samples.copy()
+    samples[4000:12000] = 0.0
+    gapped = AudioClip(samples=samples, sample_rate=RATE)
     config = FeatureConfig()
-    vector = extract_features(clip, config)
-    spectra = power_spectra(clip, config)
-    np.testing.assert_array_equal(vector.values[:13], mfcc(clip, config))
-    assert vector.values[13] == np.mean([spectral_centroid(r) for r in spectra])
-    assert vector.values[14] == np.mean(
-        [spectral_complexity(r, config.peak_threshold_db, config.log_floor) for r in spectra]
-    )
-    assert vector.values[15] == zero_crossing_rate(clip)
+    # whole frames of silence put zero-total rows into the spectrum stack
+    assert np.any(power_spectra(gapped, config).sum(axis=1) == 0.0)
+    for clip in (voiced, gapped):
+        vector = extract_features(clip, config)
+        spectra = power_spectra(clip, config)
+        np.testing.assert_array_equal(vector.values[:13], mfcc(clip, config))
+        assert vector.values[13] == np.mean([spectral_centroid(r) for r in spectra])
+        assert vector.values[14] == np.mean(
+            [spectral_complexity(r, config.peak_threshold_db, config.log_floor) for r in spectra]
+        )
+        assert vector.values[15] == zero_crossing_rate(clip)
 
 
 def test_extract_features_zero_segment():
@@ -365,6 +423,23 @@ def test_features_csv_roundtrip_exact(tmp_path):
 def test_features_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n1,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(FeaturesFileError, match="bad.csv:1: unexpected features header"):
         read_features_csv(path)
     assert CSV_HEADER[0] == "segment_id"
+
+
+GOOD_ROW = "s0,control," + ",".join(["0.5"] * 16)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([",".join(CSV_HEADER[:-1]), GOOD_ROW], r":1: unexpected features header"),
+    ([",".join(CSV_HEADER), GOOD_ROW, "s1,control,0.5"], r":3: expected 18 fields, got 3"),
+    ([",".join(CSV_HEADER), GOOD_ROW.replace("0.5", "loud", 1)], r":2: could not convert"),
+    ([",".join(CSV_HEADER), GOOD_ROW.replace("0.5", "nan", 1)], r":2: non-finite"),
+    ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW.replace("0.5", "-inf", 1)], r":3: non-finite"),
+])
+def test_read_features_csv_rejects_bad_tables(tmp_path, lines, message):
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FeaturesFileError, match=r"features\.csv" + message):
+        read_features_csv(path)
