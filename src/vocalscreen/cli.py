@@ -20,6 +20,7 @@ and seed are byte-identical.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -33,6 +34,19 @@ from .errors import VocalScreenError
 from .features import FeatureConfig, extract_features, read_features_csv, write_features_csv
 
 BUILTIN_SEED = 0
+
+
+class _UsageError(VocalScreenError):
+    """A flag value (given on the command line or by --config) out of range."""
+
+
+@contextlib.contextmanager
+def _flag_values(*flags):
+    """Report a ValueError raised on flag values as a usage error naming them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(f"{'/'.join(flags)}: {exc}") from exc
 
 
 def _default_seed() -> int:
@@ -122,11 +136,12 @@ def _feature_config_from(ns) -> FeatureConfig:
 def cmd_synth(ns) -> int:
     out_dir = Path(ns.out)
     seed = _resolve(ns, "seed", _default_seed())
-    spec = synth.CohortSpec(
-        speakers_per_class=_resolve(ns, "speakers_per_class", 12),
-        seconds_per_speaker=_resolve(ns, "seconds_per_speaker", 120.0),
-        seed=seed,
-    )
+    with _flag_values("--speakers-per-class", "--seconds-per-speaker"):
+        spec = synth.CohortSpec(
+            speakers_per_class=_resolve(ns, "speakers_per_class", 12),
+            seconds_per_speaker=_resolve(ns, "seconds_per_speaker", 120.0),
+            seed=seed,
+        )
     manifest = synth.generate_cohort(spec, out_dir)
     _write_run_config(out_dir, "synth", {
         "seed": seed,
@@ -141,21 +156,24 @@ def cmd_synth(ns) -> int:
 def cmd_extract(ns) -> int:
     manifest_path = Path(ns.manifest)
     out_dir = Path(ns.out)
+    with _flag_values("--frame-seconds", "--hop-seconds", "--threshold-ratio"):
+        silence = preprocess.SilenceParams(
+            frame_seconds=_resolve(ns, "frame_seconds", 0.05),
+            hop_seconds=_resolve(ns, "hop_seconds", 0.025),
+            threshold_ratio=_resolve(ns, "threshold_ratio", 0.1),
+        )
+    segment_seconds = _resolve(ns, "segment_seconds", 4.0)
+    if not segment_seconds > 0:
+        raise _UsageError(f"--segment-seconds: must be positive, got {segment_seconds}")
+    with _flag_values("--n-fft", "--fft-hop", "--n-mels"):
+        config = FeatureConfig(
+            n_fft=_resolve(ns, "n_fft", 2048),
+            hop=_resolve(ns, "fft_hop", 512),
+            n_mels=_resolve(ns, "n_mels", 128),
+        )
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
         raise VocalScreenError(f"empty manifest: {manifest_path}")
-
-    silence = preprocess.SilenceParams(
-        frame_seconds=_resolve(ns, "frame_seconds", 0.05),
-        hop_seconds=_resolve(ns, "hop_seconds", 0.025),
-        threshold_ratio=_resolve(ns, "threshold_ratio", 0.1),
-    )
-    segment_seconds = _resolve(ns, "segment_seconds", 4.0)
-    config = FeatureConfig(
-        n_fft=_resolve(ns, "n_fft", 2048),
-        hop=_resolve(ns, "fft_hop", 512),
-        n_mels=_resolve(ns, "n_mels", 128),
-    )
     feature_rows, segment_rows = [], []
     for row in manifest.rows:
         wav_path = Path(row.path)
@@ -198,11 +216,12 @@ def cmd_extract(ns) -> int:
 def cmd_split(ns) -> int:
     out_dir = Path(ns.out)
     seed = _resolve(ns, "seed", _default_seed())
-    spec = dataset.SplitSpec(
-        train_fraction=_resolve(ns, "train_fraction", 0.8),
-        seed=seed,
-        mode=_resolve(ns, "mode", dataset.SEGMENT_LEVEL),
-    )
+    with _flag_values("--train-fraction", "--mode"):
+        spec = dataset.SplitSpec(
+            train_fraction=_resolve(ns, "train_fraction", 0.8),
+            seed=seed,
+            mode=_resolve(ns, "mode", dataset.SEGMENT_LEVEL),
+        )
     manifest = dataset.load_manifest(ns.manifest)
     train, test = dataset.split(manifest, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,10 +239,14 @@ def cmd_split(ns) -> int:
 
 def cmd_train(ns) -> int:
     out_dir = Path(ns.out)
-    manifest = dataset.load_manifest(ns.manifest)
-    features, labels = _join_features(ns.features, manifest)
     k = _resolve(ns, "k", 3)
     p = _resolve(ns, "p", 2.0)
+    if k < 1 or k % 2 == 0:
+        raise _UsageError(f"--k: must be a positive odd integer, got {k}")
+    if not p >= 1:
+        raise _UsageError(f"--p: must be >= 1, got {p}")
+    manifest = dataset.load_manifest(ns.manifest)
+    features, labels = _join_features(ns.features, manifest)
     use_scaler = _resolve(ns, "scaler", True)
     scaler = model.fit_scaler(features) if use_scaler else model.identity_scaler(features.shape[1])
     fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
@@ -292,6 +315,8 @@ def cmd_select(ns) -> int:
     out_dir = Path(ns.out)
     seed = _resolve(ns, "seed", _default_seed())
     folds = _resolve(ns, "folds", 5)
+    if folds < 2:
+        raise _UsageError(f"--folds: must be >= 2, got {folds}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, manifest)
     report = evaluation.grid_select(evaluation.default_grid(), features, labels,
@@ -418,7 +443,7 @@ def main(argv=None) -> int:
         return ns.handler(ns)
     except (VocalScreenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

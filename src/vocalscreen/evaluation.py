@@ -11,13 +11,13 @@ sweep reads like successive generations of a search.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import VocalScreenError
-from .model import as_matrix, fit_scaler, identity_scaler, knn_fit, knn_predict
+from .model import _nearest_rows, _vote, as_matrix, fit_scaler, identity_scaler, knn_fit
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -143,28 +143,8 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
 
 def cross_validate(candidate: PipelineCandidate, features, labels,
                    folds: int = 5, seed: int = 0) -> np.ndarray:
-    """Per-fold accuracies of a candidate under stratified k-fold CV.
-
-    For each fold: fit the scaler (when the candidate uses one) and the
-    KNN on the remaining folds, then score accuracy on the held-out fold.
-    Deterministic for fixed inputs and seed.
-    """
-    matrix = as_matrix(features)
-    labels = [str(label) for label in labels]
-    if matrix.shape[0] != len(labels):
-        raise LengthMismatch(f"{matrix.shape[0]} rows vs {len(labels)} labels")
-    fold_sets = stratified_folds(labels, folds, seed)
-    scores = np.zeros(folds)
-    for i, held_out in enumerate(fold_sets):
-        held_mask = np.zeros(len(labels), dtype=bool)
-        held_mask[held_out] = True
-        train_x, train_y = matrix[~held_mask], [l for l, m in zip(labels, held_mask) if not m]
-        test_x, test_y = matrix[held_mask], [l for l, m in zip(labels, held_mask) if m]
-        scaler = fit_scaler(train_x) if candidate.use_scaler else identity_scaler(matrix.shape[1])
-        model = knn_fit(train_x, train_y, k=candidate.k, p=candidate.p, scaler=scaler)
-        predictions = [knn_predict(model, row)[0] for row in test_x]
-        scores[i] = sum(p == t for p, t in zip(predictions, test_y)) / len(test_y)
-    return scores
+    """Per-fold accuracies of one candidate: ``grid_select`` over it alone."""
+    return np.array(grid_select([candidate], features, labels, folds, seed).best.fold_scores)
 
 
 @dataclass(frozen=True)
@@ -212,19 +192,34 @@ def select_best(results) -> CandidateResult:
 
 
 def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> SelectionReport:
-    """Cross-validate every candidate and pick the best.
+    """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
-    The report lists candidates in definition order and the best-so-far
-    curve follows that order.
+    Candidates sharing (scaler, p) share each held-out row's neighbor ordering.
+    The report lists candidates in definition order, as does the best-so-far curve.
     """
     space = list(space)
     if not space:
         raise ValueError("candidate space is empty")
-    results = []
-    for candidate in space:
-        scores = cross_validate(candidate, features, labels, folds=folds, seed=seed)
-        results.append(CandidateResult(candidate=candidate, fold_scores=tuple(scores),
-                                       mean=float(scores.mean())))
+    matrix = as_matrix(features)
+    labels = [str(label) for label in labels]
+    if matrix.shape[0] != len(labels):
+        raise LengthMismatch(f"{matrix.shape[0]} rows vs {len(labels)} labels")
+    fold_sets = stratified_folds(labels, folds, seed)
+    hits = np.zeros((len(space), folds))
+    for i, held_out in enumerate(fold_sets):
+        train_idx = np.delete(np.arange(len(labels)), held_out)
+        train_x, train_y = matrix[train_idx], [labels[t] for t in train_idx]
+        for use_scaler, p in dict.fromkeys((c.use_scaler, c.p) for c in space):
+            scaler = fit_scaler(train_x) if use_scaler else identity_scaler(matrix.shape[1])
+            fitted = knn_fit(train_x, train_y, k=1, p=p, scaler=scaler)
+            models = {j: replace(fitted, k=c.k)  # re-checks k against the fold
+                      for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
+            for t, row in zip(held_out, matrix[held_out]):
+                nearest = _nearest_rows(fitted, row)
+                for j, model in models.items():
+                    hits[j, i] += _vote(model, nearest)[0] == labels[t]
+    results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))
+               for c, s in zip(space, hits / [len(fold) for fold in fold_sets])]
 
     generations = []
     best_so_far = -math.inf

@@ -303,26 +303,30 @@ def write_features_csv(path, rows) -> None:
 def read_features_csv(path):
     """Read a features CSV -> (segment_ids, labels, matrix of shape (N, 16)).
 
-    A wrong header, a row with the wrong field count, or a value that is
-    not a finite float raises FeaturesFileError naming the file and line.
+    A file that does not decode as text, a wrong header, a row with the
+    wrong field count, or a value that is not a finite float raises
+    FeaturesFileError naming the file (and the line, where there is one).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise FeaturesFileError(f"{path}:1: unexpected features header: {header}")
-        ids, labels, values = [], [], []
-        for row in reader:
-            try:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                floats = [float(v) for v in row[2:]]
-                if not all(map(math.isfinite, floats)):
-                    raise ValueError("non-finite feature value")
-            except ValueError as exc:
-                raise FeaturesFileError(f"{path}:{reader.line_num}: {exc}") from exc
-            ids.append(row[0])
-            labels.append(row[1])
-            values.append(floats)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise FeaturesFileError(f"{path}:1: unexpected features header: {header}")
+            ids, labels, values = [], [], []
+            for row in reader:
+                try:
+                    if len(row) != len(CSV_HEADER):
+                        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                    floats = [float(v) for v in row[2:]]
+                    if not all(map(math.isfinite, floats)):
+                        raise ValueError("non-finite feature value")
+                except ValueError as exc:
+                    raise FeaturesFileError(f"{path}:{reader.line_num}: {exc}") from exc
+                ids.append(row[0])
+                labels.append(row[1])
+                values.append(floats)
+    except UnicodeDecodeError as exc:
+        raise FeaturesFileError(f"{path}: cannot decode as text: {exc}") from exc
     matrix = np.asarray(values, dtype=np.float64).reshape(len(ids), N_FEATURES)
     return ids, labels, matrix

@@ -4,7 +4,8 @@ The classifier is deliberately brute force: with a few thousand 16-d rows
 an exhaustive distance scan is fast, and it doubles as the semantic
 definition any accelerated search would have to match exactly. Neighbor
 ties at equal distance go to the lower training-row index, and k is kept
-odd so binary votes cannot tie.
+odd so binary votes cannot tie. A query's neighbor ordering does not
+depend on k, so grid selection sorts once per (fold, scaler, p) for every k.
 
 Models persist as one versioned JSON document with a SHA-256 digest over
 the canonical serialization of every other field, so corruption and
@@ -44,12 +45,20 @@ class CorruptModelFile(VocalScreenError):
 
 
 def as_matrix(features) -> np.ndarray:
-    """Coerce FeatureVector lists or array-likes to a 2-D float matrix."""
+    """Coerce FeatureVector lists or array-likes to a 2-D float matrix.
+
+    Raises VocalScreenError if any value is NaN or infinite.
+    """
     if isinstance(features, np.ndarray) and features.ndim == 2:
-        return features.astype(np.float64, copy=False)
-    rows = [f.values if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64)
-            for f in features]
-    return np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        matrix = features.astype(np.float64, copy=False)
+    else:
+        rows = [f.values if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64)
+                for f in features]
+        matrix = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if len(bad_rows):
+        raise VocalScreenError(f"feature matrix row {bad_rows[0]} holds a non-finite value")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -98,19 +107,21 @@ def transform_matrix(scaler: ScalerParams, features) -> np.ndarray:
     return (as_matrix(features) - scaler.means) / scaler.stds
 
 
-def inverse_transform(scaler: ScalerParams, v) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64) * scaler.stds + scaler.means
+def minkowski_distance(a, b, p: float = 2.0):
+    """(sum |a_i - b_i|^p)^(1/p) over the last axis; a metric for p >= 1.
 
-
-def minkowski_distance(a, b, p: float = 2.0) -> float:
-    """(sum |a_i - b_i|^p)^(1/p); a metric for p >= 1."""
+    a and b broadcast: one pair gives a float, one query against a
+    (rows, dims) matrix gives one distance per row.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(np.abs(a - b) ** p) ** (1.0 / p))
+    # a 0-d array keeps a pair on the power loop of a stack (scalar pow can differ)
+    distances = np.asarray(np.sum(np.abs(a - b) ** p, axis=-1)) ** (1.0 / p)
+    return float(distances) if np.ndim(distances) == 0 else distances
 
 
 @dataclass(frozen=True)
@@ -167,29 +178,31 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
                     scaler=scaler, feature_config=config_dict)
 
 
+def _nearest_rows(model: KnnModel, v) -> np.ndarray:
+    """Training-row indices by increasing distance to v."""
+    q = transform(model.scaler, v)
+    # stable sort implements the lowest-index tie rule
+    return np.argsort(minkowski_distance(model.train_matrix, q, model.p), kind="stable")
+
+
+def _vote(model: KnnModel, nearest: np.ndarray) -> tuple:
+    """Uniform vote of the first k ``nearest`` rows -> (label, vote fraction)."""
+    votes = {}
+    for idx in nearest[: model.k]:
+        label = model.train_labels[idx]
+        votes[label] = votes.get(label, 0) + 1
+    # deterministic even in the impossible even-vote case: lexicographic label
+    winner = max(sorted(votes), key=lambda label: votes[label])
+    return winner, votes[winner] / model.k
+
+
 def knn_predict(model: KnnModel, v) -> tuple:
     """Classify one vector -> (label, vote fraction for that label).
 
     The k nearest standardized training rows vote uniformly; equal
     distances are broken by lower row index.
     """
-    q = transform(model.scaler, v)
-    diffs = np.abs(model.train_matrix - q)
-    if model.p == 2.0:
-        distances = np.sqrt(np.sum(diffs * diffs, axis=1))
-    elif model.p == 1.0:
-        distances = np.sum(diffs, axis=1)
-    else:
-        distances = np.sum(diffs ** model.p, axis=1) ** (1.0 / model.p)
-    # stable sort implements the lowest-index tie rule
-    nearest = np.argsort(distances, kind="stable")[: model.k]
-    votes = {}
-    for idx in nearest:
-        label = model.train_labels[idx]
-        votes[label] = votes.get(label, 0) + 1
-    # deterministic even in the impossible even-vote case: lexicographic label
-    winner = max(sorted(votes), key=lambda label: votes[label])
-    return winner, votes[winner] / model.k
+    return _vote(model, _nearest_rows(model, v))
 
 
 def _model_payload(model: KnnModel) -> dict:

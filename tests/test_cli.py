@@ -157,7 +157,7 @@ def test_stats_output(small_cohort, tmp_path, capsys):
     assert len(payload["descriptives"]) == 4
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["train"])  # missing required flags
     assert excinfo.value.code == 2
@@ -168,6 +168,29 @@ def test_usage_error_exits_2():
         main(["select", "--features", "f.csv", "--manifest", "m.csv", "--out", "o",
               "--jobs", "2"])  # not an option
     assert excinfo.value.code == 2
+    capsys.readouterr()
+    # out-of-range flag values are rejected before any file is read
+    out = str(tmp_path / "o")
+    files = ["--features", "f.csv", "--manifest", "m.csv", "--out", out]
+    config = tmp_path / "select.conf"
+    config.write_text("folds = 1\n")
+    for argv, flag in [
+        (["train", *files, "--p", "0.5"], "--p"),
+        (["train", *files, "--k", "4"], "--k"),
+        (["train", *files, "--k", "-1"], "--k"),
+        (["select", *files, "--folds", "1"], "--folds"),
+        (["select", *files, "--config", str(config)], "--folds"),
+        (["split", "--manifest", "m.csv", "--out", out, "--train-fraction", "1.5"],
+         "--train-fraction"),
+        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),
+        (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
+         "--segment-seconds"),
+        (["synth", "--out", out, "--speakers-per-class", "0"], "--speakers-per-class"),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err, (argv, err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_rejects_non_finite_features(small_cohort, tmp_path, capsys):
@@ -183,6 +206,13 @@ def test_train_rejects_non_finite_features(small_cohort, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {features}:2: non-finite")
     assert not (tmp_path / "fit" / "model.json").exists()
+
+
+def test_stats_rejects_non_utf8_features(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_bytes(b"segment_id,label\n\xff\n")
+    assert main(["stats", "--features", str(features), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {features}: cannot decode as text")
 
 
 @pytest.mark.parametrize("content, reason", [

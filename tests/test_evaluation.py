@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import pooled_t_reference
+from oracles import knn_scan, pooled_t_reference
 from vocalscreen.evaluation import (
     CandidateResult,
     ConfusionMatrix,
@@ -28,6 +28,7 @@ from vocalscreen.evaluation import (
     stratified_folds,
     two_sample_t,
 )
+from vocalscreen.model import fit_scaler, identity_scaler, transform_matrix
 
 DEP, CON = "depression", "control"
 
@@ -162,6 +163,34 @@ def test_grid_select_default_grid_shape():
     gens = list(report.generations)
     assert gens == sorted(gens)  # non-decreasing
     assert report.to_json_dict()["best"]["mean_cv_score"] == report.best.mean
+
+
+def test_grid_select_matches_brute_force_scan_with_ties():
+    # integer-valued features and duplicated rows put exact distance ties
+    # at the k boundary; the shared per-(fold, scaler, p) ordering must give
+    # each candidate exactly the fold scores of a plain scan at its own k
+    rng = np.random.default_rng(44)
+    base = rng.integers(0, 3, size=(24, 3)).astype(float)
+    base[:, 2] *= 10.0  # unequal scales make the scaler change neighbors
+    features = np.vstack([base, base[:12]])
+    labels = [DEP if x else CON for x in rng.integers(0, 2, 24)]
+    labels += labels[:12]
+    folds, seed = 4, 5
+    report = grid_select(default_grid(), features, labels, folds=folds, seed=seed)
+    fold_sets = stratified_folds(labels, folds, seed)
+    for result_ in report.candidates:
+        c = result_.candidate
+        expected = []
+        for held_out in fold_sets:
+            train_idx = [i for i in range(len(labels)) if i not in held_out]
+            train_x = features[train_idx]
+            scaler = fit_scaler(train_x) if c.use_scaler else identity_scaler(3)
+            train_z = transform_matrix(scaler, train_x)
+            train_y = [labels[i] for i in train_idx]
+            hits = sum(knn_scan(train_z, train_y, q, c.k, c.p)[0] == labels[i]
+                       for i, q in zip(held_out, transform_matrix(scaler, features[held_out])))
+            expected.append(hits / len(held_out))
+        assert list(result_.fold_scores) == expected, c.describe()
 
 
 def result(k, p, use_scaler, mean):

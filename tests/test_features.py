@@ -437,9 +437,11 @@ GOOD_ROW = "s0,control," + ",".join(["0.5"] * 16)
     ([",".join(CSV_HEADER), GOOD_ROW.replace("0.5", "loud", 1)], r":2: could not convert"),
     ([",".join(CSV_HEADER), GOOD_ROW.replace("0.5", "nan", 1)], r":2: non-finite"),
     ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW.replace("0.5", "-inf", 1)], r":3: non-finite"),
+    ([",".join(CSV_HEADER), GOOD_ROW.replace("s0", "s\udcff")], r": cannot decode as text"),
 ])
 def test_read_features_csv_rejects_bad_tables(tmp_path, lines, message):
     path = tmp_path / "features.csv"
-    path.write_text("\n".join(lines) + "\n")
+    # surrogateescape writes "\udcff" as the raw byte 0xff, which is not UTF-8
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(FeaturesFileError, match=r"features\.csv" + message):
         read_features_csv(path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_scan
+from vocalscreen.errors import VocalScreenError
 from vocalscreen.model import (
     CorruptModelFile,
     EmptyTrainingSet,
@@ -14,7 +15,6 @@ from vocalscreen.model import (
     TooFewSamples,
     fit_scaler,
     identity_scaler,
-    inverse_transform,
     knn_fit,
     knn_predict,
     load_model,
@@ -61,8 +61,17 @@ def test_transform_identities():
     ident = identity_scaler(2)
     v = np.array([0.3, -0.7])
     assert transform(ident, v).tolist() == v.tolist()
-    back = inverse_transform(scaler, transform(scaler, v))
-    np.testing.assert_allclose(back, v, atol=1e-12)
+
+
+@pytest.mark.parametrize("fit", [fit_scaler, lambda m: knn_fit(m, ["control"] * len(m), k=1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(fit, bad):
+    matrix = np.ones((4, 3))
+    matrix[2, 1] = bad
+    with pytest.raises(VocalScreenError, match="row 2 holds a non-finite value"):
+        fit(matrix)
+    with pytest.raises(VocalScreenError, match="row 2"):
+        fit([list(row) for row in matrix])
 
 
 # --- minkowski ----------------------------------------------------------------
@@ -76,6 +85,21 @@ def test_minkowski_examples():
         minkowski_distance([0.0], [1.0], 0.5)
     with pytest.raises(ValueError):
         minkowski_distance([0.0], [1.0, 2.0], 2.0)
+    with pytest.raises(ValueError):
+        minkowski_distance(np.zeros((4, 3)), np.zeros(2), 2.0)
+    # a stacked call gives each row exactly the single-pair distance,
+    # exact ties included (duplicated rows, integer-valued coordinates)
+    rng = np.random.default_rng(30)
+    matrix = np.vstack([rng.normal(size=(200, 16)),
+                        rng.integers(-3, 4, size=(40, 16)).astype(float)])
+    matrix = np.vstack([matrix, matrix[:20]])
+    for p in (1.0, 2.0, 3.0):
+        for query in (rng.normal(size=16), matrix[210], np.zeros(16)):
+            stacked = minkowski_distance(matrix, query, p)
+            assert stacked.shape == (len(matrix),)
+            per_row = [minkowski_distance(row, query, p) for row in matrix]
+            assert all(isinstance(d, float) for d in per_row)
+            assert stacked.tolist() == per_row
 
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
