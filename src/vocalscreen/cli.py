@@ -82,12 +82,23 @@ def load_config(path) -> dict:
 
 
 def _resolve(ns, key: str, fallback):
+    """Flag value, else --config value, else fallback.
+
+    A --config value must have the fallback's type (an int passes for a
+    float, and a path flag without a fallback takes a string), or the
+    value is a usage error naming the flag.
+    """
     explicit = getattr(ns, key, None)
     if explicit is not None:
         return explicit
-    if key in ns.config_values:
-        return ns.config_values[key]
-    return fallback
+    if key not in ns.config_values:
+        return fallback
+    value = ns.config_values[key]
+    kinds = {bool: (bool,), int: (int,), float: (int, float)}.get(type(fallback), (str,))
+    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        raise _UsageError(f"--{key.replace('_', '-')}: expected {kinds[-1].__name__}"
+                          f" in --config, got {value!r}")
+    return value
 
 
 def _write_run_config(out_dir: Path, command: str, effective: dict) -> None:
@@ -153,6 +164,24 @@ def cmd_synth(ns) -> int:
     return 0
 
 
+def _recording_features(wav_path, source_id: str, silence, segment_seconds, config) -> list:
+    """Feature vectors of one recording's segments.
+
+    Each ingest step's input is dropped as soon as the step returns, and
+    the rest of the recording's audio on return, before the caller
+    decodes the next file.
+    """
+    try:
+        clip = audio_io.resample(audio_io.to_mono(audio_io.load_wav(wav_path)),
+                                 audio_io.DEFAULT_SAMPLE_RATE)
+        voiced = preprocess.remove_silence(clip, silence)
+        segments = preprocess.segment(voiced, segment_seconds, source_id=source_id)
+    except (VocalScreenError, OSError, ValueError) as exc:
+        raise VocalScreenError(f"{source_id}: {exc}") from exc
+    return [extract_features(seg, config, segment_id=_segment_id(source_id, i))
+            for i, seg in enumerate(segments)]
+
+
 def cmd_extract(ns) -> int:
     manifest_path = Path(ns.manifest)
     out_dir = Path(ns.out)
@@ -179,16 +208,7 @@ def cmd_extract(ns) -> int:
         wav_path = Path(row.path)
         if not wav_path.is_absolute():
             wav_path = manifest_path.parent / wav_path
-        try:
-            clip = audio_io.load_wav(wav_path)
-            mono = audio_io.to_mono(clip)
-            mono = audio_io.resample(mono, audio_io.DEFAULT_SAMPLE_RATE)
-            voiced = preprocess.remove_silence(mono, silence)
-            segments = preprocess.segment(voiced, segment_seconds, source_id=row.path)
-        except (VocalScreenError, OSError, ValueError) as exc:
-            raise VocalScreenError(f"{row.path}: {exc}") from exc
-        for i, seg in enumerate(segments):
-            vec = extract_features(seg, config, segment_id=_segment_id(row.path, i))
+        for vec in _recording_features(wav_path, row.path, silence, segment_seconds, config):
             feature_rows.append((vec, row.label))
             segment_rows.append(dataset.ManifestRow(path=vec.segment_id, label=row.label,
                                                     participant=row.participant))

@@ -141,6 +141,8 @@ class KnnModel:
         object.__setattr__(self, "train_labels", tuple(self.train_labels))
         if matrix.ndim != 2 or matrix.shape[0] != len(self.train_labels):
             raise ValueError("train matrix rows must match label count")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k % 2 == 0:
             raise EvenK(f"k must be odd, got {self.k}")
         if matrix.shape[0] < self.k:

@@ -65,9 +65,11 @@ def _frame_rms(samples: np.ndarray, frame_len: int, hop_len: int) -> np.ndarray:
         return np.zeros(0)
     n_frames = 1 + (n - frame_len) // hop_len
     # cumulative sum of squares gives each frame's energy in O(n)
-    csq = np.concatenate(([0.0], np.cumsum(samples * samples)))
-    starts = np.arange(n_frames) * hop_len
-    energies = csq[starts + frame_len] - csq[starts]
+    csq = np.empty(n + 1)
+    csq[0] = 0.0
+    np.multiply(samples, samples, out=csq[1:])
+    np.cumsum(csq[1:], out=csq[1:])
+    energies = csq[frame_len::hop_len][:n_frames] - csq[::hop_len][:n_frames]
     return np.sqrt(np.maximum(energies, 0.0) / frame_len)
 
 
@@ -94,10 +96,12 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     if peak == 0.0:
         return AudioClip(samples=np.zeros(0), sample_rate=clip.sample_rate)
 
+    # frames first..last of a voiced run cover [first * hop, last * hop + frame)
+    voiced = np.concatenate(([False], rms >= params.threshold_ratio * peak, [False]))
+    edges = np.flatnonzero(voiced[1:] != voiced[:-1])
     keep = np.zeros(len(clip), dtype=bool)
-    for idx in np.nonzero(rms >= params.threshold_ratio * peak)[0]:
-        start = idx * hop_len
-        keep[start : start + frame_len] = True
+    for first, stop in zip(edges[::2], edges[1::2]):
+        keep[first * hop_len : (stop - 1) * hop_len + frame_len] = True
     return AudioClip(samples=clip.samples[keep], sample_rate=clip.sample_rate)
 
 

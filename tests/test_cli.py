@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from conftest import chdir
-from vocalscreen.audio_io import DEFAULT_SAMPLE_RATE, load_wav, resample, to_mono
+from conftest import chdir, tone
+from vocalscreen.audio_io import (DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, load_wav,
+                                  resample, to_mono)
 from vocalscreen.cli import main
 from vocalscreen.dataset import load_manifest
 from vocalscreen.features import read_features_csv
@@ -56,6 +58,19 @@ def test_extract_names_offending_file(tmp_path, capsys):
     rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "missing.wav" in capsys.readouterr().err
+
+
+def test_extract_rejects_nan_sample(tmp_path, capsys):
+    samples = tone(220.0, seconds=10.0).samples
+    samples[DEFAULT_SAMPLE_RATE] = np.nan  # one NaN once silenced the whole recording
+    (tmp_path / "nan.wav").write_bytes(
+        encode_wav(AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE), bit_depth=32))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,participant\nnan.wav,control,p0\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: nan.wav: float sample NaN")
+    assert not (tmp_path / "out" / "features.csv").exists()
 
 
 def test_split_outputs(small_cohort):
@@ -174,12 +189,15 @@ def test_usage_error_exits_2(tmp_path, capsys):
     files = ["--features", "f.csv", "--manifest", "m.csv", "--out", out]
     config = tmp_path / "select.conf"
     config.write_text("folds = 1\n")
+    typed = tmp_path / "train.conf"
+    typed.write_text("k = abc\n")
     for argv, flag in [
         (["train", *files, "--p", "0.5"], "--p"),
         (["train", *files, "--k", "4"], "--k"),
         (["train", *files, "--k", "-1"], "--k"),
         (["select", *files, "--folds", "1"], "--folds"),
         (["select", *files, "--config", str(config)], "--folds"),
+        (["train", *files, "--config", str(typed)], "--k"),
         (["split", "--manifest", "m.csv", "--out", out, "--train-fraction", "1.5"],
          "--train-fraction"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),

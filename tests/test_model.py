@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
+from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.model import (
     CorruptModelFile,
     EmptyTrainingSet,
@@ -140,6 +141,16 @@ def test_knn_fit_boundaries():
         knn_fit(np.zeros((5, 2)), ["control"] * 5, k=4, scaler=identity_scaler(2))
     with pytest.raises(ValueError):
         knn_fit(np.zeros((3, 2)), ["a", "b", "c"], k=1, scaler=identity_scaler(2))
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_k_below_one_rejected(k):
+    features = np.arange(10.0).reshape(5, 2)
+    labels = ["control"] * 3 + ["depression"] * 2
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        knn_fit(features, labels, k=k)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        grid_select([PipelineCandidate(k=k)], np.vstack([features] * 4), labels * 4, folds=2)
 
 
 def test_knn_predict_memorizes_with_k1():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vocalscreen.audio_io import AudioClip
-from vocalscreen.preprocess import SilenceParams, remove_silence, segment
+from vocalscreen.preprocess import SilenceParams, _frame_rms, remove_silence, segment
 
 RATE = 16000
 
@@ -28,6 +31,52 @@ def literal_voiced_mask(samples, frame_len, hop_len, ratio):
         if r >= ratio * peak:
             mask[start : start + frame_len] = True
     return mask
+
+
+# Former definitions, kept as the exact reference for the rewritten steps.
+
+def former_frame_rms(samples, frame_len, hop_len):
+    n = len(samples)
+    if n < frame_len:
+        return np.zeros(0)
+    n_frames = 1 + (n - frame_len) // hop_len
+    csq = np.concatenate(([0.0], np.cumsum(samples * samples)))
+    starts = np.arange(n_frames) * hop_len
+    energies = csq[starts + frame_len] - csq[starts]
+    return np.sqrt(np.maximum(energies, 0.0) / frame_len)
+
+
+def former_remove_silence(samples, frame_len, hop_len, ratio):
+    """One slice assignment per voiced frame."""
+    rms = former_frame_rms(samples, frame_len, hop_len)
+    if len(rms) == 0 or rms.max() == 0.0:
+        return np.zeros(0)
+    keep = np.zeros(len(samples), dtype=bool)
+    for idx in np.nonzero(rms >= ratio * rms.max())[0]:
+        start = idx * hop_len
+        keep[start : start + frame_len] = True
+    return samples[keep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=arrays(np.float64, st.integers(1, 300),
+                      elements=st.sampled_from([0.0, -0.0, 1e-4, -0.002]) | st.floats(-1, 1)),
+       frame_len=st.integers(1, 24), hop_fraction=st.floats(0.01, 1.0),
+       ratio=st.floats(0.01, 0.99))
+@example(samples=np.r_[np.zeros(10), np.full(7, 0.5), np.zeros(9), np.full(3, -0.5), np.zeros(20)],
+         frame_len=5, hop_fraction=0.4, ratio=0.5)  # hop 2: frame_len not a multiple of it
+def test_remove_silence_equals_slice_loop(samples, frame_len, hop_fraction, ratio):
+    hop_len = max(1, round(frame_len * hop_fraction))
+    rate = 1000
+    params = SilenceParams(frame_seconds=frame_len / rate, hop_seconds=hop_len / rate,
+                           threshold_ratio=ratio)
+    rms = _frame_rms(samples, frame_len, hop_len)
+    want_rms = former_frame_rms(samples, frame_len, hop_len)
+    assert rms.shape == want_rms.shape and np.array_equal(rms, want_rms)
+    out = remove_silence(AudioClip(samples=samples, sample_rate=rate), params).samples
+    want = former_remove_silence(samples, frame_len, hop_len, ratio)
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 def test_silence_params_invariants():
