@@ -12,11 +12,16 @@ Subcommands mirror the workflow end to end::
     vocalscreen select   --features work/features.csv --manifest work/train.csv --out work/
     vocalscreen stats    --features work/features.csv --out work/
 
-Flag precedence: explicit flag > --config file (key=value lines) >
-VOCALSCREEN_SEED (seed only) > built-in default. Every run writes its
-full effective configuration to run_config.json in the output directory;
-primary outputs never embed timestamps, so reruns with the same inputs
-and seed are byte-identical.
+Flag precedence: explicit flag > --config file > VOCALSCREEN_SEED (seed
+only) > built-in default, taken from the library's dataclasses. Each
+``key = value`` line of a --config file is read as the flag
+``--key=value`` (``--key`` / ``--no-key`` for true / false) and parsed
+ahead of the command line, so it is checked like the same flag typed
+out; an unknown key is a usage error. ``--seed`` exists only for synth,
+split and select, the stages that draw random numbers. Every run writes
+its full effective configuration to run_config.json in the output
+directory; primary outputs never embed timestamps, so reruns with the
+same inputs and seed are byte-identical.
 """
 
 import argparse
@@ -33,8 +38,6 @@ from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
 from .features import FeatureConfig, extract_features, read_features_csv, write_features_csv
 
-BUILTIN_SEED = 0
-
 
 class _UsageError(VocalScreenError):
     """A flag value (given on the command line or by --config) out of range."""
@@ -49,56 +52,34 @@ def _flag_values(*flags):
         raise _UsageError(f"{'/'.join(flags)}: {exc}") from exc
 
 
-def _default_seed() -> int:
-    env = os.environ.get("VOCALSCREEN_SEED")
-    return int(env) if env else BUILTIN_SEED
+def load_config(path) -> list:
+    """Read a key = value file as flag arguments; blank lines and # comments ignored.
 
-
-def _coerce(text: str):
-    text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            continue
-    return text.strip("\"'")
-
-
-def load_config(path) -> dict:
-    """Parse a key=value config file; blank lines and # comments ignored."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise VocalScreenError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = _coerce(raw)
-    return values
-
-
-def _resolve(ns, key: str, fallback):
-    """Flag value, else --config value, else fallback.
-
-    A --config value must have the fallback's type (an int passes for a
-    float, and a path flag without a fallback takes a string), or the
-    value is a usage error naming the flag.
+    ``key = value`` becomes ``--key=value`` (underscores read as dashes,
+    surrounding quotes dropped), and ``true`` / ``false`` become
+    ``--key`` / ``--no-key``.
     """
-    explicit = getattr(ns, key, None)
-    if explicit is not None:
-        return explicit
-    if key not in ns.config_values:
-        return fallback
-    value = ns.config_values[key]
-    kinds = {bool: (bool,), int: (int,), float: (int, float)}.get(type(fallback), (str,))
-    if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
-        raise _UsageError(f"--{key.replace('_', '-')}: expected {kinds[-1].__name__}"
-                          f" in --config, got {value!r}")
-    return value
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise VocalScreenError(f"{path}: cannot decode as text: {exc}") from exc
+    args = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise VocalScreenError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if "help".startswith(key):  # --help would print usage and exit 0 without running
+            raise _UsageError(f"{path}:{lineno}: {key!r} is not a flag a config file can set")
+        value = value.strip().strip("\"'")
+        if value.lower() in ("true", "false"):
+            args.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
+        else:
+            args.append(f"--{key}={value}")
+    return args
 
 
 def _write_run_config(out_dir: Path, command: str, effective: dict) -> None:
@@ -128,7 +109,7 @@ def _join_features(features_path, manifest: dataset.DatasetManifest):
 
 
 def _feature_config_from(ns) -> FeatureConfig:
-    path = _resolve(ns, "feature_config", None)
+    path = ns.feature_config
     if path is None:
         return FeatureConfig()
     with open(path) as fh:
@@ -146,16 +127,15 @@ def _feature_config_from(ns) -> FeatureConfig:
 
 def cmd_synth(ns) -> int:
     out_dir = Path(ns.out)
-    seed = _resolve(ns, "seed", _default_seed())
     with _flag_values("--speakers-per-class", "--seconds-per-speaker"):
         spec = synth.CohortSpec(
-            speakers_per_class=_resolve(ns, "speakers_per_class", 12),
-            seconds_per_speaker=_resolve(ns, "seconds_per_speaker", 120.0),
-            seed=seed,
+            speakers_per_class=ns.speakers_per_class,
+            seconds_per_speaker=ns.seconds_per_speaker,
+            seed=ns.seed,
         )
     manifest = synth.generate_cohort(spec, out_dir)
     _write_run_config(out_dir, "synth", {
-        "seed": seed,
+        "seed": spec.seed,
         "speakers_per_class": spec.speakers_per_class,
         "seconds_per_speaker": spec.seconds_per_speaker,
     })
@@ -187,18 +167,18 @@ def cmd_extract(ns) -> int:
     out_dir = Path(ns.out)
     with _flag_values("--frame-seconds", "--hop-seconds", "--threshold-ratio"):
         silence = preprocess.SilenceParams(
-            frame_seconds=_resolve(ns, "frame_seconds", 0.05),
-            hop_seconds=_resolve(ns, "hop_seconds", 0.025),
-            threshold_ratio=_resolve(ns, "threshold_ratio", 0.1),
+            frame_seconds=ns.frame_seconds,
+            hop_seconds=ns.hop_seconds,
+            threshold_ratio=ns.threshold_ratio,
         )
-    segment_seconds = _resolve(ns, "segment_seconds", 4.0)
+    segment_seconds = ns.segment_seconds
     if not segment_seconds > 0:
         raise _UsageError(f"--segment-seconds: must be positive, got {segment_seconds}")
     with _flag_values("--n-fft", "--fft-hop", "--n-mels"):
         config = FeatureConfig(
-            n_fft=_resolve(ns, "n_fft", 2048),
-            hop=_resolve(ns, "fft_hop", 512),
-            n_mels=_resolve(ns, "n_mels", 128),
+            n_fft=ns.n_fft,
+            hop=ns.fft_hop,
+            n_mels=ns.n_mels,
         )
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
@@ -235,20 +215,15 @@ def cmd_extract(ns) -> int:
 
 def cmd_split(ns) -> int:
     out_dir = Path(ns.out)
-    seed = _resolve(ns, "seed", _default_seed())
     with _flag_values("--train-fraction", "--mode"):
-        spec = dataset.SplitSpec(
-            train_fraction=_resolve(ns, "train_fraction", 0.8),
-            seed=seed,
-            mode=_resolve(ns, "mode", dataset.SEGMENT_LEVEL),
-        )
+        spec = dataset.SplitSpec(train_fraction=ns.train_fraction, seed=ns.seed, mode=ns.mode)
     manifest = dataset.load_manifest(ns.manifest)
     train, test = dataset.split(manifest, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     sidecar = dataset.write_split(out_dir, train, test, spec)
     _write_run_config(out_dir, "split", {
         "manifest": str(ns.manifest),
-        "seed": seed,
+        "seed": spec.seed,
         "train_fraction": spec.train_fraction,
         "mode": spec.mode,
     })
@@ -259,15 +234,13 @@ def cmd_split(ns) -> int:
 
 def cmd_train(ns) -> int:
     out_dir = Path(ns.out)
-    k = _resolve(ns, "k", 3)
-    p = _resolve(ns, "p", 2.0)
+    k, p, use_scaler = ns.k, ns.p, ns.scaler
     if k < 1 or k % 2 == 0:
         raise _UsageError(f"--k: must be a positive odd integer, got {k}")
     if not p >= 1:
         raise _UsageError(f"--p: must be >= 1, got {p}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, manifest)
-    use_scaler = _resolve(ns, "scaler", True)
     scaler = model.fit_scaler(features) if use_scaler else model.identity_scaler(features.shape[1])
     fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
                            feature_config=_feature_config_from(ns))
@@ -294,7 +267,13 @@ def cmd_evaluate(ns) -> int:
     split_mode = "unknown"
     if ns.split_sidecar:
         with open(ns.split_sidecar) as fh:
-            split_mode = json.load(fh).get("mode", "unknown")
+            try:
+                sidecar = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: {exc}") from exc
+        if not isinstance(sidecar, dict):
+            raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: not a JSON object")
+        split_mode = sidecar.get("mode", "unknown")
     report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
                                              extra={"model_k": fitted.k, "model_p": fitted.p})
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,21 +312,19 @@ def cmd_predict(ns) -> int:
 
 def cmd_select(ns) -> int:
     out_dir = Path(ns.out)
-    seed = _resolve(ns, "seed", _default_seed())
-    folds = _resolve(ns, "folds", 5)
-    if folds < 2:
-        raise _UsageError(f"--folds: must be >= 2, got {folds}")
+    if ns.folds < 2:
+        raise _UsageError(f"--folds: must be >= 2, got {ns.folds}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, manifest)
     report = evaluation.grid_select(evaluation.default_grid(), features, labels,
-                                    folds=folds, seed=seed)
+                                    folds=ns.folds, seed=ns.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_json(out_dir / "selection_report.json", report.to_json_dict())
     _write_run_config(out_dir, "select", {
         "features": str(ns.features),
         "manifest": str(ns.manifest),
-        "folds": folds,
-        "seed": seed,
+        "folds": ns.folds,
+        "seed": ns.seed,
     })
     print(evaluation.render_selection_text(report), end="")
     return 0
@@ -377,10 +354,13 @@ def cmd_stats(ns) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="deterministic seed (default: $VOCALSCREEN_SEED or 0)")
     common.add_argument("--config", default=None,
-                        help="key=value file supplying flag defaults")
+                        help="file of key = value lines, read as flags before the command line")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    # a string default goes through type=int, so a bad $VOCALSCREEN_SEED is a usage error
+    seeded.add_argument("--seed", type=int,
+                        default=os.environ.get("VOCALSCREEN_SEED") or dataset.SplitSpec.seed,
+                        help="deterministic seed (default: $VOCALSCREEN_SEED or %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="vocalscreen",
@@ -388,39 +368,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic labeled cohort")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic labeled cohort")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--speakers-per-class", type=int, default=None)
-    p.add_argument("--seconds-per-speaker", type=float, default=None)
+    p.add_argument("--speakers-per-class", type=int, default=synth.CohortSpec.speakers_per_class)
+    p.add_argument("--seconds-per-speaker", type=float,
+                   default=synth.CohortSpec.seconds_per_speaker)
     p.set_defaults(handler=cmd_synth)
 
+    silence, features = preprocess.SilenceParams, FeatureConfig
     p = sub.add_parser("extract", parents=[common],
                        help="decode, de-silence, segment, and extract features")
     p.add_argument("--manifest", required=True, help="recording manifest CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--segment-seconds", type=float, default=None)
-    p.add_argument("--frame-seconds", type=float, default=None, help="silence-detector frame")
-    p.add_argument("--hop-seconds", type=float, default=None, help="silence-detector hop")
-    p.add_argument("--threshold-ratio", type=float, default=None, help="silence RMS ratio")
-    p.add_argument("--n-fft", type=int, default=None)
-    p.add_argument("--fft-hop", type=int, default=None)
-    p.add_argument("--n-mels", type=int, default=None)
+    p.add_argument("--segment-seconds", type=float, default=4.0)
+    p.add_argument("--frame-seconds", type=float, default=silence.frame_seconds,
+                   help="silence-detector frame")
+    p.add_argument("--hop-seconds", type=float, default=silence.hop_seconds,
+                   help="silence-detector hop")
+    p.add_argument("--threshold-ratio", type=float, default=silence.threshold_ratio,
+                   help="silence RMS ratio")
+    p.add_argument("--n-fft", type=int, default=features.n_fft)
+    p.add_argument("--fft-hop", type=int, default=features.hop)
+    p.add_argument("--n-mels", type=int, default=features.n_mels)
     p.set_defaults(handler=cmd_extract)
 
-    p = sub.add_parser("split", parents=[common], help="deterministic train/test split")
+    p = sub.add_parser("split", parents=[seeded], help="deterministic train/test split")
     p.add_argument("--manifest", required=True, help="segment manifest CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--train-fraction", type=float, default=None)
-    p.add_argument("--mode", choices=dataset.SPLIT_MODES, default=None)
+    p.add_argument("--train-fraction", type=float, default=dataset.SplitSpec.train_fraction)
+    p.add_argument("--mode", choices=dataset.SPLIT_MODES, default=dataset.SplitSpec.mode)
     p.set_defaults(handler=cmd_split)
 
+    candidate = evaluation.PipelineCandidate
     p = sub.add_parser("train", parents=[common], help="fit scaler + KNN and persist the model")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True, help="training-side segment manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--scaler", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--k", type=int, default=candidate.k)
+    p.add_argument("--p", type=float, default=candidate.p)
+    p.add_argument("--scaler", action=argparse.BooleanOptionalAction, default=candidate.use_scaler)
     p.add_argument("--feature-config", default=None,
                    help="JSON with the extraction constants to bind into the model")
     p.set_defaults(handler=cmd_train)
@@ -439,12 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write predictions.csv here")
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("select", parents=[common],
+    p = sub.add_parser("select", parents=[seeded],
                        help="exhaustive cross-validated grid over KNN pipelines")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True, help="training-side segment manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=None)
+    p.add_argument("--folds", type=int, default=5)
     p.set_defaults(handler=cmd_select)
 
     p = sub.add_parser("stats", parents=[common], help="per-group descriptive stats and t-tests")
@@ -456,10 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        ns.config_values = load_config(ns.config) if ns.config else {}
+        if ns.config:
+            # config flags go right after the subcommand, so a flag on the command line wins
+            at = argv.index(ns.command) + 1
+            ns = parser.parse_args(argv[:at] + load_config(ns.config) + argv[at:])
         return ns.handler(ns)
     except (VocalScreenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,19 +102,27 @@ class SplitSpec:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse a manifest CSV, validating header, labels, and uniqueness."""
+    """Parse a manifest CSV, validating header, labels, and uniqueness.
+
+    Every rejection is a VocalScreenError whose message starts with the path.
+    """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ManifestParseError(f"bad header {header}, want {MANIFEST_HEADER}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ManifestParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            rows.append(ManifestRow(path=row[0], label=row[1], participant=row[2]))
-    return DatasetManifest(rows=rows)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != MANIFEST_HEADER:
+                raise ManifestParseError(f"{path}: bad header {header}, want {MANIFEST_HEADER}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    raise ManifestParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                rows.append(ManifestRow(path=row[0], label=row[1], participant=row[2]))
+        return DatasetManifest(rows=rows)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ManifestParseError(f"{path}: cannot read as CSV text: {exc}") from exc
+    except (UnknownLabel, DuplicatePath) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:

@@ -135,9 +135,8 @@ def power_spectrum(frame: np.ndarray, window: str = "hann") -> np.ndarray:
     return np.abs(spectrum) ** 2
 
 
-def power_spectra(segment: AudioClip, config: FeatureConfig = FeatureConfig(),
-                  window: str = "hann") -> np.ndarray:
-    """Power spectra of all complete frames of a segment, shape (frames, bins).
+def power_spectra(segment: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Hann-windowed power spectra of all complete frames of a segment, shape (frames, bins).
 
     Frames are left-aligned, length n_fft, advancing by hop; the trailing
     partial frame is dropped. Raises SegmentTooShort when not even one
@@ -149,7 +148,7 @@ def power_spectra(segment: AudioClip, config: FeatureConfig = FeatureConfig(),
     if len(samples) < config.n_fft:
         raise SegmentTooShort(f"{len(samples)} samples < n_fft {config.n_fft}")
     frames = np.lib.stride_tricks.sliding_window_view(samples, config.n_fft)[:: config.hop]
-    spectra = np.fft.rfft(frames * _window(config.n_fft, window), axis=1)
+    spectra = np.fft.rfft(frames * _window(config.n_fft, "hann"), axis=1)
     return np.abs(spectra) ** 2
 
 
@@ -173,7 +172,11 @@ def mel_breakpoints(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _cached_filterbank(sample_rate: int, config: FeatureConfig) -> np.ndarray:
+def mel_filterbank(sample_rate: int, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Triangular mel filterbank, shape (n_mels, n_fft/2 + 1), area-normalized.
+
+    Cached and read-only; 16000 and 16000.0 hash equal, so they share one entry.
+    """
     if config.fmax > sample_rate / 2:
         raise ValueError(f"fmax {config.fmax} exceeds Nyquist {sample_rate / 2}")
     points = mel_breakpoints(config.n_mels, config.fmin, config.fmax)
@@ -187,11 +190,6 @@ def _cached_filterbank(sample_rate: int, config: FeatureConfig) -> np.ndarray:
         bank[j] = tri * (2.0 / (upper - lower))
     bank.setflags(write=False)
     return bank
-
-
-def mel_filterbank(sample_rate: int, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft/2 + 1), area-normalized."""
-    return _cached_filterbank(int(sample_rate), config)
 
 
 @lru_cache(maxsize=8)

@@ -66,7 +66,7 @@ class ScalerParams:
     """Per-dimension means and population standard deviations.
 
     Zero-variance dimensions store std 1 so they transform to 0 instead
-    of dividing by zero.
+    of dividing by zero. Means must be finite and stds finite and positive.
     """
 
     means: np.ndarray
@@ -79,7 +79,9 @@ class ScalerParams:
         object.__setattr__(self, "stds", stds)
         if means.shape != stds.shape or means.ndim != 1:
             raise ValueError("means and stds must be 1-D and the same length")
-        if np.any(stds <= 0):
+        if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+            raise ValueError("means and stds must be finite")
+        if not np.all(stds > 0):
             raise ValueError("stds must be positive")
 
 
@@ -126,7 +128,11 @@ def minkowski_distance(a, b, p: float = 2.0):
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Standardized training matrix plus the hyperparameters that query it."""
+    """Standardized training matrix plus the hyperparameters that query it.
+
+    The matrix has one column per scaler dimension, k is positive and
+    odd, and p >= 1.
+    """
 
     train_matrix: np.ndarray
     train_labels: tuple
@@ -141,13 +147,15 @@ class KnnModel:
         object.__setattr__(self, "train_labels", tuple(self.train_labels))
         if matrix.ndim != 2 or matrix.shape[0] != len(self.train_labels):
             raise ValueError("train matrix rows must match label count")
+        if matrix.shape[1] != len(self.scaler.means):
+            raise ValueError("train matrix columns must match scaler dimensions")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k % 2 == 0:
             raise EvenK(f"k must be odd, got {self.k}")
         if matrix.shape[0] < self.k:
             raise TooFewSamples(f"{matrix.shape[0]} rows < k={self.k}")
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError("p must be >= 1")
 
     @property
@@ -238,7 +246,11 @@ def save_model(model: KnnModel, path) -> None:
 
 
 def load_model(path) -> KnnModel:
-    """Load a model file, verifying schema version and integrity digest."""
+    """Load a model file, verifying schema version and integrity digest.
+
+    A file that is not a valid model, digest or not, raises a
+    VocalScreenError naming it.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -253,15 +265,24 @@ def load_model(path) -> KnnModel:
     stored_digest = payload.pop("digest", None)
     if stored_digest != _payload_digest(payload):
         raise CorruptModelFile(f"{path}: digest mismatch")
-    scaler = ScalerParams(
-        means=np.array(payload["scaler"]["means"], dtype=np.float64),
-        stds=np.array(payload["scaler"]["stds"], dtype=np.float64),
-    )
-    return KnnModel(
-        train_matrix=np.array(payload["train"]["matrix"], dtype=np.float64),
-        train_labels=tuple(payload["train"]["labels"]),
-        k=payload["k"],
-        p=payload["p"],
-        scaler=scaler,
-        feature_config=payload["feature_config"],
-    )
+    try:
+        fitted = KnnModel(
+            train_matrix=payload["train"]["matrix"],
+            train_labels=payload["train"]["labels"],
+            k=payload["k"],
+            p=payload["p"],
+            scaler=ScalerParams(means=payload["scaler"]["means"], stds=payload["scaler"]["stds"]),
+            feature_config=payload["feature_config"],
+        )
+        # knn_fit guarantees these; a file has to be checked
+        if not isinstance(fitted.k, int):
+            raise ValueError(f"k must be an integer, got {fitted.k!r}")
+        if not np.isfinite(fitted.train_matrix).all():
+            raise ValueError("train matrix must be finite")
+        if not all(isinstance(label, str) for label in fitted.train_labels):
+            raise ValueError("labels must be strings")
+        return fitted
+    except KeyError as exc:
+        raise CorruptModelFile(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError, VocalScreenError) as exc:
+        raise CorruptModelFile(f"{path}: invalid model: {exc}") from exc

@@ -1,15 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chdir, tone
 from vocalscreen.audio_io import (DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, load_wav,
                                   resample, to_mono)
-from vocalscreen.cli import main
+from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
+from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import read_features_csv
+from vocalscreen.model import _payload_digest
 from vocalscreen.preprocess import remove_silence
 
 
@@ -189,15 +194,15 @@ def test_usage_error_exits_2(tmp_path, capsys):
     files = ["--features", "f.csv", "--manifest", "m.csv", "--out", out]
     config = tmp_path / "select.conf"
     config.write_text("folds = 1\n")
-    typed = tmp_path / "train.conf"
-    typed.write_text("k = abc\n")
+    asks_help = tmp_path / "help.conf"
+    asks_help.write_text("help = true\n")
     for argv, flag in [
         (["train", *files, "--p", "0.5"], "--p"),
         (["train", *files, "--k", "4"], "--k"),
         (["train", *files, "--k", "-1"], "--k"),
         (["select", *files, "--folds", "1"], "--folds"),
         (["select", *files, "--config", str(config)], "--folds"),
-        (["train", *files, "--config", str(typed)], "--k"),
+        (["select", *files, "--config", str(asks_help)], "'help'"),
         (["split", "--manifest", "m.csv", "--out", out, "--train-fraction", "1.5"],
          "--train-fraction"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),
@@ -208,6 +213,13 @@ def test_usage_error_exits_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err, (argv, err)
+    # a config value the flag's type rejects fails in argparse, as on the command line
+    typed = tmp_path / "train.conf"
+    typed.write_text("k = abc\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", *files, "--config", str(typed)])
+    assert excinfo.value.code == 2
+    assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -300,3 +312,210 @@ def test_run_config_logged_everywhere(small_cohort):
     payload = json.loads((small_cohort / "work" / "run_config.json").read_text())
     assert payload["command"] in {"extract", "split"}
     assert "feature_config" in payload or "train_fraction" in payload
+
+
+def test_seed_precedence_flag_config_env(small_cohort, tmp_path, monkeypatch):
+    segments = str(small_cohort / "work" / "segments.csv")
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = 3\n")
+    monkeypatch.setenv("VOCALSCREEN_SEED", "5")
+    runs = {
+        "env": [],
+        "config": ["--config", str(config)],
+        "flag": ["--config", str(config), "--seed", "11"],
+        "flag_first": ["--seed", "11", "--config", str(config)],
+    }
+    seeds = {}
+    for name, extra in runs.items():
+        assert main(["split", "--manifest", segments, "--out", str(tmp_path / name), *extra]) == 0
+        seeds[name] = json.loads((tmp_path / name / "split.json").read_text())["seed"]
+    assert seeds == {"env": 5, "config": 3, "flag": 11, "flag_first": 11}
+
+
+def test_config_lines_read_as_flags(small_cohort, tmp_path):
+    work = small_cohort / "work"
+    train = ["train", "--features", str(work / "features.csv"),
+             "--manifest", str(work / "train.csv")]
+    for value, expected in [("false", False), ("TRUE", True)]:
+        config = tmp_path / f"{value}.cfg"
+        config.write_text(f"scaler = {value}\n")
+        out = tmp_path / value
+        assert main([*train, "--out", str(out), "--config", str(config)]) == 0
+        assert json.loads((out / "run_config.json").read_text())["scaler"] is expected
+        stds = json.loads((out / "model.json").read_text())["scaler"]["stds"]
+        assert (set(stds) == {1.0}) is not expected
+
+    # quoted values, underscores for dashes, and a negative seed
+    segments = str(work / "segments.csv")
+    config = tmp_path / "split.cfg"
+    config.write_text("mode = \"speaker-disjoint\"\ntrain_fraction = '0.67'\nseed = 2\n")
+    assert main(["split", "--manifest", segments, "--out", str(tmp_path / "quoted"),
+                 "--config", str(config)]) == 0
+    assert main(["split", "--manifest", segments, "--out", str(tmp_path / "flags"),
+                 "--mode", "speaker-disjoint", "--train-fraction", "0.67", "--seed", "2"]) == 0
+    for name in ("split.json", "train.csv", "test.csv", "run_config.json"):
+        assert (tmp_path / "quoted" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    config.write_text("seed = -1\n")
+    assert main(["split", "--manifest", segments, "--out", str(tmp_path / "negative"),
+                 "--config", str(config)]) == 0
+    assert json.loads((tmp_path / "negative" / "split.json").read_text())["seed"] == -1
+
+
+@pytest.mark.parametrize("argv, config, env, message", [
+    (["split", "--manifest", "m.csv"], "typo = 3\n", None, "unrecognized arguments: --typo=3"),
+    (["extract", "--manifest", "m.csv"], "seed = 1\n", None, "unrecognized arguments: --seed=1"),
+    (["train", "--features", "f.csv", "--manifest", "m.csv"], "scaler = 3\n", None,
+     "argument --scaler/--no-scaler: ignored explicit argument '3'"),
+    (["split", "--manifest", "m.csv"], None, "abc", "argument --seed: invalid int value: 'abc'"),
+    (["synth"], None, "1.5", "argument --seed: invalid int value: '1.5'"),
+])
+def test_config_and_env_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, config, env,
+                                            message):
+    argv = [*argv, "--out", str(tmp_path / "o")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    if env is not None:
+        monkeypatch.setenv("VOCALSCREEN_SEED", env)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--manifest", "m.csv", "--out", "o"],
+    ["train", "--features", "f.csv", "--manifest", "m.csv", "--out", "o"],
+    ["evaluate", "--features", "f.csv", "--manifest", "m.csv", "--model", "x", "--out", "o"],
+    ["predict", "--model", "x", "--features", "f.csv"],
+    ["stats", "--features", "f.csv", "--out", "o"],
+])
+def test_seed_only_where_a_seed_is_used(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--seed", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.tuples(st.sampled_from(["k", "seed", "scaler", "train_fraction", "", "# x"]),
+                       st.sampled_from(["=", " = ", "", "=="]),
+                       st.one_of(st.sampled_from(["3", "true", "FALSE", "'q'", "-1", ""]),
+                                 st.text(max_size=4))),
+             max_size=4).map(lambda lines: "\n".join("".join(t) for t in lines).encode()),
+))
+def test_load_config_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_bytes(data)
+    try:
+        args = load_config(path)
+    except VocalScreenError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert all(isinstance(arg, str) and arg.startswith("--") for arg in args)
+
+
+def trained_model(small_cohort, tmp_path) -> Path:
+    work = small_cohort / "work"
+    assert main(["train", "--features", str(work / "features.csv"),
+                 "--manifest", str(work / "train.csv"), "--out", str(tmp_path / "fit")]) == 0
+    return tmp_path / "fit" / "model.json"
+
+
+@pytest.mark.parametrize("stage, content, message", [
+    ("extract", b"path,label,participant\n\xff.wav,control,p0\n", "cannot read as CSV text"),
+    ("extract", b"path,label\na.wav,control\n", "bad header"),
+    ("evaluate", b'{"mode": ', "bad split sidecar: Expecting value"),
+    ("evaluate", b'["speaker-disjoint"]', "bad split sidecar: not a JSON object"),
+    ("evaluate", b'{"mode": "\xff"}', "bad split sidecar: 'utf-8' codec"),
+])
+def test_bad_manifest_or_sidecar_exits_1(small_cohort, tmp_path, capsys, stage, content,
+                                        message):
+    work = small_cohort / "work"
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    if stage == "extract":
+        argv = ["extract", "--manifest", str(bad), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["evaluate", "--features", str(work / "features.csv"),
+                "--manifest", str(work / "test.csv"),
+                "--model", str(trained_model(small_cohort, tmp_path)),
+                "--split-sidecar", str(bad), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ") and message in captured.err, captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda m: m.update(p=0.5), "invalid model: p must be >= 1"),
+    (lambda m: m.pop("scaler"), "missing field 'scaler'"),
+    (lambda m: m["scaler"]["stds"].__setitem__(0, 0.0), "invalid model: stds must be positive"),
+])
+def test_predict_rejects_invalid_model_with_valid_digest(small_cohort, tmp_path, capsys,
+                                                         mutate, message):
+    payload = json.loads(trained_model(small_cohort, tmp_path).read_text())
+    del payload["digest"]
+    mutate(payload)
+    payload["digest"] = _payload_digest(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad),
+                 "--features", str(small_cohort / "work" / "features.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {message}\n" and captured.out == ""
+
+
+# Commands run from the small cohort's directory; each writes run_config.json under pinned/.
+PINNED_STAGES = {
+    "synth": ["synth", "--out", "pinned/synth", "--seed", "42", "--seconds-per-speaker", "2"],
+    "extract": ["extract", "--manifest", "cohort/cohort.csv", "--out", "pinned/extract"],
+    "split": ["split", "--manifest", "work/segments.csv", "--out", "pinned/split", "--seed", "42"],
+    "select": ["select", "--features", "work/features.csv", "--manifest", "work/train.csv",
+               "--out", "pinned/select", "--seed", "42"],
+    "train": ["train", "--features", "work/features.csv", "--manifest", "work/train.csv",
+              "--out", "pinned/train", "--k", "3", "--p", "2"],
+    "evaluate": ["evaluate", "--features", "work/features.csv", "--manifest", "work/test.csv",
+                 "--model", "pinned/train/model.json", "--split-sidecar", "work/split.json",
+                 "--out", "pinned/evaluate"],
+    "predict": ["predict", "--model", "pinned/train/model.json",
+                "--features", "work/features.csv", "--out", "pinned/predict"],
+    "stats": ["stats", "--features", "work/features.csv", "--out", "pinned/stats"],
+}
+
+
+def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
+    """run_config.json of every README stage equals the committed bytes, and
+    every built-in flag default keeps its value and type."""
+    monkeypatch.delenv("VOCALSCREEN_SEED", raising=False)
+    expected_dir = Path(__file__).parent / "run_configs"
+    with chdir(small_cohort):
+        for stage, argv in PINNED_STAGES.items():
+            assert main(argv) == 0, argv
+            written = (small_cohort / "pinned" / stage / "run_config.json").read_bytes()
+            assert written == (expected_dir / f"{stage}.json").read_bytes(), stage
+    capsys.readouterr()
+
+    defaults = [
+        (["synth", "--out", "o"],
+         {"speakers_per_class": 12, "seconds_per_speaker": 120.0, "seed": 0}),
+        (["extract", "--manifest", "m", "--out", "o"],
+         {"segment_seconds": 4.0, "frame_seconds": 0.05, "hop_seconds": 0.025,
+          "threshold_ratio": 0.1, "n_fft": 2048, "fft_hop": 512, "n_mels": 128}),
+        (["split", "--manifest", "m", "--out", "o"],
+         {"train_fraction": 0.8, "mode": "segment-level", "seed": 0}),
+        (["train", "--features", "f", "--manifest", "m", "--out", "o"],
+         {"k": 3, "p": 2.0, "scaler": True, "feature_config": None}),
+        (["select", "--features", "f", "--manifest", "m", "--out", "o"],
+         {"folds": 5, "seed": 0}),
+    ]
+    for argv, values in defaults:
+        ns = build_parser().parse_args(argv)
+        assert {key: repr(getattr(ns, key)) for key in values} == \
+            {key: repr(value) for key, value in values.items()}, argv

@@ -19,6 +19,7 @@ from vocalscreen.dataset import (
     split,
     write_split,
 )
+from vocalscreen.errors import VocalScreenError
 
 
 def rows_for(n, participants=None, labels=None):
@@ -157,3 +158,42 @@ def test_write_split_sidecar(tmp_path):
     assert on_disk["mode"] == SEGMENT_LEVEL
     assert on_disk["counts"]["train"]["total"] == 8
     assert load_manifest(tmp_path / "train.csv") == train
+
+
+@st.composite
+def manifest_tables(draw):
+    """A manifest CSV: an optional right header, then rows of 0-4 fields
+    drawn from valid values, CSV metacharacters and arbitrary text."""
+    field = st.one_of(st.sampled_from(["a.wav", "control", "depression", "p0", "", '"', ",",
+                                       "\r", "\n"]), st.text(max_size=4))
+    rows = draw(st.lists(st.lists(field, max_size=4), max_size=5))
+    if draw(st.booleans()):
+        rows.insert(0, ["path", "label", "participant"])
+    return "\n".join(",".join(row) for row in rows).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), manifest_tables()))
+def test_load_manifest_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "manifest.csv"
+    path.write_bytes(data)
+    try:
+        manifest = load_manifest(path)
+    except VocalScreenError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert isinstance(manifest, DatasetManifest)
+
+
+@pytest.mark.parametrize("content, error, message", [
+    (b"path,label\n", ManifestParseError, "bad header"),
+    (b"path,label,participant\n\xff.wav,control,p0\n", ManifestParseError, "cannot read"),
+    (b"path,label,participant\na.wav,anxious,p0\n", UnknownLabel, "anxious"),
+    (b"path,label,participant\na.wav,control,p0\na.wav,control,p1\n", DuplicatePath, "twice"),
+])
+def test_load_manifest_errors_name_the_file(tmp_path, content, error, message):
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(content)
+    with pytest.raises(error, match=message) as excinfo:
+        load_manifest(path)
+    assert str(excinfo.value).startswith(f"{path}: ")

@@ -15,6 +15,7 @@ from oracles import (
 )
 from conftest import tone
 from vocalscreen.audio_io import AudioClip
+from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import (
     CSV_HEADER,
     FeatureConfig,
@@ -445,3 +446,35 @@ def test_read_features_csv_rejects_bad_tables(tmp_path, lines, message):
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(FeaturesFileError, match=r"features\.csv" + message):
         read_features_csv(path)
+
+
+@st.composite
+def features_tables(draw):
+    """A features CSV: a right or wrong header, then rows of 16 finite floats,
+    some with one field replaced by, or extended with, a junk field."""
+    header = draw(st.sampled_from([CSV_HEADER, CSV_HEADER[:-1], ["segment_id"], []]))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    junk = st.one_of(st.sampled_from(["nan", "-inf", "1e999", "", '"', "x", "0x1"]),
+                     st.text(max_size=3))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = ["s", "control"] + [draw(finite) for _ in range(16)]
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(row)))
+            row[at:at + draw(st.integers(0, 1))] = [draw(junk)]
+        lines.append(",".join(row))
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), features_tables()))
+def test_read_features_csv_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "features.csv"
+    path.write_bytes(data)
+    try:
+        ids, labels, matrix = read_features_csv(path)
+    except VocalScreenError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert matrix.shape == (len(ids), 16) and len(labels) == len(ids)
+    assert np.isfinite(matrix).all()

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.model import (
     CorruptModelFile,
+    KnnModel,
     EmptyTrainingSet,
     EvenK,
     SchemaVersionMismatch,
@@ -23,6 +25,7 @@ from vocalscreen.model import (
     save_model,
     transform,
     transform_matrix,
+    _payload_digest,
 )
 
 
@@ -275,3 +278,94 @@ def test_load_rejects_non_json(tmp_path):
     path.write_bytes(b"\x00\x01 not json")
     with pytest.raises(CorruptModelFile):
         load_model(path)
+
+
+def write_redigested(path, payload):
+    """Write ``payload`` as a model file whose digest matches it."""
+    payload = {key: value for key, value in payload.items() if key != "digest"}
+    payload["digest"] = _payload_digest(payload)
+    path.write_text(json.dumps(payload))
+
+
+def saved_payload(tmp_path):
+    model, _ = fitted_model()
+    save_model(model, tmp_path / "model.json")
+    return json.loads((tmp_path / "model.json").read_text())
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda m: m.update(p=0.5), "p must be >= 1"),
+    (lambda m: m.pop("scaler"), "missing field 'scaler'"),
+    (lambda m: m["scaler"]["stds"].__setitem__(0, 0.0), "stds must be positive"),
+    (lambda m: m.update(k=-1), "k must be >= 1"),
+    (lambda m: m.update(k=4), "k must be odd"),
+    (lambda m: m.update(k=3.0), "integer"),
+    (lambda m: m["train"]["labels"].__setitem__(0, [1]), "labels must be strings"),
+    (lambda m: m["train"]["matrix"][0].__setitem__(0, float("nan")), "must be finite"),
+    (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
+])
+def test_load_rejects_invalid_model_with_valid_digest(tmp_path, mutate, reason):
+    payload = saved_payload(tmp_path)
+    mutate(payload)
+    path = tmp_path / "bad.json"
+    write_redigested(path, payload)
+    with pytest.raises(CorruptModelFile, match=reason) as excinfo:
+        load_model(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def model_mutations():
+    """(path into the payload, new value or None to drop the entry) pairs."""
+    places = st.sampled_from([
+        ("k",), ("p",), ("version",), ("feature_config",), ("scaler",), ("scaler", "means"),
+        ("scaler", "stds"), ("scaler", "means", 0), ("scaler", "stds", 1), ("train",),
+        ("train", "matrix"), ("train", "matrix", 0), ("train", "matrix", 2, 1),
+        ("train", "labels"), ("train", "labels", 0),
+    ])
+    values = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=3),
+        st.sampled_from([0.0, -1.0, 0.5, 2.0, float("nan"), float("inf"), 1e300]),
+        st.lists(st.integers(-2, 2), max_size=3), st.just([[1.0, 2.0, 3.0]]), st.just({}),
+    )
+    return st.lists(st.tuples(places, st.one_of(st.none(), st.tuples(values))),
+                    min_size=1, max_size=3)
+
+
+def apply_mutation(payload, place, value):
+    """Drop (value None) or replace the entry at ``place``; a missing place is left alone."""
+    try:
+        parent = payload
+        for key in place[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[place[-1]]
+        else:
+            parent[place[-1]] = copy.deepcopy(value[0])  # drawn values may be shared
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=model_mutations(), redigest=st.booleans(), raw=st.binary(max_size=64))
+def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutations, redigest,
+                                                        raw):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    model = knn_fit(np.arange(15.0).reshape(5, 3), ["a", "b", "a", "b", "a"], k=3)
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    for place, value in mutations:
+        apply_mutation(payload, place, value)
+    if redigest:
+        write_redigested(path, payload)
+    else:
+        path.write_text(json.dumps(payload))
+    for content in (path.read_bytes(), raw):
+        path.write_bytes(content)
+        try:
+            loaded = load_model(path)
+        except VocalScreenError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            continue
+        assert isinstance(loaded, KnnModel)
+        label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
+        assert label in loaded.train_labels and 0 < fraction <= 1
