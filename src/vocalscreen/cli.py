@@ -30,13 +30,16 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
-from .features import FeatureConfig, extract_features, read_features_csv, write_features_csv
+from .features import (N_FEATURES, FeatureConfig, extract_features, read_features_csv,
+                       write_features_csv)
+from .rng import round_half_up
 
 
 class _UsageError(VocalScreenError):
@@ -84,9 +87,7 @@ def load_config(path) -> list:
 
 def _write_run_config(out_dir: Path, command: str, effective: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "run_config.json", "w") as fh:
-        json.dump({"command": command, **effective}, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    dataset.write_json(out_dir / "run_config.json", {"command": command, **effective})
 
 
 def _segment_id(manifest_path: str, index: int) -> str:
@@ -106,6 +107,16 @@ def _join_features(features_path, manifest: dataset.DatasetManifest):
         rows.append(matrix[index[row.path]])
         labels.append(row.label)
     return np.asarray(rows), labels
+
+
+def _load_model(path) -> model.KnnModel:
+    """load_model, also rejecting a model that does not take a features CSV's columns."""
+    fitted = model.load_model(path)
+    dims = len(fitted.scaler.means)
+    if dims != N_FEATURES:
+        raise VocalScreenError(f"{path}: model takes {dims} feature dimensions,"
+                               f" a features CSV holds {N_FEATURES}")
+    return fitted
 
 
 def _feature_config_from(ns) -> FeatureConfig:
@@ -134,11 +145,9 @@ def cmd_synth(ns) -> int:
             seed=ns.seed,
         )
     manifest = synth.generate_cohort(spec, out_dir)
-    _write_run_config(out_dir, "synth", {
-        "seed": spec.seed,
-        "speakers_per_class": spec.speakers_per_class,
-        "seconds_per_speaker": spec.seconds_per_speaker,
-    })
+    run_config = asdict(spec)
+    del run_config["class_profiles"]  # not a flag; cohort.json records the profiles
+    _write_run_config(out_dir, "synth", run_config)
     print(f"synth: wrote {len(manifest)} recordings + cohort.csv to {out_dir}")
     print(f"note: {synth.NON_CLINICAL_NOTE}")
     return 0
@@ -155,7 +164,7 @@ def _recording_features(wav_path, source_id: str, silence, segment_seconds, conf
         clip = audio_io.resample(audio_io.to_mono(audio_io.load_wav(wav_path)),
                                  audio_io.DEFAULT_SAMPLE_RATE)
         voiced = preprocess.remove_silence(clip, silence)
-        segments = preprocess.segment(voiced, segment_seconds, source_id=source_id)
+        segments = preprocess.segment(voiced, segment_seconds)
     except (VocalScreenError, OSError, ValueError) as exc:
         raise VocalScreenError(f"{source_id}: {exc}") from exc
     return [extract_features(seg, config, segment_id=_segment_id(source_id, i))
@@ -180,6 +189,12 @@ def cmd_extract(ns) -> int:
             hop=ns.fft_hop,
             n_mels=ns.n_mels,
         )
+    # every segment is cut at the canonical rate, so its length is known before any decode
+    segment_samples = round_half_up(segment_seconds * audio_io.DEFAULT_SAMPLE_RATE)
+    if segment_samples < config.n_fft:
+        raise _UsageError(f"--segment-seconds/--n-fft: a {segment_seconds} s segment holds"
+                          f" {segment_samples} samples, fewer than one {config.n_fft}-sample"
+                          f" FFT frame")
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
         raise VocalScreenError(f"empty manifest: {manifest_path}")
@@ -200,12 +215,8 @@ def cmd_extract(ns) -> int:
     _write_run_config(out_dir, "extract", {
         "manifest": str(manifest_path),
         "segment_seconds": segment_seconds,
-        "silence": {
-            "frame_seconds": silence.frame_seconds,
-            "hop_seconds": silence.hop_seconds,
-            "threshold_ratio": silence.threshold_ratio,
-        },
-        "feature_config": config.as_dict(),
+        "silence": asdict(silence),
+        "feature_config": asdict(config),
     })
     counts = segment_manifest.label_counts()
     summary = ", ".join(f"{label}={counts[label]}" for label in sorted(counts))
@@ -221,12 +232,7 @@ def cmd_split(ns) -> int:
     train, test = dataset.split(manifest, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     sidecar = dataset.write_split(out_dir, train, test, spec)
-    _write_run_config(out_dir, "split", {
-        "manifest": str(ns.manifest),
-        "seed": spec.seed,
-        "train_fraction": spec.train_fraction,
-        "mode": spec.mode,
-    })
+    _write_run_config(out_dir, "split", {"manifest": str(ns.manifest), **asdict(spec)})
     print(f"split[{spec.mode}]: train={sidecar['counts']['train']['total']}"
           f" test={sidecar['counts']['test']['total']} -> {out_dir}")
     return 0
@@ -262,7 +268,7 @@ def cmd_evaluate(ns) -> int:
     out_dir = Path(ns.out)
     manifest = dataset.load_manifest(ns.manifest)
     features, truth = _join_features(ns.features, manifest)
-    fitted = model.load_model(ns.model)
+    fitted = _load_model(ns.model)
     predictions = [model.knn_predict(fitted, row)[0] for row in features]
     split_mode = "unknown"
     if ns.split_sidecar:
@@ -277,7 +283,7 @@ def cmd_evaluate(ns) -> int:
     report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
                                              extra={"model_k": fitted.k, "model_p": fitted.p})
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.write_json(out_dir / "eval_report.json", report.to_json_dict())
+    dataset.write_json(out_dir / "eval_report.json", report.to_json_dict())
     text = evaluation.render_eval_text(report)
     (out_dir / "eval_report.txt").write_text(text)
     _write_run_config(out_dir, "evaluate", {
@@ -291,7 +297,7 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_predict(ns) -> int:
-    fitted = model.load_model(ns.model)
+    fitted = _load_model(ns.model)
     ids, _labels, matrix = read_features_csv(ns.features)
     lines = ["segment_id,label,score"]
     for sid, row in zip(ids, matrix):
@@ -319,7 +325,7 @@ def cmd_select(ns) -> int:
     report = evaluation.grid_select(evaluation.default_grid(), features, labels,
                                     folds=ns.folds, seed=ns.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.write_json(out_dir / "selection_report.json", report.to_json_dict())
+    dataset.write_json(out_dir / "selection_report.json", report.to_json_dict())
     _write_run_config(out_dir, "select", {
         "features": str(ns.features),
         "manifest": str(ns.manifest),
@@ -340,8 +346,7 @@ def cmd_stats(ns) -> int:
     stats = evaluation.descriptive_stats(by_group)
     t_tests = evaluation.group_t_tests(by_group) if len(by_group) == 2 else None
     out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.write_json(out_dir / "stats.json",
-                          {"descriptives": stats, "t_tests": t_tests})
+    dataset.write_json(out_dir / "stats.json", {"descriptives": stats, "t_tests": t_tests})
     text = evaluation.render_stats_text(stats, t_tests)
     (out_dir / "stats.txt").write_text(text)
     _write_run_config(out_dir, "stats", {"features": str(ns.features)})

@@ -5,17 +5,17 @@ recording on disk (one row per WAV) and extracted segments (one row per
 segment id), so splitting works at either granularity.
 
 Splits are reproducible bit-for-bit: a SplitMix64 stream seeds a
-Fisher-Yates shuffle, and the train side takes the first
-round-half-up(N * train_fraction) entries of the shuffled order.
-Segment-level splitting mirrors the screening protocol; speaker-disjoint
-splitting keeps every participant wholly on one side, which is the honest
-alternative when segments of one speaker would otherwise leak across the
-boundary.
+Fisher-Yates shuffle of the split units, and the train side takes the
+first round-half-up(N * train_fraction) units of the shuffled order.
+Segment-level splitting mirrors the screening protocol, each row its own
+unit; speaker-disjoint splitting takes participants as units, keeping
+each wholly on one side, which is the honest alternative when segments
+of one speaker would otherwise leak across the boundary.
 """
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import VocalScreenError
@@ -136,32 +136,27 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 def split(manifest: DatasetManifest, spec: SplitSpec):
     """Deterministically partition a manifest into (train, test).
 
-    Segment-level mode shuffles rows and cuts after
-    round(N * train_fraction). Speaker-disjoint mode shuffles participant
-    ids (first-appearance order) and assigns whole participants the same
-    way; rows are then emitted grouped by the shuffled participant order.
+    Rows are grouped into units, a segment-level unit being one row and a
+    speaker-disjoint unit one participant, in first-appearance order. The
+    units are shuffled and the train side takes the first
+    round(N * train_fraction) of them; rows are emitted grouped by unit in
+    the shuffled order.
     """
-    if spec.mode == SEGMENT_LEVEL:
-        order = fisher_yates(list(manifest.rows), SplitMix64(spec.seed))
-        n_train = round_half_up(len(order) * spec.train_fraction)
-        train_rows, test_rows = order[:n_train], order[n_train:]
-        if not train_rows or not test_rows:
-            raise DegenerateSplit(f"{len(order)} rows cannot split at {spec.train_fraction}")
-    else:
-        participants = fisher_yates(manifest.participants(), SplitMix64(spec.seed))
-        n_train = round_half_up(len(participants) * spec.train_fraction)
-        train_ids = set(participants[:n_train])
-        by_participant = {}
-        for row in manifest:
-            by_participant.setdefault(row.participant, []).append(row)
-        train_rows = [r for pid in participants[:n_train] for r in by_participant[pid]]
-        test_rows = [r for pid in participants[n_train:] for r in by_participant[pid]]
-        if not train_rows or not test_rows:
-            raise DegenerateSplit(f"{len(participants)} participants cannot split at {spec.train_fraction}")
+    column = "path" if spec.mode == SEGMENT_LEVEL else "participant"
+    by_unit = {}
+    for row in manifest:
+        by_unit.setdefault(getattr(row, column), []).append(row)
+    units = fisher_yates(list(by_unit.values()), SplitMix64(spec.seed))
+    n_train = round_half_up(len(units) * spec.train_fraction)
+    train_rows = [row for unit in units[:n_train] for row in unit]
+    test_rows = [row for unit in units[n_train:] for row in unit]
+    if not train_rows or not test_rows:
+        raise DegenerateSplit(f"{len(units)} {column}s cannot split at {spec.train_fraction}")
+    if spec.mode == SPEAKER_DISJOINT:
         for side_name, side in (("train", train_rows), ("test", test_rows)):
             if len({r.label for r in side}) < 2:
                 raise DegenerateSplit(f"speaker-disjoint {side_name} side has a single class")
-        assert train_ids.isdisjoint(r.participant for r in test_rows)
+        assert {r.participant for r in train_rows}.isdisjoint(r.participant for r in test_rows)
     return DatasetManifest(rows=train_rows), DatasetManifest(rows=test_rows)
 
 
@@ -170,16 +165,16 @@ def write_split(out_dir, train: DatasetManifest, test: DatasetManifest, spec: Sp
     out_dir = Path(out_dir)
     save_manifest(out_dir / "train.csv", train)
     save_manifest(out_dir / "test.csv", test)
-    sidecar = {
-        "seed": spec.seed,
-        "mode": spec.mode,
-        "train_fraction": spec.train_fraction,
-        "counts": {
-            "train": {**train.label_counts(), "total": len(train)},
-            "test": {**test.label_counts(), "total": len(test)},
-        },
-    }
-    with open(out_dir / "split.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar = {**asdict(spec), "counts": {
+        "train": {**train.label_counts(), "total": len(train)},
+        "test": {**test.label_counts(), "total": len(test)},
+    }}
+    write_json(out_dir / "split.json", sidecar)
     return sidecar
+
+
+def write_json(path, payload: dict) -> None:
+    """Write a JSON sidecar or report: two-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -9,9 +9,8 @@ sweep reads like successive generations of a search.
 "depression" is the positive class everywhere a positive class matters.
 """
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -312,11 +311,8 @@ class EvalReport:
         return {
             "split_mode": self.split_mode,
             "positive_label": self.positive_label,
-            "confusion": {"tp": self.cm.tp, "fp": self.cm.fp, "fn": self.cm.fn, "tn": self.cm.tn},
-            "precision": self.metrics.precision,
-            "recall": self.metrics.recall,
-            "f1": self.metrics.f1,
-            "accuracy": self.metrics.accuracy,
+            "confusion": asdict(self.cm),
+            **self.metrics._asdict(),
             "n": self.cm.total,
             **self.extra,
         }
@@ -374,9 +370,3 @@ def render_selection_text(report: SelectionReport) -> str:
     lines.append(f"best pipeline: {best.candidate.describe()}")
     lines.append(f"mean CV score: {best.mean:.4f}")
     return "\n".join(lines) + "\n"
-
-
-def write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

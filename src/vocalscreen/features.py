@@ -66,18 +66,8 @@ class FeatureConfig:
             raise ValueError("n_mfcc cannot exceed n_mels")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
-
-    def as_dict(self) -> dict:
-        return {
-            "n_fft": self.n_fft,
-            "hop": self.hop,
-            "n_mels": self.n_mels,
-            "n_mfcc": self.n_mfcc,
-            "fmin": self.fmin,
-            "fmax": self.fmax,
-            "log_floor": self.log_floor,
-            "peak_threshold_db": self.peak_threshold_db,
-        }
+        if not self.peak_threshold_db >= 0:
+            raise ValueError("peak_threshold_db must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -302,8 +292,9 @@ def read_features_csv(path):
     """Read a features CSV -> (segment_ids, labels, matrix of shape (N, 16)).
 
     A file that does not decode as text, a wrong header, a row with the
-    wrong field count, or a value that is not a finite float raises
-    FeaturesFileError naming the file (and the line, where there is one).
+    wrong field count, a value that is not a finite float, or a segment id
+    seen before raises FeaturesFileError naming the file (and the line,
+    where there is one).
     """
     try:
         with open(path, newline="") as fh:
@@ -311,7 +302,7 @@ def read_features_csv(path):
             header = next(reader, None)
             if header != CSV_HEADER:
                 raise FeaturesFileError(f"{path}:1: unexpected features header: {header}")
-            ids, labels, values = [], [], []
+            ids, labels, values, seen = [], [], [], set()
             for row in reader:
                 try:
                     if len(row) != len(CSV_HEADER):
@@ -319,9 +310,12 @@ def read_features_csv(path):
                     floats = [float(v) for v in row[2:]]
                     if not all(map(math.isfinite, floats)):
                         raise ValueError("non-finite feature value")
+                    if row[0] in seen:
+                        raise ValueError(f"duplicate segment id {row[0]!r}")
                 except ValueError as exc:
                     raise FeaturesFileError(f"{path}:{reader.line_num}: {exc}") from exc
                 ids.append(row[0])
+                seen.add(row[0])
                 labels.append(row[1])
                 values.append(floats)
     except UnicodeDecodeError as exc:

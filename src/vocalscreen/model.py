@@ -14,7 +14,7 @@ schema drift are detected on load.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class KnnModel:
     k: int
     p: float
     scaler: ScalerParams
-    feature_config: dict
+    feature_config: FeatureConfig
 
     def __post_init__(self):
         matrix = np.asarray(self.train_matrix, dtype=np.float64)
@@ -160,16 +160,17 @@ class KnnModel:
 
     @property
     def feature_config_digest(self) -> str:
-        return _payload_digest(self.feature_config)
+        return _payload_digest(asdict(self.feature_config))
 
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
             scaler: ScalerParams | None = None,
-            feature_config: FeatureConfig | dict | None = None) -> KnnModel:
+            feature_config: FeatureConfig = FeatureConfig()) -> KnnModel:
     """Store the standardized training set; KNN has no other learning step.
 
-    ``scaler`` defaults to the identity (no standardization). Labels must
-    be binary and k odd so prediction votes cannot tie.
+    ``scaler`` defaults to the identity (no standardization), and
+    ``feature_config`` records the constants the features were extracted
+    with. Labels must be binary and k odd so prediction votes cannot tie.
     """
     matrix = as_matrix(features)
     labels = tuple(str(label) for label in labels)
@@ -179,13 +180,9 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
         raise ValueError(f"labels must be binary, got {sorted(set(labels))}")
     if scaler is None:
         scaler = identity_scaler(matrix.shape[1])
-    if isinstance(feature_config, FeatureConfig):
-        config_dict = feature_config.as_dict()
-    else:
-        config_dict = dict(feature_config) if feature_config else FeatureConfig().as_dict()
     standardized = transform_matrix(scaler, matrix)
     return KnnModel(train_matrix=standardized, train_labels=labels, k=k, p=p,
-                    scaler=scaler, feature_config=config_dict)
+                    scaler=scaler, feature_config=feature_config)
 
 
 def _nearest_rows(model: KnnModel, v) -> np.ndarray:
@@ -224,7 +221,7 @@ def _model_payload(model: KnnModel) -> dict:
             "means": [float(x) for x in model.scaler.means],
             "stds": [float(x) for x in model.scaler.stds],
         },
-        "feature_config": model.feature_config,
+        "feature_config": asdict(model.feature_config),
         "train": {
             "matrix": [[float(x) for x in row] for row in model.train_matrix],
             "labels": list(model.train_labels),
@@ -266,13 +263,17 @@ def load_model(path) -> KnnModel:
     if stored_digest != _payload_digest(payload):
         raise CorruptModelFile(f"{path}: digest mismatch")
     try:
+        config, names = payload["feature_config"], {f.name for f in fields(FeatureConfig)}
+        if not isinstance(config, dict) or config.keys() != names:
+            raise ValueError(f"feature_config must be an object with exactly the fields "
+                             f"{', '.join(sorted(names))}")
         fitted = KnnModel(
             train_matrix=payload["train"]["matrix"],
             train_labels=payload["train"]["labels"],
             k=payload["k"],
             p=payload["p"],
             scaler=ScalerParams(means=payload["scaler"]["means"], stds=payload["scaler"]["stds"]),
-            feature_config=payload["feature_config"],
+            feature_config=FeatureConfig(**config),
         )
         # knn_fit guarantees these; a file has to be checked
         if not isinstance(fitted.k, int):

@@ -38,18 +38,6 @@ class SegmentSet:
     """Ordered fixed-length segments cut from one recording."""
 
     segments: tuple
-    segment_seconds: float
-    source_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        rates = {seg.sample_rate for seg in self.segments}
-        if len(rates) > 1:
-            raise ValueError("segments must share one sample rate")
-        for seg in self.segments:
-            want = round_half_up(self.segment_seconds * seg.sample_rate)
-            if len(seg) != want:
-                raise ValueError(f"segment length {len(seg)} != {want}")
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -105,7 +93,7 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     return AudioClip(samples=clip.samples[keep], sample_rate=clip.sample_rate)
 
 
-def segment(clip: AudioClip, segment_seconds: float = 4.0, source_id: str = "") -> SegmentSet:
+def segment(clip: AudioClip, segment_seconds: float = 4.0) -> SegmentSet:
     """Cut a clip into consecutive non-overlapping windows of fixed length.
 
     The trailing remainder shorter than one window is discarded. A clip
@@ -122,4 +110,4 @@ def segment(clip: AudioClip, segment_seconds: float = 4.0, source_id: str = "") 
         AudioClip(samples=clip.samples[i * seg_len : (i + 1) * seg_len], sample_rate=clip.sample_rate)
         for i in range(count)
     )
-    return SegmentSet(segments=segments, segment_seconds=segment_seconds, source_id=source_id)
+    return SegmentSet(segments=segments)

@@ -11,14 +11,13 @@ Every output is labeled synthetic and non-clinical; scores obtained on
 this cohort say nothing about clinical screening accuracy.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, save_wav
-from .dataset import DatasetManifest, ManifestRow, save_manifest
+from .dataset import DatasetManifest, ManifestRow, save_manifest, write_json
 from .errors import VocalScreenError
 from .rng import round_half_up
 
@@ -43,15 +42,6 @@ class ClassProfile:
     tilt_db_per_octave: float
     noise_floor_db: float
     pauses_per_minute: float
-
-    def as_dict(self) -> dict:
-        return {
-            "f0_hz": self.f0_hz,
-            "f0_spread_hz": self.f0_spread_hz,
-            "tilt_db_per_octave": self.tilt_db_per_octave,
-            "noise_floor_db": self.noise_floor_db,
-            "pauses_per_minute": self.pauses_per_minute,
-        }
 
 
 def default_profiles() -> dict:
@@ -144,17 +134,9 @@ def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
                 rows.append(ManifestRow(path=name, label=label, participant=f"{label}_s{speaker_idx:02d}"))
         manifest = DatasetManifest(rows=rows)
         save_manifest(out_dir / "cohort.csv", manifest)
-        sidecar = {
-            "synthetic": True,
-            "note": NON_CLINICAL_NOTE,
-            "seed": spec.seed,
-            "speakers_per_class": spec.speakers_per_class,
-            "seconds_per_speaker": spec.seconds_per_speaker,
-            "profiles": {label: p.as_dict() for label, p in sorted(spec.class_profiles.items())},
-        }
-        with open(out_dir / "cohort.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        sidecar = {"synthetic": True, "note": NON_CLINICAL_NOTE, **asdict(spec)}
+        sidecar["profiles"] = sidecar.pop("class_profiles")
+        write_json(out_dir / "cohort.json", sidecar)
     except OSError as exc:
         raise IoFailure(f"cannot write cohort to {out_dir}: {exc}") from exc
     return manifest

@@ -14,7 +14,7 @@ from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import read_features_csv
-from vocalscreen.model import _payload_digest
+from vocalscreen.model import _payload_digest, knn_fit, save_model
 from vocalscreen.preprocess import remove_silence
 
 
@@ -208,6 +208,8 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),
         (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
          "--segment-seconds"),
+        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "4096",
+          "--segment-seconds", "0.2"], "--segment-seconds/--n-fft: a 0.2 s segment holds 3200"),
         (["synth", "--out", out, "--speakers-per-class", "0"], "--speakers-per-class"),
     ]:
         assert main(argv) == 2, argv
@@ -472,6 +474,27 @@ def test_predict_rejects_invalid_model_with_valid_digest(small_cohort, tmp_path,
     assert captured.err == f"error: {bad}: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("stage", ["predict", "evaluate"])
+def test_model_of_other_dimension_exits_1(small_cohort, tmp_path, capsys, stage):
+    work = small_cohort / "work"
+    three_dims = tmp_path / "model.json"
+    save_model(knn_fit(np.arange(15.0).reshape(5, 3), ["control", "depression"] * 2 + ["control"],
+                       k=3), three_dims)
+    features = ["--features", str(work / "features.csv"), "--model", str(three_dims)]
+    if stage == "predict":
+        argv = ["predict", *features]
+    else:
+        argv = ["evaluate", *features, "--manifest", str(work / "test.csv"),
+                "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {three_dims}: model takes 3 feature dimensions,"
+                            f" a features CSV holds 16\n")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 # Commands run from the small cohort's directory; each writes run_config.json under pinned/.
 PINNED_STAGES = {
     "synth": ["synth", "--out", "pinned/synth", "--seed", "42", "--seconds-per-speaker", "2"],
@@ -519,3 +542,17 @@ def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
         ns = build_parser().parse_args(argv)
         assert {key: repr(getattr(ns, key)) for key in values} == \
             {key: repr(value) for key, value in values.items()}, argv
+
+
+def test_split_and_cohort_sidecars_pinned(small_cohort, tmp_path):
+    """cohort.json and split.json of both modes equal the committed bytes."""
+    expected_dir = Path(__file__).parent / "sidecars"
+    assert main(["split", "--manifest", str(small_cohort / "work" / "segments.csv"),
+                 "--out", str(tmp_path), "--mode", "speaker-disjoint",
+                 "--train-fraction", "0.67", "--seed", "2"]) == 0
+    for written, expected in [
+        (small_cohort / "cohort" / "cohort.json", "cohort.json"),
+        (small_cohort / "work" / "split.json", "split.segment-level.json"),
+        (tmp_path / "split.json", "split.speaker-disjoint.json"),
+    ]:
+        assert written.read_bytes() == (expected_dir / expected).read_bytes(), expected

@@ -20,6 +20,7 @@ from vocalscreen.dataset import (
     write_split,
 )
 from vocalscreen.errors import VocalScreenError
+from vocalscreen.rng import SplitMix64, fisher_yates, round_half_up
 
 
 def rows_for(n, participants=None, labels=None):
@@ -144,6 +145,35 @@ def test_segment_split_partition_property(n, seed, fraction):
     # same seed reproduces membership exactly
     train2, test2 = split(manifest, spec)
     assert train2 == train and test2 == test
+
+
+def former_segment_split(manifest, spec):
+    """Segment-level split as defined before the one unit-based path: shuffle rows, cut."""
+    order = fisher_yates(list(manifest.rows), SplitMix64(spec.seed))
+    n_train = round_half_up(len(order) * spec.train_fraction)
+    train_rows, test_rows = order[:n_train], order[n_train:]
+    if not train_rows or not test_rows:
+        raise DegenerateSplit(f"{len(order)} rows cannot split at {spec.train_fraction}")
+    return DatasetManifest(rows=train_rows), DatasetManifest(rows=test_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    speakers=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    fraction=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_segment_split_equals_former_definition(n, speakers, seed, fraction):
+    manifest = DatasetManifest(rows=rows_for(n, participants=[f"p{i % speakers}" for i in range(n)]))
+    spec = SplitSpec(train_fraction=fraction, seed=seed)
+    try:
+        expected = former_segment_split(manifest, spec)
+    except DegenerateSplit:
+        with pytest.raises(DegenerateSplit):
+            split(manifest, spec)
+        return
+    assert split(manifest, spec) == expected
 
 
 def test_write_split_sidecar(tmp_path):

@@ -381,6 +381,8 @@ def test_feature_config_invariants():
         FeatureConfig(n_mfcc=200)
     with pytest.raises(ValueError):
         FeatureConfig(log_floor=0.0)
+    with pytest.raises(ValueError):
+        FeatureConfig(peak_threshold_db=float("nan"))
 
 
 def test_feature_vector_invariants():
@@ -439,6 +441,7 @@ GOOD_ROW = "s0,control," + ",".join(["0.5"] * 16)
     ([",".join(CSV_HEADER), GOOD_ROW.replace("0.5", "nan", 1)], r":2: non-finite"),
     ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW.replace("0.5", "-inf", 1)], r":3: non-finite"),
     ([",".join(CSV_HEADER), GOOD_ROW.replace("s0", "s\udcff")], r": cannot decode as text"),
+    ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW], r":3: duplicate segment id 's0'"),
 ])
 def test_read_features_csv_rejects_bad_tables(tmp_path, lines, message):
     path = tmp_path / "features.csv"
@@ -457,8 +460,8 @@ def features_tables(draw):
     junk = st.one_of(st.sampled_from(["nan", "-inf", "1e999", "", '"', "x", "0x1"]),
                      st.text(max_size=3))
     lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 3))):
-        row = ["s", "control"] + [draw(finite) for _ in range(16)]
+    for i in range(draw(st.integers(0, 3))):
+        row = [f"s{i}", "control"] + [draw(finite) for _ in range(16)]
         if draw(st.booleans()):
             at = draw(st.integers(0, len(row)))
             row[at:at + draw(st.integers(0, 1))] = [draw(junk)]

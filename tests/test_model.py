@@ -303,6 +303,12 @@ def saved_payload(tmp_path):
     (lambda m: m["train"]["labels"].__setitem__(0, [1]), "labels must be strings"),
     (lambda m: m["train"]["matrix"][0].__setitem__(0, float("nan")), "must be finite"),
     (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
+    (lambda m: m.update(feature_config=[1, 2]), "feature_config must be an object"),
+    (lambda m: m.update(feature_config=2048), "feature_config must be an object"),
+    (lambda m: m.update(feature_config=None), "feature_config must be an object"),
+    (lambda m: m["feature_config"].pop("hop"), "exactly the fields fmax, fmin, hop"),
+    (lambda m: m["feature_config"].update(window="hann"), "exactly the fields"),
+    (lambda m: m["feature_config"].update(peak_threshold_db=None), "'>=' not supported"),
 ])
 def test_load_rejects_invalid_model_with_valid_digest(tmp_path, mutate, reason):
     payload = saved_payload(tmp_path)
