@@ -267,9 +267,10 @@ def cmd_train(ns) -> int:
 def cmd_evaluate(ns) -> int:
     out_dir = Path(ns.out)
     manifest = dataset.load_manifest(ns.manifest)
+    if not len(manifest):
+        raise evaluation.EmptyInput(f"{ns.manifest}: no segments to score")
     features, truth = _join_features(ns.features, manifest)
     fitted = _load_model(ns.model)
-    predictions = [model.knn_predict(fitted, row)[0] for row in features]
     split_mode = "unknown"
     if ns.split_sidecar:
         with open(ns.split_sidecar) as fh:
@@ -279,7 +280,13 @@ def cmd_evaluate(ns) -> int:
                 raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: {exc}") from exc
         if not isinstance(sidecar, dict):
             raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: not a JSON object")
-        split_mode = sidecar.get("mode", "unknown")
+        if "mode" in sidecar:
+            split_mode = sidecar["mode"]
+            if split_mode not in dataset.SPLIT_MODES:
+                raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: mode"
+                                       f" {split_mode!r} is not one of"
+                                       f" {', '.join(dataset.SPLIT_MODES)}")
+    predictions = [model.knn_predict(fitted, row)[0] for row in features]
     report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
                                              extra={"model_k": fitted.k, "model_p": fitted.p})
     out_dir.mkdir(parents=True, exist_ok=True)

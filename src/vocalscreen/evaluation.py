@@ -193,7 +193,7 @@ def select_best(results) -> CandidateResult:
 def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> SelectionReport:
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
-    Candidates sharing (scaler, p) share each held-out row's neighbor ordering.
+    Candidates sharing (scaler, p) share each held-out row's first max-k neighbors.
     The report lists candidates in definition order, as does the best-so-far curve.
     """
     space = list(space)
@@ -213,8 +213,9 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
             fitted = knn_fit(train_x, train_y, k=1, p=p, scaler=scaler)
             models = {j: replace(fitted, k=c.k)  # re-checks k against the fold
                       for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
+            max_k = max(m.k for m in models.values())
             for t, row in zip(held_out, matrix[held_out]):
-                nearest = _nearest_rows(fitted, row)
+                nearest = _nearest_rows(fitted, row, max_k)
                 for j, model in models.items():
                     hits[j, i] += _vote(model, nearest)[0] == labels[t]
     results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))

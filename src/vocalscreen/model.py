@@ -5,7 +5,9 @@ an exhaustive distance scan is fast, and it doubles as the semantic
 definition any accelerated search would have to match exactly. Neighbor
 ties at equal distance go to the lower training-row index, and k is kept
 odd so binary votes cannot tie. A query's neighbor ordering does not
-depend on k, so grid selection sorts once per (fold, scaler, p) for every k.
+depend on k, so grid selection orders the first max-k rows once per
+(fold, scaler, p) and every k votes on a prefix of them. Only those rows
+are sorted: a partition finds the max-k-th distance first.
 
 Models persist as one versioned JSON document with a SHA-256 digest over
 the canonical serialization of every other field, so corruption and
@@ -185,14 +187,22 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
                     scaler=scaler, feature_config=feature_config)
 
 
-def _nearest_rows(model: KnnModel, v) -> np.ndarray:
-    """Training-row indices by increasing distance to v."""
-    q = transform(model.scaler, v)
-    # stable sort implements the lowest-index tie rule
-    return np.argsort(minkowski_distance(model.train_matrix, q, model.p), kind="stable")
+def _nearest_rows(model: KnnModel, v, count: int) -> list:
+    """The first ``count`` training-row indices by increasing distance to v.
+
+    Equal distances go to the lower row index, so this is the head of the
+    full stable argsort; only the rows at or below the count-th distance
+    are sorted.
+    """
+    d = minkowski_distance(model.train_matrix, transform(model.scaler, v), model.p)
+    kth = np.partition(d, count - 1)[count - 1]
+    # every row tied with or nearer than the count-th, in index order, so the
+    # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last
+    head = np.flatnonzero(~(d > kth))
+    return head[np.argsort(d[head], kind="stable")][:count].tolist()
 
 
-def _vote(model: KnnModel, nearest: np.ndarray) -> tuple:
+def _vote(model: KnnModel, nearest: list) -> tuple:
     """Uniform vote of the first k ``nearest`` rows -> (label, vote fraction)."""
     votes = {}
     for idx in nearest[: model.k]:
@@ -209,7 +219,7 @@ def knn_predict(model: KnnModel, v) -> tuple:
     The k nearest standardized training rows vote uniformly; equal
     distances are broken by lower row index.
     """
-    return _vote(model, _nearest_rows(model, v))
+    return _vote(model, _nearest_rows(model, v, model.k))
 
 
 def _model_payload(model: KnnModel) -> dict:

@@ -433,6 +433,8 @@ def trained_model(small_cohort, tmp_path) -> Path:
     ("evaluate", b'{"mode": ', "bad split sidecar: Expecting value"),
     ("evaluate", b'["speaker-disjoint"]', "bad split sidecar: not a JSON object"),
     ("evaluate", b'{"mode": "\xff"}', "bad split sidecar: 'utf-8' codec"),
+    ("evaluate", b'{"mode": {"x": [1]}}',
+     "bad split sidecar: mode {'x': [1]} is not one of segment-level, speaker-disjoint"),
 ])
 def test_bad_manifest_or_sidecar_exits_1(small_cohort, tmp_path, capsys, stage, content,
                                         message):
@@ -451,6 +453,28 @@ def test_bad_manifest_or_sidecar_exits_1(small_cohort, tmp_path, capsys, stage, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {bad}: ") and message in captured.err, captured.err
     assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_sidecar_without_mode_reports_unknown(small_cohort, tmp_path):
+    work = small_cohort / "work"
+    sidecar = tmp_path / "split.json"
+    sidecar.write_text('{"seed": 7}')
+    assert main(["evaluate", "--features", str(work / "features.csv"),
+                 "--manifest", str(work / "test.csv"),
+                 "--model", str(trained_model(small_cohort, tmp_path)),
+                 "--split-sidecar", str(sidecar), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "eval_report.json").read_text())["split_mode"] == "unknown"
+
+
+def test_evaluate_empty_manifest_names_it(small_cohort, tmp_path, capsys):
+    manifest = tmp_path / "empty.csv"
+    manifest.write_text("path,label,participant\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--features", str(small_cohort / "work" / "features.csv"),
+                 "--manifest", str(manifest), "--model", str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: no segments to score\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -25,6 +25,7 @@ from vocalscreen.model import (
     save_model,
     transform,
     transform_matrix,
+    _nearest_rows,
     _payload_digest,
 )
 
@@ -211,6 +212,31 @@ def test_knn_permutation_invariant_without_ties():
                        scaler=identity_scaler(8))
     for q in queries:
         assert knn_predict(model, q) == knn_predict(permuted, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([1.0, 2.0]), use_scaler=st.booleans())
+def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
+    # integer coordinates in 0..2 and repeated rows make many distances tie
+    # at the count-th place, where a partial ordering could go wrong
+    dims = data.draw(st.integers(min_value=1, max_value=4), label="dims")
+    row = st.lists(st.integers(min_value=0, max_value=2), min_size=dims, max_size=dims)
+    distinct = data.draw(st.lists(row, min_size=1, max_size=8), label="distinct")
+    rows = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=30), label="rows")
+    query = data.draw(row, label="query")
+    train = np.array(rows, dtype=float)
+    scaler = fit_scaler(train) if use_scaler else identity_scaler(dims)
+    model = knn_fit(train, ["control"] * len(rows), k=1, p=p, scaler=scaler)
+    full = np.argsort(minkowski_distance(model.train_matrix, transform(model.scaler, query), p),
+                      kind="stable")
+    for count in range(1, len(rows) + 1):
+        assert _nearest_rows(model, query, count) == full[:count].tolist()
+
+
+def test_nearest_rows_of_nan_query_follow_stable_argsort():
+    model = small_model(k=3)
+    assert _nearest_rows(model, [np.nan, 0.0], 3) == [0, 1, 2]
+    assert knn_predict(model, [np.nan, 0.0]) == ("control", 2 / 3)
 
 
 def test_standardization_absorbs_feature_scaling():
