@@ -248,8 +248,11 @@ def cmd_train(ns) -> int:
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, manifest)
     scaler = model.fit_scaler(features) if use_scaler else model.identity_scaler(features.shape[1])
-    fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
-                           feature_config=_feature_config_from(ns))
+    try:
+        fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
+                               feature_config=_feature_config_from(ns))
+    except model.TooFewSamples as exc:
+        raise VocalScreenError(f"{ns.manifest}: too few rows for --k {k}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, out_dir / "model.json")
     _write_run_config(out_dir, "train", {
@@ -329,8 +332,13 @@ def cmd_select(ns) -> int:
         raise _UsageError(f"--folds: must be >= 2, got {ns.folds}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, manifest)
-    report = evaluation.grid_select(evaluation.default_grid(), features, labels,
-                                    folds=ns.folds, seed=ns.seed)
+    try:
+        report = evaluation.grid_select(evaluation.default_grid(), features, labels,
+                                        folds=ns.folds, seed=ns.seed)
+    except (evaluation.TooFewSamplesPerClass, model.TooFewSamples) as exc:
+        # a class short of folds, or a fold's training part short of the grid's largest k
+        raise VocalScreenError(f"{ns.manifest}: too few rows for --folds {ns.folds}: {exc}"
+                               ) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.write_json(out_dir / "selection_report.json", report.to_json_dict())
     _write_run_config(out_dir, "select", {
@@ -351,7 +359,10 @@ def cmd_stats(ns) -> int:
         by_group.setdefault(label, []).append(row)
     by_group = {label: np.asarray(rows) for label, rows in by_group.items()}
     stats = evaluation.descriptive_stats(by_group)
-    t_tests = evaluation.group_t_tests(by_group) if len(by_group) == 2 else None
+    try:
+        t_tests = evaluation.group_t_tests(by_group) if len(by_group) == 2 else None
+    except evaluation.GroupTooSmall as exc:
+        raise VocalScreenError(f"{ns.features}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.write_json(out_dir / "stats.json", {"descriptives": stats, "t_tests": t_tests})
     text = evaluation.render_stats_text(stats, t_tests)

@@ -291,6 +291,10 @@ def group_t_tests(features_by_group: dict) -> list:
         raise ValueError("t-tests need exactly two groups")
     (label_a, group_a), (label_b, group_b) = sorted(features_by_group.items())
     summary_a, summary_b = summary_features(group_a), summary_features(group_b)
+    for label, summary in ((label_a, summary_a), (label_b, summary_b)):
+        if len(summary) < 2:
+            raise GroupTooSmall(f"group {label!r}: a t-test needs at least 2 rows,"
+                                f" got {len(summary)}")
     out = []
     for i, name in enumerate(SUMMARY_FEATURES):
         t, df = two_sample_t(summary_a[:, i], summary_b[:, i])

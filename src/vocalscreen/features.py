@@ -251,8 +251,8 @@ def zero_crossing_rate(segment: AudioClip) -> float:
     samples = segment.samples
     if len(samples) < 2:
         raise SegmentTooShort("zero-crossing rate needs at least 2 samples")
-    signs = np.where(samples >= 0.0, 1, -1)
-    return float(np.count_nonzero(signs[:-1] != signs[1:]) / (len(samples) - 1))
+    nonnegative = samples >= 0.0  # sign +1, also for -0.0
+    return float(np.count_nonzero(nonnegative[:-1] != nonnegative[1:]) / (len(samples) - 1))
 
 
 def extract_features(segment: AudioClip, config: FeatureConfig = FeatureConfig(),

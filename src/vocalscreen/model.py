@@ -9,6 +9,12 @@ depend on k, so grid selection orders the first max-k rows once per
 (fold, scaler, p) and every k votes on a prefix of them. Only those rows
 are sorted: a partition finds the max-k-th distance first.
 
+One kernel, _minkowski, computes every distance for minkowski_distance,
+predict, evaluate and grid selection. A model keeps its training matrix
+dimension-major, and a query's |a - b|^p terms are summed over
+dimensions with whole-row vector adds in np.sum's pairwise order, so each
+distance is bit-identical to np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p).
+
 Models persist as one versioned JSON document with a SHA-256 digest over
 the canonical serialization of every other field, so corruption and
 schema drift are detected on load.
@@ -17,6 +23,7 @@ schema drift are detected on load.
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +86,8 @@ class ScalerParams:
         stds = np.asarray(self.stds, dtype=np.float64)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
-        if means.shape != stds.shape or means.ndim != 1:
-            raise ValueError("means and stds must be 1-D and the same length")
+        if means.shape != stds.shape or means.ndim != 1 or not means.size:
+            raise ValueError("means and stds must be 1-D, non-empty and the same length")
         if not (np.isfinite(means).all() and np.isfinite(stds).all()):
             raise ValueError("means and stds must be finite")
         if not np.all(stds > 0):
@@ -111,11 +118,54 @@ def transform_matrix(scaler: ScalerParams, features) -> np.ndarray:
     return (as_matrix(features) - scaler.means) / scaler.stds
 
 
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``terms`` into ``terms[0]`` in np.sum's pairwise order.
+
+    Each column is added up exactly as np.sum adds the values of one
+    contiguous row: sequentially below 8 values; up to 128, in eight
+    running sums (value i goes to sum i mod 8), combined pairwise, then
+    the tail of n mod 8 values in turn; above 128, as two halves split at
+    a multiple of 8. Every step is a whole-row vector add. Skipping
+    np.sum's +0.0 start changes no bit unless a column is all -0.0,
+    which |a - b|^p never is.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _sum_rows(terms[:half])
+        terms[0] += _sum_rows(terms[half:])
+        return terms[0]
+    tail = 1  # below 8 rows, every row after the first
+    if n >= 8:
+        tail = n - n % 8
+        for start in range(8, tail, 8):
+            terms[:8] += terms[start:start + 8]
+        for step in (1, 2, 4):  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+            for row in range(0, 8, 2 * step):
+                terms[row] += terms[row + step]
+    for row in terms[tail:]:
+        terms[0] += row
+    return terms[0]
+
+
+def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
+    """Minkowski distances from a dimension-major (dims, ...) array of a - b.
+
+    The one distance kernel: ``diffs`` is overwritten with |a - b|^p,
+    summed over dimensions by _sum_rows, and the sums are taken to the
+    1/p. Both power steps run on arrays, so a pair and a stack share them.
+    """
+    np.abs(diffs, out=diffs)
+    diffs **= p
+    return _sum_rows(diffs) ** (1.0 / p)
+
+
 def minkowski_distance(a, b, p: float = 2.0):
     """(sum |a_i - b_i|^p)^(1/p) over the last axis; a metric for p >= 1.
 
     a and b broadcast: one pair gives a float, one query against a
-    (rows, dims) matrix gives one distance per row.
+    (rows, dims) matrix gives one distance per row. Every distance is
+    bit-identical to np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -123,9 +173,12 @@ def minkowski_distance(a, b, p: float = 2.0):
     b = np.asarray(b, dtype=np.float64)
     if a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    # a 0-d array keeps a pair on the power loop of a stack (scalar pow can differ)
-    distances = np.asarray(np.sum(np.abs(a - b) ** p, axis=-1)) ** (1.0 / p)
-    return float(distances) if np.ndim(distances) == 0 else distances
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ValueError("vectors need at least one dimension")
+    diffs = a - b
+    # a pair goes through as a stack of one
+    distances = _minkowski(np.moveaxis(np.atleast_2d(diffs), -1, 0), p)
+    return float(distances[0]) if diffs.ndim == 1 else distances
 
 
 @dataclass(frozen=True)
@@ -160,6 +213,11 @@ class KnnModel:
         if not self.p >= 1:
             raise ValueError("p must be >= 1")
 
+    @cached_property
+    def _dims_major(self) -> np.ndarray:
+        """The training matrix as a C-contiguous (dims, rows) copy, made once per model."""
+        return np.ascontiguousarray(self.train_matrix.T)
+
     @property
     def feature_config_digest(self) -> str:
         return _payload_digest(asdict(self.feature_config))
@@ -187,6 +245,15 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
                     scaler=scaler, feature_config=feature_config)
 
 
+def _distances(model: KnnModel, v) -> np.ndarray:
+    """Distance from v to every training row, one dimension-major pass of _minkowski."""
+    columns = model._dims_major
+    # one flat subtract from the query repeated along each dimension's row; numpy
+    # buffers the broadcast form of this subtract, which measured slower
+    diffs = np.repeat(transform(model.scaler, v), columns.shape[1]).reshape(columns.shape)
+    return _minkowski(np.subtract(columns, diffs, out=diffs), model.p)
+
+
 def _nearest_rows(model: KnnModel, v, count: int) -> list:
     """The first ``count`` training-row indices by increasing distance to v.
 
@@ -194,7 +261,7 @@ def _nearest_rows(model: KnnModel, v, count: int) -> list:
     full stable argsort; only the rows at or below the count-th distance
     are sorted.
     """
-    d = minkowski_distance(model.train_matrix, transform(model.scaler, v), model.p)
+    d = _distances(model, v)
     kth = np.partition(d, count - 1)[count - 1]
     # every row tied with or nearer than the count-th, in index order, so the
     # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last

@@ -478,6 +478,52 @@ def test_evaluate_empty_manifest_names_it(small_cohort, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def first_rows_manifest(work, path, per_class) -> Path:
+    """The first ``per_class[label]`` rows of each label of train.csv, as a manifest."""
+    header, *rows = (work / "train.csv").read_text().splitlines()
+    left, kept = dict(per_class), []
+    for row in rows:
+        label = row.split(",")[1]
+        if left[label]:
+            left[label] -= 1
+            kept.append(row)
+    path.write_text("\n".join([header, *kept]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("stage, per_class, flags, message", [
+    ("select", {"control": 3, "depression": 6}, ["--folds", "5"],
+     "too few rows for --folds 5: class 'control' has 3 rows < 5 folds"),
+    # every class fills 3 folds, but a fold's training part holds 4 rows < k=5 of the grid
+    ("select", {"control": 3, "depression": 3}, ["--folds", "3"],
+     "too few rows for --folds 3: 4 rows < k=5"),
+    ("train", {"control": 4, "depression": 3}, ["--k", "11"],
+     "too few rows for --k 11: 7 rows < k=11"),
+])
+def test_too_few_rows_names_manifest_and_flag(small_cohort, tmp_path, capsys, stage, per_class,
+                                              flags, message):
+    work = small_cohort / "work"
+    manifest = first_rows_manifest(work, tmp_path / "few.csv", per_class)
+    capsys.readouterr()
+    assert main([stage, "--features", str(work / "features.csv"), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "o"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_stats_single_row_group_names_features_and_group(small_cohort, tmp_path, capsys):
+    header, *rows = (small_cohort / "work" / "features.csv").read_text().splitlines()
+    control = [row for row in rows if row.split(",")[1] == "control"]
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join([header, control[0], *(r for r in rows if r not in control)])
+                        + "\n")
+    capsys.readouterr()
+    assert main(["stats", "--features", str(features), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {features}: group 'control': a t-test needs"
+                                       f" at least 2 rows, got 1\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda m: m.update(p=0.5), "invalid model: p must be >= 1"),
     (lambda m: m.pop("scaler"), "missing field 'scaler'"),

@@ -264,6 +264,8 @@ def test_t_antisymmetric():
 def test_t_group_too_small():
     with pytest.raises(GroupTooSmall):
         two_sample_t([1.0], [1.0, 2.0])
+    with pytest.raises(GroupTooSmall, match="group 'depression': .* at least 2 rows, got 1"):
+        group_t_tests({"control": np.zeros((3, 16)), "depression": np.zeros((1, 16))})
 
 
 # --- descriptive stats -----------------------------------------------------------

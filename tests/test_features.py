@@ -304,6 +304,24 @@ def test_zcr_sine_brute_count():
     assert zero_crossing_rate(clip) == pytest.approx(200 / 15999, abs=2e-4)
 
 
+def former_zero_crossing_rate(samples) -> float:
+    """The rate as first defined, over an int64 array of signs."""
+    signs = np.where(samples >= 0.0, 1, -1)
+    return float(np.count_nonzero(signs[:-1] != signs[1:]) / (len(samples) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=arrays(np.float64, st.integers(min_value=2, max_value=300),
+                      elements=st.one_of(st.sampled_from([0.0, -0.0, np.nan]),
+                                         st.floats(min_value=-1.0, max_value=1.0))))
+@example(samples=np.random.default_rng(37).uniform(-1.0, 1.0, 4 * RATE))
+@example(samples=np.zeros(4 * RATE))
+@example(samples=np.array([0.0, -0.0, 0.5, -0.0, -0.5, 0.0, -0.0, -0.25]))
+def test_zcr_equals_former_sign_array_definition(samples):
+    clip = AudioClip(samples=samples, sample_rate=RATE)
+    assert zero_crossing_rate(clip) == former_zero_crossing_rate(samples)
+
+
 def test_zcr_too_short():
     with pytest.raises(SegmentTooShort):
         zero_crossing_rate(AudioClip(samples=np.array([0.1]), sample_rate=RATE))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
@@ -25,6 +26,7 @@ from vocalscreen.model import (
     save_model,
     transform,
     transform_matrix,
+    _distances,
     _nearest_rows,
     _payload_digest,
 )
@@ -92,6 +94,9 @@ def test_minkowski_examples():
         minkowski_distance([0.0], [1.0, 2.0], 2.0)
     with pytest.raises(ValueError):
         minkowski_distance(np.zeros((4, 3)), np.zeros(2), 2.0)
+    for empty in (np.zeros(0), np.zeros((4, 0)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            minkowski_distance(empty, empty, 2.0)
     # a stacked call gives each row exactly the single-pair distance,
     # exact ties included (duplicated rows, integer-valued coordinates)
     rng = np.random.default_rng(30)
@@ -105,6 +110,52 @@ def test_minkowski_examples():
             per_row = [minkowski_distance(row, query, p) for row in matrix]
             assert all(isinstance(d, float) for d in per_row)
             assert stacked.tolist() == per_row
+
+
+def former_minkowski(matrix, query, p):
+    """Distances as first written: np.sum over each row, then the 1/p root.
+
+    A reference the kernel cannot share, so a fault in the kernel's
+    summation order shows as a changed bit.
+    """
+    return np.sum(np.abs(matrix - query) ** p, axis=-1) ** (1.0 / p)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def assert_distance_paths_equal_former(matrix, query, p):
+    former = former_minkowski(matrix, query, p)
+    assert bits(minkowski_distance(matrix, query, p)) == bits(former)  # stack
+    assert bits([minkowski_distance(row, query, p) for row in matrix]) == bits(former)  # pairs
+    model = knn_fit(matrix, ["control"] * len(matrix), k=1, p=p)
+    assert bits(_distances(model, query)) == bits(former)  # dims-major, as every query runs
+
+
+# 1-40 dims cover the sequential, block-of-eight and tail steps; 127-129 the
+# switch to halving above 128, and 200 a halving at a multiple of 8
+DISTANCE_DIMS = [*range(1, 41), 64, 127, 128, 129, 200]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_distance_paths_equal_former_formula_on_every_dims(p):
+    rng = np.random.default_rng(29)
+    for dims in DISTANCE_DIMS:
+        # magnitudes over six decades, so the summation order shows in the last bits
+        matrix = rng.normal(size=(50, dims)) * 10.0 ** rng.uniform(-3, 3, size=(50, dims))
+        assert_distance_paths_equal_former(matrix, rng.normal(size=dims), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_distance_paths_equal_former_formula_bit_for_bit(data, p):
+    dims = data.draw(st.sampled_from(DISTANCE_DIMS), label="dims")
+    rows = data.draw(st.integers(min_value=1, max_value=12), label="rows")
+    values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    matrix = data.draw(arrays(np.float64, (rows, dims), elements=values), label="matrix")
+    query = data.draw(arrays(np.float64, dims, elements=values), label="query")
+    assert_distance_paths_equal_former(matrix, query, p)
 
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -145,6 +196,8 @@ def test_knn_fit_boundaries():
         knn_fit(np.zeros((5, 2)), ["control"] * 5, k=4, scaler=identity_scaler(2))
     with pytest.raises(ValueError):
         knn_fit(np.zeros((3, 2)), ["a", "b", "c"], k=1, scaler=identity_scaler(2))
+    with pytest.raises(ValueError, match="non-empty"):
+        knn_fit(np.zeros((3, 0)), ["control"] * 3, k=1)
 
 
 @pytest.mark.parametrize("k", [-1, -3])
@@ -227,7 +280,7 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
     train = np.array(rows, dtype=float)
     scaler = fit_scaler(train) if use_scaler else identity_scaler(dims)
     model = knn_fit(train, ["control"] * len(rows), k=1, p=p, scaler=scaler)
-    full = np.argsort(minkowski_distance(model.train_matrix, transform(model.scaler, query), p),
+    full = np.argsort(former_minkowski(model.train_matrix, transform(model.scaler, query), p),
                       kind="stable")
     for count in range(1, len(rows) + 1):
         assert _nearest_rows(model, query, count) == full[:count].tolist()
