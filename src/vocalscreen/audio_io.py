@@ -200,8 +200,9 @@ def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
         interleaved = samples.reshape(-1)
 
     if bit_depth == 16:
-        ints = np.clip(np.round(interleaved * INT16_SCALE), -32768, 32767)
-        body = ints.astype("<i2").tobytes()
+        scaled = np.multiply(interleaved, INT16_SCALE)  # the one float temporary
+        np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled)
+        body = scaled.astype("<i2").tobytes()
         format_code, bits = FORMAT_PCM, 16
     elif bit_depth == 32:
         body = interleaved.astype("<f4").tobytes()

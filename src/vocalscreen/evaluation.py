@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VocalScreenError
-from .model import _nearest_rows, _vote, as_matrix, fit_scaler, identity_scaler, knn_fit
+from .model import _nearest_rows, _votes, as_matrix, fit_scaler, identity_scaler, knn_fit
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -211,13 +211,13 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
         for use_scaler, p in dict.fromkeys((c.use_scaler, c.p) for c in space):
             scaler = fit_scaler(train_x) if use_scaler else identity_scaler(matrix.shape[1])
             fitted = knn_fit(train_x, train_y, k=1, p=p, scaler=scaler)
-            models = {j: replace(fitted, k=c.k)  # re-checks k against the fold
-                      for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
-            max_k = max(m.k for m in models.values())
+            ks = {j: replace(fitted, k=c.k).k  # re-checks k against the fold
+                  for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
+            distinct_ks = set(ks.values())
             for t, row in zip(held_out, matrix[held_out]):
-                nearest = _nearest_rows(fitted, row, max_k)
-                for j, model in models.items():
-                    hits[j, i] += _vote(model, nearest)[0] == labels[t]
+                winners = _votes(fitted, _nearest_rows(fitted, row, max(distinct_ks)), distinct_ks)
+                for j, k in ks.items():
+                    hits[j, i] += winners[k][0] == labels[t]
     results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))
                for c, s in zip(space, hits / [len(fold) for fold in fold_sets])]
 

@@ -269,15 +269,24 @@ def _nearest_rows(model: KnnModel, v, count: int) -> list:
     return head[np.argsort(d[head], kind="stable")][:count].tolist()
 
 
-def _vote(model: KnnModel, nearest: list) -> tuple:
-    """Uniform vote of the first k ``nearest`` rows -> (label, vote fraction)."""
-    votes = {}
-    for idx in nearest[: model.k]:
+def _votes(model: KnnModel, nearest: list, ks) -> dict:
+    """Uniform vote of the first k ``nearest`` rows for every k in ks.
+
+    One running label count over the first max(ks) rows gives each k its
+    winner -> {k: (label, vote fraction)}.
+    """
+    votes, winners = {}, {}
+    winner = None
+    for count, idx in enumerate(nearest[:max(ks)], 1):
         label = model.train_labels[idx]
-        votes[label] = votes.get(label, 0) + 1
-    # deterministic even in the impossible even-vote case: lexicographic label
-    winner = max(sorted(votes), key=lambda label: votes[label])
-    return winner, votes[winner] / model.k
+        votes[label] = n = votes.get(label, 0) + 1
+        # only the label just counted can take the lead; a tie goes to the lower
+        # label, so even an (impossible) even vote has one winner
+        if winner is None or (n, winner) > (votes[winner], label):
+            winner = label
+        if count in ks:
+            winners[count] = (winner, votes[winner] / count)
+    return winners
 
 
 def knn_predict(model: KnnModel, v) -> tuple:
@@ -286,7 +295,7 @@ def knn_predict(model: KnnModel, v) -> tuple:
     The k nearest standardized training rows vote uniformly; equal
     distances are broken by lower row index.
     """
-    return _vote(model, _nearest_rows(model, v, model.k))
+    return _votes(model, _nearest_rows(model, v, model.k), (model.k,))[model.k]
 
 
 def _model_payload(model: KnnModel) -> dict:

@@ -7,10 +7,18 @@ per-speaker jitter, Poisson-placed silent pauses, and additive white
 noise. Class profiles differ in fundamental frequency, tilt, noise floor,
 and pause density, which is exactly the surface the 16 features measure.
 
+A speaker's random scalars are drawn first; its samples are then filled
+in fixed blocks of BLOCK samples, each running the whole signal chain in
+a few cache-sized buffers instead of a dozen full-length arrays. The
+blocked chain keeps every operation and its association, so each WAV is
+byte-identical to the one the whole-array chain writes (see
+``_speaker_clip``).
+
 Every output is labeled synthetic and non-clinical; scores obtained on
 this cohort say nothing about clinical screening accuracy.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,6 +35,7 @@ NON_CLINICAL_NOTE = (
 )
 
 N_HARMONICS = 8  # partials above f0
+BLOCK = 1 << 14  # samples per synthesis block: its four float64 buffers take 512 KB
 
 
 class IoFailure(VocalScreenError):
@@ -68,8 +77,10 @@ class CohortSpec:
     def __post_init__(self):
         if self.speakers_per_class < 1:
             raise ValueError("speakers_per_class must be >= 1")
-        if self.seconds_per_speaker <= 0:
-            raise ValueError("seconds_per_speaker must be positive")
+        if not (math.isfinite(self.seconds_per_speaker)
+                and round_half_up(self.seconds_per_speaker * DEFAULT_SAMPLE_RATE) >= 1):
+            raise ValueError("seconds_per_speaker must be finite and hold at least one"
+                             f" sample at {DEFAULT_SAMPLE_RATE} Hz, got {self.seconds_per_speaker}")
         profiles = list(self.class_profiles.values())
         if len(profiles) >= 2 and all(p == profiles[0] for p in profiles[1:]):
             raise ValueError("class profiles must differ in at least one parameter")
@@ -77,36 +88,80 @@ class CohortSpec:
 
 def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generator,
                   sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-    n = round_half_up(seconds * sample_rate)
-    t = np.arange(n) / sample_rate
+    """One speaker's clip, filled block by block and normalised to peak 0.9.
 
+    Every random scalar is drawn first, in a fixed order: f0, vibrato rate,
+    depth and phase, one phase per partial, envelope rate and phase, the
+    pause count, then each pause's duration and start. Each BLOCK-sample
+    block then runs the signal chain in block-sized buffers: time axis,
+    vibrato, running phase (cumsum carried over from the previous block),
+    partials, loudness envelope, pauses, and its share of the noise draw.
+
+    The samples equal those of the whole-array chain bit for bit: each
+    product keeps its association (``((2 pi rate) t)``), cumsum is a
+    sequential accumulate, a Generator draws normals in sequence however
+    they are split, and np.sin of an element does not depend on where the
+    block edges fall. ``tests/test_synth.py`` keeps the whole-array chain
+    as the reference and compares the bytes.
+    """
+    n = round_half_up(seconds * sample_rate)
+    two_pi = 2 * np.pi
     f0 = profile.f0_hz + rng.uniform(-profile.f0_spread_hz, profile.f0_spread_hz)
     vibrato_rate = rng.uniform(4.0, 6.5)
     vibrato_depth = rng.uniform(0.005, 0.02)
-    vibrato_phase = rng.uniform(0, 2 * np.pi)
-    inst_f0 = f0 * (1.0 + vibrato_depth * np.sin(2 * np.pi * vibrato_rate * t + vibrato_phase))
-    base_phase = 2 * np.pi * np.cumsum(inst_f0) / sample_rate
-
-    voiced = np.zeros(n)
-    for h in range(1, N_HARMONICS + 2):
-        amp = 10.0 ** (profile.tilt_db_per_octave * np.log2(h) / 20.0)
-        voiced += amp * np.sin(h * base_phase + rng.uniform(0, 2 * np.pi))
-
+    vibrato_phase = rng.uniform(0, two_pi)
+    partials = [(h, 10.0 ** (profile.tilt_db_per_octave * np.log2(h) / 20.0),
+                 rng.uniform(0, two_pi)) for h in range(1, N_HARMONICS + 2)]
     # slow loudness drift so segments within a speaker are not clones
     env_rate = rng.uniform(0.2, 0.6)
-    env_phase = rng.uniform(0, 2 * np.pi)
-    voiced *= 1.0 + 0.15 * np.sin(2 * np.pi * env_rate * t + env_phase)
-
-    n_pauses = rng.poisson(profile.pauses_per_minute * seconds / 60.0)
-    for _ in range(n_pauses):
+    env_phase = rng.uniform(0, two_pi)
+    pauses = []
+    for _ in range(rng.poisson(profile.pauses_per_minute * seconds / 60.0)):
         duration = rng.uniform(0.3, 0.8)
         start = rng.uniform(0.0, max(seconds - duration, 0.0))
-        lo = round_half_up(start * sample_rate)
-        hi = min(lo + round_half_up(duration * sample_rate), n)
-        voiced[lo:hi] = 0.0
+        first = round_half_up(start * sample_rate)
+        pauses.append((first, min(first + round_half_up(duration * sample_rate), n)))
+    noise_sd = 10.0 ** (profile.noise_floor_db / 20.0)
 
-    mix = voiced + rng.normal(0.0, 10.0 ** (profile.noise_floor_db / 20.0), n)
-    peak = np.max(np.abs(mix))
+    mix = np.empty(n)
+    t_buf, phase_buf, partial_buf = np.empty((3, min(BLOCK, n)))
+    phase_sum = 0.0  # cumsum of the instantaneous f0 up to the block start
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        m = hi - lo
+        t, phase, partial, voiced = t_buf[:m], phase_buf[:m], partial_buf[:m], mix[lo:hi]
+        np.divide(np.arange(lo, hi), sample_rate, out=t)
+        # inst_f0 = f0 * (1 + depth * sin(2 pi rate t + phase))
+        np.multiply(two_pi * vibrato_rate, t, out=phase)
+        np.add(phase, vibrato_phase, out=phase)
+        np.sin(phase, out=phase)
+        np.multiply(vibrato_depth, phase, out=phase)
+        np.add(1.0, phase, out=phase)
+        np.multiply(f0, phase, out=phase)
+        # base phase = 2 pi cumsum(inst_f0) / sample_rate
+        phase[0] += phase_sum
+        np.cumsum(phase, out=phase)
+        phase_sum = phase[-1]
+        np.multiply(two_pi, phase, out=phase)
+        np.divide(phase, sample_rate, out=phase)
+        voiced.fill(0.0)
+        for h, amp, partial_phase in partials:
+            np.multiply(h, phase, out=partial)
+            np.add(partial, partial_phase, out=partial)
+            np.sin(partial, out=partial)
+            np.multiply(amp, partial, out=partial)
+            np.add(voiced, partial, out=voiced)
+        # voiced *= 1 + 0.15 * sin(2 pi env_rate t + env_phase)
+        np.multiply(two_pi * env_rate, t, out=t)
+        np.add(t, env_phase, out=t)
+        np.sin(t, out=t)
+        np.multiply(0.15, t, out=t)
+        np.add(1.0, t, out=t)
+        np.multiply(voiced, t, out=voiced)
+        for start, stop in pauses:
+            voiced[max(start - lo, 0):max(stop - lo, 0)] = 0.0
+        np.add(voiced, rng.normal(0.0, noise_sd, m), out=voiced)
+    peak = max(mix.max(), -mix.min())
     if peak > 0:
         mix *= 0.9 / peak  # never clips: |sample| <= 0.9
     return AudioClip(samples=mix, sample_rate=sample_rate)

@@ -183,6 +183,31 @@ def test_roundtrip_stereo():
     assert np.array_equal(back.samples, clip.samples)
 
 
+def former_encode_pcm16(samples, sample_rate):
+    """PCM16 WAV bytes as first written: three full-size float temporaries."""
+    channels = 1 if samples.ndim == 1 else samples.shape[1]
+    ints = np.clip(np.round(samples.reshape(-1) * 32768.0), -32768, 32767)
+    return make_wav(ints.astype("<i2").tobytes(), channels=channels, rate=sample_rate)
+
+
+# the round-half-to-even cases and the two clip edges
+half_steps = st.sampled_from([0.5 / 32768, -0.5 / 32768, 1.5 / 32768, -1.5 / 32768,
+                              32767.5 / 32768, -32767.5 / 32768, 1.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=arrays(np.float64, st.one_of(st.integers(0, 33),
+                                            st.tuples(st.integers(0, 17), st.integers(1, 3))),
+                      elements=st.one_of(samples_in_range, half_steps)))
+@example(samples=np.array([1.0, -1.0, 0.5 / 32768]))  # odd sample count
+@example(samples=np.array([[1.0, -0.5 / 32768], [-1.0, 0.5 / 32768], [-0.0, 1.5 / 32768]]))
+def test_encode_pcm16_equals_former(samples):
+    kept = samples.copy()
+    clip = AudioClip(samples=samples, sample_rate=22050)
+    assert encode_wav(clip) == former_encode_pcm16(kept, 22050)
+    assert_identical(clip.samples, kept)  # scaled in a temporary, not in place
+
+
 def test_to_mono_averages():
     clip = AudioClip(samples=np.array([[1.0, 0.0], [-0.5, 0.5]]), sample_rate=16000)
     mono = to_mono(clip)

@@ -211,6 +211,10 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "4096",
           "--segment-seconds", "0.2"], "--segment-seconds/--n-fft: a 0.2 s segment holds 3200"),
         (["synth", "--out", out, "--speakers-per-class", "0"], "--speakers-per-class"),
+        (["synth", "--out", out, "--seconds-per-speaker", "nan"], "--seconds-per-speaker"),
+        (["synth", "--out", out, "--seconds-per-speaker", "inf"], "--seconds-per-speaker"),
+        (["synth", "--out", out, "--seconds-per-speaker", "0.00001"],  # 0.16 samples
+         "--seconds-per-speaker"),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

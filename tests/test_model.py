@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import PipelineCandidate, grid_select
+from vocalscreen.features import FeatureConfig
 from vocalscreen.model import (
     CorruptModelFile,
     KnnModel,
@@ -29,6 +30,7 @@ from vocalscreen.model import (
     _distances,
     _nearest_rows,
     _payload_digest,
+    _votes,
 )
 
 
@@ -290,6 +292,28 @@ def test_nearest_rows_of_nan_query_follow_stable_argsort():
     model = small_model(k=3)
     assert _nearest_rows(model, [np.nan, 0.0], 3) == [0, 1, 2]
     assert knn_predict(model, [np.nan, 0.0]) == ("control", 2 / 3)
+
+
+def former_vote(train_labels, nearest, k):
+    """The vote as first written: one dict count per k, lexicographic tie rule."""
+    votes = {}
+    for idx in nearest[:k]:
+        votes[train_labels[idx]] = votes.get(train_labels[idx], 0) + 1
+    winner = max(sorted(votes), key=lambda label: votes[label])
+    return winner, votes[winner] / k
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_votes_equal_former_vote_for_every_k(data):
+    # three labels and even k reach ties that a binary model with odd k never does
+    labels = data.draw(st.lists(st.sampled_from(["b", "a", "c"]), min_size=1, max_size=12),
+                       label="labels")
+    nearest = data.draw(st.permutations(range(len(labels))), label="nearest")
+    ks = data.draw(st.sets(st.integers(1, len(labels)), min_size=1), label="ks")
+    model = KnnModel(train_matrix=np.zeros((len(labels), 1)), train_labels=labels, k=1,
+                     p=2.0, scaler=identity_scaler(1), feature_config=FeatureConfig())
+    assert _votes(model, nearest, ks) == {k: former_vote(labels, nearest, k) for k in ks}
 
 
 def test_standardization_absorbs_feature_scaling():

@@ -1,13 +1,20 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vocalscreen.audio_io import DEFAULT_SAMPLE_RATE, load_wav, resample, to_mono
+from vocalscreen.audio_io import DEFAULT_SAMPLE_RATE, AudioClip, load_wav, resample, to_mono
 from vocalscreen.evaluation import PipelineCandidate, cross_validate
 from vocalscreen.features import extract_features
 from vocalscreen.preprocess import remove_silence, segment
+from vocalscreen.rng import round_half_up
 from vocalscreen.synth import (
+    BLOCK,
+    N_HARMONICS,
     ClassProfile,
     CohortSpec,
     _speaker_clip,
@@ -53,6 +60,78 @@ def test_speaker_clip_never_clips():
         assert np.max(np.abs(clip.samples)) <= 0.9 + 1e-12
 
 
+def former_speaker_clip(profile, seconds, rng, sample_rate=DEFAULT_SAMPLE_RATE):
+    """_speaker_clip as first written, one full-length array per step: the reference."""
+    n = round_half_up(seconds * sample_rate)
+    t = np.arange(n) / sample_rate
+
+    f0 = profile.f0_hz + rng.uniform(-profile.f0_spread_hz, profile.f0_spread_hz)
+    vibrato_rate = rng.uniform(4.0, 6.5)
+    vibrato_depth = rng.uniform(0.005, 0.02)
+    vibrato_phase = rng.uniform(0, 2 * np.pi)
+    inst_f0 = f0 * (1.0 + vibrato_depth * np.sin(2 * np.pi * vibrato_rate * t + vibrato_phase))
+    base_phase = 2 * np.pi * np.cumsum(inst_f0) / sample_rate
+
+    voiced = np.zeros(n)
+    for h in range(1, N_HARMONICS + 2):
+        amp = 10.0 ** (profile.tilt_db_per_octave * np.log2(h) / 20.0)
+        voiced += amp * np.sin(h * base_phase + rng.uniform(0, 2 * np.pi))
+
+    env_rate = rng.uniform(0.2, 0.6)
+    env_phase = rng.uniform(0, 2 * np.pi)
+    voiced *= 1.0 + 0.15 * np.sin(2 * np.pi * env_rate * t + env_phase)
+
+    n_pauses = rng.poisson(profile.pauses_per_minute * seconds / 60.0)
+    for _ in range(n_pauses):
+        duration = rng.uniform(0.3, 0.8)
+        start = rng.uniform(0.0, max(seconds - duration, 0.0))
+        lo = round_half_up(start * sample_rate)
+        hi = min(lo + round_half_up(duration * sample_rate), n)
+        voiced[lo:hi] = 0.0
+
+    mix = voiced + rng.normal(0.0, 10.0 ** (profile.noise_floor_db / 20.0), n)
+    peak = np.max(np.abs(mix))
+    if peak > 0:
+        mix *= 0.9 / peak
+    return AudioClip(samples=mix, sample_rate=sample_rate)
+
+
+# 1 sample, the block edges, and several blocks plus a tail
+CLIP_SAMPLES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 4321]
+profiles = st.builds(
+    ClassProfile,
+    f0_hz=st.floats(60.0, 400.0), f0_spread_hz=st.floats(0.0, 40.0),
+    tilt_db_per_octave=st.floats(-18.0, 0.0), noise_floor_db=st.floats(-70.0, -20.0),
+    # dense pauses overlap block edges and, in clips shorter than a pause, the end
+    pauses_per_minute=st.one_of(st.floats(0.0, 30.0), st.floats(300.0, 6000.0)),
+)
+DENSE = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
+                     noise_floor_db=-45.0, pauses_per_minute=3000.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=profiles, samples=st.one_of(st.sampled_from(CLIP_SAMPLES),
+                                           st.integers(1, 4 * BLOCK)),
+       seed=st.integers(0, 2**32 - 1))
+@example(profile=DENSE, samples=3 * BLOCK + 4321, seed=3)  # about 170 pauses over 4 blocks
+@example(profile=DENSE, samples=8000, seed=4)  # 0.5 s: every pause runs to the end
+def test_speaker_clip_bytes_equal_former(profile, samples, seed):
+    seconds = samples / DEFAULT_SAMPLE_RATE
+    clip = _speaker_clip(profile, seconds, np.random.default_rng(seed))
+    former = former_speaker_clip(profile, seconds, np.random.default_rng(seed))
+    assert len(clip.samples) == samples
+    assert clip.samples.tobytes() == former.samples.tobytes()
+
+
+def test_default_cohort_wavs_pinned(tmp_path):
+    """Every WAV of a small default cohort keeps the bytes the whole-array synthesis wrote."""
+    generate_cohort(CohortSpec(speakers_per_class=2, seconds_per_speaker=10.0), tmp_path)
+    pinned = json.loads((Path(__file__).parent / "sidecars" / "cohort_wavs.sha256.json").read_text())
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*.wav"))}
+    assert written == pinned
+
+
 def test_pause_density_measured_by_silence_remover():
     profile = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
                            noise_floor_db=-45.0, pauses_per_minute=10.0)
@@ -71,6 +150,13 @@ def test_profiles_must_differ():
         CohortSpec(class_profiles={"depression": profile, "control": profile})
     with pytest.raises(ValueError):
         CohortSpec(speakers_per_class=0)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0, 0.00003])
+def test_seconds_per_speaker_must_give_a_sample(seconds):
+    with pytest.raises(ValueError, match="seconds_per_speaker"):
+        CohortSpec(seconds_per_speaker=seconds)
+    CohortSpec(seconds_per_speaker=1 / 32000)  # rounds half up to one sample
 
 
 def _cohort_cv_accuracy(gap_hz: float, seed: int, tmp_path) -> float:
