@@ -18,7 +18,7 @@ segments = {
 }
 
 vectors = {
-    name: extract_features(AudioClip(samples=s, sample_rate=rate), segment_id=name)
+    name: extract_features(AudioClip(samples=s, sample_rate=rate))
     for name, s in segments.items()
 }
 
@@ -26,7 +26,7 @@ header = f"{'feature':<12}" + "".join(f"{name:>22}" for name in vectors)
 print(header)
 print("-" * len(header))
 for i, column in enumerate(FEATURE_COLUMNS):
-    row = "".join(f"{vec.values[i]:>22.4f}" for vec in vectors.values())
+    row = "".join(f"{vec[i]:>22.4f}" for vec in vectors.values())
     print(f"{column:<12}{row}")
 
 # Reading the table: the tone concentrates energy low (small centroid, one

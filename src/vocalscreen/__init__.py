@@ -54,7 +54,6 @@ from .evaluation import (
 from .features import (
     FeatureConfig,
     FeaturesFileError,
-    FeatureVector,
     SegmentTooShort,
     extract_features,
     mel_filterbank,

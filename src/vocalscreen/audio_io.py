@@ -186,47 +186,40 @@ def _subformat_code(fmt) -> int:
     return code
 
 
+def _wav_parts(clip: AudioClip, bit_depth: int) -> tuple:
+    """The 44-byte header of a clip's WAV file and its sample body array.
+
+    The body is little-endian ``<i2`` (PCM16) or ``<f4`` (float32),
+    interleaved frame by frame: the file is the header, then the body.
+    """
+    interleaved = clip.samples.reshape(-1)
+    if bit_depth == 16:
+        scaled = np.multiply(interleaved, INT16_SCALE)  # the one float temporary
+        np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled)
+        body, format_code = scaled.astype("<i2"), FORMAT_PCM
+    elif bit_depth == 32:
+        body, format_code = interleaved.astype("<f4"), FORMAT_IEEE_FLOAT
+    else:
+        raise ValueError(f"bit_depth must be 16 or 32, got {bit_depth}")
+    # the RIFF size counts "WAVE", the 24-byte fmt chunk and the 8-byte data chunk
+    # header (36 bytes), then the body; 2- and 4-byte samples make an even body,
+    # so the data chunk needs no pad byte
+    block_align = clip.channels * bit_depth // 8
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + body.nbytes, b"WAVE",
+                         b"fmt ", 16, format_code, clip.channels, clip.sample_rate,
+                         clip.sample_rate * block_align, block_align, bit_depth,
+                         b"data", body.nbytes)
+    return header, body
+
+
 def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
     """Serialize a clip to WAV bytes (PCM16 or float32).
 
     PCM16 encoding rounds ``sample * 32768`` to the nearest integer and
     clamps to the int16 range, so decode(encode(decode(x))) is lossless.
     """
-    samples = clip.samples
-    channels = clip.channels
-    if samples.ndim == 1:
-        interleaved = samples
-    else:
-        interleaved = samples.reshape(-1)
-
-    if bit_depth == 16:
-        scaled = np.multiply(interleaved, INT16_SCALE)  # the one float temporary
-        np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled)
-        body = scaled.astype("<i2").tobytes()
-        format_code, bits = FORMAT_PCM, 16
-    elif bit_depth == 32:
-        body = interleaved.astype("<f4").tobytes()
-        format_code, bits = FORMAT_IEEE_FLOAT, 32
-    else:
-        raise ValueError(f"bit_depth must be 16 or 32, got {bit_depth}")
-
-    block_align = channels * bits // 8
-    byte_rate = clip.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", format_code, channels, clip.sample_rate, byte_rate, block_align, bits
-    )
-    chunks = b"".join(
-        [
-            b"fmt ",
-            struct.pack("<I", len(fmt)),
-            fmt,
-            b"data",
-            struct.pack("<I", len(body)),
-            body,
-            b"\x00" * (len(body) & 1),
-        ]
-    )
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+    header, body = _wav_parts(clip, bit_depth)
+    return header + body.tobytes()
 
 
 def to_mono(clip: AudioClip) -> AudioClip:
@@ -297,6 +290,8 @@ def load_wav(path) -> AudioClip:
 
 
 def save_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:
-    """Encode a clip and write it to disk."""
+    """Write a clip as a WAV file, the bytes of encode_wav, without joining them in memory."""
+    header, body = _wav_parts(clip, bit_depth)
     with open(path, "wb") as fh:
-        fh.write(encode_wav(clip, bit_depth=bit_depth))
+        fh.write(header)
+        fh.write(body)

@@ -96,14 +96,15 @@ def _segment_id(manifest_path: str, index: int) -> str:
     return f"{base}.seg{index:03d}"
 
 
-def _join_features(features_path, manifest: dataset.DatasetManifest):
+def _join_features(features_path, manifest_path, manifest: dataset.DatasetManifest):
     """Select feature rows by manifest order; fail loudly on missing ids."""
     ids, _labels, matrix = read_features_csv(features_path)
     index = {sid: i for i, sid in enumerate(ids)}
     rows, labels = [], []
     for row in manifest:
         if row.path not in index:
-            raise VocalScreenError(f"segment {row.path!r} missing from {features_path}")
+            raise VocalScreenError(f"{features_path}: no row for segment {row.path!r}"
+                                   f" of {manifest_path}")
         rows.append(matrix[index[row.path]])
         labels.append(row.label)
     return np.asarray(rows), labels
@@ -154,7 +155,7 @@ def cmd_synth(ns) -> int:
 
 
 def _recording_features(wav_path, source_id: str, silence, segment_seconds, config) -> list:
-    """Feature vectors of one recording's segments.
+    """Feature rows of one recording's segments, in segment order.
 
     Each ingest step's input is dropped as soon as the step returns, and
     the rest of the recording's audio on return, before the caller
@@ -167,8 +168,7 @@ def _recording_features(wav_path, source_id: str, silence, segment_seconds, conf
         segments = preprocess.segment(voiced, segment_seconds)
     except (VocalScreenError, OSError, ValueError) as exc:
         raise VocalScreenError(f"{source_id}: {exc}") from exc
-    return [extract_features(seg, config, segment_id=_segment_id(source_id, i))
-            for i, seg in enumerate(segments)]
+    return [extract_features(seg, config) for seg in segments]
 
 
 def cmd_extract(ns) -> int:
@@ -197,19 +197,21 @@ def cmd_extract(ns) -> int:
                           f" FFT frame")
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
-        raise VocalScreenError(f"empty manifest: {manifest_path}")
+        raise VocalScreenError(f"{manifest_path}: empty manifest")
     feature_rows, segment_rows = [], []
     for row in manifest.rows:
         wav_path = Path(row.path)
         if not wav_path.is_absolute():
             wav_path = manifest_path.parent / wav_path
-        for vec in _recording_features(wav_path, row.path, silence, segment_seconds, config):
-            feature_rows.append((vec, row.label))
-            segment_rows.append(dataset.ManifestRow(path=vec.segment_id, label=row.label,
-                                                    participant=row.participant))
+        values = _recording_features(wav_path, row.path, silence, segment_seconds, config)
+        feature_rows += values
+        for i in range(len(values)):
+            segment_rows.append(dataset.ManifestRow(path=_segment_id(row.path, i),
+                                                    label=row.label, participant=row.participant))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_features_csv(out_dir / "features.csv", feature_rows)
+    write_features_csv(out_dir / "features.csv", [r.path for r in segment_rows],
+                       [r.label for r in segment_rows], feature_rows)
     segment_manifest = dataset.DatasetManifest(rows=segment_rows)
     dataset.save_manifest(out_dir / "segments.csv", segment_manifest)
     _write_run_config(out_dir, "extract", {
@@ -246,7 +248,7 @@ def cmd_train(ns) -> int:
     if not p >= 1:
         raise _UsageError(f"--p: must be >= 1, got {p}")
     manifest = dataset.load_manifest(ns.manifest)
-    features, labels = _join_features(ns.features, manifest)
+    features, labels = _join_features(ns.features, ns.manifest, manifest)
     scaler = model.fit_scaler(features) if use_scaler else model.identity_scaler(features.shape[1])
     try:
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
@@ -272,7 +274,7 @@ def cmd_evaluate(ns) -> int:
     manifest = dataset.load_manifest(ns.manifest)
     if not len(manifest):
         raise evaluation.EmptyInput(f"{ns.manifest}: no segments to score")
-    features, truth = _join_features(ns.features, manifest)
+    features, truth = _join_features(ns.features, ns.manifest, manifest)
     fitted = _load_model(ns.model)
     split_mode = "unknown"
     if ns.split_sidecar:
@@ -331,7 +333,7 @@ def cmd_select(ns) -> int:
     if ns.folds < 2:
         raise _UsageError(f"--folds: must be >= 2, got {ns.folds}")
     manifest = dataset.load_manifest(ns.manifest)
-    features, labels = _join_features(ns.features, manifest)
+    features, labels = _join_features(ns.features, ns.manifest, manifest)
     try:
         report = evaluation.grid_select(evaluation.default_grid(), features, labels,
                                         folds=ns.folds, seed=ns.seed)
@@ -354,6 +356,8 @@ def cmd_select(ns) -> int:
 def cmd_stats(ns) -> int:
     out_dir = Path(ns.out)
     _ids, labels, matrix = read_features_csv(ns.features)
+    if not labels:
+        raise VocalScreenError(f"{ns.features}: no feature rows")
     by_group = {}
     for label, row in zip(labels, matrix):
         by_group.setdefault(label, []).append(row)

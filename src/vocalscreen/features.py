@@ -27,9 +27,11 @@ import numpy as np
 from .audio_io import AudioClip
 from .errors import VocalScreenError
 
-N_FEATURES = 16
+N_MFCC = 13
 
-FEATURE_COLUMNS = [f"mfcc{i}" for i in range(13)] + ["centroid", "complexity", "zcr"]
+FEATURE_COLUMNS = [f"mfcc{i}" for i in range(N_MFCC)] + ["centroid", "complexity", "zcr"]
+
+N_FEATURES = len(FEATURE_COLUMNS)
 
 CSV_HEADER = ["segment_id", "label"] + FEATURE_COLUMNS
 
@@ -58,43 +60,18 @@ class FeatureConfig:
     def __post_init__(self):
         if not 0 < self.hop <= self.n_fft:
             raise ValueError("need 0 < hop <= n_fft")
-        if self.n_fft & (self.n_fft - 1):
-            raise ValueError("n_fft must be a power of two")
+        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
+            raise ValueError("n_fft must be a power of two, at least 2")
         if not 0 <= self.fmin < self.fmax:
             raise ValueError("need 0 <= fmin < fmax")
+        if self.n_mfcc != N_MFCC:
+            raise ValueError(f"n_mfcc must be {N_MFCC}, the MFCC columns of a features table")
         if self.n_mfcc > self.n_mels:
             raise ValueError("n_mfcc cannot exceed n_mels")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
         if not self.peak_threshold_db >= 0:
             raise ValueError("peak_threshold_db must be non-negative")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Ordered 16-dimensional descriptor of one segment.
-
-    Indices 0..12 are MFCC 0..12, 13 the mean spectral centroid
-    (fraction of sample rate), 14 the mean spectral complexity,
-    15 the zero-crossing rate.
-    """
-
-    values: np.ndarray
-    segment_id: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("feature values must be finite")
-        if not 0.0 <= vals[13] <= 0.5:
-            raise ValueError("centroid must lie in [0, 0.5]")
-        if vals[14] < 0.0:
-            raise ValueError("complexity must be non-negative")
-        if not 0.0 <= vals[15] <= 1.0:
-            raise ValueError("zero-crossing rate must lie in [0, 1]")
 
 
 @lru_cache(maxsize=8)
@@ -255,15 +232,14 @@ def zero_crossing_rate(segment: AudioClip) -> float:
     return float(np.count_nonzero(nonnegative[:-1] != nonnegative[1:]) / (len(samples) - 1))
 
 
-def extract_features(segment: AudioClip, config: FeatureConfig = FeatureConfig(),
-                     segment_id: str = "") -> FeatureVector:
-    """All 16 features of one segment, in the fixed column order.
+def extract_features(segment: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """All 16 features of one segment, a float64 array of shape (16,) in FEATURE_COLUMNS order.
 
     One power-spectrum pass feeds every spectral feature: MFCCs 0..12,
-    then the across-frame means of spectral centroid and complexity, then
-    the zero-crossing rate. Equal to the composition of mfcc(), the
-    per-frame spectral_centroid() and spectral_complexity(), and
-    zero_crossing_rate().
+    then the across-frame means of spectral centroid (a fraction of the
+    sample rate, in [0, 0.5]) and complexity (>= 0), then the zero-crossing
+    rate (in [0, 1]). Equal to the composition of mfcc(), the per-frame
+    spectral_centroid() and spectral_complexity(), and zero_crossing_rate().
     """
     spectra = power_spectra(segment, config)
     cepstra = _cepstra(spectra, segment.sample_rate, config)
@@ -271,21 +247,21 @@ def extract_features(segment: AudioClip, config: FeatureConfig = FeatureConfig()
     complexity = float(np.mean(
         spectral_complexity(spectra, config.peak_threshold_db, config.log_floor)))
     zcr = zero_crossing_rate(segment)
-    values = np.concatenate([cepstra, [centroid, complexity, zcr]])
-    return FeatureVector(values=values, segment_id=segment_id)
+    return np.concatenate([cepstra, [centroid, complexity, zcr]])
 
 
-def write_features_csv(path, rows) -> None:
-    """Write (FeatureVector, label) pairs as CSV.
+def write_features_csv(path, ids, labels, matrix) -> None:
+    """Write segment ids, labels and their feature rows as CSV.
 
-    Floats use shortest round-trip formatting, so read_features_csv
-    reproduces them exactly.
+    Takes the (ids, labels, matrix) triple that read_features_csv returns;
+    the three must be the same length. Floats use shortest round-trip
+    formatting, so read_features_csv reproduces them exactly.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for vector, label in rows:
-            writer.writerow([vector.segment_id, label] + [repr(float(v)) for v in vector.values])
+        for sid, label, row in zip(ids, labels, matrix, strict=True):
+            writer.writerow([sid, label] + [repr(float(v)) for v in row])
 
 
 def read_features_csv(path):

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import VocalScreenError
-from .features import FeatureConfig, FeatureVector
+from .features import FeatureConfig
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -54,16 +54,11 @@ class CorruptModelFile(VocalScreenError):
 
 
 def as_matrix(features) -> np.ndarray:
-    """Coerce FeatureVector lists or array-likes to a 2-D float matrix.
+    """Coerce a (rows, dims) array-like, or one feature row, to a 2-D float64 matrix.
 
     Raises VocalScreenError if any value is NaN or infinite.
     """
-    if isinstance(features, np.ndarray) and features.ndim == 2:
-        matrix = features.astype(np.float64, copy=False)
-    else:
-        rows = [f.values if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64)
-                for f in features]
-        matrix = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    matrix = np.atleast_2d(np.asarray(features, dtype=np.float64))
     bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad_rows):
         raise VocalScreenError(f"feature matrix row {bad_rows[0]} holds a non-finite value")
@@ -109,13 +104,9 @@ def fit_scaler(features) -> ScalerParams:
     return ScalerParams(means=means, stds=stds)
 
 
-def transform(scaler: ScalerParams, v) -> np.ndarray:
-    vals = v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-    return (vals - scaler.means) / scaler.stds
-
-
-def transform_matrix(scaler: ScalerParams, features) -> np.ndarray:
-    return (as_matrix(features) - scaler.means) / scaler.stds
+def transform(scaler: ScalerParams, x) -> np.ndarray:
+    """Standardize one feature row or a (rows, dims) matrix: (x - means) / stds, broadcast."""
+    return (np.asarray(x, dtype=np.float64) - scaler.means) / scaler.stds
 
 
 def _sum_rows(terms: np.ndarray) -> np.ndarray:
@@ -240,7 +231,7 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
         raise ValueError(f"labels must be binary, got {sorted(set(labels))}")
     if scaler is None:
         scaler = identity_scaler(matrix.shape[1])
-    standardized = transform_matrix(scaler, matrix)
+    standardized = transform(scaler, matrix)
     return KnnModel(train_matrix=standardized, train_labels=labels, k=k, p=p,
                     scaler=scaler, feature_config=feature_config)
 

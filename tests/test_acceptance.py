@@ -28,7 +28,7 @@ from vocalscreen.model import (
     knn_fit,
     knn_predict,
     load_model,
-    transform_matrix,
+    transform,
 )
 
 RATE = 16000
@@ -141,7 +141,7 @@ def test_criterion_4_scaler_postconditions():
     matrix = rng.normal(-30.0, 12.0, size=(500, 16))
     matrix[:, 5] = 4.25  # degenerate dimension maps to zero
     scaler = fit_scaler(matrix)
-    standardized = transform_matrix(scaler, matrix)
+    standardized = transform(scaler, matrix)
     assert np.max(np.abs(standardized.mean(axis=0))) <= 1e-9
     non_degenerate = [i for i in range(16) if i != 5]
     stds = standardized[:, non_degenerate].std(axis=0)

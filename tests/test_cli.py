@@ -54,7 +54,7 @@ def test_extract_empty_manifest_fails(tmp_path, capsys):
     manifest.write_text("path,label,participant\n")
     rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "empty manifest" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {manifest}: empty manifest\n"
 
 
 def test_extract_names_offending_file(tmp_path, capsys):
@@ -206,6 +206,8 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["split", "--manifest", "m.csv", "--out", out, "--train-fraction", "1.5"],
          "--train-fraction"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),
+        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1", "--fft-hop", "1"],
+         "--n-fft"),
         (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
          "--segment-seconds"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "4096",
@@ -242,6 +244,35 @@ def test_train_rejects_non_finite_features(small_cohort, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {features}:2: non-finite")
     assert not (tmp_path / "fit" / "model.json").exists()
+
+
+def test_stats_rejects_features_without_rows(small_cohort, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    header = (small_cohort / "work" / "features.csv").read_text().splitlines()[0]
+    features.write_text(header + "\n")
+    assert main(["stats", "--features", str(features), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {features}: no feature rows\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "select", "evaluate"])
+def test_segment_missing_from_features_names_both_files(small_cohort, tmp_path, capsys, stage):
+    work = small_cohort / "work"
+    manifest = work / ("test.csv" if stage == "evaluate" else "train.csv")
+    missing = manifest.read_text().splitlines()[1].split(",")[0]
+    features = tmp_path / "features.csv"
+    features.write_text("".join(line for line in
+                                (work / "features.csv").read_text().splitlines(keepends=True)
+                                if line.split(",")[0] != missing))
+    argv = [stage, "--features", str(features), "--manifest", str(manifest),
+            "--out", str(tmp_path / "o")]
+    if stage == "evaluate":
+        argv += ["--model", str(tmp_path / "absent.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {features}: no row for segment {missing!r}"
+                                       f" of {manifest}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_stats_rejects_non_utf8_features(tmp_path, capsys):

@@ -28,7 +28,7 @@ from vocalscreen.evaluation import (
     stratified_folds,
     two_sample_t,
 )
-from vocalscreen.model import fit_scaler, identity_scaler, transform_matrix
+from vocalscreen.model import fit_scaler, identity_scaler, transform
 
 DEP, CON = "depression", "control"
 
@@ -185,10 +185,10 @@ def test_grid_select_matches_brute_force_scan_with_ties():
             train_idx = [i for i in range(len(labels)) if i not in held_out]
             train_x = features[train_idx]
             scaler = fit_scaler(train_x) if c.use_scaler else identity_scaler(3)
-            train_z = transform_matrix(scaler, train_x)
+            train_z = transform(scaler, train_x)
             train_y = [labels[i] for i in train_idx]
             hits = sum(knn_scan(train_z, train_y, q, c.k, c.p)[0] == labels[i]
-                       for i, q in zip(held_out, transform_matrix(scaler, features[held_out])))
+                       for i, q in zip(held_out, transform(scaler, features[held_out])))
             expected.append(hits / len(held_out))
         assert list(result_.fold_scores) == expected, c.describe()
 

@@ -1,4 +1,6 @@
+import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from vocalscreen.features import (
     CSV_HEADER,
     FeatureConfig,
     FeaturesFileError,
-    FeatureVector,
     SegmentTooShort,
     complex_spectrum,
     dct_basis,
@@ -331,9 +332,9 @@ def test_zcr_too_short():
 
 
 def test_extract_features_length_and_order():
-    vector = extract_features(tone(440.0, seconds=4.0), segment_id="seg0")
-    assert vector.values.shape == (16,)
-    assert vector.segment_id == "seg0"
+    vector = extract_features(tone(440.0, seconds=4.0))
+    assert vector.shape == (16,)
+    assert vector.dtype == np.float64
 
 
 def test_extract_features_equals_composition():
@@ -347,21 +348,21 @@ def test_extract_features_equals_composition():
     for clip in (voiced, gapped):
         vector = extract_features(clip, config)
         spectra = power_spectra(clip, config)
-        np.testing.assert_array_equal(vector.values[:13], mfcc(clip, config))
-        assert vector.values[13] == np.mean([spectral_centroid(r) for r in spectra])
-        assert vector.values[14] == np.mean(
+        np.testing.assert_array_equal(vector[:13], mfcc(clip, config))
+        assert vector[13] == np.mean([spectral_centroid(r) for r in spectra])
+        assert vector[14] == np.mean(
             [spectral_complexity(r, config.peak_threshold_db, config.log_floor) for r in spectra]
         )
-        assert vector.values[15] == zero_crossing_rate(clip)
+        assert vector[15] == zero_crossing_rate(clip)
 
 
 def test_extract_features_zero_segment():
     vector = extract_features(AudioClip(samples=np.zeros(4 * RATE), sample_rate=RATE))
-    assert vector.values[0] == pytest.approx(-1131.370849898476, abs=1e-9)
-    assert np.max(np.abs(vector.values[1:13])) < 1e-9
-    assert vector.values[13] == 0.0
-    assert vector.values[14] == 0.0
-    assert vector.values[15] == 0.0
+    assert vector[0] == pytest.approx(-1131.370849898476, abs=1e-9)
+    assert np.max(np.abs(vector[1:13])) < 1e-9
+    assert vector[13] == 0.0
+    assert vector[14] == 0.0
+    assert vector[15] == 0.0
 
 
 def test_amplitude_scaling_shifts_only_mfcc0():
@@ -369,8 +370,8 @@ def test_amplitude_scaling_shifts_only_mfcc0():
     samples = rng.uniform(-0.6, 0.6, RATE)  # broadband: no floored mel band
     clip = AudioClip(samples=samples, sample_rate=RATE)
     scaled = AudioClip(samples=0.5 * samples, sample_rate=RATE)
-    base = extract_features(clip).values
-    shifted = extract_features(scaled).values
+    base = extract_features(clip)
+    shifted = extract_features(scaled)
     expected_shift = math.sqrt(128) * 10.0 * math.log10(0.25)
     assert shifted[0] - base[0] == pytest.approx(expected_shift, rel=1e-9)
     np.testing.assert_allclose(shifted[1:13], base[1:13], atol=1e-9)
@@ -379,10 +380,29 @@ def test_amplitude_scaling_shifts_only_mfcc0():
 
 def test_feature_ordering_stable_across_processing_order():
     clips = [tone(f, seconds=0.5) for f in (220.0, 445.0, 930.0)]
-    forward = [extract_features(c).values for c in clips]
-    backward = [extract_features(c).values for c in reversed(clips)]
+    forward = [extract_features(c) for c in clips]
+    backward = [extract_features(c) for c in reversed(clips)]
     for a, b in zip(forward, reversed(backward)):
         np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=arrays(np.float64, st.integers(min_value=256, max_value=1200),
+                      # the values a float32 WAV holds; PCM16 steps of 1/32768 are among them
+                      elements=st.floats(min_value=-1.0, max_value=1.0, width=32)),
+       config=st.sampled_from([FeatureConfig(n_fft=256, hop=128, n_mels=40),
+                               FeatureConfig(n_fft=256, hop=256, n_mels=13, fmin=100.0)]))
+@example(samples=np.zeros(4 * RATE), config=FeatureConfig())
+@example(samples=np.tile([1.0, -1.0], 2 * RATE), config=FeatureConfig())
+@example(samples=np.random.default_rng(38).uniform(-1.0, 1.0, 4 * RATE), config=FeatureConfig())
+def test_extract_features_row_invariants(samples, config):
+    row = extract_features(AudioClip(samples=samples, sample_rate=RATE), config)
+    assert row.shape == (16,)
+    assert row.dtype == np.float64
+    assert np.isfinite(row).all()
+    assert 0.0 <= row[13] <= 0.5  # centroid, a fraction of the sample rate
+    assert row[14] >= 0.0  # complexity, a mean peak count
+    assert 0.0 <= row[15] <= 1.0  # zero-crossing rate
 
 
 # --- types and serialization ------------------------------------------------
@@ -391,54 +411,71 @@ def test_feature_ordering_stable_across_processing_order():
 def test_feature_config_invariants():
     with pytest.raises(ValueError):
         FeatureConfig(n_fft=1000)  # not a power of two
+    with pytest.raises(ValueError, match="at least 2"):
+        FeatureConfig(n_fft=1, hop=1)  # a one-sample Hann window is all zeros
     with pytest.raises(ValueError):
         FeatureConfig(hop=0)
     with pytest.raises(ValueError):
         FeatureConfig(fmin=8000.0, fmax=4000.0)
     with pytest.raises(ValueError):
         FeatureConfig(n_mfcc=200)
+    with pytest.raises(ValueError, match="must be 13"):
+        FeatureConfig(n_mfcc=12)  # a features table holds 13 MFCC columns
     with pytest.raises(ValueError):
         FeatureConfig(log_floor=0.0)
     with pytest.raises(ValueError):
         FeatureConfig(peak_threshold_db=float("nan"))
 
 
-def test_feature_vector_invariants():
-    good = np.zeros(16)
-    FeatureVector(values=good)
-    with pytest.raises(ValueError):
-        FeatureVector(values=np.zeros(15))
-    bad_centroid = good.copy()
-    bad_centroid[13] = 0.7
-    with pytest.raises(ValueError):
-        FeatureVector(values=bad_centroid)
-    bad_zcr = good.copy()
-    bad_zcr[15] = 1.5
-    with pytest.raises(ValueError):
-        FeatureVector(values=bad_zcr)
-    nan = good.copy()
-    nan[0] = np.nan
-    with pytest.raises(ValueError):
-        FeatureVector(values=nan)
-
-
 def test_features_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(27)
     rows = []
     for i in range(5):
-        values = np.concatenate([
+        rows.append(np.concatenate([
             rng.uniform(-1000, 1000, 13),
             [rng.uniform(0, 0.5), rng.uniform(0, 60), rng.uniform(0, 1)],
-        ])
-        rows.append((FeatureVector(values=values, segment_id=f"s{i:03d}"),
-                     "depression" if i % 2 else "control"))
+        ]))
+    ids = [f"s{i:03d}" for i in range(5)]
+    labels = ["depression" if i % 2 else "control" for i in range(5)]
     path = tmp_path / "features.csv"
-    write_features_csv(path, rows)
-    ids, labels, matrix = read_features_csv(path)
-    assert ids == [f"s{i:03d}" for i in range(5)]
-    assert labels == ["control", "depression", "control", "depression", "control"]
-    for i, (vector, _label) in enumerate(rows):
-        assert np.array_equal(matrix[i], vector.values)
+    write_features_csv(path, ids, labels, np.array(rows))
+    got_ids, got_labels, matrix = read_features_csv(path)
+    assert got_ids == ids
+    assert got_labels == ["control", "depression", "control", "depression", "control"]
+    assert np.array_equal(matrix, rows)
+    with pytest.raises(ValueError):
+        write_features_csv(path, ids[:4], labels, rows)  # one id short
+
+
+def former_write_features_csv(path, rows) -> None:
+    """The writer as first defined, over (vector, label) pairs of a vector
+    object holding .segment_id and .values."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for vector, label in rows:
+            writer.writerow([vector.segment_id, label] + [repr(float(v)) for v in vector.values])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=st.lists(st.tuples(
+    st.text(st.characters(codec="utf-8")),
+    st.sampled_from(["control", "depression"]),
+    arrays(np.float64, 16, elements=st.floats(allow_nan=False, allow_infinity=False)),
+), max_size=6))
+def test_write_features_csv_equals_former_pair_writer(tmp_path_factory, table):
+    root = tmp_path_factory.mktemp("writers")
+    former_write_features_csv(root / "former.csv",
+                              [(SimpleNamespace(segment_id=sid, values=row), label)
+                               for sid, label, row in table])
+    ids = [sid for sid, _label, _row in table]
+    labels = [label for _sid, label, _row in table]
+    rows = [row for _sid, _label, row in table]
+    write_features_csv(root / "matrix.csv", ids, labels, np.array(rows).reshape(len(rows), 16))
+    write_features_csv(root / "rows.csv", ids, labels, rows)  # the list cmd_extract passes
+    former = (root / "former.csv").read_bytes()
+    assert (root / "matrix.csv").read_bytes() == former
+    assert (root / "rows.csv").read_bytes() == former
 
 
 def test_features_csv_header_checked(tmp_path):

@@ -26,7 +26,6 @@ from vocalscreen.model import (
     minkowski_distance,
     save_model,
     transform,
-    transform_matrix,
     _distances,
     _nearest_rows,
     _payload_digest,
@@ -46,7 +45,7 @@ def test_fit_scaler_two_points():
 def test_fit_scaler_constant_dimension():
     scaler = fit_scaler(np.array([[5.0, 1.0], [5.0, 3.0]]))
     assert scaler.stds[0] == 1.0
-    transformed = transform_matrix(scaler, np.array([[5.0, 1.0], [5.0, 3.0]]))
+    transformed = transform(scaler, np.array([[5.0, 1.0], [5.0, 3.0]]))
     assert np.all(transformed[:, 0] == 0.0)
 
 
@@ -54,7 +53,7 @@ def test_fit_scaler_postconditions():
     rng = np.random.default_rng(31)
     matrix = rng.normal(3.0, 7.0, size=(200, 16))
     scaler = fit_scaler(matrix)
-    standardized = transform_matrix(scaler, matrix)
+    standardized = transform(scaler, matrix)
     assert np.max(np.abs(standardized.mean(axis=0))) <= 1e-9
     assert np.max(np.abs(standardized.std(axis=0) - 1.0)) <= 1e-9
 

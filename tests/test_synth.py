@@ -174,7 +174,7 @@ def _cohort_cv_accuracy(gap_hz: float, seed: int, tmp_path) -> float:
     for row in manifest:
         clip = resample(to_mono(load_wav(out / row.path)), DEFAULT_SAMPLE_RATE)
         for seg in segment(remove_silence(clip), 4.0):
-            features.append(extract_features(seg).values)
+            features.append(extract_features(seg))
             labels.append(row.label)
     scores = cross_validate(PipelineCandidate(k=3), np.array(features), labels,
                             folds=2, seed=seed)
