@@ -1,19 +1,22 @@
 """WAV decoding, channel mixdown, and resampling.
 
 Everything downstream works on mono clips at the canonical pipeline rate
-(16 kHz), so ingestion is: ``decode_wav`` -> ``to_mono`` -> ``resample``.
-Only RIFF/WAVE containers (plain or WAVE_FORMAT_EXTENSIBLE) with PCM
-16-bit or IEEE float 32-bit payloads, finite samples and one or two
-channels are accepted; rejecting anything else beats silently misreading
-it.
+(16 kHz). Ingest is one pass over blocks, ``load_mono``: it parses the
+container once and checks every float sample, then, for each block of
+2^14 output samples, converts only the input frames that block reads,
+mixes them to mono and interpolates, in block-sized buffers. A file
+already at 16 kHz skips the interpolation. Only RIFF/WAVE containers
+(plain or WAVE_FORMAT_EXTENSIBLE) with PCM 16-bit or IEEE float 32-bit
+payloads, finite samples and one or two channels are accepted; rejecting
+anything else beats silently misreading it.
 
-Each step writes its result into one new array and allocates no
-temporary the size of its input: the decoder reads the payload in place
-from the file bytes, and ``resample`` gathers the two neighbours of each
-output position instead of building an input-length abscissa. Each step
-equals its plain numpy definition bit for bit (``astype(float64) /
-32768``, ``mean(axis=1)``, ``np.interp`` over ``arange(n)``), signed
-zeros included.
+The public steps ``decode_wav`` (or ``load_wav``) -> ``to_mono`` ->
+``resample`` remain the reference: ``load_mono(path)`` is byte-identical
+to ``resample(to_mono(load_wav(path)), 16000)``, because both run the
+same private kernels (``_parse_wav``, ``_to_float``, ``_mix_down``,
+``_interpolate``) on the same values. Each step equals its plain numpy
+definition bit for bit (``astype(float64) / 32768``, ``mean(axis=1)``,
+``np.interp`` over ``arange(n)``), signed zeros included.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,11 @@ DEFAULT_SAMPLE_RATE = 16000
 
 # 16-bit ints scale by 1/32768 (not 32767) so -32768 maps exactly to -1.0.
 INT16_SCALE = 32768.0
+
+# Output samples per block of load_mono and resample: a block's buffers (the
+# input frames it reads as float64, positions, indices) take about 1.7 MB
+# for 48 kHz stereo input, so they stay in a 2 MB L2 cache.
+_BLOCK = 1 << 14
 
 FORMAT_PCM = 1
 FORMAT_IEEE_FLOAT = 3
@@ -103,16 +111,12 @@ def _read_chunks(data: bytes):
         pos = start + size + (size & 1)
 
 
-def decode_wav(data: bytes) -> AudioClip:
-    """Decode WAV bytes into an AudioClip (mono or stereo).
+def _parse_wav(data: bytes) -> tuple:
+    """Validate a WAV container -> (payload as a (frames, channels) view, sample rate).
 
-    Integer samples are scaled by 1/32768; float samples are taken as-is
-    and must already lie in [-1, 1] (NaN is rejected). Unknown chunks are
-    skipped. WAVE_FORMAT_EXTENSIBLE is read by its sub-format GUID.
-
-    Raises MalformedWav for container damage or an out-of-range float
-    sample and UnsupportedFormat for codecs, bit depths, or channel counts
-    outside PCM16/float32 x {1,2}.
+    The view is ``<i2`` (PCM16) or ``<f4`` (float32) over ``data`` itself,
+    not a copy. Every float sample is checked to lie in [-1, 1] here, so a
+    caller that converts only some frames still rejects a bad one anywhere.
     """
     fmt = None
     payload = None
@@ -142,32 +146,51 @@ def decode_wav(data: bytes) -> AudioClip:
     if format_code == FORMAT_PCM:
         if bits != 16:
             raise UnsupportedFormat(f"{bits}-bit PCM (want 16)")
-        sample_bytes = 2
+        dtype = np.dtype("<i2")
     else:
         if bits != 32:
             raise UnsupportedFormat(f"{bits}-bit float (want 32)")
-        sample_bytes = 4
+        dtype = np.dtype("<f4")
 
-    frame_bytes = sample_bytes * channels
+    frame_bytes = dtype.itemsize * channels
     if block_align != frame_bytes:
         raise MalformedWav(f"block align {block_align} != {frame_bytes}")
     if len(payload) % frame_bytes:
         raise MalformedWav("data chunk is not a whole number of frames")
 
-    if format_code == FORMAT_PCM:
-        # 1/32768 is a power of two, so this product equals the division
-        raw = np.multiply(np.frombuffer(payload, dtype="<i2"), 1.0 / INT16_SCALE,
-                          dtype=np.float64)
-    else:
-        floats = np.frombuffer(payload, dtype="<f4")
-        # negated comparisons: max()/min() propagate NaN, which fails both
-        if floats.size and not (floats.max() <= 1.0 and floats.min() >= -1.0):
-            raise MalformedWav("float sample NaN or outside [-1, 1]")
-        raw = floats.astype(np.float64)
+    samples = np.frombuffer(payload, dtype=dtype)
+    # negated comparisons: max()/min() propagate NaN, which fails both
+    if format_code == FORMAT_IEEE_FLOAT and samples.size and not (
+            samples.max() <= 1.0 and samples.min() >= -1.0):
+        raise MalformedWav("float sample NaN or outside [-1, 1]")
+    return samples.reshape(-1, channels), int(sample_rate)
 
-    if channels == 2:
-        raw = raw.reshape(-1, 2)
-    return AudioClip(samples=raw, sample_rate=int(sample_rate))
+
+def _to_float(raw: np.ndarray, out=None) -> np.ndarray:
+    """Payload samples as float64: PCM16 scaled by 1/32768, float32 as they are.
+
+    1/32768 is a power of two and float32 -> float64 is exact, so the one
+    product equals ``astype(float64) / 32768`` and ``astype(float64)``.
+    """
+    scale = 1.0 / INT16_SCALE if raw.dtype.kind == "i" else 1.0
+    return np.multiply(raw, scale, out=out, dtype=np.float64)
+
+
+def decode_wav(data: bytes) -> AudioClip:
+    """Decode WAV bytes into an AudioClip (mono or stereo).
+
+    Integer samples are scaled by 1/32768; float samples are taken as-is
+    and must already lie in [-1, 1] (NaN is rejected). Unknown chunks are
+    skipped. WAVE_FORMAT_EXTENSIBLE is read by its sub-format GUID.
+
+    Raises MalformedWav for container damage or an out-of-range float
+    sample and UnsupportedFormat for codecs, bit depths, or channel counts
+    outside PCM16/float32 x {1,2}.
+    """
+    raw, sample_rate = _parse_wav(data)
+    samples = _to_float(raw)
+    return AudioClip(samples=samples[:, 0] if raw.shape[1] == 1 else samples,
+                     sample_rate=sample_rate)
 
 
 def _subformat_code(fmt) -> int:
@@ -222,23 +245,81 @@ def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
     return header + body.tobytes()
 
 
-def to_mono(clip: AudioClip) -> AudioClip:
-    """Mix down to mono by averaging channels; mono input passes through.
+def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
+    """Mean of each row of a (frames, channels) array, into ``out`` if given.
 
-    Adds the channel columns into one output array, ``(L + R + 0.0) / 2``
-    for stereo. That is ``mean(axis=1)`` bit for bit for fewer than eight
-    channels: mean sums from a +0.0 identity, so all channels -0.0 average
-    to +0.0.
+    Adds the channel columns, then ``+ 0.0`` and ``/ channels``: for stereo
+    ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` bit for bit for fewer
+    than eight channels: mean sums from a +0.0 identity, so all channels
+    -0.0 average to +0.0.
     """
+    first, *rest = frames.T
+    if out is None:
+        out = np.empty(len(frames))
+    if rest:
+        np.add(first, rest[0], out=out)
+    else:
+        out[:] = first
+    for channel in rest[1:]:
+        out += channel
+    out += 0.0
+    out /= frames.shape[1]
+    return out
+
+
+def _interpolate(y: np.ndarray, j: np.ndarray, frac: np.ndarray, out: np.ndarray) -> None:
+    """``out = (y[j+1] - y[j]) * frac + y[j]``, or ``y[j]`` itself where frac == 0.
+
+    Every j is below len(y) - 1. Keeping y[j] where frac is 0 keeps the
+    sign of a zero sample, as np.interp does at a grid point.
+    """
+    left = y[j]
+    np.take(y[1:], j, out=out, mode="clip")  # "clip" skips a buffered copy
+    out -= left
+    out *= frac
+    out += left
+    np.copyto(out, left, where=frac == 0.0)
+
+
+def _resampled(mono, n: int, source_rate: int, target_rate: int) -> np.ndarray:
+    """``resample``'s interpolation of n mono frames, one block of output positions at a time.
+
+    ``mono(lo, hi)`` returns frames lo..hi-1 as float64; each block asks
+    only for the frames its positions read.
+    """
+    from .rng import round_half_up
+
+    m = round_half_up(n * target_rate / source_rate)
+    if n == 0 or m == 0:
+        return np.zeros(0)
+    step = source_rate / target_rate
+    out = np.empty(m)
+    for start in range(0, m, _BLOCK):
+        # arange from an integer start yields the same float64 integers as a
+        # full-length arange, so these positions equal arange(m) * step
+        positions = np.arange(start, min(start + _BLOCK, m), dtype=np.float64)
+        positions *= step
+        inner = int(np.searchsorted(positions, n - 1))  # positions before the last frame
+        if inner:
+            j = positions[:inner].astype(np.intp)
+            frac = positions[:inner]
+            frac -= j
+            first = int(j[0])
+            y = mono(first, int(j[-1]) + 2)
+            j -= first
+            _interpolate(y, j, frac, out[start:start + inner])
+        if inner < len(positions):  # every later position is past the last frame too
+            out[start + inner:] = mono(n - 1, n)[0]
+            break
+    return out
+
+
+def to_mono(clip: AudioClip) -> AudioClip:
+    """Mix down to mono by averaging channels (``mean(axis=1)`` bit for bit);
+    mono input passes through."""
     if clip.samples.ndim == 1:
         return clip
-    first, *rest = clip.samples.T
-    mono = first + rest[0] if rest else first.copy()
-    for channel in rest[1:]:
-        mono += channel
-    mono += 0.0
-    mono /= clip.channels
-    return AudioClip(samples=mono, sample_rate=clip.sample_rate)
+    return AudioClip(samples=_mix_down(clip.samples), sample_rate=clip.sample_rate)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -248,45 +329,56 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     input position x = i * source/target; with j = floor(x) it is
     ``(y[j+1] - y[j]) * (x - j) + y[j]``, or ``y[j]`` itself when x == j,
     and positions at or past the last input sample hold the endpoint
-    value. That is ``np.interp(x, arange(n), y)`` bit for bit, computed by
-    gathering the two neighbours of each position, without an input-length
-    abscissa.
+    value. That is ``np.interp(x, arange(n), y)`` bit for bit, computed in
+    blocks of output positions by gathering the two neighbours of each,
+    without an input-length abscissa or output-length temporaries.
     """
-    from .rng import round_half_up
-
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if clip.samples.ndim != 1:
         raise ValueError("resample expects a mono clip; call to_mono first")
     if target_rate == clip.sample_rate:
         return clip
-    n = len(clip.samples)
-    m = round_half_up(n * target_rate / clip.sample_rate)
-    if n == 0 or m == 0:
-        return AudioClip(samples=np.zeros(0), sample_rate=target_rate)
     y = clip.samples
-    positions = np.arange(m, dtype=np.float64)
-    positions *= clip.sample_rate / target_rate
-    inner = int(np.searchsorted(positions, n - 1))  # positions before the last sample
-    j = positions[:inner].astype(np.intp)
-    frac = positions[:inner]
-    frac -= j
-    left = y[j]
-    out = np.empty(m)
-    head = out[:inner]
-    np.take(y[1:], j, out=head, mode="clip")  # j < n - 1; "clip" skips a buffered copy
-    head -= left
-    head *= frac
-    head += left
-    np.copyto(head, left, where=frac == 0.0)  # keeps y[j]'s sign when it is a zero
-    out[inner:] = y[-1]
-    return AudioClip(samples=out, sample_rate=target_rate)
+    return AudioClip(samples=_resampled(lambda lo, hi: y[lo:hi], len(y), clip.sample_rate,
+                                        target_rate),
+                     sample_rate=target_rate)
 
 
 def load_wav(path) -> AudioClip:
     """Read a WAV file from disk and decode it."""
     with open(path, "rb") as fh:
         return decode_wav(fh.read())
+
+
+def load_mono(path, target_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
+    """Read a WAV file as a mono clip at target_rate, in one pass over blocks.
+
+    Byte for byte ``resample(to_mono(load_wav(path)), target_rate)``, with
+    the same errors: the container is parsed and every float sample
+    checked first, then each block of output samples converts, mixes and
+    interpolates only the input frames it reads, in block-sized buffers.
+    A file already at target_rate skips the interpolation.
+    """
+    with open(path, "rb") as fh:
+        raw, source_rate = _parse_wav(fh.read())
+    if target_rate <= 0:
+        raise ValueError("target_rate must be positive")
+
+    def mono(lo, hi, out=None):
+        if raw.shape[1] == 1:
+            return _to_float(raw[lo:hi, 0], out)
+        return _mix_down(_to_float(raw[lo:hi]), out)
+
+    if source_rate != target_rate:
+        samples = _resampled(mono, len(raw), source_rate, target_rate)
+    elif raw.shape[1] == 1:
+        samples = mono(0, len(raw))  # converted straight into the output: no buffer to bound
+    else:
+        samples = np.empty(len(raw))
+        for start in range(0, len(raw), _BLOCK):
+            mono(start, start + _BLOCK, samples[start:start + _BLOCK])
+    return AudioClip(samples=samples, sample_rate=target_rate)
 
 
 def save_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:

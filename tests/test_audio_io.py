@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from vocalscreen import audio_io
 from vocalscreen.audio_io import (
     AudioClip,
     MalformedWav,
     UnsupportedFormat,
     decode_wav,
     encode_wav,
+    load_mono,
     resample,
     to_mono,
 )
@@ -359,14 +362,79 @@ def riff(parts, cut, size_skew):
     st.builds(riff, chunk_lists, st.sampled_from([0, 0, 0, 1, 3]),
               st.sampled_from([0, 0, 0, 1, -1, 1000])),
 ))
-def test_decode_wav_fuzz_raises_only_vocalscreen_errors(data):
+def test_decode_wav_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "in.wav"
+    path.write_bytes(data)
     try:
         clip = decode_wav(data)
-    except VocalScreenError:
+    except VocalScreenError as exc:
+        with pytest.raises(type(exc)):
+            load_mono(path)
         return
     assert isinstance(clip, AudioClip)
     assert clip.channels in (1, 2)
     assert np.all(np.abs(clip.samples) <= 1.0)
+    assert_identical(load_mono(path).samples, resample(to_mono(clip), 16000).samples)
+
+
+def wav_of(samples, code, rate, extensible) -> bytes:
+    """WAV bytes of a (frames, channels) int16 or float32 array."""
+    channels, bits = samples.shape[1], samples.dtype.itemsize * 8
+    wav = make_wav(samples.astype(samples.dtype.newbyteorder("<")).tobytes(), format_code=code,
+                   channels=channels, rate=rate, bits=bits)
+    return with_fmt(wav, extensible_fmt(code, channels, rate, bits)) if extensible else wav
+
+
+@st.composite
+def payloads(draw):
+    """(frames, channels) PCM16 or float32 samples, 0 to 200 frames, and their format code."""
+    code = draw(st.sampled_from([1, 3]))
+    shape = st.tuples(st.integers(0, 200) | st.sampled_from([0, 1, 2]), st.integers(1, 2))
+    if code == 1:
+        return draw(arrays(np.int16, shape)), code
+    return draw(arrays(np.float32, shape, elements=st.floats(-1, 1, width=32))), code
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=payloads(), rate=st.sampled_from([8000, 16000, 22050, 44100, 48000]),
+       extensible=st.booleans())
+def test_load_mono_equals_reference(tmp_path_factory, payload, rate, extensible):
+    samples, code = payload
+    data = wav_of(samples, code, rate, extensible)
+    path = tmp_path_factory.mktemp("mono") / "in.wav"
+    path.write_bytes(data)
+    want = resample(to_mono(decode_wav(data)), 16000)
+    with mock.patch.object(audio_io, "_BLOCK", 8):  # up to 50 blocks per file
+        got = load_mono(path)
+    assert got.sample_rate == 16000
+    assert_identical(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("rate, dtype, channels", [
+    (48000, np.float32, 2), (44100, np.int16, 2), (16000, np.int16, 1), (16000, np.float32, 2),
+])
+def test_load_mono_equals_reference_over_full_blocks(tmp_path, rate, dtype, channels):
+    rng = np.random.default_rng(rate + channels)
+    frames = 3 * audio_io._BLOCK * rate // 16000 + 7  # three output blocks and a part
+    samples = rng.uniform(-1, 1, (frames, channels))
+    samples[::5] = -0.0
+    if dtype == np.int16:
+        samples = np.round(samples * 32767)
+    path = tmp_path / "in.wav"
+    path.write_bytes(wav_of(samples.astype(dtype), 1 if dtype == np.int16 else 3, rate, False))
+    assert_identical(load_mono(path).samples,
+                     resample(to_mono(audio_io.load_wav(path)), 16000).samples)
+
+
+@pytest.mark.parametrize("frame", [3 * 20 + 2, 299])
+def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame):
+    # at 48 kHz output i reads frames 3i and 3i + 1 only; 299 is the last frame
+    samples = np.zeros((300, 2), dtype=np.float32)
+    samples[frame, 1] = np.nan
+    path = tmp_path / "nan.wav"
+    path.write_bytes(wav_of(samples, 3, 48000, False))
+    with pytest.raises(MalformedWav, match="float sample NaN"):
+        load_mono(path)
 
 
 def test_clip_invariants():

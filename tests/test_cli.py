@@ -513,6 +513,35 @@ def test_evaluate_empty_manifest_names_it(small_cohort, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_empty_manifest_names_it(small_cohort, tmp_path, capsys):
+    manifest = tmp_path / "empty.csv"
+    manifest.write_text("path,label,participant\n")
+    for scaler in ("--scaler", "--no-scaler"):
+        capsys.readouterr()
+        assert main(["train", "--features", str(small_cohort / "work" / "features.csv"),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "o"), scaler]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: no segments to train on\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("stage", ["predict", "evaluate"])
+def test_overflowing_p_names_model_file(small_cohort, tmp_path, capsys, stage):
+    work = small_cohort / "work"
+    assert main(["train", "--features", str(work / "features.csv"), "--manifest",
+                 str(work / "train.csv"), "--out", str(tmp_path / "fit"), "--p", "1e300"]) == 0
+    fitted = tmp_path / "fit" / "model.json"
+    argv = [stage, "--model", str(fitted), "--features", str(work / "features.csv")]
+    if stage == "evaluate":
+        argv += ["--manifest", str(work / "test.csv"), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {fitted}: p = 1e+300: a distance |a - b|^p overflows"
+                            f" float64\n")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def first_rows_manifest(work, path, per_class) -> Path:
     """The first ``per_class[label]`` rows of each label of train.csv, as a manifest."""
     header, *rows = (work / "train.csv").read_text().splitlines()

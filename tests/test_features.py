@@ -216,6 +216,11 @@ def test_centroid_zero_spectrum():
     assert spectral_centroid(np.zeros(1025)) == 0.0
 
 
+def test_centroid_subnormal_spectrum_stays_in_range():
+    # fhat * P rounds up in the subnormal range; unclamped this read 0.667
+    assert spectral_centroid([0.0, 0.0, 1.5e-323]) == 0.5
+
+
 def test_complexity_zero_spectrum():
     assert spectral_complexity(np.zeros(1025)) == 0
 
@@ -395,6 +400,9 @@ def test_feature_ordering_stable_across_processing_order():
 @example(samples=np.zeros(4 * RATE), config=FeatureConfig())
 @example(samples=np.tile([1.0, -1.0], 2 * RATE), config=FeatureConfig())
 @example(samples=np.random.default_rng(38).uniform(-1.0, 1.0, 4 * RATE), config=FeatureConfig())
+# subnormal power spectra, which no decoded WAV holds; the centroid read 0.556
+@example(samples=np.tile([4.43e-164, -4.43e-164], 128),
+         config=FeatureConfig(n_fft=256, hop=256, n_mels=40))
 def test_extract_features_row_invariants(samples, config):
     row = extract_features(AudioClip(samples=samples, sample_rate=RATE), config)
     assert row.shape == (16,)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,7 @@ from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.features import FeatureConfig
 from vocalscreen.model import (
     CorruptModelFile,
+    DistanceOverflow,
     KnnModel,
     EmptyTrainingSet,
     EvenK,
@@ -24,6 +25,7 @@ from vocalscreen.model import (
     knn_predict,
     load_model,
     minkowski_distance,
+    overflow_guard,
     save_model,
     transform,
     _distances,
@@ -61,6 +63,14 @@ def test_fit_scaler_postconditions():
 def test_fit_scaler_empty():
     with pytest.raises(EmptyTrainingSet):
         fit_scaler(np.zeros((0, 16)))
+    with pytest.raises(EmptyTrainingSet):
+        fit_scaler([])
+
+
+def test_knn_fit_empty():
+    for features in ([], np.zeros((0, 16))):
+        with pytest.raises(EmptyTrainingSet):
+            knn_fit(features, [])
 
 
 def test_transform_identities():
@@ -132,6 +142,8 @@ def assert_distance_paths_equal_former(matrix, query, p):
     assert bits([minkowski_distance(row, query, p) for row in matrix]) == bits(former)  # pairs
     model = knn_fit(matrix, ["control"] * len(matrix), k=1, p=p)
     assert bits(_distances(model, query)) == bits(former)  # dims-major, as every query runs
+    with overflow_guard(p):
+        assert bits(_distances(model, query)) == bits(former)
 
 
 # 1-40 dims cover the sequential, block-of-eight and tail steps; 127-129 the
@@ -455,6 +467,7 @@ def apply_mutation(payload, place, value):
 
 @settings(max_examples=300, deadline=None)
 @given(mutations=model_mutations(), redigest=st.booleans(), raw=st.binary(max_size=64))
+@example(mutations=[(("p",), (1e300,))], redigest=True, raw=b"")  # |a - b|^p overflows
 def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutations, redigest,
                                                         raw):
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
@@ -475,5 +488,23 @@ def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutati
             assert str(exc).startswith(f"{path}: ")
             continue
         assert isinstance(loaded, KnnModel)
-        label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
+        try:
+            with overflow_guard(loaded.p):
+                label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
+        except DistanceOverflow as exc:
+            assert str(exc).startswith(f"p = {loaded.p!r}: ")
+            continue
         assert label in loaded.train_labels and 0 < fraction <= 1
+
+
+def test_overflowing_distance_raises_naming_p():
+    rng = np.random.default_rng(33)
+    model = knn_fit(rng.random((10, 16)) * 10, ["control", "depression"] * 5, k=3, p=1e300)
+    with pytest.raises(DistanceOverflow, match=r"^p = 1e\+300: "):
+        with overflow_guard(model.p):
+            knn_predict(model, np.zeros(16))
+    # selection reports it too, here on raw values too large to square
+    matrix = np.vstack([np.full((3, 2), 1e200), np.zeros((3, 2))])
+    with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: "):
+        grid_select([PipelineCandidate(k=1, p=2.0, use_scaler=False)], matrix,
+                    ["control", "depression"] * 3, folds=3)
