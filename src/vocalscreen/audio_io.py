@@ -166,14 +166,14 @@ def _parse_wav(data: bytes) -> tuple:
     return samples.reshape(-1, channels), int(sample_rate)
 
 
-def _to_float(raw: np.ndarray, out=None) -> np.ndarray:
+def _to_float(raw: np.ndarray) -> np.ndarray:
     """Payload samples as float64: PCM16 scaled by 1/32768, float32 as they are.
 
     1/32768 is a power of two and float32 -> float64 is exact, so the one
     product equals ``astype(float64) / 32768`` and ``astype(float64)``.
     """
     scale = 1.0 / INT16_SCALE if raw.dtype.kind == "i" else 1.0
-    return np.multiply(raw, scale, out=out, dtype=np.float64)
+    return np.multiply(raw, scale, dtype=np.float64)
 
 
 def decode_wav(data: bytes) -> AudioClip:
@@ -245,8 +245,8 @@ def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
     return header + body.tobytes()
 
 
-def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
-    """Mean of each row of a (frames, channels) array, into ``out`` if given.
+def _mix_down(frames: np.ndarray) -> np.ndarray:
+    """Mean of each row of a (frames, channels) array.
 
     Adds the channel columns, then ``+ 0.0`` and ``/ channels``: for stereo
     ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` bit for bit for fewer
@@ -254,12 +254,7 @@ def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
     -0.0 average to +0.0.
     """
     first, *rest = frames.T
-    if out is None:
-        out = np.empty(len(frames))
-    if rest:
-        np.add(first, rest[0], out=out)
-    else:
-        out[:] = first
+    out = np.add(first, rest[0]) if rest else first.copy()
     for channel in rest[1:]:
         out += channel
     out += 0.0
@@ -365,19 +360,15 @@ def load_mono(path, target_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
 
-    def mono(lo, hi, out=None):
+    def mono(lo, hi):
         if raw.shape[1] == 1:
-            return _to_float(raw[lo:hi, 0], out)
-        return _mix_down(_to_float(raw[lo:hi]), out)
+            return _to_float(raw[lo:hi, 0])
+        return _mix_down(_to_float(raw[lo:hi]))
 
-    if source_rate != target_rate:
-        samples = _resampled(mono, len(raw), source_rate, target_rate)
-    elif raw.shape[1] == 1:
-        samples = mono(0, len(raw))  # converted straight into the output: no buffer to bound
+    if source_rate == target_rate:
+        samples = mono(0, len(raw))
     else:
-        samples = np.empty(len(raw))
-        for start in range(0, len(raw), _BLOCK):
-            mono(start, start + _BLOCK, samples[start:start + _BLOCK])
+        samples = _resampled(mono, len(raw), source_rate, target_rate)
     return AudioClip(samples=samples, sample_rate=target_rate)
 
 

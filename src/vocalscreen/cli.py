@@ -59,7 +59,7 @@ def _flag_values(*flags):
 def _queries(model_path, fitted):
     """A batch of KNN queries on ``fitted``; a distance overflow names the model file."""
     try:
-        with model.overflow_guard(fitted.p):
+        with model.overflow_guard():
             yield
     except model.DistanceOverflow as exc:
         raise VocalScreenError(f"{model_path}: {exc}") from exc

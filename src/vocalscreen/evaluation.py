@@ -215,7 +215,7 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
             ks = {j: replace(fitted, k=c.k).k  # re-checks k against the fold
                   for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
             distinct_ks = set(ks.values())
-            with overflow_guard(p):
+            with overflow_guard():
                 for t, row in zip(held_out, matrix[held_out]):
                     nearest = _nearest_rows(fitted, row, max(distinct_ks))
                     winners = _votes(fitted, nearest, distinct_ks)

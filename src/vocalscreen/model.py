@@ -22,7 +22,6 @@ schema drift are detected on load.
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -158,19 +157,16 @@ def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
     return _sum_rows(diffs) ** (1.0 / p)
 
 
-@contextmanager
-def overflow_guard(p: float):
-    """Raise DistanceOverflow, naming p, if a distance computed inside overflows float64.
+def overflow_guard():
+    """Numpy error state for a batch of KNN queries: |a - b|^p overflows quietly.
 
-    Outside it numpy only warns, and every overflowed distance reads inf,
-    so the "nearest" rows are simply the first ones. Enter it once per
-    batch of queries: numpy's error state costs about 2 % of one query.
+    A distance that overflows float64 reads inf, which decides nothing
+    while at least k distances stay finite; _nearest_rows raises
+    DistanceOverflow, naming p, when one of the inf rows would be chosen.
+    Enter it once per batch of queries: numpy's error state costs about
+    2 % of one query.
     """
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DistanceOverflow(f"p = {p!r}: a distance |a - b|^p overflows float64") from exc
+    return np.errstate(over="ignore")
 
 
 def minkowski_distance(a, b, p: float = 2.0):
@@ -278,6 +274,9 @@ def _nearest_rows(model: KnnModel, v, count: int) -> list:
     """
     d = _distances(model, v)
     kth = np.partition(d, count - 1)[count - 1]
+    if kth == np.inf:  # training rows are finite, so only an overflow reads inf
+        raise DistanceOverflow(f"p = {model.p!r}: the distance |a - b|^p to nearest row"
+                               f" {count} overflows float64")
     # every row tied with or nearer than the count-th, in index order, so the
     # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last
     head = np.flatnonzero(~(d > kth))
@@ -308,8 +307,9 @@ def knn_predict(model: KnnModel, v) -> tuple:
     """Classify one vector -> (label, vote fraction for that label).
 
     The k nearest standardized training rows vote uniformly; equal
-    distances are broken by lower row index. Run queries inside
-    ``overflow_guard(model.p)`` to have an overflowing distance raise.
+    distances are broken by lower row index. Raises DistanceOverflow if
+    the k-th nearest distance overflows; run queries inside
+    ``overflow_guard()`` to keep the overflows of farther rows quiet.
     """
     return _votes(model, _nearest_rows(model, v, model.k), (model.k,))[model.k]
 

@@ -13,8 +13,8 @@ from vocalscreen.audio_io import (DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, lo
 from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
 from vocalscreen.errors import VocalScreenError
-from vocalscreen.features import read_features_csv
-from vocalscreen.model import _payload_digest, knn_fit, save_model
+from vocalscreen.features import read_features_csv, write_features_csv
+from vocalscreen.model import _payload_digest, knn_fit, load_model, save_model, transform
 from vocalscreen.preprocess import remove_silence
 
 
@@ -530,16 +530,45 @@ def test_overflowing_p_names_model_file(small_cohort, tmp_path, capsys, stage):
     assert main(["train", "--features", str(work / "features.csv"), "--manifest",
                  str(work / "train.csv"), "--out", str(tmp_path / "fit"), "--p", "1e300"]) == 0
     fitted = tmp_path / "fit" / "model.json"
-    argv = [stage, "--model", str(fitted), "--features", str(work / "features.csv")]
+    # every query a million units off in every feature: no training row stays finite
+    ids, labels, matrix = read_features_csv(work / "features.csv")
+    far = tmp_path / "far.csv"
+    write_features_csv(far, ids, labels, matrix + 1e6)
+    argv = [stage, "--model", str(fitted), "--features", str(far)]
     if stage == "evaluate":
         argv += ["--manifest", str(work / "test.csv"), "--out", str(tmp_path / "o")]
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: {fitted}: p = 1e+300: a distance |a - b|^p overflows"
-                            f" float64\n")
+    assert captured.err == (f"error: {fitted}: p = 1e+300: the distance |a - b|^p to nearest"
+                            f" row 3 overflows float64\n")
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_far_rows_keep_predictions(small_cohort, tmp_path, capsys):
+    # with p = 1e300 a training row more than one standard deviation off in any
+    # feature is at distance inf, but every query's three nearest rows stay
+    # finite, so predict answers as the plain stable argsort does
+    work = small_cohort / "work"
+    assert main(["train", "--features", str(work / "features.csv"), "--manifest",
+                 str(work / "train.csv"), "--out", str(tmp_path / "fit"), "--p", "1e300"]) == 0
+    fitted = load_model(tmp_path / "fit" / "model.json")
+    ids, _labels, matrix = read_features_csv(work / "features.csv")
+    expected = ["segment_id,label,score"]
+    for sid, row in zip(ids, matrix):
+        with np.errstate(over="ignore"):
+            d = np.sum(np.abs(fitted.train_matrix - transform(fitted.scaler, row)) ** fitted.p,
+                       axis=-1) ** (1.0 / fitted.p)
+        nearest = np.argsort(d, kind="stable")[:fitted.k]
+        assert np.isfinite(d[nearest]).all() and np.isinf(d).any()
+        votes = [fitted.train_labels[i] for i in nearest]
+        label = max(sorted(set(votes)), key=votes.count)
+        expected.append(f"{sid},{label},{votes.count(label) / fitted.k!r}")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(tmp_path / "fit" / "model.json"),
+                 "--features", str(work / "features.csv")]) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def first_rows_manifest(work, path, per_class) -> Path:

@@ -142,7 +142,7 @@ def assert_distance_paths_equal_former(matrix, query, p):
     assert bits([minkowski_distance(row, query, p) for row in matrix]) == bits(former)  # pairs
     model = knn_fit(matrix, ["control"] * len(matrix), k=1, p=p)
     assert bits(_distances(model, query)) == bits(former)  # dims-major, as every query runs
-    with overflow_guard(p):
+    with overflow_guard():
         assert bits(_distances(model, query)) == bits(former)
 
 
@@ -489,7 +489,7 @@ def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutati
             continue
         assert isinstance(loaded, KnnModel)
         try:
-            with overflow_guard(loaded.p):
+            with overflow_guard():
                 label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
         except DistanceOverflow as exc:
             assert str(exc).startswith(f"p = {loaded.p!r}: ")
@@ -501,10 +501,32 @@ def test_overflowing_distance_raises_naming_p():
     rng = np.random.default_rng(33)
     model = knn_fit(rng.random((10, 16)) * 10, ["control", "depression"] * 5, k=3, p=1e300)
     with pytest.raises(DistanceOverflow, match=r"^p = 1e\+300: "):
-        with overflow_guard(model.p):
+        with overflow_guard():
             knn_predict(model, np.zeros(16))
-    # selection reports it too, here on raw values too large to square
-    matrix = np.vstack([np.full((3, 2), 1e200), np.zeros((3, 2))])
+    # selection reports it too, here on raw values whose every difference is too large to square
+    matrix = np.repeat(np.arange(6.0)[:, None] * 1e200, 2, axis=1)
     with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: "):
         grid_select([PipelineCandidate(k=1, p=2.0, use_scaler=False)], matrix,
                     ["control", "depression"] * 3, folds=3)
+
+
+def test_overflow_of_farther_rows_keeps_the_answer():
+    # with p = 400 the row 10 away overflows (10^400) but the three nearest do
+    # not, so the query is answered as without the error state: no exception,
+    # the head of the stable argsort, the same vote
+    matrix = np.array([[0.0, 0.5], [1.0, 0.0], [0.5, 1.0], [0.2, 0.1], [10.0, 0.0]])
+    labels = ["control", "depression", "depression", "control", "depression"]
+    model = knn_fit(matrix, labels, k=3, p=400.0, scaler=identity_scaler(2))
+    query = np.zeros(2)
+    with np.errstate(over="ignore"):
+        former = former_minkowski(model.train_matrix, query, 400.0)
+    assert np.isinf(former[4]) and np.isfinite(former[:4]).all()
+    full = np.argsort(former, kind="stable")
+    with overflow_guard():
+        assert bits(_distances(model, query)) == bits(former)
+        assert _nearest_rows(model, query, 3) == full[:3].tolist()
+        assert knn_predict(model, query) == former_vote(labels, full, 3)
+        with pytest.raises(DistanceOverflow, match=r"^p = 400\.0: .* nearest row 5 "):
+            _nearest_rows(model, query, 5)
+    grid_select([PipelineCandidate(k=1, p=400.0, use_scaler=False)], matrix[:4].repeat(2, axis=0),
+                labels[:4] * 2, folds=2)
