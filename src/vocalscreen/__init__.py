@@ -42,7 +42,6 @@ from .evaluation import (
     PipelineCandidate,
     SelectionReport,
     confusion,
-    cross_validate,
     default_grid,
     descriptive_stats,
     evaluate_predictions,

@@ -259,7 +259,11 @@ def cmd_train(ns) -> int:
     features, labels = _join_features(ns.features, ns.manifest, manifest)
     if not labels:
         raise model.EmptyTrainingSet(f"{ns.manifest}: no segments to train on")
-    scaler = model.fit_scaler(features) if use_scaler else model.identity_scaler(features.shape[1])
+    try:
+        scaler = (model.fit_scaler(features) if use_scaler
+                  else model.identity_scaler(features.shape[1]))
+    except model.ScalerOverflow as exc:
+        raise VocalScreenError(f"{ns.features}: {exc}") from exc
     try:
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
                                feature_config=_feature_config_from(ns))
@@ -353,7 +357,7 @@ def cmd_select(ns) -> int:
         # a class short of folds, or a fold's training part short of the grid's largest k
         raise VocalScreenError(f"{ns.manifest}: too few rows for --folds {ns.folds}: {exc}"
                                ) from exc
-    except model.DistanceOverflow as exc:
+    except (model.DistanceOverflow, model.ScalerOverflow) as exc:
         raise VocalScreenError(f"{ns.features}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.write_json(out_dir / "selection_report.json", report.to_json_dict())

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VocalScreenError
-from .model import (_nearest_rows, _votes, as_matrix, fit_scaler, identity_scaler, knn_fit,
-                    overflow_guard)
+from .model import (_differences, _minkowski, _nearest, _votes, as_matrix, fit_scaler,
+                    identity_scaler, knn_fit, overflow_guard, transform)
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -141,12 +141,6 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     return [sorted(fold) for fold in fold_indices]
 
 
-def cross_validate(candidate: PipelineCandidate, features, labels,
-                   folds: int = 5, seed: int = 0) -> np.ndarray:
-    """Per-fold accuracies of one candidate: ``grid_select`` over it alone."""
-    return np.array(grid_select([candidate], features, labels, folds, seed).best.fold_scores)
-
-
 @dataclass(frozen=True)
 class CandidateResult:
     candidate: PipelineCandidate
@@ -194,8 +188,14 @@ def select_best(results) -> CandidateResult:
 def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> SelectionReport:
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
-    Candidates sharing (scaler, p) share each held-out row's first max-k neighbors.
-    The report lists candidates in definition order, as does the best-so-far curve.
+    Each fold fits one model per scaler and standardizes its held-out rows
+    once. Each held-out row is differenced against the training rows once
+    per (fold, scaler); every p of that scaler but the last takes a copy
+    of the differences, since _minkowski overwrites them. Candidates
+    sharing (scaler, p) share the row's first max-k neighbors. Distances,
+    ties and votes are those of one knn_predict per candidate and row.
+    The report lists candidates in definition order, as does the
+    best-so-far curve.
     """
     space = list(space)
     if not space:
@@ -209,18 +209,23 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
     for i, held_out in enumerate(fold_sets):
         train_idx = np.delete(np.arange(len(labels)), held_out)
         train_x, train_y = matrix[train_idx], [labels[t] for t in train_idx]
-        for use_scaler, p in dict.fromkeys((c.use_scaler, c.p) for c in space):
+        for use_scaler in dict.fromkeys(c.use_scaler for c in space):
             scaler = fit_scaler(train_x) if use_scaler else identity_scaler(matrix.shape[1])
-            fitted = knn_fit(train_x, train_y, k=1, p=p, scaler=scaler)
-            ks = {j: replace(fitted, k=c.k).k  # re-checks k against the fold
-                  for j, c in enumerate(space) if (c.use_scaler, c.p) == (use_scaler, p)}
-            distinct_ks = set(ks.values())
+            fitted = knn_fit(train_x, train_y, k=1, scaler=scaler)
+            ks_by_p = {}  # p -> {candidate index: k}
+            for j, c in enumerate(space):
+                if c.use_scaler == use_scaler:  # replace() re-checks k and p against the fold
+                    ks_by_p.setdefault(replace(fitted, k=c.k, p=c.p).p, {})[j] = c.k
+            groups = [(p, ks, set(ks.values())) for p, ks in ks_by_p.items()]
             with overflow_guard():
-                for t, row in zip(held_out, matrix[held_out]):
-                    nearest = _nearest_rows(fitted, row, max(distinct_ks))
-                    winners = _votes(fitted, nearest, distinct_ks)
-                    for j, k in ks.items():
-                        hits[j, i] += winners[k][0] == labels[t]
+                for t, query in zip(held_out, transform(scaler, matrix[held_out])):
+                    diffs = _differences(fitted, query)
+                    for n, (p, ks, distinct_ks) in enumerate(groups, 1):
+                        # _minkowski overwrites its input: every p but the last takes a copy
+                        d = _minkowski(diffs if n == len(groups) else diffs.copy(), p)
+                        winners = _votes(fitted, _nearest(d, max(distinct_ks), p), distinct_ks)
+                        for j, k in ks.items():
+                            hits[j, i] += winners[k][0] == labels[t]
     results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))
                for c, s in zip(space, hits / [len(fold) for fold in fold_sets])]
 

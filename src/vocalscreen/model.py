@@ -14,6 +14,10 @@ predict, evaluate and grid selection. A model keeps its training matrix
 dimension-major, and a query's |a - b|^p terms are summed over
 dimensions with whole-row vector adds in np.sum's pairwise order, so each
 distance is bit-identical to np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p).
+The kernel skips the steps that change no bit: p = 2 squares without the
+absolute value and takes np.sqrt, p = 1 takes neither power. Grid
+selection differences each held-out row once per (fold, scaler) and
+hands the differences to every p of that scaler.
 
 Models persist as one versioned JSON document with a SHA-256 digest over
 the canonical serialization of every other field, so corruption and
@@ -54,6 +58,10 @@ class CorruptModelFile(VocalScreenError):
 
 
 class DistanceOverflow(VocalScreenError):
+    pass
+
+
+class ScalerOverflow(VocalScreenError):
     pass
 
 
@@ -101,11 +109,21 @@ def identity_scaler(dim: int) -> ScalerParams:
 
 
 def fit_scaler(features) -> ScalerParams:
+    """Scaler fitted to the rows of ``features``.
+
+    Raises ScalerOverflow, naming the first such column, when a column's
+    mean or std overflows float64.
+    """
     matrix = as_matrix(features)
     if matrix.shape[0] == 0:
         raise EmptyTrainingSet("cannot fit a scaler on zero rows")
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0)  # population std (divide by N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = matrix.mean(axis=0)
+        stds = matrix.std(axis=0)  # population std (divide by N)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if len(bad):
+        raise ScalerOverflow(f"feature column {bad[0]} (from 0): its mean or std"
+                             f" overflows float64")
     stds = np.where(stds == 0.0, 1.0, stds)
     return ScalerParams(means=means, stds=stds)
 
@@ -138,8 +156,7 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
         for start in range(8, tail, 8):
             terms[:8] += terms[start:start + 8]
         for step in (1, 2, 4):  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            for row in range(0, 8, 2 * step):
-                terms[row] += terms[row + step]
+            terms[0:8:2 * step] += terms[step:8:2 * step]
     for row in terms[tail:]:
         terms[0] += row
     return terms[0]
@@ -151,8 +168,17 @@ def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
     The one distance kernel: ``diffs`` is overwritten with |a - b|^p,
     summed over dimensions by _sum_rows, and the sums are taken to the
     1/p. Both power steps run on arrays, so a pair and a stack share them.
+    p = 2 squares a - b in place and takes np.sqrt of the sums, p = 1
+    sums |a - b| as it is; no bit changes, because numpy computes
+    ``** 2.0`` as np.square and ``** 0.5`` as np.sqrt, (-x)^2 == x^2, and
+    x ** 1.0 == x. A NaN difference may keep its sign bit under p = 2.
     """
+    if p == 2:
+        np.square(diffs, out=diffs)
+        return np.sqrt(_sum_rows(diffs))
     np.abs(diffs, out=diffs)
+    if p == 1:
+        return _sum_rows(diffs)
     diffs **= p
     return _sum_rows(diffs) ** (1.0 / p)
 
@@ -256,26 +282,35 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
                     scaler=scaler, feature_config=feature_config)
 
 
-def _distances(model: KnnModel, v) -> np.ndarray:
-    """Distance from v to every training row, one dimension-major pass of _minkowski."""
+def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
+    """Training rows minus a standardized query, dimension-major: _minkowski's input."""
     columns = model._dims_major
     # one flat subtract from the query repeated along each dimension's row; numpy
     # buffers the broadcast form of this subtract, which measured slower
-    diffs = np.repeat(transform(model.scaler, v), columns.shape[1]).reshape(columns.shape)
-    return _minkowski(np.subtract(columns, diffs, out=diffs), model.p)
+    diffs = np.repeat(query, columns.shape[1]).reshape(columns.shape)
+    return np.subtract(columns, diffs, out=diffs)
+
+
+def _distances(model: KnnModel, v) -> np.ndarray:
+    """Distance from v to every training row, one dimension-major pass of _minkowski."""
+    return _minkowski(_differences(model, transform(model.scaler, v)), model.p)
 
 
 def _nearest_rows(model: KnnModel, v, count: int) -> list:
-    """The first ``count`` training-row indices by increasing distance to v.
+    """The first ``count`` training-row indices by increasing distance to v."""
+    return _nearest(_distances(model, v), count, model.p)
+
+
+def _nearest(d: np.ndarray, count: int, p: float) -> list:
+    """The first ``count`` indices of the exponent-p distances d, nearest first.
 
     Equal distances go to the lower row index, so this is the head of the
     full stable argsort; only the rows at or below the count-th distance
     are sorted.
     """
-    d = _distances(model, v)
     kth = np.partition(d, count - 1)[count - 1]
     if kth == np.inf:  # training rows are finite, so only an overflow reads inf
-        raise DistanceOverflow(f"p = {model.p!r}: the distance |a - b|^p to nearest row"
+        raise DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row"
                                f" {count} overflows float64")
     # every row tied with or nearer than the count-th, in index order, so the
     # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last

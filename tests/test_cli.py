@@ -246,6 +246,23 @@ def test_train_rejects_non_finite_features(small_cohort, tmp_path, capsys):
     assert not (tmp_path / "fit" / "model.json").exists()
 
 
+@pytest.mark.parametrize("stage", ["select", "train"])
+def test_scaler_overflow_names_features_file(small_cohort, tmp_path, capsys, stage):
+    # mfcc1 alternates 1e200 and 2e200: the mean is finite, the variance overflows;
+    # numpy's overflow warning would fail the test, as it would have printed
+    work = small_cohort / "work"
+    ids, labels, matrix = read_features_csv(work / "features.csv")
+    matrix[:, 1] = np.where(np.arange(len(ids)) % 2, 2e200, 1e200)
+    features = tmp_path / "features.csv"
+    write_features_csv(features, ids, labels, matrix)
+    argv = [stage, "--features", str(features), "--manifest", str(work / "train.csv"),
+            "--out", str(tmp_path / "o")]
+    assert main(argv + (["--folds", "2"] if stage == "select" else [])) == 1
+    assert capsys.readouterr().err == (f"error: {features}: feature column 1 (from 0): its"
+                                       f" mean or std overflows float64\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_stats_rejects_features_without_rows(small_cohort, tmp_path, capsys):
     features = tmp_path / "features.csv"
     header = (small_cohort / "work" / "features.csv").read_text().splitlines()[0]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import knn_scan, pooled_t_reference
 from vocalscreen.evaluation import (
@@ -14,7 +16,6 @@ from vocalscreen.evaluation import (
     PipelineCandidate,
     TooFewSamplesPerClass,
     confusion,
-    cross_validate,
     default_grid,
     descriptive_stats,
     evaluate_predictions,
@@ -110,9 +111,9 @@ def majority_dataset():
 def test_cross_validate_constant_majority_classifier():
     # k equal to (train size - 1) makes every prediction the global majority
     features, labels = majority_dataset()
-    scores = cross_validate(PipelineCandidate(k=39, p=2.0, use_scaler=False),
-                            features, labels, folds=5, seed=0)
-    assert np.all(scores == 0.6)
+    scores = grid_select([PipelineCandidate(k=39, p=2.0, use_scaler=False)],
+                         features, labels, folds=5, seed=0).best.fold_scores
+    assert scores == (0.6,) * 5
 
 
 def test_cross_validate_duplicated_rows_k1():
@@ -120,12 +121,12 @@ def test_cross_validate_duplicated_rows_k1():
     base = np.vstack([rng.normal(0, 0.3, size=(12, 3)), rng.normal(8, 0.3, size=(12, 3))])
     labels = [CON] * 12 + [DEP] * 12
     candidate = PipelineCandidate(k=1, p=2.0, use_scaler=True)
-    single = cross_validate(candidate, base, labels, folds=3, seed=4)
-    doubled = cross_validate(candidate, np.vstack([base, base]), labels + labels,
-                             folds=3, seed=4)
+    single = grid_select([candidate], base, labels, folds=3, seed=4).best
+    doubled = grid_select([candidate], np.vstack([base, base]), labels + labels,
+                          folds=3, seed=4).best
     # verified by direct run: cleanly separated clusters score 1.0 both ways
-    assert single.mean() == 1.0
-    assert doubled.mean() == single.mean()
+    assert single.fold_scores == (1.0,) * 3 and single.mean == 1.0
+    assert doubled.mean == single.mean
 
 
 def test_cross_validate_too_few_per_class():
@@ -133,15 +134,15 @@ def test_cross_validate_too_few_per_class():
     features = rng.normal(size=(6, 2))
     labels = [DEP] + [CON] * 5
     with pytest.raises(TooFewSamplesPerClass):
-        cross_validate(PipelineCandidate(k=1), features, labels, folds=3, seed=0)
+        grid_select([PipelineCandidate(k=1)], features, labels, folds=3, seed=0)
 
 
 def test_cross_validate_deterministic():
     features, labels = majority_dataset()
     candidate = PipelineCandidate(k=3, p=2.0, use_scaler=True)
-    first = cross_validate(candidate, features, labels, folds=5, seed=17)
-    second = cross_validate(candidate, features, labels, folds=5, seed=17)
-    assert np.array_equal(first, second)
+    first = grid_select([candidate], features, labels, folds=5, seed=17).best.fold_scores
+    second = grid_select([candidate], features, labels, folds=5, seed=17).best.fold_scores
+    assert len(first) == 5 and first == second
 
 
 # --- grid selection -----------------------------------------------------------
@@ -191,6 +192,30 @@ def test_grid_select_matches_brute_force_scan_with_ties():
                        for i, q in zip(held_out, transform(scaler, features[held_out])))
             expected.append(hits / len(held_out))
         assert list(result_.fold_scores) == expected, c.describe()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), folds=st.sampled_from([2, 3]))
+def test_grid_select_equals_single_candidate_runs(data, folds):
+    # a single candidate is differenced, taken to its p and voted alone, as every
+    # (scaler, p) pair once was; the default grid shares each row's differences
+    # between p = 1 and p = 2. Repeated integer rows make ties at every k.
+    dims = data.draw(st.integers(min_value=1, max_value=3), label="dims")
+    row = st.lists(st.integers(min_value=-2, max_value=2), min_size=dims, max_size=dims)
+    distinct = data.draw(st.lists(row, min_size=1, max_size=6), label="distinct")
+    rows = data.draw(st.lists(st.sampled_from(distinct), min_size=18, max_size=30),
+                     label="rows")
+    labels = [CON] * 3 + [DEP] * 3 + data.draw(
+        st.lists(st.sampled_from([CON, DEP]), min_size=len(rows) - 6, max_size=len(rows) - 6),
+        label="labels")
+    features = np.array(rows, dtype=float)
+    features[:, 0] *= data.draw(st.sampled_from([1.0, 1e3]), label="scale")  # scaler matters
+    seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+    report = grid_select(default_grid(), features, labels, folds=folds, seed=seed)
+    singles = tuple(grid_select([c], features, labels, folds=folds, seed=seed).best
+                    for c in default_grid())
+    assert report.candidates == singles
+    assert report.best == select_best(singles)
 
 
 def result(k, p, use_scaler, mean):

@@ -17,6 +17,7 @@ from vocalscreen.model import (
     KnnModel,
     EmptyTrainingSet,
     EvenK,
+    ScalerOverflow,
     SchemaVersionMismatch,
     TooFewSamples,
     fit_scaler,
@@ -65,6 +66,17 @@ def test_fit_scaler_empty():
         fit_scaler(np.zeros((0, 16)))
     with pytest.raises(EmptyTrainingSet):
         fit_scaler([])
+
+
+def test_fit_scaler_overflow_names_column():
+    # numpy's overflow warning would fail the test: the moments are taken quietly
+    matrix = np.ones((4, 3))
+    matrix[:, 2] = [1e200, 2e200, 1e200, 2e200]  # the mean is finite, the variance overflows
+    with pytest.raises(ScalerOverflow, match=r"^feature column 2 \(from 0\): its mean or std"):
+        fit_scaler(matrix)
+    matrix[:2, 1] = 1.7e308  # the sum, and so the mean, overflows
+    with pytest.raises(ScalerOverflow, match=r"^feature column 1 \(from 0\): "):
+        fit_scaler(matrix)
 
 
 def test_knn_fit_empty():
@@ -169,6 +181,24 @@ def test_distance_paths_equal_former_formula_bit_for_bit(data, p):
     matrix = data.draw(arrays(np.float64, (rows, dims), elements=values), label="matrix")
     query = data.draw(arrays(np.float64, dims, elements=values), label="query")
     assert_distance_paths_equal_former(matrix, query, p)
+
+
+# signed zeros, subnormals, and values whose differences square (or subtract) past
+# float64's range, where a skipped abs or power step could first change a bit
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -3.0,
+               1e160, -1e160, 1e200, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_distance_paths_equal_former_on_edge_differences(p):
+    rng = np.random.default_rng(35)
+    for dims in (1, 2, 8, 9, 17):
+        matrix = rng.choice(EDGE_VALUES, size=(40, dims))
+        queries = [np.zeros(dims), np.full(dims, -0.0), np.full(dims, 5e-324),
+                   *rng.choice(EDGE_VALUES, size=(6, dims))]
+        for query in queries:
+            with overflow_guard():
+                assert_distance_paths_equal_former(matrix, query, p)
 
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -300,9 +330,15 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
 
 
 def test_nearest_rows_of_nan_query_follow_stable_argsort():
-    model = small_model(k=3)
-    assert _nearest_rows(model, [np.nan, 0.0], 3) == [0, 1, 2]
-    assert knn_predict(model, [np.nan, 0.0]) == ("control", 2 / 3)
+    # the order is what counts: p = 2 squares without abs, so a -NaN query may
+    # give -NaN distances where the former formula gave +NaN; both sort last
+    for p in (1.0, 1.5, 2.0, 3.0):
+        model = small_model(k=3, p=p)
+        for query in ([np.nan, 0.0], [-np.nan, 0.0], [0.05, -np.nan]):
+            former = former_minkowski(model.train_matrix, np.array(query), p)
+            assert np.isnan(former).all() and np.isnan(_distances(model, query)).all()
+            assert _nearest_rows(model, query, 3) == np.argsort(former, kind="stable").tolist()
+            assert knn_predict(model, query) == ("control", 2 / 3)
 
 
 def former_vote(train_labels, nearest, k):
@@ -508,6 +544,19 @@ def test_overflowing_distance_raises_naming_p():
     with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: "):
         grid_select([PipelineCandidate(k=1, p=2.0, use_scaler=False)], matrix,
                     ["control", "depression"] * 3, folds=3)
+
+
+def test_grid_select_names_the_only_overflowing_p():
+    # raw differences of 1e160 or more: every square overflows, every p = 1 sum stays
+    # finite, so the p = 2 candidate fails after the p = 1 one of the same scaler
+    # has taken its copy of the shared differences, and in either order
+    matrix = np.repeat(np.arange(6.0)[:, None] * 1e160, 2, axis=1)
+    labels = ["control", "depression"] * 3
+    p1, p2 = (PipelineCandidate(k=1, p=p, use_scaler=False) for p in (1.0, 2.0))
+    assert grid_select([p1], matrix, labels, folds=3).best.fold_scores == (0.5, 0.5, 0.0)
+    for space in ([p1, p2], [p2, p1]):
+        with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: .* nearest row 1 "):
+            grid_select(space, matrix, labels, folds=3)
 
 
 def test_overflow_of_farther_rows_keeps_the_answer():

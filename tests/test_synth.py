@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocalscreen.audio_io import DEFAULT_SAMPLE_RATE, AudioClip, load_wav, resample, to_mono
-from vocalscreen.evaluation import PipelineCandidate, cross_validate
+from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.features import extract_features
 from vocalscreen.preprocess import remove_silence, segment
 from vocalscreen.rng import round_half_up
@@ -176,9 +176,8 @@ def _cohort_cv_accuracy(gap_hz: float, seed: int, tmp_path) -> float:
         for seg in segment(remove_silence(clip), 4.0):
             features.append(extract_features(seg))
             labels.append(row.label)
-    scores = cross_validate(PipelineCandidate(k=3), np.array(features), labels,
-                            folds=2, seed=seed)
-    return float(scores.mean())
+    return grid_select([PipelineCandidate(k=3)], np.array(features), labels,
+                       folds=2, seed=seed).best.mean
 
 
 def test_wider_f0_gap_does_not_hurt_accuracy(tmp_path):
