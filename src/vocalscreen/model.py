@@ -187,7 +187,7 @@ def overflow_guard():
     """Numpy error state for a batch of KNN queries: |a - b|^p overflows quietly.
 
     A distance that overflows float64 reads inf, which decides nothing
-    while at least k distances stay finite; _nearest_rows raises
+    while at least k distances stay finite; _nearest raises
     DistanceOverflow, naming p, when one of the inf rows would be chosen.
     Enter it once per batch of queries: numpy's error state costs about
     2 % of one query.
