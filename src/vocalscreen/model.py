@@ -14,20 +14,26 @@ predict, evaluate and grid selection. A model keeps its training matrix
 dimension-major, and a query's |a - b|^p terms are summed over
 dimensions with whole-row vector adds in np.sum's pairwise order, so each
 distance is bit-identical to np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p).
-The kernel skips the steps that change no bit: p = 2 squares without the
-absolute value and takes np.sqrt, p = 1 takes neither power. Grid
-selection differences each held-out row once per (fold, scaler) and
-hands the differences to every p of that scaler.
+The dimensions of each whole block of eight are stored in lane order
+(_lane_order), so the pairwise combination of np.sum's eight running sums
+is three adds of one contiguous half onto the other; every add keeps its
+operands and their order, so no bit changes. The kernel skips the steps
+that change no bit: p = 2 squares without the absolute value and takes
+np.sqrt, p = 1 takes neither power. Grid selection differences each
+held-out row once per (fold, scaler) and hands the differences to every p
+of that scaler.
 
 Models persist as one versioned JSON document with a SHA-256 digest over
 the canonical serialization of every other field, so corruption and
-schema drift are detected on load.
+schema drift are detected on load. save_model renders the training
+matrix, nearly all of the file, with json's C encoder in chunks of rows
+and streams them to the digest and the file.
 """
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,6 +41,14 @@ from .errors import VocalScreenError
 from .features import FeatureConfig
 
 MODEL_SCHEMA_VERSION = 1
+
+# np.sum's eight running sums r0..r7, stored so that its combination
+# ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) adds contiguous halves: r0+r1 sit at
+# rows 0 and 4, r2+r3 at 2 and 6, and so on
+_LANES = [0, 4, 2, 6, 1, 5, 3, 7]
+
+# matrix rows per C-encoder call in save_model
+_CHUNK_ROWS = 128
 
 
 class EmptyTrainingSet(VocalScreenError):
@@ -133,16 +147,36 @@ def transform(scaler: ScalerParams, x) -> np.ndarray:
     return (np.asarray(x, dtype=np.float64) - scaler.means) / scaler.stds
 
 
+@cache
+def _lane_order(dims: int) -> np.ndarray:
+    """The order _sum_rows needs the dimensions of a dimension-major array in.
+
+    Each whole block of 8 dimensions is stored in _LANES order; the tail
+    of dims mod 8, and every dimension below 8, keeps its place. Made once
+    per dimension count and read-only, so every caller shares it.
+    """
+    order = np.arange(dims)
+    blocks = dims - dims % 8
+    order[:blocks] = order[:blocks].reshape(-1, 8)[:, _LANES].ravel()
+    order.flags.writeable = False
+    return order
+
+
 def _sum_rows(terms: np.ndarray) -> np.ndarray:
-    """Sum the rows of ``terms`` into ``terms[0]`` in np.sum's pairwise order.
+    """Sum the rows of ``terms``, in _lane_order, into ``terms[0]`` in np.sum's pairwise order.
 
     Each column is added up exactly as np.sum adds the values of one
     contiguous row: sequentially below 8 values; up to 128, in eight
     running sums (value i goes to sum i mod 8), combined pairwise, then
     the tail of n mod 8 values in turn; above 128, as two halves split at
-    a multiple of 8. Every step is a whole-row vector add. Skipping
-    np.sum's +0.0 start changes no bit unless a column is all -0.0,
-    which |a - b|^p never is.
+    a multiple of 8, so every half's blocks of 8 are whole blocks of the
+    lane order. Every step is a whole-row vector add. With the rows in
+    lane order the combination is three halvings (rows 4-7 onto 0-3, 2-3
+    onto 0-1, 1 onto 0) of contiguous, disjoint rows, which numpy adds
+    without the copy a strided, interleaved add of one buffer costs; each
+    add has np.sum's operands in np.sum's operand order, so no bit changes,
+    not even a NaN's sign. Skipping np.sum's +0.0 start changes no bit
+    unless a column is all -0.0, which |a - b|^p never is.
     """
     n = len(terms)
     if n > 128:
@@ -155,8 +189,8 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
         tail = n - n % 8
         for start in range(8, tail, 8):
             terms[:8] += terms[start:start + 8]
-        for step in (1, 2, 4):  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            terms[0:8:2 * step] += terms[step:8:2 * step]
+        for half in (4, 2, 1):  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+            terms[:half] += terms[half:2 * half]
     for row in terms[tail:]:
         terms[0] += row
     return terms[0]
@@ -165,13 +199,14 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
 def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
     """Minkowski distances from a dimension-major (dims, ...) array of a - b.
 
-    The one distance kernel: ``diffs`` is overwritten with |a - b|^p,
-    summed over dimensions by _sum_rows, and the sums are taken to the
-    1/p. Both power steps run on arrays, so a pair and a stack share them.
-    p = 2 squares a - b in place and takes np.sqrt of the sums, p = 1
-    sums |a - b| as it is; no bit changes, because numpy computes
-    ``** 2.0`` as np.square and ``** 0.5`` as np.sqrt, (-x)^2 == x^2, and
-    x ** 1.0 == x. A NaN difference may keep its sign bit under p = 2.
+    The one distance kernel, on dimensions in _lane_order: ``diffs`` is
+    overwritten with |a - b|^p, summed over dimensions by _sum_rows, and
+    the sums are taken to the 1/p. Both power steps run on arrays, so a
+    pair and a stack share them. p = 2 squares a - b in place and takes
+    np.sqrt of the sums, p = 1 sums |a - b| as it is; no bit changes,
+    because numpy computes ``** 2.0`` as np.square and ``** 0.5`` as
+    np.sqrt, (-x)^2 == x^2, and x ** 1.0 == x. A NaN difference may keep
+    its sign bit under p = 2.
     """
     if p == 2:
         np.square(diffs, out=diffs)
@@ -211,8 +246,10 @@ def minkowski_distance(a, b, p: float = 2.0):
     if a.ndim == 0 or a.shape[-1] == 0:
         raise ValueError("vectors need at least one dimension")
     diffs = a - b
-    # a pair goes through as a stack of one
-    distances = _minkowski(np.moveaxis(np.atleast_2d(diffs), -1, 0), p)
+    # a pair goes through as a stack of one; indexing in lane order makes the
+    # dimension-major copy that _minkowski overwrites
+    dims_major = np.moveaxis(np.atleast_2d(diffs), -1, 0)[_lane_order(diffs.shape[-1])]
+    distances = _minkowski(dims_major, p)
     return float(distances[0]) if diffs.ndim == 1 else distances
 
 
@@ -250,8 +287,11 @@ class KnnModel:
 
     @cached_property
     def _dims_major(self) -> np.ndarray:
-        """The training matrix as a C-contiguous (dims, rows) copy, made once per model."""
-        return np.ascontiguousarray(self.train_matrix.T)
+        """The training matrix as a C-contiguous (dims, rows) copy, made once per model.
+
+        Its rows are the dimensions in _lane_order, the order _sum_rows adds them in.
+        """
+        return np.ascontiguousarray(self.train_matrix.T[_lane_order(self.train_matrix.shape[1])])
 
     @property
     def feature_config_digest(self) -> str:
@@ -283,11 +323,14 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
 
 
 def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
-    """Training rows minus a standardized query, dimension-major: _minkowski's input."""
+    """Training rows minus a standardized query, dimension-major in lane order.
+
+    This is _minkowski's input.
+    """
     columns = model._dims_major
     # one flat subtract from the query repeated along each dimension's row; numpy
     # buffers the broadcast form of this subtract, which measured slower
-    diffs = np.repeat(query, columns.shape[1]).reshape(columns.shape)
+    diffs = np.repeat(query[_lane_order(len(query))], columns.shape[1]).reshape(columns.shape)
     return np.subtract(columns, diffs, out=diffs)
 
 
@@ -355,12 +398,12 @@ def _model_payload(model: KnnModel) -> dict:
         "k": model.k,
         "p": model.p,
         "scaler": {
-            "means": [float(x) for x in model.scaler.means],
-            "stds": [float(x) for x in model.scaler.stds],
+            "means": model.scaler.means.tolist(),
+            "stds": model.scaler.stds.tolist(),
         },
         "feature_config": asdict(model.feature_config),
         "train": {
-            "matrix": [[float(x) for x in row] for row in model.train_matrix],
+            "matrix": model.train_matrix.tolist(),
             "labels": list(model.train_labels),
         },
     }
@@ -371,12 +414,48 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _indented_rows(chunk: str) -> str:
+    """Compact matrix rows, '[1.0,2.0],[3.0,4.0]', in json's indent=1 layout at depth 3.
+
+    The rows hold only numbers, so no comma or bracket sits inside a string.
+    """
+    values = chunk[1:-1].replace(",", ",\n    ").replace("],\n    [", "\n   ],\n   [\n    ")
+    return f"   [\n    {values}\n   ]"
+
+
 def save_model(model: KnnModel, path) -> None:
+    """Write the model file: json.dump(payload, fh, indent=1, sort_keys=True) and a newline.
+
+    Those are the bytes written, and the digest is that of
+    _payload_digest, but json runs its C encoder only without indent, and
+    the pure-Python one took most of this function's time on the training
+    matrix. So the matrix is rendered compact by the C encoder in chunks
+    of _CHUNK_ROWS rows, each chunk is fed to the digest and then written
+    re-indented, and the rest of the payload is rendered with an empty
+    matrix and split around it (the key text '"matrix":[]' cannot occur
+    inside an encoded string, whose quotes are escaped). The compact
+    chunks are kept until the digest, the file's first field, is known;
+    the file is written one re-indented chunk at a time, so its whole
+    text is never held in memory.
+    """
     payload = _model_payload(model)
-    payload["digest"] = _payload_digest(payload)
+    matrix, payload["train"]["matrix"] = payload["train"]["matrix"], []
+    chunks = [json.dumps(matrix[start:start + _CHUNK_ROWS], separators=(",", ":"))[1:-1]
+              for start in range(0, len(matrix), _CHUNK_ROWS)]
+    head, _, tail = json.dumps(payload, sort_keys=True,
+                               separators=(",", ":")).rpartition('"matrix":[]')
+    first, *rest = chunks  # a model has at least one row
+    digest = hashlib.sha256(f'{head}"matrix":[{first}'.encode())
+    for chunk in rest:
+        digest.update(f",{chunk}".encode())
+    digest.update(f"]{tail}".encode())
+    payload["digest"] = digest.hexdigest()
+    head, _, tail = json.dumps(payload, indent=1, sort_keys=True).rpartition('"matrix": []')
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{head}"matrix": [\n{_indented_rows(first)}')
+        for chunk in rest:
+            fh.write(f",\n{_indented_rows(chunk)}")
+        fh.write(f"\n  ]{tail}\n")
 
 
 def load_model(path) -> KnnModel:
@@ -413,8 +492,10 @@ def load_model(path) -> KnnModel:
             feature_config=FeatureConfig(**config),
         )
         # knn_fit guarantees these; a file has to be checked
-        if not isinstance(fitted.k, int):
+        if type(fitted.k) is not int:  # not a bool either, though True passes k >= 1
             raise ValueError(f"k must be an integer, got {fitted.k!r}")
+        if type(fitted.p) not in (int, float):  # as for k, True passes p >= 1
+            raise ValueError(f"p must be a number, got {fitted.p!r}")
         if not np.isfinite(fitted.train_matrix).all():
             raise ValueError("train matrix must be finite")
         if not all(isinstance(label, str) for label in fitted.train_labels):

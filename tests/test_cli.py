@@ -654,6 +654,27 @@ def test_predict_rejects_invalid_model_with_valid_digest(small_cohort, tmp_path,
     assert captured.err == f"error: {bad}: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("field, message", [
+    ("k", "k must be an integer, got True"),
+    ("p", "p must be a number, got True"),
+])
+def test_evaluate_rejects_boolean_k_or_p(small_cohort, tmp_path, capsys, field, message):
+    # True passes k >= 1 and p >= 1, and "model_k": true would reach eval_report.json
+    payload = json.loads(trained_model(small_cohort, tmp_path).read_text())
+    del payload["digest"]
+    payload[field] = True
+    payload["digest"] = _payload_digest(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    work = small_cohort / "work"
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(bad), "--features", str(work / "features.csv"),
+                 "--manifest", str(work / "test.csv"), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: invalid model: {message}\n" and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("stage", ["predict", "evaluate"])
 def test_model_of_other_dimension_exits_1(small_cohort, tmp_path, capsys, stage):
     work = small_cohort / "work"

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vocalscreen.model import (
     EmptyTrainingSet,
     EvenK,
     ScalerOverflow,
+    ScalerParams,
     SchemaVersionMismatch,
     TooFewSamples,
     fit_scaler,
@@ -159,8 +161,9 @@ def assert_distance_paths_equal_former(matrix, query, p):
 
 
 # 1-40 dims cover the sequential, block-of-eight and tail steps; 127-129 the
-# switch to halving above 128, and 200 a halving at a multiple of 8
-DISTANCE_DIMS = [*range(1, 41), 64, 127, 128, 129, 200]
+# switch to halving above 128, 200 a halving at a multiple of 8, and 257 a
+# halving of each half (128 + 129), so the lane order is checked at every size
+DISTANCE_DIMS = [*range(1, 41), 64, 127, 128, 129, 200, 257]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -401,6 +404,72 @@ def test_save_load_roundtrip_predicts_identically(tmp_path):
     assert loaded.feature_config_digest == model.feature_config_digest
 
 
+def former_save_model(model, path):
+    """The model writer as first written: json's pure-Python indent=1 encoder on the payload.
+
+    A reference the streamed writer cannot share, so a fault in its
+    chunking, re-indenting or streamed digest shows as a changed byte.
+    """
+    payload = {
+        "version": 1,
+        "k": model.k,
+        "p": model.p,
+        "scaler": {
+            "means": [float(x) for x in model.scaler.means],
+            "stds": [float(x) for x in model.scaler.stds],
+        },
+        "feature_config": asdict(model.feature_config),
+        "train": {
+            "matrix": [[float(x) for x in row] for row in model.train_matrix],
+            "labels": list(model.train_labels),
+        },
+    }
+    payload["digest"] = _payload_digest(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+# quotes, backslashes, control characters, non-ASCII and the JSON punctuation
+# the writer splits and re-indents around
+label_texts = st.text(alphabet=st.sampled_from('ab"\\\x00\x1f\x7f\u00e9\u2028\U0001f600 ,:[]'),
+                      max_size=8)
+matrix_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]))
+
+
+@st.composite
+def saved_models(draw):
+    """Any model a file can hold: 1-300 rows, so chunks of rows split, and 1-20 dims."""
+    rows = draw(st.integers(1, 300), label="rows")
+    dims = draw(st.integers(1, 20), label="dims")
+    pool = draw(st.lists(label_texts, min_size=1, max_size=3), label="label pool")
+    return KnnModel(
+        train_matrix=draw(arrays(np.float64, (rows, dims), elements=matrix_values),
+                          label="matrix"),
+        train_labels=draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)),
+        k=draw(st.sampled_from([1, 3, 5]).filter(lambda k: k <= rows), label="k"),
+        p=draw(st.sampled_from([1, 1.0, 1.5, 2.0, 1e300]), label="p"),
+        scaler=ScalerParams(
+            means=draw(arrays(np.float64, dims, elements=matrix_values), label="means"),
+            stds=draw(arrays(np.float64, dims, elements=st.floats(5e-324, 1.7e308)), label="stds"),
+        ),
+        feature_config=FeatureConfig(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=saved_models())
+def test_save_model_writes_the_former_bytes(tmp_path_factory, model):
+    directory = tmp_path_factory.mktemp("writer")
+    save_model(model, directory / "model.json")
+    former_save_model(model, directory / "former.json")
+    assert (directory / "model.json").read_bytes() == (directory / "former.json").read_bytes()
+    loaded = load_model(directory / "model.json")
+    assert bits(loaded.train_matrix) == bits(model.train_matrix)
+    assert loaded.train_labels == model.train_labels
+
+
 def test_load_rejects_version_mismatch(tmp_path):
     model, _ = fitted_model()
     path = tmp_path / "model.json"
@@ -450,6 +519,8 @@ def saved_payload(tmp_path):
     (lambda m: m.update(k=-1), "k must be >= 1"),
     (lambda m: m.update(k=4), "k must be odd"),
     (lambda m: m.update(k=3.0), "integer"),
+    (lambda m: m.update(k=True), "k must be an integer, got True"),
+    (lambda m: m.update(p=True), "p must be a number, got True"),
     (lambda m: m["train"]["labels"].__setitem__(0, [1]), "labels must be strings"),
     (lambda m: m["train"]["matrix"][0].__setitem__(0, float("nan")), "must be finite"),
     (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
@@ -504,6 +575,8 @@ def apply_mutation(payload, place, value):
 @settings(max_examples=300, deadline=None)
 @given(mutations=model_mutations(), redigest=st.booleans(), raw=st.binary(max_size=64))
 @example(mutations=[(("p",), (1e300,))], redigest=True, raw=b"")  # |a - b|^p overflows
+@example(mutations=[(("k",), (True,))], redigest=True, raw=b"")  # True passes k >= 1
+@example(mutations=[(("p",), (True,))], redigest=True, raw=b"")  # and p >= 1
 def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutations, redigest,
                                                         raw):
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
@@ -524,6 +597,7 @@ def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutati
             assert str(exc).startswith(f"{path}: ")
             continue
         assert isinstance(loaded, KnnModel)
+        assert type(loaded.k) is int and type(loaded.p) in (int, float)
         try:
             with overflow_guard():
                 label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
