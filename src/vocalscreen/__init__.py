@@ -6,81 +6,17 @@ zero-crossing rate) -> standardization -> K-nearest-neighbors
 classification, with cross-validated grid model selection and evaluation
 reporting. Ships a deterministic synthetic cohort generator so the whole
 pipeline runs without clinical recordings.
+
+The package namespace holds the names the README and demos/ use; every
+other name is imported from its module (vocalscreen.features, ...).
 """
 
-from .audio_io import (
-    DEFAULT_SAMPLE_RATE,
-    AudioClip,
-    MalformedWav,
-    UnsupportedFormat,
-    decode_wav,
-    encode_wav,
-    load_wav,
-    resample,
-    save_wav,
-    to_mono,
-)
-from .dataset import (
-    SEGMENT_LEVEL,
-    SPEAKER_DISJOINT,
-    DatasetManifest,
-    DegenerateSplit,
-    DuplicatePath,
-    ManifestParseError,
-    ManifestRow,
-    SplitSpec,
-    UnknownLabel,
-    load_manifest,
-    save_manifest,
-    split,
-)
+from .audio_io import AudioClip, decode_wav, encode_wav, resample, to_mono
 from .errors import VocalScreenError
-from .evaluation import (
-    ConfusionMatrix,
-    EvalReport,
-    Metrics,
-    PipelineCandidate,
-    SelectionReport,
-    confusion,
-    default_grid,
-    descriptive_stats,
-    evaluate_predictions,
-    grid_select,
-    group_t_tests,
-    precision_recall_f1,
-    two_sample_t,
-)
-from .features import (
-    FeatureConfig,
-    FeaturesFileError,
-    SegmentTooShort,
-    extract_features,
-    mel_filterbank,
-    mfcc,
-    power_spectrum,
-    read_features_csv,
-    spectral_centroid,
-    spectral_complexity,
-    write_features_csv,
-    zero_crossing_rate,
-)
-from .model import (
-    CorruptModelFile,
-    EvenK,
-    KnnModel,
-    ScalerParams,
-    SchemaVersionMismatch,
-    TooFewSamples,
-    fit_scaler,
-    identity_scaler,
-    knn_fit,
-    knn_predict,
-    load_model,
-    minkowski_distance,
-    save_model,
-    transform,
-)
-from .preprocess import SegmentSet, SilenceParams, remove_silence, segment
-from .synth import ClassProfile, CohortSpec, default_profiles, generate_cohort
+from .evaluation import (confusion, default_grid, descriptive_stats, grid_select, group_t_tests,
+                         precision_recall_f1)
+from .features import extract_features, read_features_csv, write_features_csv
+from .model import fit_scaler, knn_fit, knn_predict, load_model, save_model
+from .preprocess import SilenceParams, remove_silence, segment
 
 __version__ = "0.1.0"

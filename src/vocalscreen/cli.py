@@ -189,8 +189,8 @@ def cmd_extract(ns) -> int:
             threshold_ratio=ns.threshold_ratio,
         )
     segment_seconds = ns.segment_seconds
-    if not segment_seconds > 0:
-        raise _UsageError(f"--segment-seconds: must be positive, got {segment_seconds}")
+    if not 0 < segment_seconds < np.inf:
+        raise _UsageError(f"--segment-seconds: must be positive and finite, got {segment_seconds}")
     with _flag_values("--n-fft", "--fft-hop", "--n-mels"):
         config = FeatureConfig(
             n_fft=ns.n_fft,
@@ -253,8 +253,8 @@ def cmd_train(ns) -> int:
     k, p, use_scaler = ns.k, ns.p, ns.scaler
     if k < 1 or k % 2 == 0:
         raise _UsageError(f"--k: must be a positive odd integer, got {k}")
-    if not p >= 1:
-        raise _UsageError(f"--p: must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise _UsageError(f"--p: must be finite and >= 1, got {p}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, ns.manifest, manifest)
     if not labels:

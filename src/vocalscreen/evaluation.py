@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VocalScreenError
-from .model import (_differences, _minkowski, _nearest, _votes, as_matrix, fit_scaler,
-                    identity_scaler, knn_fit, overflow_guard, transform)
+from .model import (_answers, as_matrix, fit_scaler, identity_scaler, knn_fit, overflow_guard,
+                    transform)
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -60,26 +60,18 @@ class Metrics(NamedTuple):
     accuracy: float
 
 
-def confusion(predictions, truth, positive_label: str = POSITIVE_LABEL) -> ConfusionMatrix:
+def confusion(predictions, truth) -> ConfusionMatrix:
     predictions = list(predictions)
     truth = list(truth)
     if len(predictions) != len(truth):
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} truths")
     if not predictions:
         raise EmptyInput("nothing to score")
-    tp = fp = fn = tn = 0
-    for pred, true in zip(predictions, truth):
-        if pred == positive_label:
-            if true == positive_label:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if true == positive_label:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    # (predicted positive, truly positive) per row
+    pairs = [(pred == POSITIVE_LABEL, true == POSITIVE_LABEL)
+             for pred, true in zip(predictions, truth)]
+    return ConfusionMatrix(tp=pairs.count((True, True)), fp=pairs.count((True, False)),
+                           fn=pairs.count((False, True)), tn=pairs.count((False, False)))
 
 
 def precision_recall_f1(cm: ConfusionMatrix) -> Metrics:
@@ -189,13 +181,10 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
     Each fold fits one model per scaler and standardizes its held-out rows
-    once. Each held-out row is differenced against the training rows once
-    per (fold, scaler); every p of that scaler but the last takes a copy
-    of the differences, since _minkowski overwrites them. Candidates
-    sharing (scaler, p) share the row's first max-k neighbors. Distances,
-    ties and votes are those of one knn_predict per candidate and row.
-    The report lists candidates in definition order, as does the
-    best-so-far curve.
+    once; model._answers answers every held-out row for every (p, k) of
+    that scaler's candidates, so the predictions are those of one
+    knn_predict per candidate and row. The report lists candidates in
+    definition order, as does the best-so-far curve.
     """
     space = list(space)
     if not space:
@@ -205,29 +194,25 @@ def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> Selec
     if matrix.shape[0] != len(labels):
         raise LengthMismatch(f"{matrix.shape[0]} rows vs {len(labels)} labels")
     fold_sets = stratified_folds(labels, folds, seed)
-    hits = np.zeros((len(space), folds))
+    hits = [[0] * folds for _ in space]
     for i, held_out in enumerate(fold_sets):
         train_idx = np.delete(np.arange(len(labels)), held_out)
         train_x, train_y = matrix[train_idx], [labels[t] for t in train_idx]
         for use_scaler in dict.fromkeys(c.use_scaler for c in space):
             scaler = fit_scaler(train_x) if use_scaler else identity_scaler(matrix.shape[1])
             fitted = knn_fit(train_x, train_y, k=1, scaler=scaler)
-            ks_by_p = {}  # p -> {candidate index: k}
-            for j, c in enumerate(space):
-                if c.use_scaler == use_scaler:  # replace() re-checks k and p against the fold
-                    ks_by_p.setdefault(replace(fitted, k=c.k, p=c.p).p, {})[j] = c.k
-            groups = [(p, ks, set(ks.values())) for p, ks in ks_by_p.items()]
+            members = [(j, c.p, c.k) for j, c in enumerate(space) if c.use_scaler == use_scaler]
+            ks_by_p = {}
+            for _, p, k in members:
+                replace(fitted, k=k, p=p)  # KnnModel checks k and p against the fold
+                ks_by_p.setdefault(p, set()).add(k)
             with overflow_guard():
-                for t, query in zip(held_out, transform(scaler, matrix[held_out])):
-                    diffs = _differences(fitted, query)
-                    for n, (p, ks, distinct_ks) in enumerate(groups, 1):
-                        # _minkowski overwrites its input: every p but the last takes a copy
-                        d = _minkowski(diffs if n == len(groups) else diffs.copy(), p)
-                        winners = _votes(fitted, _nearest(d, max(distinct_ks), p), distinct_ks)
-                        for j, k in ks.items():
-                            hits[j, i] += winners[k][0] == labels[t]
+                queries = transform(scaler, matrix[held_out])
+                for t, answers in zip(held_out, _answers(fitted, queries, ks_by_p)):
+                    for j, p, k in members:
+                        hits[j][i] += answers[p][k][0] == labels[t]
     results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))
-               for c, s in zip(space, hits / [len(fold) for fold in fold_sets])]
+               for c, s in zip(space, np.array(hits) / [len(fold) for fold in fold_sets])]
 
     generations = []
     best_so_far = -math.inf
@@ -316,14 +301,13 @@ class EvalReport:
 
     cm: ConfusionMatrix
     metrics: Metrics
-    positive_label: str = POSITIVE_LABEL
     split_mode: str = "unknown"
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "split_mode": self.split_mode,
-            "positive_label": self.positive_label,
+            "positive_label": POSITIVE_LABEL,
             "confusion": asdict(self.cm),
             **self.metrics._asdict(),
             "n": self.cm.total,
@@ -343,9 +327,9 @@ def render_eval_text(report: EvalReport) -> str:
     m = report.metrics
     lines = [
         f"=== evaluation (split mode: {report.split_mode}) ===",
-        f"positive class: {report.positive_label}",
+        f"positive class: {POSITIVE_LABEL}",
         "",
-        f"{'Metric':<12}{report.positive_label:>12}",
+        f"{'Metric':<12}{POSITIVE_LABEL:>12}",
         f"{'Precision':<12}{m.precision:>12.4f}",
         f"{'Recall':<12}{m.recall:>12.4f}",
         f"{'F1-Score':<12}{m.f1:>12.4f}",

@@ -9,19 +9,24 @@ depend on k, so grid selection orders the first max-k rows once per
 (fold, scaler, p) and every k votes on a prefix of them. Only those rows
 are sorted: a partition finds the max-k-th distance first.
 
-One kernel, _minkowski, computes every distance for minkowski_distance,
-predict, evaluate and grid selection. A model keeps its training matrix
-dimension-major, and a query's |a - b|^p terms are summed over
-dimensions with whole-row vector adds in np.sum's pairwise order, so each
-distance is bit-identical to np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p).
-The dimensions of each whole block of eight are stored in lane order
-(_lane_order), so the pairwise combination of np.sum's eight running sums
-is three adds of one contiguous half onto the other; every add keeps its
-operands and their order, so no bit changes. The kernel skips the steps
-that change no bit: p = 2 squares without the absolute value and takes
-np.sqrt, p = 1 takes neither power. Grid selection differences each
-held-out row once per (fold, scaler) and hands the differences to every p
-of that scaler.
+One query loop, _answers, answers every query of predict, evaluate and
+grid selection: it differences a standardized query against the training
+rows once, hands the differences to every p asked for, and votes every
+k of that p on one neighbor ordering. Its one distance kernel,
+_minkowski, works on a dimension-major copy of the training matrix and
+sums a query's |a - b|^p terms over dimensions with whole-row vector
+adds in np.sum's pairwise order, so each distance is bit-identical to
+np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p). The dimensions of each
+whole block of eight are stored in lane order (_lane_order), so the
+pairwise combination of np.sum's eight running sums is three adds of one
+contiguous half onto the other; every add keeps its operands and their
+order, so no bit changes. The kernel skips the steps that change no bit:
+p = 2 squares without the absolute value and takes np.sqrt, p = 1 takes
+neither power.
+
+KnnModel is the one owner of what a valid model is: whether fitted,
+loaded from a file or re-parameterized for a grid candidate, it checks
+its k, p, matrix and labels on construction.
 
 Models persist as one versioned JSON document with a SHA-256 digest over
 the canonical serialization of every other field, so corruption and
@@ -34,6 +39,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -230,35 +236,13 @@ def overflow_guard():
     return np.errstate(over="ignore")
 
 
-def minkowski_distance(a, b, p: float = 2.0):
-    """(sum |a_i - b_i|^p)^(1/p) over the last axis; a metric for p >= 1.
-
-    a and b broadcast: one pair gives a float, one query against a
-    (rows, dims) matrix gives one distance per row. Every distance is
-    bit-identical to np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1:] != b.shape[-1:]:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim == 0 or a.shape[-1] == 0:
-        raise ValueError("vectors need at least one dimension")
-    diffs = a - b
-    # a pair goes through as a stack of one; indexing in lane order makes the
-    # dimension-major copy that _minkowski overwrites
-    dims_major = np.moveaxis(np.atleast_2d(diffs), -1, 0)[_lane_order(diffs.shape[-1])]
-    distances = _minkowski(dims_major, p)
-    return float(distances[0]) if diffs.ndim == 1 else distances
-
-
 @dataclass(frozen=True)
 class KnnModel:
     """Standardized training matrix plus the hyperparameters that query it.
 
-    The matrix has one column per scaler dimension, k is positive and
-    odd, and p >= 1.
+    The matrix is finite with one column per scaler dimension, the labels
+    are strings, k is a positive odd int (not a bool) and p a finite
+    number >= 1 (not a bool).
     """
 
     train_matrix: np.ndarray
@@ -276,14 +260,24 @@ class KnnModel:
             raise ValueError("train matrix rows must match label count")
         if matrix.shape[1] != len(self.scaler.means):
             raise ValueError("train matrix columns must match scaler dimensions")
+        if not np.isfinite(matrix).all():
+            raise ValueError("train matrix must be finite")
+        if not all(map(isinstance, self.train_labels, repeat(str))):
+            raise ValueError("labels must be strings")
+        if type(self.k) is not int:  # not a bool either, though True passes k >= 1
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.k % 2 == 0:
             raise EvenK(f"k must be odd, got {self.k}")
         if matrix.shape[0] < self.k:
             raise TooFewSamples(f"{matrix.shape[0]} rows < k={self.k}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise ValueError(f"p must be a number, got {self.p!r}")
         if not self.p >= 1:
             raise ValueError("p must be >= 1")
+        if self.p == np.inf:  # every distance would read 1.0 and every query tie
+            raise ValueError("p must be finite, got inf")
 
     @cached_property
     def _dims_major(self) -> np.ndarray:
@@ -334,16 +328,6 @@ def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
     return np.subtract(columns, diffs, out=diffs)
 
 
-def _distances(model: KnnModel, v) -> np.ndarray:
-    """Distance from v to every training row, one dimension-major pass of _minkowski."""
-    return _minkowski(_differences(model, transform(model.scaler, v)), model.p)
-
-
-def _nearest_rows(model: KnnModel, v, count: int) -> list:
-    """The first ``count`` training-row indices by increasing distance to v."""
-    return _nearest(_distances(model, v), count, model.p)
-
-
 def _nearest(d: np.ndarray, count: int, p: float) -> list:
     """The first ``count`` indices of the exponent-p distances d, nearest first.
 
@@ -381,6 +365,25 @@ def _votes(model: KnnModel, nearest: list, ks) -> dict:
     return winners
 
 
+def _answers(model: KnnModel, queries, ks_by_p: dict):
+    """Answer standardized queries for every p and k of ``ks_by_p``, {p: ks}.
+
+    Yields {p: {k: (label, vote fraction)}} per query. Each query is
+    differenced against the training rows once; _minkowski overwrites its
+    input, so every p but the last takes a copy. The loop is a generator
+    so that one query's difference buffers are freed only when the next
+    query's are made: freed at once, they measured slower to allocate again.
+    """
+    last = len(ks_by_p)
+    for query in queries:
+        diffs = _differences(model, query)
+        answers = {}
+        for n, (p, ks) in enumerate(ks_by_p.items(), 1):
+            distances = _minkowski(diffs if n == last else diffs.copy(), p)
+            answers[p] = _votes(model, _nearest(distances, max(ks), p), ks)
+        yield answers
+
+
 def knn_predict(model: KnnModel, v) -> tuple:
     """Classify one vector -> (label, vote fraction for that label).
 
@@ -389,7 +392,8 @@ def knn_predict(model: KnnModel, v) -> tuple:
     the k-th nearest distance overflows; run queries inside
     ``overflow_guard()`` to keep the overflows of farther rows quiet.
     """
-    return _votes(model, _nearest_rows(model, v, model.k), (model.k,))[model.k]
+    answers = next(_answers(model, [transform(model.scaler, v)], {model.p: (model.k,)}))
+    return answers[model.p][model.k]
 
 
 def _model_payload(model: KnnModel) -> dict:
@@ -483,7 +487,7 @@ def load_model(path) -> KnnModel:
         if not isinstance(config, dict) or config.keys() != names:
             raise ValueError(f"feature_config must be an object with exactly the fields "
                              f"{', '.join(sorted(names))}")
-        fitted = KnnModel(
+        return KnnModel(
             train_matrix=payload["train"]["matrix"],
             train_labels=payload["train"]["labels"],
             k=payload["k"],
@@ -491,16 +495,6 @@ def load_model(path) -> KnnModel:
             scaler=ScalerParams(means=payload["scaler"]["means"], stds=payload["scaler"]["stds"]),
             feature_config=FeatureConfig(**config),
         )
-        # knn_fit guarantees these; a file has to be checked
-        if type(fitted.k) is not int:  # not a bool either, though True passes k >= 1
-            raise ValueError(f"k must be an integer, got {fitted.k!r}")
-        if type(fitted.p) not in (int, float):  # as for k, True passes p >= 1
-            raise ValueError(f"p must be a number, got {fitted.p!r}")
-        if not np.isfinite(fitted.train_matrix).all():
-            raise ValueError("train matrix must be finite")
-        if not all(isinstance(label, str) for label in fitted.train_labels):
-            raise ValueError("labels must be strings")
-        return fitted
     except KeyError as exc:
         raise CorruptModelFile(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError, VocalScreenError) as exc:

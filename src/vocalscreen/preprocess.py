@@ -20,6 +20,7 @@ class SilenceParams:
 
     A frame is voiced when its RMS reaches ``threshold_ratio`` times the
     loudest frame's RMS. Defaults: 50 ms frames, 25 ms hop, ratio 0.1.
+    The hop is positive and at most the frame, which is finite.
     """
 
     frame_seconds: float = 0.05
@@ -27,8 +28,8 @@ class SilenceParams:
     threshold_ratio: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.hop_seconds <= self.frame_seconds:
-            raise ValueError("need 0 < hop_seconds <= frame_seconds")
+        if not 0 < self.hop_seconds <= self.frame_seconds < np.inf:
+            raise ValueError("need 0 < hop_seconds <= frame_seconds < inf")
         if not 0 < self.threshold_ratio < 1:
             raise ValueError("threshold_ratio must be in (0, 1)")
 
@@ -99,8 +100,8 @@ def segment(clip: AudioClip, segment_seconds: float = 4.0) -> SegmentSet:
     The trailing remainder shorter than one window is discarded. A clip
     shorter than one window yields an empty SegmentSet.
     """
-    if segment_seconds <= 0:
-        raise ValueError("segment_seconds must be positive")
+    if not 0 < segment_seconds < np.inf:
+        raise ValueError(f"segment_seconds must be positive and finite, got {segment_seconds}")
     if clip.samples.ndim != 1:
         raise ValueError("segment expects a mono clip")
 

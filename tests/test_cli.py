@@ -198,6 +198,7 @@ def test_usage_error_exits_2(tmp_path, capsys):
     asks_help.write_text("help = true\n")
     for argv, flag in [
         (["train", *files, "--p", "0.5"], "--p"),
+        (["train", *files, "--p", "inf"], "--p: must be finite"),  # every distance 1.0
         (["train", *files, "--k", "4"], "--k"),
         (["train", *files, "--k", "-1"], "--k"),
         (["select", *files, "--folds", "1"], "--folds"),
@@ -210,6 +211,11 @@ def test_usage_error_exits_2(tmp_path, capsys):
          "--n-fft"),
         (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
          "--segment-seconds"),
+        # an infinite duration overflowed its sample count into a traceback
+        (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "inf"],
+         "--segment-seconds: must be positive and finite"),
+        (["extract", "--manifest", "m.csv", "--out", out, "--frame-seconds", "inf",
+          "--hop-seconds", "1"], "--frame-seconds/--hop-seconds/--threshold-ratio: need 0"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "4096",
           "--segment-seconds", "0.2"], "--segment-seconds/--n-fft: a 0.2 s segment holds 3200"),
         (["synth", "--out", out, "--speakers-per-class", "0"], "--speakers-per-class"),
@@ -636,6 +642,7 @@ def test_stats_single_row_group_names_features_and_group(small_cohort, tmp_path,
 
 @pytest.mark.parametrize("mutate, message", [
     (lambda m: m.update(p=0.5), "invalid model: p must be >= 1"),
+    (lambda m: m.update(p=float("inf")), "invalid model: p must be finite, got inf"),
     (lambda m: m.pop("scaler"), "missing field 'scaler'"),
     (lambda m: m["scaler"]["stds"].__setitem__(0, 0.0), "invalid model: stds must be positive"),
 ])

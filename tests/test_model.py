@@ -27,12 +27,13 @@ from vocalscreen.model import (
     knn_fit,
     knn_predict,
     load_model,
-    minkowski_distance,
     overflow_guard,
     save_model,
     transform,
-    _distances,
-    _nearest_rows,
+    _answers,
+    _differences,
+    _minkowski,
+    _nearest,
     _payload_digest,
     _votes,
 )
@@ -109,32 +110,31 @@ def test_non_finite_rows_rejected(fit, bad):
 # --- minkowski ----------------------------------------------------------------
 
 
+def query_distances(model, query):
+    """Distances from a raw query to every training row, as model._answers computes them."""
+    return _minkowski(_differences(model, transform(model.scaler, query)), model.p)
+
+
+def distance(a, b, p):
+    """The distance of one pair: a query against a model of one row."""
+    return float(query_distances(knn_fit([b], ["control"], k=1, p=p), a)[0])
+
+
 def test_minkowski_examples():
-    assert minkowski_distance([1.0, 2.0], [1.0, 2.0], 2.0) == 0.0
-    assert minkowski_distance([0.0, 0.0], [3.0, 4.0], 2.0) == pytest.approx(5.0)
-    assert minkowski_distance([0.0, 0.0], [3.0, 4.0], 1.0) == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        minkowski_distance([0.0], [1.0], 0.5)
-    with pytest.raises(ValueError):
-        minkowski_distance([0.0], [1.0, 2.0], 2.0)
-    with pytest.raises(ValueError):
-        minkowski_distance(np.zeros((4, 3)), np.zeros(2), 2.0)
-    for empty in (np.zeros(0), np.zeros((4, 0)), np.float64(1.0)):
-        with pytest.raises(ValueError, match="at least one dimension"):
-            minkowski_distance(empty, empty, 2.0)
-    # a stacked call gives each row exactly the single-pair distance,
-    # exact ties included (duplicated rows, integer-valued coordinates)
+    assert distance([1.0, 2.0], [1.0, 2.0], 2.0) == 0.0
+    assert distance([0.0, 0.0], [3.0, 4.0], 2.0) == pytest.approx(5.0)
+    assert distance([0.0, 0.0], [3.0, 4.0], 1.0) == pytest.approx(7.0)
+    # a model of many rows gives each row exactly the distance a model of that
+    # row alone gives, exact ties included (duplicated rows, integer-valued coordinates)
     rng = np.random.default_rng(30)
     matrix = np.vstack([rng.normal(size=(200, 16)),
                         rng.integers(-3, 4, size=(40, 16)).astype(float)])
     matrix = np.vstack([matrix, matrix[:20]])
     for p in (1.0, 2.0, 3.0):
+        model = knn_fit(matrix, ["control"] * len(matrix), k=1, p=p)
         for query in (rng.normal(size=16), matrix[210], np.zeros(16)):
-            stacked = minkowski_distance(matrix, query, p)
-            assert stacked.shape == (len(matrix),)
-            per_row = [minkowski_distance(row, query, p) for row in matrix]
-            assert all(isinstance(d, float) for d in per_row)
-            assert stacked.tolist() == per_row
+            assert query_distances(model, query).tolist() == [distance(query, row, p)
+                                                              for row in matrix]
 
 
 def former_minkowski(matrix, query, p):
@@ -152,12 +152,19 @@ def bits(values) -> bytes:
 
 def assert_distance_paths_equal_former(matrix, query, p):
     former = former_minkowski(matrix, query, p)
-    assert bits(minkowski_distance(matrix, query, p)) == bits(former)  # stack
-    assert bits([minkowski_distance(row, query, p) for row in matrix]) == bits(former)  # pairs
     model = knn_fit(matrix, ["control"] * len(matrix), k=1, p=p)
-    assert bits(_distances(model, query)) == bits(former)  # dims-major, as every query runs
+    assert bits(query_distances(model, query)) == bits(former)
     with overflow_guard():
-        assert bits(_distances(model, query)) == bits(former)
+        assert bits(query_distances(model, query)) == bits(former)
+    # the query loop answers with the nearest row of the former distances: each row
+    # is its own label, and equal distances go to the lower row
+    model = KnnModel(train_matrix=matrix, train_labels=[str(i) for i in range(len(matrix))],
+                     k=1, p=p, scaler=identity_scaler(matrix.shape[1]),
+                     feature_config=FeatureConfig())
+    if not np.isinf(former).all():  # else the nearest distance overflows
+        with overflow_guard():
+            (answer,) = _answers(model, [query], {p: {1}})
+        assert answer == {p: {1: (str(np.argsort(former, kind="stable")[0]), 1.0)}}
 
 
 # 1-40 dims cover the sequential, block-of-eight and tail steps; 127-129 the
@@ -215,12 +222,12 @@ coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
     p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
 )
 def test_minkowski_metric_properties(a, b, c, p):
-    dab = minkowski_distance(a, b, p)
-    dba = minkowski_distance(b, a, p)
+    dab = distance(a, b, p)
+    dba = distance(b, a, p)
     assert dab == pytest.approx(dba, rel=1e-9, abs=1e-9)
     assert dab >= 0
-    dac = minkowski_distance(a, c, p)
-    dcb = minkowski_distance(c, b, p)
+    dac = distance(a, c, p)
+    dcb = distance(c, b, p)
     assert dab <= dac + dcb + 1e-9 * max(1.0, dab)
 
 
@@ -244,6 +251,21 @@ def test_knn_fit_boundaries():
         knn_fit(np.zeros((3, 2)), ["a", "b", "c"], k=1, scaler=identity_scaler(2))
     with pytest.raises(ValueError, match="non-empty"):
         knn_fit(np.zeros((3, 0)), ["control"] * 3, k=1)
+
+
+@pytest.mark.parametrize("k, p, message", [
+    (True, 2.0, "k must be an integer, got True"),
+    (3.0, 2.0, "k must be an integer, got 3.0"),
+    (3, True, "p must be a number, got True"),
+    (3, "2", "p must be a number, got '2'"),
+    (3, np.inf, "p must be finite, got inf"),
+    (3, np.nan, "p must be >= 1"),
+])
+def test_knn_fit_rejects_what_a_model_file_cannot_hold(k, p, message):
+    # each used to fit, and then save_model wrote a file that load_model rejects,
+    # or ("p": Infinity, every distance 1.0) one that is not RFC 8259 JSON
+    with pytest.raises(ValueError, match=message):
+        knn_fit(np.arange(10.0).reshape(5, 2), ["control"] * 3 + ["depression"] * 2, k=k, p=p)
 
 
 @pytest.mark.parametrize("k", [-1, -3])
@@ -329,7 +351,7 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
     full = np.argsort(former_minkowski(model.train_matrix, transform(model.scaler, query), p),
                       kind="stable")
     for count in range(1, len(rows) + 1):
-        assert _nearest_rows(model, query, count) == full[:count].tolist()
+        assert _nearest(query_distances(model, query), count, p) == full[:count].tolist()
 
 
 def test_nearest_rows_of_nan_query_follow_stable_argsort():
@@ -339,8 +361,9 @@ def test_nearest_rows_of_nan_query_follow_stable_argsort():
         model = small_model(k=3, p=p)
         for query in ([np.nan, 0.0], [-np.nan, 0.0], [0.05, -np.nan]):
             former = former_minkowski(model.train_matrix, np.array(query), p)
-            assert np.isnan(former).all() and np.isnan(_distances(model, query)).all()
-            assert _nearest_rows(model, query, 3) == np.argsort(former, kind="stable").tolist()
+            distances = query_distances(model, query)
+            assert np.isnan(former).all() and np.isnan(distances).all()
+            assert _nearest(distances, 3, p) == np.argsort(former, kind="stable").tolist()
             assert knn_predict(model, query) == ("control", 2 / 3)
 
 
@@ -521,6 +544,7 @@ def saved_payload(tmp_path):
     (lambda m: m.update(k=3.0), "integer"),
     (lambda m: m.update(k=True), "k must be an integer, got True"),
     (lambda m: m.update(p=True), "p must be a number, got True"),
+    (lambda m: m.update(p=float("inf")), "p must be finite, got inf"),
     (lambda m: m["train"]["labels"].__setitem__(0, [1]), "labels must be strings"),
     (lambda m: m["train"]["matrix"][0].__setitem__(0, float("nan")), "must be finite"),
     (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
@@ -577,6 +601,7 @@ def apply_mutation(payload, place, value):
 @example(mutations=[(("p",), (1e300,))], redigest=True, raw=b"")  # |a - b|^p overflows
 @example(mutations=[(("k",), (True,))], redigest=True, raw=b"")  # True passes k >= 1
 @example(mutations=[(("p",), (True,))], redigest=True, raw=b"")  # and p >= 1
+@example(mutations=[(("p",), (float("inf"),))], redigest=True, raw=b"")  # every distance 1.0
 def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutations, redigest,
                                                         raw):
     path = tmp_path_factory.mktemp("fuzz") / "model.json"
@@ -597,7 +622,7 @@ def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutati
             assert str(exc).startswith(f"{path}: ")
             continue
         assert isinstance(loaded, KnnModel)
-        assert type(loaded.k) is int and type(loaded.p) in (int, float)
+        assert type(loaded.k) is int and type(loaded.p) in (int, float) and loaded.p < np.inf
         try:
             with overflow_guard():
                 label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
@@ -646,10 +671,11 @@ def test_overflow_of_farther_rows_keeps_the_answer():
     assert np.isinf(former[4]) and np.isfinite(former[:4]).all()
     full = np.argsort(former, kind="stable")
     with overflow_guard():
-        assert bits(_distances(model, query)) == bits(former)
-        assert _nearest_rows(model, query, 3) == full[:3].tolist()
+        distances = query_distances(model, query)
+        assert bits(distances) == bits(former)
+        assert _nearest(distances, 3, 400.0) == full[:3].tolist()
         assert knn_predict(model, query) == former_vote(labels, full, 3)
         with pytest.raises(DistanceOverflow, match=r"^p = 400\.0: .* nearest row 5 "):
-            _nearest_rows(model, query, 5)
+            next(_answers(model, [query], {400.0: {5}}))
     grid_select([PipelineCandidate(k=1, p=400.0, use_scaler=False)], matrix[:4].repeat(2, axis=0),
                 labels[:4] * 2, folds=2)

@@ -86,6 +86,10 @@ def test_silence_params_invariants():
         SilenceParams(threshold_ratio=1.0)
     with pytest.raises(ValueError):
         SilenceParams(hop_seconds=0.0)
+    # an infinite frame would overflow the sample count taken from it
+    for frame, hop in ((np.inf, 1.0), (np.inf, np.inf), (np.nan, 0.025)):
+        with pytest.raises(ValueError, match="hop_seconds <= frame_seconds < inf"):
+            SilenceParams(frame_seconds=frame, hop_seconds=hop)
 
 
 def test_remove_silence_tone_after_silence():
@@ -158,8 +162,9 @@ def test_segment_concat_is_leading_prefix():
 
 
 def test_segment_rejects_bad_duration():
-    with pytest.raises(ValueError):
-        segment(clip_of(np.zeros(10)), 0.0)
+    for seconds in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="segment_seconds must be positive and finite"):
+            segment(clip_of(np.zeros(10)), seconds)
 
 
 def test_segment_set_shares_rate_and_exact_length():
