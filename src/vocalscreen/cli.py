@@ -39,7 +39,6 @@ from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
 from .features import (N_FEATURES, FeatureConfig, extract_features, read_features_csv,
                        write_features_csv)
-from .rng import round_half_up
 
 
 class _UsageError(VocalScreenError):
@@ -47,22 +46,15 @@ class _UsageError(VocalScreenError):
 
 
 @contextlib.contextmanager
-def _flag_values(*flags):
-    """Report a ValueError raised on flag values as a usage error naming them."""
+def _named(prefix, *errors, usage=False):
+    """Re-raise any of ``errors`` as "<prefix>: <error>", the prefix naming the file or flags.
+
+    The error raised is a VocalScreenError, or a _UsageError if ``usage``.
+    """
     try:
         yield
-    except ValueError as exc:
-        raise _UsageError(f"{'/'.join(flags)}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _queries(model_path, fitted):
-    """A batch of KNN queries on ``fitted``; a distance overflow names the model file."""
-    try:
-        with model.overflow_guard():
-            yield
-    except model.DistanceOverflow as exc:
-        raise VocalScreenError(f"{model_path}: {exc}") from exc
+    except errors as exc:
+        raise (_UsageError if usage else VocalScreenError)(f"{prefix}: {exc}") from exc
 
 
 def load_config(path) -> list:
@@ -72,10 +64,8 @@ def load_config(path) -> list:
     surrounding quotes dropped), and ``true`` / ``false`` become
     ``--key`` / ``--no-key``.
     """
-    try:
+    with _named(f"{path}: cannot decode as text", UnicodeDecodeError):
         text = Path(path).read_bytes().decode()
-    except UnicodeDecodeError as exc:
-        raise VocalScreenError(f"{path}: cannot decode as text: {exc}") from exc
     args = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -134,14 +124,11 @@ def _feature_config_from(ns) -> FeatureConfig:
     path = ns.feature_config
     if path is None:
         return FeatureConfig()
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-            if "feature_config" in payload:  # accept an extract run_config.json directly
-                payload = payload["feature_config"]
-            return FeatureConfig(**payload)
-        except (TypeError, ValueError) as exc:  # bad JSON, unknown key, bad value
-            raise VocalScreenError(f"{path}: bad feature config: {exc}") from exc
+    with open(path) as fh, _named(f"{path}: bad feature config", TypeError, ValueError):
+        payload = json.load(fh)
+        if "feature_config" in payload:  # accept an extract run_config.json directly
+            payload = payload["feature_config"]
+        return FeatureConfig(**payload)  # an unknown key is a TypeError, a bad value a ValueError
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -149,7 +136,7 @@ def _feature_config_from(ns) -> FeatureConfig:
 
 def cmd_synth(ns) -> int:
     out_dir = Path(ns.out)
-    with _flag_values("--speakers-per-class", "--seconds-per-speaker"):
+    with _named("--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
         spec = synth.CohortSpec(
             speakers_per_class=ns.speakers_per_class,
             seconds_per_speaker=ns.seconds_per_speaker,
@@ -170,35 +157,32 @@ def _recording_features(wav_path, source_id: str, silence, segment_seconds, conf
     The recording's audio is dropped on return, before the caller reads
     the next file.
     """
-    try:
+    with _named(source_id, VocalScreenError, OSError, ValueError):
         clip = audio_io.load_mono(wav_path)
         voiced = preprocess.remove_silence(clip, silence)
         segments = preprocess.segment(voiced, segment_seconds)
-    except (VocalScreenError, OSError, ValueError) as exc:
-        raise VocalScreenError(f"{source_id}: {exc}") from exc
     return [extract_features(seg, config) for seg in segments]
 
 
 def cmd_extract(ns) -> int:
     manifest_path = Path(ns.manifest)
     out_dir = Path(ns.out)
-    with _flag_values("--frame-seconds", "--hop-seconds", "--threshold-ratio"):
+    with _named("--frame-seconds/--hop-seconds/--threshold-ratio", ValueError, usage=True):
         silence = preprocess.SilenceParams(
             frame_seconds=ns.frame_seconds,
             hop_seconds=ns.hop_seconds,
             threshold_ratio=ns.threshold_ratio,
         )
     segment_seconds = ns.segment_seconds
-    if not 0 < segment_seconds < np.inf:
-        raise _UsageError(f"--segment-seconds: must be positive and finite, got {segment_seconds}")
-    with _flag_values("--n-fft", "--fft-hop", "--n-mels"):
+    # every segment is cut at the canonical rate, so its length is known before any decode
+    with _named("--segment-seconds", ValueError, usage=True):
+        segment_samples = preprocess.sample_count(segment_seconds, "segment_seconds")
+    with _named("--n-fft/--fft-hop/--n-mels", ValueError, usage=True):
         config = FeatureConfig(
             n_fft=ns.n_fft,
             hop=ns.fft_hop,
             n_mels=ns.n_mels,
         )
-    # every segment is cut at the canonical rate, so its length is known before any decode
-    segment_samples = round_half_up(segment_seconds * audio_io.DEFAULT_SAMPLE_RATE)
     if segment_samples < config.n_fft:
         raise _UsageError(f"--segment-seconds/--n-fft: a {segment_seconds} s segment holds"
                           f" {segment_samples} samples, fewer than one {config.n_fft}-sample"
@@ -236,7 +220,7 @@ def cmd_extract(ns) -> int:
 
 def cmd_split(ns) -> int:
     out_dir = Path(ns.out)
-    with _flag_values("--train-fraction", "--mode"):
+    with _named("--train-fraction/--mode", ValueError, usage=True):
         spec = dataset.SplitSpec(train_fraction=ns.train_fraction, seed=ns.seed, mode=ns.mode)
     manifest = dataset.load_manifest(ns.manifest)
     train, test = dataset.split(manifest, spec)
@@ -251,24 +235,18 @@ def cmd_split(ns) -> int:
 def cmd_train(ns) -> int:
     out_dir = Path(ns.out)
     k, p, use_scaler = ns.k, ns.p, ns.scaler
-    if k < 1 or k % 2 == 0:
-        raise _UsageError(f"--k: must be a positive odd integer, got {k}")
-    if not 1 <= p < np.inf:
-        raise _UsageError(f"--p: must be finite and >= 1, got {p}")
+    with _named("--k/--p", ValueError, model.EvenK, usage=True):
+        model.check_k_and_p(k, p)
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, ns.manifest, manifest)
     if not labels:
         raise model.EmptyTrainingSet(f"{ns.manifest}: no segments to train on")
-    try:
+    with _named(ns.features, model.ScalerOverflow):
         scaler = (model.fit_scaler(features) if use_scaler
                   else model.identity_scaler(features.shape[1]))
-    except model.ScalerOverflow as exc:
-        raise VocalScreenError(f"{ns.features}: {exc}") from exc
-    try:
+    with _named(f"{ns.manifest}: too few rows for --k {k}", model.TooFewSamples):
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
                                feature_config=_feature_config_from(ns))
-    except model.TooFewSamples as exc:
-        raise VocalScreenError(f"{ns.manifest}: too few rows for --k {k}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, out_dir / "model.json")
     _write_run_config(out_dir, "train", {
@@ -292,20 +270,18 @@ def cmd_evaluate(ns) -> int:
     fitted = _load_model(ns.model)
     split_mode = "unknown"
     if ns.split_sidecar:
-        with open(ns.split_sidecar) as fh:
-            try:
-                sidecar = json.load(fh)
-            except ValueError as exc:  # malformed JSON or not UTF-8
-                raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: {exc}") from exc
-        if not isinstance(sidecar, dict):
-            raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: not a JSON object")
-        if "mode" in sidecar:
-            split_mode = sidecar["mode"]
-            if split_mode not in dataset.SPLIT_MODES:
-                raise VocalScreenError(f"{ns.split_sidecar}: bad split sidecar: mode"
-                                       f" {split_mode!r} is not one of"
-                                       f" {', '.join(dataset.SPLIT_MODES)}")
-    with _queries(ns.model, fitted):
+        # malformed JSON, not UTF-8, not an object, or a mode no split run writes
+        with open(ns.split_sidecar) as fh, _named(f"{ns.split_sidecar}: bad split sidecar",
+                                                  ValueError):
+            sidecar = json.load(fh)
+            if not isinstance(sidecar, dict):
+                raise ValueError("not a JSON object")
+            if "mode" in sidecar:
+                split_mode = sidecar["mode"]
+                if split_mode not in dataset.SPLIT_MODES:
+                    raise ValueError(f"mode {split_mode!r} is not one of"
+                                     f" {', '.join(dataset.SPLIT_MODES)}")
+    with _named(ns.model, model.DistanceOverflow), model.overflow_guard():
         predictions = [model.knn_predict(fitted, row)[0] for row in features]
     report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
                                              extra={"model_k": fitted.k, "model_p": fitted.p})
@@ -327,7 +303,7 @@ def cmd_predict(ns) -> int:
     fitted = _load_model(ns.model)
     ids, _labels, matrix = read_features_csv(ns.features)
     lines = ["segment_id,label,score"]
-    with _queries(ns.model, fitted):
+    with _named(ns.model, model.DistanceOverflow), model.overflow_guard():
         for sid, row in zip(ids, matrix):
             label, score = model.knn_predict(fitted, row)
             lines.append(f"{sid},{label},{score!r}")
@@ -350,15 +326,12 @@ def cmd_select(ns) -> int:
         raise _UsageError(f"--folds: must be >= 2, got {ns.folds}")
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, ns.manifest, manifest)
-    try:
+    # a class short of folds, or a fold's training part short of the grid's largest k
+    with (_named(ns.features, model.DistanceOverflow, model.ScalerOverflow),
+          _named(f"{ns.manifest}: too few rows for --folds {ns.folds}",
+                 evaluation.TooFewSamplesPerClass, model.TooFewSamples)):
         report = evaluation.grid_select(evaluation.default_grid(), features, labels,
                                         folds=ns.folds, seed=ns.seed)
-    except (evaluation.TooFewSamplesPerClass, model.TooFewSamples) as exc:
-        # a class short of folds, or a fold's training part short of the grid's largest k
-        raise VocalScreenError(f"{ns.manifest}: too few rows for --folds {ns.folds}: {exc}"
-                               ) from exc
-    except (model.DistanceOverflow, model.ScalerOverflow) as exc:
-        raise VocalScreenError(f"{ns.features}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.write_json(out_dir / "selection_report.json", report.to_json_dict())
     _write_run_config(out_dir, "select", {
@@ -381,10 +354,8 @@ def cmd_stats(ns) -> int:
         by_group.setdefault(label, []).append(row)
     by_group = {label: np.asarray(rows) for label, rows in by_group.items()}
     stats = evaluation.descriptive_stats(by_group)
-    try:
+    with _named(ns.features, evaluation.GroupTooSmall):
         t_tests = evaluation.group_t_tests(by_group) if len(by_group) == 2 else None
-    except evaluation.GroupTooSmall as exc:
-        raise VocalScreenError(f"{ns.features}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset.write_json(out_dir / "stats.json", {"descriptives": stats, "t_tests": t_tests})
     text = evaluation.render_stats_text(stats, t_tests)

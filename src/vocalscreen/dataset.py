@@ -79,14 +79,6 @@ class DatasetManifest:
             counts[row.label] += 1
         return counts
 
-    def participants(self) -> list:
-        """Participant ids in first-appearance order."""
-        seen = []
-        for row in self.rows:
-            if row.participant not in seen:
-                seen.append(row.participant)
-        return seen
-
 
 @dataclass(frozen=True)
 class SplitSpec:

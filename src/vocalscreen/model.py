@@ -236,13 +236,31 @@ def overflow_guard():
     return np.errstate(over="ignore")
 
 
+def check_k_and_p(k, p) -> None:
+    """Reject a k that is not a positive odd int, or a p that is not a finite number >= 1.
+
+    A bool is neither. Raises EvenK for an even k, ValueError for the rest.
+    """
+    if type(k) is not int:  # not a bool either, though True passes k >= 1
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k % 2 == 0:
+        raise EvenK(f"k must be odd, got {k}")
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise ValueError(f"p must be a number, got {p!r}")
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    if p == np.inf:  # every distance would read 1.0 and every query tie
+        raise ValueError("p must be finite, got inf")
+
+
 @dataclass(frozen=True)
 class KnnModel:
     """Standardized training matrix plus the hyperparameters that query it.
 
     The matrix is finite with one column per scaler dimension, the labels
-    are strings, k is a positive odd int (not a bool) and p a finite
-    number >= 1 (not a bool).
+    are strings, and k and p pass check_k_and_p.
     """
 
     train_matrix: np.ndarray
@@ -264,20 +282,9 @@ class KnnModel:
             raise ValueError("train matrix must be finite")
         if not all(map(isinstance, self.train_labels, repeat(str))):
             raise ValueError("labels must be strings")
-        if type(self.k) is not int:  # not a bool either, though True passes k >= 1
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.k % 2 == 0:
-            raise EvenK(f"k must be odd, got {self.k}")
+        check_k_and_p(self.k, self.p)
         if matrix.shape[0] < self.k:
             raise TooFewSamples(f"{matrix.shape[0]} rows < k={self.k}")
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
-            raise ValueError(f"p must be a number, got {self.p!r}")
-        if not self.p >= 1:
-            raise ValueError("p must be >= 1")
-        if self.p == np.inf:  # every distance would read 1.0 and every query tie
-            raise ValueError("p must be finite, got inf")
 
     @cached_property
     def _dims_major(self) -> np.ndarray:

@@ -10,8 +10,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip
 from .rng import round_half_up
+
+
+def sample_count(seconds: float, name: str, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
+    """Whole samples in ``seconds`` at ``sample_rate``, rounded half up.
+
+    Raises ValueError, naming the duration ``name``, unless the count is
+    finite and at least one.
+    """
+    samples = seconds * sample_rate
+    if not 0.5 <= samples < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {seconds}"
+                         f" ({samples:g} samples at {sample_rate} Hz)")
+    return round_half_up(samples)
 
 
 @dataclass(frozen=True)
@@ -20,7 +33,8 @@ class SilenceParams:
 
     A frame is voiced when its RMS reaches ``threshold_ratio`` times the
     loudest frame's RMS. Defaults: 50 ms frames, 25 ms hop, ratio 0.1.
-    The hop is positive and at most the frame, which is finite.
+    The hop is positive and at most the frame, and each holds a finite,
+    nonzero number of samples at DEFAULT_SAMPLE_RATE.
     """
 
     frame_seconds: float = 0.05
@@ -32,6 +46,8 @@ class SilenceParams:
             raise ValueError("need 0 < hop_seconds <= frame_seconds < inf")
         if not 0 < self.threshold_ratio < 1:
             raise ValueError("threshold_ratio must be in (0, 1)")
+        sample_count(self.frame_seconds, "frame_seconds")
+        sample_count(self.hop_seconds, "hop_seconds")
 
 
 @dataclass(frozen=True)
@@ -75,8 +91,8 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     if clip.samples.ndim != 1:
         raise ValueError("remove_silence expects a mono clip")
 
-    frame_len = round_half_up(params.frame_seconds * clip.sample_rate)
-    hop_len = round_half_up(params.hop_seconds * clip.sample_rate)
+    frame_len = sample_count(params.frame_seconds, "frame_seconds", clip.sample_rate)
+    hop_len = sample_count(params.hop_seconds, "hop_seconds", clip.sample_rate)
     rms = _frame_rms(clip.samples, frame_len, hop_len)
     if len(rms) == 0:
         return AudioClip(samples=np.zeros(0), sample_rate=clip.sample_rate)
@@ -100,12 +116,9 @@ def segment(clip: AudioClip, segment_seconds: float = 4.0) -> SegmentSet:
     The trailing remainder shorter than one window is discarded. A clip
     shorter than one window yields an empty SegmentSet.
     """
-    if not 0 < segment_seconds < np.inf:
-        raise ValueError(f"segment_seconds must be positive and finite, got {segment_seconds}")
+    seg_len = sample_count(segment_seconds, "segment_seconds", clip.sample_rate)
     if clip.samples.ndim != 1:
         raise ValueError("segment expects a mono clip")
-
-    seg_len = round_half_up(segment_seconds * clip.sample_rate)
     count = len(clip) // seg_len
     segments = tuple(
         AudioClip(samples=clip.samples[i * seg_len : (i + 1) * seg_len], sample_rate=clip.sample_rate)

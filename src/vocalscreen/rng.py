@@ -6,6 +6,8 @@ and use a fixed, fully specified scheme: a SplitMix64 stream feeding a
 Fisher-Yates shuffle with modulo-reduced draws and a descending index.
 """
 
+import math
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -44,7 +46,10 @@ def fisher_yates(items: list, stream: SplitMix64) -> list:
 
 
 def round_half_up(x: float) -> int:
-    """Round to nearest integer with ties going up (0.5 -> 1)."""
-    import math
+    """Round to nearest integer with ties going up (0.5 -> 1).
 
+    Raises ValueError, naming x, when x is not finite.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot round {x} to an integer")
     return int(math.floor(x + 0.5))

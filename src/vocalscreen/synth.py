@@ -18,7 +18,6 @@ Every output is labeled synthetic and non-clinical; scores obtained on
 this cohort say nothing about clinical screening accuracy.
 """
 
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import numpy as np
 from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, save_wav
 from .dataset import DatasetManifest, ManifestRow, save_manifest, write_json
 from .errors import VocalScreenError
+from .preprocess import sample_count
 from .rng import round_half_up
 
 NON_CLINICAL_NOTE = (
@@ -77,10 +77,7 @@ class CohortSpec:
     def __post_init__(self):
         if self.speakers_per_class < 1:
             raise ValueError("speakers_per_class must be >= 1")
-        if not (math.isfinite(self.seconds_per_speaker)
-                and round_half_up(self.seconds_per_speaker * DEFAULT_SAMPLE_RATE) >= 1):
-            raise ValueError("seconds_per_speaker must be finite and hold at least one"
-                             f" sample at {DEFAULT_SAMPLE_RATE} Hz, got {self.seconds_per_speaker}")
+        sample_count(self.seconds_per_speaker, "seconds_per_speaker")
         profiles = list(self.class_profiles.values())
         if len(profiles) >= 2 and all(p == profiles[0] for p in profiles[1:]):
             raise ValueError("class profiles must differ in at least one parameter")

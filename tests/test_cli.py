@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import read_features_csv, write_features_csv
-from vocalscreen.model import _payload_digest, knn_fit, load_model, save_model, transform
+from vocalscreen.model import EvenK, _payload_digest, knn_fit, load_model, save_model, transform
 from vocalscreen.preprocess import remove_silence
 
 
@@ -100,7 +101,7 @@ def test_split_speaker_disjoint(small_cohort, tmp_path):
     assert sidecar["mode"] == "speaker-disjoint"
     train = load_manifest(tmp_path / "train.csv")
     test = load_manifest(tmp_path / "test.csv")
-    assert set(train.participants()).isdisjoint(test.participants())
+    assert {row.participant for row in train}.isdisjoint({row.participant for row in test})
 
 
 def test_train_evaluate_predict_flow(small_cohort, tmp_path, capsys):
@@ -198,7 +199,7 @@ def test_usage_error_exits_2(tmp_path, capsys):
     asks_help.write_text("help = true\n")
     for argv, flag in [
         (["train", *files, "--p", "0.5"], "--p"),
-        (["train", *files, "--p", "inf"], "--p: must be finite"),  # every distance 1.0
+        (["train", *files, "--p", "inf"], "--k/--p: p must be finite, got inf"),  # distances 1.0
         (["train", *files, "--k", "4"], "--k"),
         (["train", *files, "--k", "-1"], "--k"),
         (["select", *files, "--folds", "1"], "--folds"),
@@ -213,9 +214,18 @@ def test_usage_error_exits_2(tmp_path, capsys):
          "--segment-seconds"),
         # an infinite duration overflowed its sample count into a traceback
         (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "inf"],
-         "--segment-seconds: must be positive and finite"),
+         "--segment-seconds: segment_seconds must be positive and finite"),
         (["extract", "--manifest", "m.csv", "--out", out, "--frame-seconds", "inf",
           "--hop-seconds", "1"], "--frame-seconds/--hop-seconds/--threshold-ratio: need 0"),
+        # so did a finite one whose sample count overflows float64
+        (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "1e305"],
+         "--segment-seconds: segment_seconds must be positive and finite, got 1e+305"),
+        (["extract", "--manifest", "m.csv", "--out", out, "--frame-seconds", "1e305",
+          "--hop-seconds", "1e305"], "--frame-seconds/--hop-seconds/--threshold-ratio:"
+         " frame_seconds must be positive and finite, got 1e+305"),
+        # a hop of zero samples divided by zero once a file was read
+        (["extract", "--manifest", "m.csv", "--out", out, "--hop-seconds", "1e-6"],
+         "--frame-seconds/--hop-seconds/--threshold-ratio: hop_seconds must be positive"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "4096",
           "--segment-seconds", "0.2"], "--segment-seconds/--n-fft: a 0.2 s segment holds 3200"),
         (["synth", "--out", out, "--speakers-per-class", "0"], "--speakers-per-class"),
@@ -223,6 +233,9 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["synth", "--out", out, "--seconds-per-speaker", "inf"], "--seconds-per-speaker"),
         (["synth", "--out", out, "--seconds-per-speaker", "0.00001"],  # 0.16 samples
          "--seconds-per-speaker"),
+        (["synth", "--out", out, "--seconds-per-speaker", "1e305"],
+         "--speakers-per-class/--seconds-per-speaker: seconds_per_speaker must be positive and"
+         " finite, got 1e+305"),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -235,6 +248,28 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", "4", "k must be odd, got 4"),
+    ("--k", "0", "k must be >= 1, got 0"),
+    ("--k", "-1", "k must be >= 1, got -1"),
+    ("--p", "0.5", "p must be >= 1"),
+    ("--p", "inf", "p must be finite, got inf"),
+    ("--p", "nan", "p must be >= 1"),
+])
+def test_train_rejects_every_k_and_p_knn_fit_rejects(tmp_path, capsys, flag, value, message):
+    # the flags go through the rule knn_fit applies, before any file is read
+    features = np.arange(10.0).reshape(5, 2)
+    labels = ["control"] * 3 + ["depression"] * 2
+    k, p = (int(value), 2.0) if flag == "--k" else (3, float(value))
+    with pytest.raises((ValueError, EvenK), match=re.escape(message)):
+        knn_fit(features, labels, k=k, p=p)
+    out = tmp_path / "o"
+    assert main(["train", "--features", "f.csv", "--manifest", "m.csv", "--out", str(out),
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"error: --k/--p: {message}\n"
+    assert not out.exists()
 
 
 def test_train_rejects_non_finite_features(small_cohort, tmp_path, capsys):

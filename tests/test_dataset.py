@@ -38,7 +38,7 @@ def test_load_manifest_ok(tmp_path):
     manifest = load_manifest(path)
     assert len(manifest) == 3
     assert manifest.label_counts() == {"control": 2, "depression": 1}
-    assert manifest.participants() == ["p1", "p2"]
+    assert [row.participant for row in manifest] == ["p1", "p2", "p1"]
 
 
 def test_load_manifest_errors(tmp_path):
@@ -81,6 +81,9 @@ def test_split_round_half_up():
     manifest = DatasetManifest(rows=rows_for(10))
     train, test = split(manifest, SplitSpec(train_fraction=0.85, seed=1))
     assert (len(train), len(test)) == (9, 1)  # round(8.5) goes up
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"cannot round {x}"):
+            round_half_up(x)
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -100,9 +103,9 @@ def test_speaker_disjoint_no_leakage():
         labels=["depression" if i // 3 % 2 else "control" for i in range(24)],
     ))
     train, test = split(manifest, SplitSpec(seed=1, mode=SPEAKER_DISJOINT))
-    assert set(train.participants()).isdisjoint(test.participants())
+    assert {row.participant for row in train}.isdisjoint({row.participant for row in test})
     # every participant's rows are wholly on one side
-    for pid in manifest.participants():
+    for pid in {row.participant for row in manifest}:
         on_train = any(r.participant == pid for r in train)
         on_test = any(r.participant == pid for r in test)
         assert on_train != on_test

@@ -1,4 +1,5 @@
-"""The package surface: the names the README imports, and no unused import in src/."""
+"""The package surface: the names the README imports, and no unused import or
+private helper in src/."""
 
 import ast
 import re
@@ -42,3 +43,42 @@ def test_no_module_binds_an_unused_import():
     unused = {path.name: names for path in modules
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def private_definitions(source: str) -> list:
+    """Module-level private names a module defines (def _x, class _X, _X = ...)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_private_names(sources: dict) -> list:
+    """Private module-level names of ``sources`` ({module: text}) that no module reads.
+
+    A read is a name loaded (``_x``) or an attribute taken (``model._x``).
+    """
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{name}" for module, source in sources.items()
+            for name in private_definitions(source) if name not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {"a.py": "def _x(): pass\nclass _Y: pass\n_Z: int = 1\n_w = _v = 2\n__all__ = []\n",
+               "b.py": "from a import _Y\nimport a\n_Y()\na._v\n"}
+    assert unread_private_names(sources) == ["a.py:_x", "a.py:_Z", "a.py:_w"]
+
+
+def test_no_module_defines_an_unread_private_name():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -90,6 +90,10 @@ def test_silence_params_invariants():
     for frame, hop in ((np.inf, 1.0), (np.inf, np.inf), (np.nan, 0.025)):
         with pytest.raises(ValueError, match="hop_seconds <= frame_seconds < inf"):
             SilenceParams(frame_seconds=frame, hop_seconds=hop)
+    # so would a finite one too long for 16 kHz; a hop of 0 samples divided by zero
+    for frame, hop, name in ((1e305, 1e305, "frame_seconds"), (0.05, 1e-6, "hop_seconds")):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SilenceParams(frame_seconds=frame, hop_seconds=hop)
 
 
 def test_remove_silence_tone_after_silence():
@@ -162,7 +166,8 @@ def test_segment_concat_is_leading_prefix():
 
 
 def test_segment_rejects_bad_duration():
-    for seconds in (0.0, -1.0, np.nan, np.inf):
+    # 1e305 s overflows its sample count; 1e-6 s rounds to 0 samples, a window of none
+    for seconds in (0.0, -1.0, np.nan, np.inf, 1e305, 1e-6):
         with pytest.raises(ValueError, match="segment_seconds must be positive and finite"):
             segment(clip_of(np.zeros(10)), seconds)
 

@@ -152,7 +152,8 @@ def test_profiles_must_differ():
         CohortSpec(speakers_per_class=0)
 
 
-@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0, 0.0, 0.00003])
+# 1e305 s is finite, but its sample count overflows float64
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 1e305, -1.0, 0.0, 0.00003])
 def test_seconds_per_speaker_must_give_a_sample(seconds):
     with pytest.raises(ValueError, match="seconds_per_speaker"):
         CohortSpec(seconds_per_speaker=seconds)
