@@ -1,4 +1,4 @@
-"""WAV decoding, channel mixdown, and resampling.
+"""WAV decoding and writing, channel mixdown, and resampling.
 
 Everything downstream works on mono clips at the canonical pipeline rate
 (16 kHz). Ingest is one pass over blocks, ``load_mono``: it parses the
@@ -10,6 +10,14 @@ already at 16 kHz skips the interpolation. Only RIFF/WAVE containers
 payloads, finite samples and one or two channels are accepted; rejecting
 anything else beats silently misreading it.
 
+Writing is one block writer, ``_wav_writer``, behind both ``save_wav``
+(to a file) and ``encode_wav`` (to bytes). It checks the header first,
+so a clip no WAV can hold (not one or two channels, or a RIFF size or
+byte rate past 32 bits) raises ValueError before any byte is written.
+It then encodes and writes the body one block of 2^14 frames at a time,
+so writing holds one block's buffers beside the clip, not a full-size
+copy of it.
+
 The public steps ``decode_wav`` (or ``load_wav``) -> ``to_mono`` ->
 ``resample`` remain the reference: ``load_mono(path)`` is byte-identical
 to ``resample(to_mono(load_wav(path)), 16000)``, because both run the
@@ -20,6 +28,7 @@ definition bit for bit (``astype(float64) / 32768``, ``mean(axis=1)``,
 """
 
 from dataclasses import dataclass
+import io
 import struct
 
 import numpy as np
@@ -35,7 +44,8 @@ INT16_SCALE = 32768.0
 
 # Output samples per block of load_mono and resample: a block's buffers (the
 # input frames it reads as float64, positions, indices) take about 1.7 MB
-# for 48 kHz stereo input, so they stay in a 2 MB L2 cache.
+# for 48 kHz stereo input, so they stay in a 2 MB L2 cache. The WAV writer
+# encodes this many frames per block: 160 KB of buffers for mono PCM16.
 _BLOCK = 1 << 14
 
 FORMAT_PCM = 1
@@ -209,40 +219,72 @@ def _subformat_code(fmt) -> int:
     return code
 
 
-def _wav_parts(clip: AudioClip, bit_depth: int) -> tuple:
-    """The 44-byte header of a clip's WAV file and its sample body array.
+def max_wav_frames(channels: int, bit_depth: int) -> int:
+    """Most frames a WAV file of this layout can hold.
 
-    The body is little-endian ``<i2`` (PCM16) or ``<f4`` (float32),
-    interleaved frame by frame: the file is the header, then the body.
+    The RIFF size field is 32 bits and counts "WAVE", the 24-byte fmt
+    chunk and the 8-byte data chunk header (36 bytes), then the body:
+    2,147,483,629 frames for mono PCM16.
     """
-    interleaved = clip.samples.reshape(-1)
-    if bit_depth == 16:
-        scaled = np.multiply(interleaved, INT16_SCALE)  # the one float temporary
-        np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled)
-        body, format_code = scaled.astype("<i2"), FORMAT_PCM
-    elif bit_depth == 32:
-        body, format_code = interleaved.astype("<f4"), FORMAT_IEEE_FLOAT
-    else:
+    return (0xFFFFFFFF - 36) // (channels * bit_depth // 8)
+
+
+def _wav_writer(clip: AudioClip, bit_depth: int):
+    """Check a clip's WAV header and return a function that writes the file to ``fh``.
+
+    Every header field is checked here, before anything is written:
+    ``bit_depth`` 16 or 32, one or two channels (what ``decode_wav``
+    reads), and a RIFF size and byte rate that fit their 32-bit fields;
+    each failure is a ValueError naming the field. The writer then writes
+    the 44-byte header and the body, little-endian ``<i2`` (PCM16) or
+    ``<f4`` (float32) interleaved frame by frame, one block of ``_BLOCK``
+    frames at a time, each encoded into block-sized arrays and written
+    from them. 2- and 4-byte samples make an even body, so the data chunk
+    needs no pad byte.
+    """
+    if bit_depth not in (16, 32):
         raise ValueError(f"bit_depth must be 16 or 32, got {bit_depth}")
-    # the RIFF size counts "WAVE", the 24-byte fmt chunk and the 8-byte data chunk
-    # header (36 bytes), then the body; 2- and 4-byte samples make an even body,
-    # so the data chunk needs no pad byte
-    block_align = clip.channels * bit_depth // 8
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + body.nbytes, b"WAVE",
-                         b"fmt ", 16, format_code, clip.channels, clip.sample_rate,
-                         clip.sample_rate * block_align, block_align, bit_depth,
-                         b"data", body.nbytes)
-    return header, body
+    channels, frames = clip.channels, len(clip)
+    if clip.samples.ndim > 2 or channels not in (1, 2):
+        raise ValueError(f"channels must be 1 or 2, got samples of shape {clip.samples.shape}")
+    block_align = channels * bit_depth // 8
+    body_bytes = frames * block_align
+    if frames > max_wav_frames(channels, bit_depth):
+        raise ValueError(f"RIFF size {36 + body_bytes} ({frames} frames of {block_align}"
+                         " bytes) overflows 32 bits")
+    byte_rate = clip.sample_rate * block_align
+    if byte_rate > 0xFFFFFFFF:
+        raise ValueError(f"byte rate {byte_rate} ({clip.sample_rate} Hz x {block_align}"
+                         " bytes per frame) overflows 32 bits")
+    format_code, sample_type = ((FORMAT_PCM, "<i2") if bit_depth == 16
+                                else (FORMAT_IEEE_FLOAT, "<f4"))
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + body_bytes, b"WAVE",
+                         b"fmt ", 16, format_code, channels, clip.sample_rate, byte_rate,
+                         block_align, bit_depth, b"data", body_bytes)
+
+    def write(fh) -> None:
+        fh.write(header)
+        for lo in range(0, frames, _BLOCK):
+            block = clip.samples[lo:lo + _BLOCK]
+            if bit_depth == 16:
+                block = np.multiply(block, INT16_SCALE)  # the block's one float temporary
+                np.clip(np.round(block, out=block), -32768, 32767, out=block)
+            # frame by frame, so a column-major stereo clip is interleaved too
+            fh.write(block.astype(sample_type, order="C"))
+
+    return write
 
 
 def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
-    """Serialize a clip to WAV bytes (PCM16 or float32).
+    """Serialize a clip to WAV bytes (PCM16 or float32), in blocks (see save_wav).
 
     PCM16 encoding rounds ``sample * 32768`` to the nearest integer and
     clamps to the int16 range, so decode(encode(decode(x))) is lossless.
     """
-    header, body = _wav_parts(clip, bit_depth)
-    return header + body.tobytes()
+    write = _wav_writer(clip, bit_depth)
+    buffer = io.BytesIO()
+    write(buffer)
+    return buffer.getvalue()
 
 
 def _mix_down(frames: np.ndarray) -> np.ndarray:
@@ -373,8 +415,12 @@ def load_mono(path, target_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
 
 
 def save_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:
-    """Write a clip as a WAV file, the bytes of encode_wav, without joining them in memory."""
-    header, body = _wav_parts(clip, bit_depth)
+    """Write a clip as a WAV file: the bytes of encode_wav, one block of frames at a time.
+
+    The header is checked before the file is opened, so a clip no WAV can
+    hold raises ValueError and leaves no file behind. Beyond the clip, the
+    writer holds one block's buffers (2^14 frames), however long the clip.
+    """
+    write = _wav_writer(clip, bit_depth)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
+        write(fh)

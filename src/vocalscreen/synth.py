@@ -12,7 +12,9 @@ in fixed blocks of BLOCK samples, each running the whole signal chain in
 a few cache-sized buffers instead of a dozen full-length arrays. The
 blocked chain keeps every operation and its association, so each WAV is
 byte-identical to the one the whole-array chain writes (see
-``_speaker_clip``).
+``_speaker_clip``). ``generate_cohort`` holds one speaker's float64
+samples at a time and ``save_wav`` writes each WAV in blocks, so peak
+memory is one clip plus one block, however many speakers there are.
 
 Every output is labeled synthetic and non-clinical; scores obtained on
 this cohort say nothing about clinical screening accuracy.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, save_wav
+from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, max_wav_frames, save_wav
 from .dataset import DatasetManifest, ManifestRow, save_manifest, write_json
 from .errors import VocalScreenError
 from .preprocess import sample_count
@@ -77,7 +79,12 @@ class CohortSpec:
     def __post_init__(self):
         if self.speakers_per_class < 1:
             raise ValueError("speakers_per_class must be >= 1")
-        sample_count(self.seconds_per_speaker, "seconds_per_speaker")
+        samples = sample_count(self.seconds_per_speaker, "seconds_per_speaker")
+        limit = max_wav_frames(1, 16)  # each speaker is one mono PCM16 WAV
+        if samples > limit:
+            raise ValueError(f"seconds_per_speaker {self.seconds_per_speaker} gives {samples}"
+                             f" samples at {DEFAULT_SAMPLE_RATE} Hz, more than the {limit}"
+                             " a mono PCM16 WAV holds")
         profiles = list(self.class_profiles.values())
         if len(profiles) >= 2 and all(p == profiles[0] for p in profiles[1:]):
             raise ValueError("class profiles must differ in at least one parameter")
@@ -170,7 +177,9 @@ def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
     Deterministic for a fixed spec: each speaker draws from a generator
     seeded by (seed, class index, speaker index), so reruns are
     byte-identical and speakers are independent of generation order.
-    Manifest paths are relative to the output directory.
+    Manifest paths are relative to the output directory. One speaker's
+    float64 samples are held at a time, and each WAV is written in blocks,
+    so memory does not grow with the number of speakers.
     """
     out_dir = Path(out_dir)
     try:
@@ -180,9 +189,9 @@ def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
             profile = spec.class_profiles[label]
             for speaker_idx in range(spec.speakers_per_class):
                 rng = np.random.default_rng([spec.seed, class_idx, speaker_idx])
-                clip = _speaker_clip(profile, spec.seconds_per_speaker, rng)
                 name = f"{label}_s{speaker_idx:02d}.wav"
-                save_wav(out_dir / name, clip)
+                # no name holds the clip, so it is freed before the next speaker's
+                save_wav(out_dir / name, _speaker_clip(profile, spec.seconds_per_speaker, rng))
                 rows.append(ManifestRow(path=name, label=label, participant=f"{label}_s{speaker_idx:02d}"))
         manifest = DatasetManifest(rows=rows)
         save_manifest(out_dir / "cohort.csv", manifest)

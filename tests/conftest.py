@@ -1,5 +1,6 @@
 import contextlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,26 @@ def chdir(path):
         yield
     finally:
         os.chdir(old)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes traced while ``fn(*args, **kwargs)`` runs, above the level it starts at.
+
+    numpy reports its array buffers to tracemalloc, so this counts every
+    array a call allocates, freed or not, and none it only reads.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - before
 
 
 def tone(freq_hz: float, seconds: float = 1.0, amplitude: float = 0.5,

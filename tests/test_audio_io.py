@@ -15,11 +15,15 @@ from vocalscreen.audio_io import (
     decode_wav,
     encode_wav,
     load_mono,
+    max_wav_frames,
     resample,
+    save_wav,
     to_mono,
 )
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.rng import round_half_up
+
+from conftest import traced_peak
 
 # Sub-format GUID of WAVE_FORMAT_EXTENSIBLE: format code, then a fixed tail.
 GUID_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
@@ -186,10 +190,14 @@ def test_roundtrip_stereo():
     assert np.array_equal(back.samples, clip.samples)
 
 
-def former_encode_pcm16(samples, sample_rate):
-    """PCM16 WAV bytes as first written: three full-size float temporaries."""
+def former_encode(samples, sample_rate, bit_depth=16):
+    """WAV bytes as first written, from whole-array temporaries: PCM16 or float32."""
     channels = 1 if samples.ndim == 1 else samples.shape[1]
-    ints = np.clip(np.round(samples.reshape(-1) * 32768.0), -32768, 32767)
+    interleaved = samples.reshape(-1)
+    if bit_depth == 32:
+        return make_wav(interleaved.astype("<f4").tobytes(), format_code=3,
+                        channels=channels, rate=sample_rate, bits=32)
+    ints = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
     return make_wav(ints.astype("<i2").tobytes(), channels=channels, rate=sample_rate)
 
 
@@ -200,15 +208,87 @@ half_steps = st.sampled_from([0.5 / 32768, -0.5 / 32768, 1.5 / 32768, -1.5 / 327
 
 @settings(max_examples=300, deadline=None)
 @given(samples=arrays(np.float64, st.one_of(st.integers(0, 33),
-                                            st.tuples(st.integers(0, 17), st.integers(1, 3))),
+                                            st.tuples(st.integers(0, 17), st.integers(1, 2))),
                       elements=st.one_of(samples_in_range, half_steps)))
 @example(samples=np.array([1.0, -1.0, 0.5 / 32768]))  # odd sample count
 @example(samples=np.array([[1.0, -0.5 / 32768], [-1.0, 0.5 / 32768], [-0.0, 1.5 / 32768]]))
 def test_encode_pcm16_equals_former(samples):
     kept = samples.copy()
     clip = AudioClip(samples=samples, sample_rate=22050)
-    assert encode_wav(clip) == former_encode_pcm16(kept, 22050)
+    assert encode_wav(clip) == former_encode(kept, 22050)
     assert_identical(clip.samples, kept)  # scaled in a temporary, not in place
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), stereo=st.booleans(), column_major=st.booleans(),
+       bit_depth=st.sampled_from([16, 32]))
+def test_block_writer_equals_former(tmp_path_factory, block, data, stereo, column_major,
+                                    bit_depth):
+    """save_wav's file, encode_wav's bytes and the whole-array definition agree
+    for every clip length around the block edges, in either memory order."""
+    frames = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 2]))
+    samples = data.draw(arrays(np.float64, (frames, 2) if stereo else frames,
+                               elements=st.one_of(samples_in_range, half_steps)))
+    if column_major:
+        samples = np.asfortranarray(samples)
+    clip = AudioClip(samples=samples, sample_rate=22050)
+    path = tmp_path_factory.mktemp("writer") / "clip.wav"
+    with mock.patch.object(audio_io, "_BLOCK", block):
+        save_wav(path, clip, bit_depth)
+        encoded = encode_wav(clip, bit_depth)
+    assert path.read_bytes() == encoded == former_encode(samples, 22050, bit_depth)
+
+
+def _unchecked_clip(samples, sample_rate=16000):
+    """A clip whose samples skip AudioClip's range check, so a zero-stride view
+    can stand for more frames than memory holds."""
+    clip = AudioClip(samples=np.zeros(1), sample_rate=sample_rate)
+    object.__setattr__(clip, "samples", samples)
+    return clip
+
+
+@pytest.mark.parametrize("clip, bit_depth, field", [
+    (AudioClip(samples=np.zeros((4, 3)), sample_rate=16000), 16, "channels"),
+    (AudioClip(samples=np.zeros((4, 0)), sample_rate=16000), 16, "channels"),
+    (AudioClip(samples=np.zeros((4, 2, 2)), sample_rate=16000), 32, "channels"),
+    # the RIFF size is 36 bytes plus the body, one frame past the limit
+    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16) + 1,))), 16, "RIFF size"),
+    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(2, 32) + 1, 2))), 32, "RIFF size"),
+    # struct.error escaped for these two
+    (AudioClip(samples=np.zeros(4), sample_rate=2 ** 31), 16, "byte rate"),
+    (AudioClip(samples=np.zeros((4, 2)), sample_rate=2 ** 29), 32, "byte rate"),
+])
+def test_writer_rejects_what_a_wav_cannot_hold(tmp_path, clip, bit_depth, field):
+    with pytest.raises(ValueError, match=field):
+        encode_wav(clip, bit_depth)
+    path = tmp_path / "out.wav"
+    with pytest.raises(ValueError, match=field):
+        save_wav(path, clip, bit_depth)
+    assert not path.exists()
+
+
+def test_writer_limits_are_exact():
+    assert max_wav_frames(1, 16) == 2_147_483_629  # 36 + 2 n <= 2^32 - 1
+    assert max_wav_frames(2, 32) == (2 ** 32 - 1 - 36) // 8
+    # the header of a clip at the frame limit is accepted; its body is not written
+    audio_io._wav_writer(_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16),))), 16)
+    back = decode_wav(encode_wav(AudioClip(samples=np.zeros(3), sample_rate=2 ** 31 - 1)))
+    assert back.sample_rate == 2 ** 31 - 1  # byte rate 2^32 - 2
+    back = decode_wav(encode_wav(AudioClip(samples=np.zeros((3, 2)), sample_rate=2 ** 29 - 1), 32))
+    assert back.sample_rate == 2 ** 29 - 1 and back.channels == 2
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_save_wav_holds_one_block(tmp_path, channels):
+    """Writing a 20 s clip allocates block-sized buffers, not a copy of the clip."""
+    t = np.arange(20 * 16000) / 16000
+    samples = 0.5 * np.sin(2 * np.pi * 220 * t)
+    clip = AudioClip(samples=samples if channels == 1 else np.stack([samples, samples], 1),
+                     sample_rate=16000)
+    del t, samples
+    assert traced_peak(save_wav, tmp_path / "long.wav", clip) < 1_000_000
+    assert traced_peak(save_wav, tmp_path / "long32.wav", clip, 32) < 1_000_000
 
 
 def test_to_mono_averages():

@@ -236,6 +236,11 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["synth", "--out", out, "--seconds-per-speaker", "1e305"],
          "--speakers-per-class/--seconds-per-speaker: seconds_per_speaker must be positive and"
          " finite, got 1e+305"),
+        # 1.16 TiB of float64 samples, more than a mono PCM16 WAV holds: numpy's
+        # allocation failure escaped as a traceback
+        (["synth", "--out", out, "--seconds-per-speaker", "1e7"],
+         "--speakers-per-class/--seconds-per-speaker: seconds_per_speaker 10000000.0 gives"
+         " 160000000000 samples at 16000 Hz, more than the 2147483629"),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vocalscreen.audio_io import DEFAULT_SAMPLE_RATE, AudioClip, load_wav, resample, to_mono
+from vocalscreen.audio_io import (
+    DEFAULT_SAMPLE_RATE,
+    AudioClip,
+    load_wav,
+    max_wav_frames,
+    resample,
+    to_mono,
+)
 from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.features import extract_features
 from vocalscreen.preprocess import remove_silence, segment
@@ -21,6 +28,8 @@ from vocalscreen.synth import (
     default_profiles,
     generate_cohort,
 )
+
+from conftest import traced_peak
 
 
 def tiny_spec(seed=5, speakers=2, seconds=10.0):
@@ -158,6 +167,25 @@ def test_seconds_per_speaker_must_give_a_sample(seconds):
     with pytest.raises(ValueError, match="seconds_per_speaker"):
         CohortSpec(seconds_per_speaker=seconds)
     CohortSpec(seconds_per_speaker=1 / 32000)  # rounds half up to one sample
+
+
+def test_seconds_per_speaker_must_fit_a_wav():
+    """A speaker is one mono PCM16 WAV, whose 32-bit RIFF size caps it at
+    2,147,483,629 samples (about 37.3 h at 16 kHz); the spec refuses more
+    before any sample is made."""
+    limit = max_wav_frames(1, 16)
+    CohortSpec(seconds_per_speaker=limit / DEFAULT_SAMPLE_RATE)
+    for seconds in [(limit + 1) / DEFAULT_SAMPLE_RATE, 1e7]:
+        with pytest.raises(ValueError, match=f"seconds_per_speaker .* more than the {limit}"):
+            CohortSpec(seconds_per_speaker=seconds)
+
+
+def test_generate_cohort_holds_one_speaker(tmp_path):
+    """Two 20 s speakers: each clip is freed before the next one is made and
+    written in blocks, so the traced peak stays under 1.5 clips."""
+    one_clip = 20 * DEFAULT_SAMPLE_RATE * 8  # float64 bytes
+    peak = traced_peak(generate_cohort, tiny_spec(speakers=1, seconds=20.0), tmp_path)
+    assert peak < 1.5 * one_clip
 
 
 def _cohort_cv_accuracy(gap_hz: float, seed: int, tmp_path) -> float:
