@@ -78,6 +78,8 @@ class AudioClip:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        if type(self.sample_rate) is not int:  # not a bool either
+            raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.samples.size and (self.samples.max() > 1.0 or self.samples.min() < -1.0):
@@ -388,30 +390,28 @@ def load_wav(path) -> AudioClip:
         return decode_wav(fh.read())
 
 
-def load_mono(path, target_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-    """Read a WAV file as a mono clip at target_rate, in one pass over blocks.
+def load_mono(path) -> AudioClip:
+    """Read a WAV file as a mono clip at DEFAULT_SAMPLE_RATE, in one pass over blocks.
 
-    Byte for byte ``resample(to_mono(load_wav(path)), target_rate)``, with
-    the same errors: the container is parsed and every float sample
+    Byte for byte ``resample(to_mono(load_wav(path)), DEFAULT_SAMPLE_RATE)``,
+    with the same errors: the container is parsed and every float sample
     checked first, then each block of output samples converts, mixes and
     interpolates only the input frames it reads, in block-sized buffers.
-    A file already at target_rate skips the interpolation.
+    A file already at DEFAULT_SAMPLE_RATE skips the interpolation.
     """
     with open(path, "rb") as fh:
         raw, source_rate = _parse_wav(fh.read())
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
 
     def mono(lo, hi):
         if raw.shape[1] == 1:
             return _to_float(raw[lo:hi, 0])
         return _mix_down(_to_float(raw[lo:hi]))
 
-    if source_rate == target_rate:
+    if source_rate == DEFAULT_SAMPLE_RATE:
         samples = mono(0, len(raw))
     else:
-        samples = _resampled(mono, len(raw), source_rate, target_rate)
-    return AudioClip(samples=samples, sample_rate=target_rate)
+        samples = _resampled(mono, len(raw), source_rate, DEFAULT_SAMPLE_RATE)
+    return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
 
 
 def save_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:

@@ -19,9 +19,9 @@ only) > built-in default, taken from the library's dataclasses. Each
 ahead of the command line, so it is checked like the same flag typed
 out; an unknown key is a usage error. ``--seed`` exists only for synth,
 split and select, the stages that draw random numbers. Every run writes
-its full effective configuration to run_config.json in the output
-directory; primary outputs never embed timestamps, so reruns with the
-same inputs and seed are byte-identical.
+its effective configuration to <out>/<command>.run.json, and train binds
+the constants of the extract.run.json beside --features; outputs never
+embed timestamps, so reruns with the same inputs and seed are byte-identical.
 """
 
 import argparse
@@ -86,8 +86,15 @@ def load_config(path) -> list:
 
 
 def _write_run_config(out_dir: Path, command: str, effective: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset.write_json(out_dir / "run_config.json", {"command": command, **effective})
+    dataset.write_json(out_dir / f"{command}.run.json", {"command": command, **effective})
+
+
+def _recorded_config(features_path) -> FeatureConfig | None:
+    """The feature_config of the extract.run.json beside a features CSV; None without one."""
+    path = Path(features_path).parent / "extract.run.json"
+    if path.exists():
+        with open(path) as fh, _named(f"{path}: bad record", KeyError, TypeError, ValueError):
+            return FeatureConfig.from_record(json.load(fh)["feature_config"])
 
 
 def _segment_id(manifest_path: str, index: int) -> str:
@@ -110,25 +117,22 @@ def _join_features(features_path, manifest_path, manifest: dataset.DatasetManife
     return np.asarray(rows), labels
 
 
-def _load_model(path) -> model.KnnModel:
-    """load_model, also rejecting a model that does not take a features CSV's columns."""
+def _load_model(path, features_path) -> model.KnnModel:
+    """load_model, also rejecting a model that does not take the features CSV's columns,
+    or whose extraction constants differ from those recorded next to the CSV."""
     fitted = model.load_model(path)
     dims = len(fitted.scaler.means)
     if dims != N_FEATURES:
         raise VocalScreenError(f"{path}: model takes {dims} feature dimensions,"
                                f" a features CSV holds {N_FEATURES}")
+    recorded = _recorded_config(features_path)
+    if recorded not in (None, fitted.feature_config):
+        ours, theirs = asdict(recorded), asdict(fitted.feature_config)
+        differ = ", ".join(f"{key} {ours[key]!r} (model {theirs[key]!r})"
+                           for key in ours if ours[key] != theirs[key])
+        raise VocalScreenError(f"{features_path}: extracted with other constants than"
+                               f" {path} was trained on: {differ}")
     return fitted
-
-
-def _feature_config_from(ns) -> FeatureConfig:
-    path = ns.feature_config
-    if path is None:
-        return FeatureConfig()
-    with open(path) as fh, _named(f"{path}: bad feature config", TypeError, ValueError):
-        payload = json.load(fh)
-        if "feature_config" in payload:  # accept an extract run_config.json directly
-            payload = payload["feature_config"]
-        return FeatureConfig(**payload)  # an unknown key is a TypeError, a bad value a ValueError
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -246,7 +250,7 @@ def cmd_train(ns) -> int:
                   else model.identity_scaler(features.shape[1]))
     with _named(f"{ns.manifest}: too few rows for --k {k}", model.TooFewSamples):
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
-                               feature_config=_feature_config_from(ns))
+                               feature_config=_recorded_config(ns.features) or FeatureConfig())
     out_dir.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, out_dir / "model.json")
     _write_run_config(out_dir, "train", {
@@ -267,7 +271,7 @@ def cmd_evaluate(ns) -> int:
     if not len(manifest):
         raise evaluation.EmptyInput(f"{ns.manifest}: no segments to score")
     features, truth = _join_features(ns.features, ns.manifest, manifest)
-    fitted = _load_model(ns.model)
+    fitted = _load_model(ns.model, ns.features)
     split_mode = "unknown"
     if ns.split_sidecar:
         # malformed JSON, not UTF-8, not an object, or a mode no split run writes
@@ -300,7 +304,7 @@ def cmd_evaluate(ns) -> int:
 
 
 def cmd_predict(ns) -> int:
-    fitted = _load_model(ns.model)
+    fitted = _load_model(ns.model, ns.features)
     ids, _labels, matrix = read_features_csv(ns.features)
     lines = ["segment_id,label,score"]
     with _named(ns.model, model.DistanceOverflow), model.overflow_guard():
@@ -322,8 +326,8 @@ def cmd_predict(ns) -> int:
 
 def cmd_select(ns) -> int:
     out_dir = Path(ns.out)
-    if ns.folds < 2:
-        raise _UsageError(f"--folds: must be >= 2, got {ns.folds}")
+    with _named("--folds", ValueError, usage=True):
+        evaluation.check_folds(ns.folds)
     manifest = dataset.load_manifest(ns.manifest)
     features, labels = _join_features(ns.features, ns.manifest, manifest)
     # a class short of folds, or a fold's training part short of the grid's largest k
@@ -423,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=candidate.k)
     p.add_argument("--p", type=float, default=candidate.p)
     p.add_argument("--scaler", action=argparse.BooleanOptionalAction, default=candidate.use_scaler)
-    p.add_argument("--feature-config", default=None,
-                   help="JSON with the extraction constants to bind into the model")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a model on held-out segments")

@@ -106,9 +106,10 @@ def load_manifest(path) -> DatasetManifest:
             if header != MANIFEST_HEADER:
                 raise ManifestParseError(f"{path}: bad header {header}, want {MANIFEST_HEADER}")
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:  # line_num counts the lines a quoted newline spans
                 if len(row) != 3:
-                    raise ManifestParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                    raise ManifestParseError(f"{path}:{reader.line_num}: expected 3 fields,"
+                                             f" got {len(row)}")
                 rows.append(ManifestRow(path=row[0], label=row[1], participant=row[2]))
         return DatasetManifest(rows=rows)
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -104,6 +104,12 @@ def default_grid() -> list:
     ]
 
 
+def check_folds(folds) -> None:
+    """Reject a fold count below 2."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+
+
 def stratified_folds(labels, folds: int, seed: int) -> list:
     """Partition row indices into per-class-balanced folds.
 
@@ -113,8 +119,7 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     union of every class's chunk i.
     """
     labels = list(labels)
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    check_folds(folds)
     stream = SplitMix64(seed)
     fold_indices = [[] for _ in range(folds)]
     for label in sorted(set(labels)):

@@ -19,7 +19,7 @@ zero-crossing rate is computed over the whole segment with sign(0) = +1.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +58,9 @@ class FeatureConfig:
     peak_threshold_db: float = 30.0
 
     def __post_init__(self):
+        for name in ("n_fft", "hop", "n_mels", "n_mfcc"):
+            if type(getattr(self, name)) is not int:  # not a bool either
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.hop <= self.n_fft:
             raise ValueError("need 0 < hop <= n_fft")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
@@ -72,6 +75,15 @@ class FeatureConfig:
             raise ValueError("log_floor must be positive")
         if not self.peak_threshold_db >= 0:
             raise ValueError("peak_threshold_db must be non-negative")
+
+    @classmethod
+    def from_record(cls, record) -> "FeatureConfig":
+        """The config of a JSON record: an object holding exactly this class's fields."""
+        names = {f.name for f in fields(cls)}
+        if not isinstance(record, dict) or record.keys() != names:
+            raise ValueError(f"feature_config must be an object with exactly the fields "
+                             f"{', '.join(sorted(names))}")
+        return cls(**record)
 
 
 @lru_cache(maxsize=8)
@@ -269,10 +281,10 @@ def write_features_csv(path, ids, labels, matrix) -> None:
 def read_features_csv(path):
     """Read a features CSV -> (segment_ids, labels, matrix of shape (N, 16)).
 
-    A file that does not decode as text, a wrong header, a row with the
-    wrong field count, a value that is not a finite float, or a segment id
-    seen before raises FeaturesFileError naming the file (and the line,
-    where there is one).
+    A file that does not decode as text or parse as CSV, a wrong header, a
+    row with the wrong field count, a value that is not a finite float, or
+    a segment id seen before raises FeaturesFileError naming the file (and
+    the line, where there is one).
     """
     try:
         with open(path, newline="") as fh:
@@ -298,5 +310,7 @@ def read_features_csv(path):
                 values.append(floats)
     except UnicodeDecodeError as exc:
         raise FeaturesFileError(f"{path}: cannot decode as text: {exc}") from exc
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise FeaturesFileError(f"{path}:{reader.line_num}: {exc}") from exc
     matrix = np.asarray(values, dtype=np.float64).reshape(len(ids), N_FEATURES)
     return ids, labels, matrix

@@ -37,7 +37,7 @@ and streams them to the digest and the file.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from itertools import repeat
 
@@ -490,17 +490,13 @@ def load_model(path) -> KnnModel:
     if stored_digest != _payload_digest(payload):
         raise CorruptModelFile(f"{path}: digest mismatch")
     try:
-        config, names = payload["feature_config"], {f.name for f in fields(FeatureConfig)}
-        if not isinstance(config, dict) or config.keys() != names:
-            raise ValueError(f"feature_config must be an object with exactly the fields "
-                             f"{', '.join(sorted(names))}")
         return KnnModel(
             train_matrix=payload["train"]["matrix"],
             train_labels=payload["train"]["labels"],
             k=payload["k"],
             p=payload["p"],
             scaler=ScalerParams(means=payload["scaler"]["means"], stds=payload["scaler"]["stds"]),
-            feature_config=FeatureConfig(**config),
+            feature_config=FeatureConfig.from_record(payload["feature_config"]),
         )
     except KeyError as exc:
         raise CorruptModelFile(f"{path}: missing field {exc}") from exc

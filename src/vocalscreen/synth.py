@@ -90,9 +90,8 @@ class CohortSpec:
             raise ValueError("class profiles must differ in at least one parameter")
 
 
-def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generator,
-                  sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-    """One speaker's clip, filled block by block and normalised to peak 0.9.
+def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generator) -> AudioClip:
+    """One speaker's DEFAULT_SAMPLE_RATE clip, filled block by block and normalised to peak 0.9.
 
     Every random scalar is drawn first, in a fixed order: f0, vibrato rate,
     depth and phase, one phase per partial, envelope rate and phase, the
@@ -108,7 +107,7 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
     block edges fall. ``tests/test_synth.py`` keeps the whole-array chain
     as the reference and compares the bytes.
     """
-    n = round_half_up(seconds * sample_rate)
+    n = round_half_up(seconds * DEFAULT_SAMPLE_RATE)
     two_pi = 2 * np.pi
     f0 = profile.f0_hz + rng.uniform(-profile.f0_spread_hz, profile.f0_spread_hz)
     vibrato_rate = rng.uniform(4.0, 6.5)
@@ -123,8 +122,8 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
     for _ in range(rng.poisson(profile.pauses_per_minute * seconds / 60.0)):
         duration = rng.uniform(0.3, 0.8)
         start = rng.uniform(0.0, max(seconds - duration, 0.0))
-        first = round_half_up(start * sample_rate)
-        pauses.append((first, min(first + round_half_up(duration * sample_rate), n)))
+        first = round_half_up(start * DEFAULT_SAMPLE_RATE)
+        pauses.append((first, min(first + round_half_up(duration * DEFAULT_SAMPLE_RATE), n)))
     noise_sd = 10.0 ** (profile.noise_floor_db / 20.0)
 
     mix = np.empty(n)
@@ -134,7 +133,7 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
         hi = min(lo + BLOCK, n)
         m = hi - lo
         t, phase, partial, voiced = t_buf[:m], phase_buf[:m], partial_buf[:m], mix[lo:hi]
-        np.divide(np.arange(lo, hi), sample_rate, out=t)
+        np.divide(np.arange(lo, hi), DEFAULT_SAMPLE_RATE, out=t)
         # inst_f0 = f0 * (1 + depth * sin(2 pi rate t + phase))
         np.multiply(two_pi * vibrato_rate, t, out=phase)
         np.add(phase, vibrato_phase, out=phase)
@@ -142,12 +141,12 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
         np.multiply(vibrato_depth, phase, out=phase)
         np.add(1.0, phase, out=phase)
         np.multiply(f0, phase, out=phase)
-        # base phase = 2 pi cumsum(inst_f0) / sample_rate
+        # base phase = 2 pi cumsum(inst_f0) / DEFAULT_SAMPLE_RATE
         phase[0] += phase_sum
         np.cumsum(phase, out=phase)
         phase_sum = phase[-1]
         np.multiply(two_pi, phase, out=phase)
-        np.divide(phase, sample_rate, out=phase)
+        np.divide(phase, DEFAULT_SAMPLE_RATE, out=phase)
         voiced.fill(0.0)
         for h, amp, partial_phase in partials:
             np.multiply(h, phase, out=partial)
@@ -168,7 +167,7 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
     peak = max(mix.max(), -mix.min())
     if peak > 0:
         mix *= 0.9 / peak  # never clips: |sample| <= 0.9
-    return AudioClip(samples=mix, sample_rate=sample_rate)
+    return AudioClip(samples=mix, sample_rate=DEFAULT_SAMPLE_RATE)
 
 
 def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:

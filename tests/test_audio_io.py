@@ -522,5 +522,9 @@ def test_clip_invariants():
         AudioClip(samples=np.zeros(4), sample_rate=0)
     with pytest.raises(ValueError):
         AudioClip(samples=np.array([1.5]), sample_rate=16000)
+    # a rate the WAV header cannot pack raised struct.error only when the clip was written
+    for rate in (16000.5, 16000.0, True):
+        with pytest.raises(ValueError, match="sample_rate must be an integer"):
+            AudioClip(samples=np.zeros(4), sample_rate=rate)
     clip = AudioClip(samples=np.zeros(8000), sample_rate=16000)
     assert clip.duration_seconds == 0.5

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from vocalscreen.audio_io import (DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, lo
 from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
 from vocalscreen.errors import VocalScreenError
-from vocalscreen.features import read_features_csv, write_features_csv
+from vocalscreen.features import FeatureConfig, read_features_csv, write_features_csv
 from vocalscreen.model import EvenK, _payload_digest, knn_fit, load_model, save_model, transform
 from vocalscreen.preprocess import remove_silence
 
@@ -24,7 +25,7 @@ def test_synth_outputs_exist(small_cohort):
     assert sorted(p.name for p in cohort.glob("*.wav"))[:2] == ["control_s00.wav", "control_s01.wav"]
     assert (cohort / "cohort.csv").exists()
     assert (cohort / "cohort.json").exists()
-    assert json.loads((cohort / "run_config.json").read_text())["command"] == "synth"
+    assert json.loads((cohort / "synth.run.json").read_text())["command"] == "synth"
 
 
 def test_extract_segment_count_matches_voiced_durations(small_cohort):
@@ -346,21 +347,72 @@ def test_stats_rejects_non_utf8_features(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, reason", [
-    ('{"n_fft": 2048,', "Expecting"),  # malformed JSON
-    ('{"n_fft": 2048, "window": "hann"}', "unexpected keyword argument 'window'"),
-])
-def test_train_rejects_bad_feature_config(small_cohort, tmp_path, capsys, content, reason):
+    ('{"feature_config": {"n_fft": 2048,', "Expecting"),  # malformed JSON
+    ('{"feature_config": {"n_fft": 2048, "window": "hann"}}', "exactly the fields fmax, fmin"),
+    ('{"command": "extract"}', "'feature_config'"),
+    ('[1, 2]', "list indices must be integers"),
+    (json.dumps({"feature_config": {**asdict(FeatureConfig()), "hop": 512.0}}),
+     "hop must be an integer, got 512.0"),
+], ids=["malformed-json", "unknown-field", "no-feature-config", "not-an-object", "float-hop"])
+def test_bad_extract_record_exits_1_naming_it(small_cohort, tmp_path, capsys, content, reason):
+    """train, evaluate and predict read extract.run.json beside --features, naming it if bad."""
     work = small_cohort / "work"
-    config = tmp_path / "features.json"
-    config.write_text(content)
-    rc = main(["train", "--features", str(work / "features.csv"),
-               "--manifest", str(work / "train.csv"), "--out", str(tmp_path / "fit"),
-               "--feature-config", str(config)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {config}: bad feature config: ")
-    assert reason in err
-    assert not (tmp_path / "fit" / "model.json").exists()
+    (tmp_path / "features.csv").write_bytes((work / "features.csv").read_bytes())
+    record = tmp_path / "extract.run.json"
+    record.write_text(content)
+    assert main(["train", "--features", str(work / "features.csv"), "--manifest",
+                 str(work / "train.csv"), "--out", str(tmp_path / "good")]) == 0
+    model_file = str(tmp_path / "good" / "model.json")
+    capsys.readouterr()
+    for argv in (["train", "--manifest", str(work / "train.csv"), "--out", str(tmp_path / "fit")],
+                 ["evaluate", "--manifest", str(work / "test.csv"), "--model", model_file,
+                  "--out", str(tmp_path / "fit")],
+                 ["predict", "--model", model_file, "--out", str(tmp_path / "fit")]):
+        assert main([*argv, "--features", str(tmp_path / "features.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {record}: bad record: ")
+        assert reason in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "fit").exists()
+
+
+def test_train_binds_the_constants_extract_recorded(small_cohort, tmp_path, capsys):
+    """extract --n-fft 1024, split and train into one directory: model.json says 1024, and
+    predict and evaluate refuse features whose extract.run.json says otherwise."""
+    work, run = small_cohort / "work", tmp_path / "run"
+    assert main(["extract", "--manifest", str(small_cohort / "cohort" / "cohort.csv"),
+                 "--out", str(run), "--n-fft", "1024"]) == 0
+    assert main(["split", "--manifest", str(run / "segments.csv"), "--out", str(run)]) == 0
+    assert main(["train", "--features", str(run / "features.csv"),
+                 "--manifest", str(run / "train.csv"), "--out", str(run)]) == 0
+    model_file = run / "model.json"
+    assert json.loads(model_file.read_text())["feature_config"]["n_fft"] == 1024
+    assert sorted(p.name for p in run.glob("*.run.json")) == [
+        "extract.run.json", "split.run.json", "train.run.json"]
+    with pytest.raises(SystemExit) as excinfo:  # the record replaced the flag
+        main(["train", "--features", str(run / "features.csv"), "--manifest",
+              str(run / "train.csv"), "--out", str(run), "--feature-config", "x"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --feature-config x" in capsys.readouterr().err
+
+    # features without a record: no check
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "features.csv").write_bytes((work / "features.csv").read_bytes())
+    capsys.readouterr()
+    for features in (run / "features.csv", bare / "features.csv"):
+        assert main(["predict", "--model", str(model_file), "--features", str(features)]) == 0
+    # features extracted with the default n_fft 2048
+    for argv in (["predict", "--model", str(model_file), "--out", str(tmp_path / "o")],
+                 ["evaluate", "--model", str(model_file), "--manifest", str(work / "test.csv"),
+                  "--out", str(tmp_path / "o")]):
+        capsys.readouterr()
+        assert main([*argv, "--features", str(work / "features.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {work / 'features.csv'}: extracted with other constants"
+                                f" than {model_file} was trained on: n_fft 2048 (model 1024)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
 
 def test_bad_label_manifest_fails(tmp_path, capsys):
@@ -409,9 +461,10 @@ def test_config_file_supplies_defaults(small_cohort, tmp_path):
 
 
 def test_run_config_logged_everywhere(small_cohort):
-    payload = json.loads((small_cohort / "work" / "run_config.json").read_text())
-    assert payload["command"] in {"extract", "split"}
-    assert "feature_config" in payload or "train_fraction" in payload
+    extract, split = (json.loads((small_cohort / "work" / f"{command}.run.json").read_text())
+                      for command in ("extract", "split"))
+    assert (extract["command"], split["command"]) == ("extract", "split")
+    assert "feature_config" in extract and "train_fraction" in split
 
 
 def test_seed_precedence_flag_config_env(small_cohort, tmp_path, monkeypatch):
@@ -441,7 +494,7 @@ def test_config_lines_read_as_flags(small_cohort, tmp_path):
         config.write_text(f"scaler = {value}\n")
         out = tmp_path / value
         assert main([*train, "--out", str(out), "--config", str(config)]) == 0
-        assert json.loads((out / "run_config.json").read_text())["scaler"] is expected
+        assert json.loads((out / "train.run.json").read_text())["scaler"] is expected
         stds = json.loads((out / "model.json").read_text())["scaler"]["stds"]
         assert (set(stds) == {1.0}) is not expected
 
@@ -453,7 +506,7 @@ def test_config_lines_read_as_flags(small_cohort, tmp_path):
                  "--config", str(config)]) == 0
     assert main(["split", "--manifest", segments, "--out", str(tmp_path / "flags"),
                  "--mode", "speaker-disjoint", "--train-fraction", "0.67", "--seed", "2"]) == 0
-    for name in ("split.json", "train.csv", "test.csv", "run_config.json"):
+    for name in ("split.json", "train.csv", "test.csv", "split.run.json"):
         assert (tmp_path / "quoted" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
     config.write_text("seed = -1\n")
     assert main(["split", "--manifest", segments, "--out", str(tmp_path / "negative"),
@@ -743,7 +796,7 @@ def test_model_of_other_dimension_exits_1(small_cohort, tmp_path, capsys, stage)
     assert not (tmp_path / "o").exists()
 
 
-# Commands run from the small cohort's directory; each writes run_config.json under pinned/.
+# Commands run from the small cohort's directory; each writes <stage>.run.json under pinned/.
 PINNED_STAGES = {
     "synth": ["synth", "--out", "pinned/synth", "--seed", "42", "--seconds-per-speaker", "2"],
     "extract": ["extract", "--manifest", "cohort/cohort.csv", "--out", "pinned/extract"],
@@ -762,14 +815,14 @@ PINNED_STAGES = {
 
 
 def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
-    """run_config.json of every README stage equals the committed bytes, and
+    """<stage>.run.json of every README stage equals the committed bytes, and
     every built-in flag default keeps its value and type."""
     monkeypatch.delenv("VOCALSCREEN_SEED", raising=False)
     expected_dir = Path(__file__).parent / "run_configs"
     with chdir(small_cohort):
         for stage, argv in PINNED_STAGES.items():
             assert main(argv) == 0, argv
-            written = (small_cohort / "pinned" / stage / "run_config.json").read_bytes()
+            written = (small_cohort / "pinned" / stage / f"{stage}.run.json").read_bytes()
             assert written == (expected_dir / f"{stage}.json").read_bytes(), stage
     capsys.readouterr()
 
@@ -782,7 +835,7 @@ def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
         (["split", "--manifest", "m", "--out", "o"],
          {"train_fraction": 0.8, "mode": "segment-level", "seed": 0}),
         (["train", "--features", "f", "--manifest", "m", "--out", "o"],
-         {"k": 3, "p": 2.0, "scaler": True, "feature_config": None}),
+         {"k": 3, "p": 2.0, "scaler": True}),
         (["select", "--features", "f", "--manifest", "m", "--out", "o"],
          {"folds": 5, "seed": 0}),
     ]
@@ -790,6 +843,41 @@ def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
         ns = build_parser().parse_args(argv)
         assert {key: repr(getattr(ns, key)) for key in values} == \
             {key: repr(value) for key, value in values.items()}, argv
+
+
+README_WORKFLOW = [
+    ["extract", "--manifest", "cohort/cohort.csv", "--out", "work"],
+    ["split", "--manifest", "work/segments.csv", "--out", "work", "--seed", "42"],
+    ["select", "--features", "work/features.csv", "--manifest", "work/train.csv", "--out", "work",
+     "--seed", "42"],
+    ["train", "--features", "work/features.csv", "--manifest", "work/train.csv", "--out", "work",
+     "--k", "3", "--p", "2"],
+    ["evaluate", "--features", "work/features.csv", "--manifest", "work/test.csv",
+     "--model", "work/model.json", "--split-sidecar", "work/split.json", "--out", "work/eval"],
+    ["predict", "--model", "work/model.json", "--features", "work/features.csv"],
+    ["stats", "--features", "work/features.csv", "--out", "work"],
+]
+
+
+def test_readme_workflow_keeps_every_record(small_cohort, tmp_path, monkeypatch, capsys):
+    """The README workflow, whose stages share work/, leaves each stage's pinned record there;
+    evaluate's, in work/eval/, differs from its pin only in the model it names."""
+    monkeypatch.delenv("VOCALSCREEN_SEED", raising=False)
+    (tmp_path / "cohort").symlink_to(small_cohort / "cohort")
+    with chdir(tmp_path):
+        for argv in README_WORKFLOW:
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    expected_dir = Path(__file__).parent / "run_configs"
+    stages = ["extract", "select", "split", "stats", "train"]
+    assert sorted(p.name for p in (tmp_path / "work").glob("*.run.json")) == \
+        [f"{stage}.run.json" for stage in stages]
+    for stage in stages:
+        written = (tmp_path / "work" / f"{stage}.run.json").read_bytes()
+        assert written == (expected_dir / f"{stage}.json").read_bytes(), stage
+    evaluate = json.loads((expected_dir / "evaluate.json").read_text())
+    assert json.loads((tmp_path / "work" / "eval" / "evaluate.run.json").read_text()) == \
+        {**evaluate, "model": "work/model.json"}
 
 
 def test_split_and_cohort_sidecars_pinned(small_cohort, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -223,10 +224,13 @@ def test_load_manifest_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, dat
     (b"path,label,participant\n\xff.wav,control,p0\n", ManifestParseError, "cannot read"),
     (b"path,label,participant\na.wav,anxious,p0\n", UnknownLabel, "anxious"),
     (b"path,label,participant\na.wav,control,p0\na.wav,control,p1\n", DuplicatePath, "twice"),
+    # a quoted path spanning lines 2-3, then a short row on line 4 (it was reported as line 3)
+    (b'path,label,participant\n"a\nb.wav",control,p0\nc.wav,control\n', ManifestParseError,
+     "manifest.csv:4: expected 3 fields, got 2"),
 ])
 def test_load_manifest_errors_name_the_file(tmp_path, content, error, message):
     path = tmp_path / "manifest.csv"
     path.write_bytes(content)
     with pytest.raises(error, match=message) as excinfo:
         load_manifest(path)
-    assert str(excinfo.value).startswith(f"{path}: ")
+    assert re.match(rf"{re.escape(str(path))}(:\d+)?: ", str(excinfo.value))

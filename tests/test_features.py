@@ -433,6 +433,10 @@ def test_feature_config_invariants():
         FeatureConfig(log_floor=0.0)
     with pytest.raises(ValueError):
         FeatureConfig(peak_threshold_db=float("nan"))
+    for field, value in [("hop", True), ("hop", 512.5), ("n_mels", 128.5), ("n_fft", 2048.0),
+                         ("n_mfcc", True)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            FeatureConfig(**{field: value})
 
 
 def test_features_csv_roundtrip_exact(tmp_path):
@@ -505,6 +509,9 @@ GOOD_ROW = "s0,control," + ",".join(["0.5"] * 16)
     ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW.replace("0.5", "-inf", 1)], r":3: non-finite"),
     ([",".join(CSV_HEADER), GOOD_ROW.replace("s0", "s\udcff")], r": cannot decode as text"),
     ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW], r":3: duplicate segment id 's0'"),
+    # a field over csv's 131072-character limit raised _csv.Error
+    ([",".join(CSV_HEADER), GOOD_ROW, GOOD_ROW.replace("s0", "s" * 131073)],
+     r":3: field larger than field limit"),
 ])
 def test_read_features_csv_rejects_bad_tables(tmp_path, lines, message):
     path = tmp_path / "features.csv"

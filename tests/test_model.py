@@ -554,6 +554,8 @@ def saved_payload(tmp_path):
     (lambda m: m["feature_config"].pop("hop"), "exactly the fields fmax, fmin, hop"),
     (lambda m: m["feature_config"].update(window="hann"), "exactly the fields"),
     (lambda m: m["feature_config"].update(peak_threshold_db=None), "'>=' not supported"),
+    (lambda m: m["feature_config"].update(hop=True), "hop must be an integer, got True"),
+    (lambda m: m["feature_config"].update(n_mels=128.5), "n_mels must be an integer"),
 ])
 def test_load_rejects_invalid_model_with_valid_digest(tmp_path, mutate, reason):
     payload = saved_payload(tmp_path)
