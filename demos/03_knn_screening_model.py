@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 # Standardize features, classify with KNN, persist and reload the model.
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -36,7 +37,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.json"
     save_model(model, path)
     model = load_model(path)
-    print(f"model file: {path.stat().st_size} bytes, digest {model.feature_config_digest[:12]}...")
+    digest = json.loads(path.read_text())["digest"]
+    print(f"model file: {path.stat().st_size} bytes, digest {digest[:12]}...")
 
 predictions = [knn_predict(model, features[i])[0] for i in test_idx]
 truth = [labels[i] for i in test_idx]

@@ -372,6 +372,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     blocks of output positions by gathering the two neighbours of each,
     without an input-length abscissa or output-length temporaries.
     """
+    if type(target_rate) is not int:  # not a bool either
+        raise ValueError(f"target_rate must be an integer, got {target_rate!r}")
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     if clip.samples.ndim != 1:

@@ -18,14 +18,17 @@ only) > built-in default, taken from the library's dataclasses. Each
 ``--key=value`` (``--key`` / ``--no-key`` for true / false) and parsed
 ahead of the command line, so it is checked like the same flag typed
 out; an unknown key is a usage error. ``--seed`` exists only for synth,
-split and select, the stages that draw random numbers. Every run writes
-its effective configuration to <out>/<command>.run.json, and train binds
-the constants of the extract.run.json beside --features; outputs never
-embed timestamps, so reruns with the same inputs and seed are byte-identical.
+split and select, the stages that draw random numbers. Every run records
+its parsed flags, all but --out and --config, in <out>/<command>.run.json;
+extract's record holds its constants in the nested shape train binds from
+the extract.run.json beside --features. Outputs never embed timestamps, so
+reruns with the same inputs and seed are byte-identical.
 """
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import os
 import re
@@ -85,8 +88,13 @@ def load_config(path) -> list:
     return args
 
 
-def _write_run_config(out_dir: Path, command: str, effective: dict) -> None:
-    dataset.write_json(out_dir / f"{command}.run.json", {"command": command, **effective})
+def _write_run_config(ns, record: dict | None = None) -> None:
+    """Write <out>/<command>.run.json: ``record``, by default every parsed flag but --out
+    and --config, under the command's name."""
+    if record is None:
+        record = {key: value for key, value in vars(ns).items()
+                  if key not in ("out", "config", "handler")}
+    dataset.write_json(Path(ns.out) / f"{ns.command}.run.json", {**record, "command": ns.command})
 
 
 def _recorded_config(features_path) -> FeatureConfig | None:
@@ -135,22 +143,29 @@ def _load_model(path, features_path) -> model.KnnModel:
     return fitted
 
 
+def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
+    """(label, vote fraction) of each row of ``matrix``; a DistanceOverflow names the model.
+
+    Each row is one model.knn_predict call, looked up on the module so that
+    a tracer wrapping it counts every query.
+    """
+    with _named(model_path, model.DistanceOverflow), model.overflow_guard():
+        return [model.knn_predict(fitted, row) for row in matrix]
+
+
 # --- subcommand handlers -------------------------------------------------
 
 
 def cmd_synth(ns) -> int:
-    out_dir = Path(ns.out)
     with _named("--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
         spec = synth.CohortSpec(
             speakers_per_class=ns.speakers_per_class,
             seconds_per_speaker=ns.seconds_per_speaker,
             seed=ns.seed,
         )
-    manifest = synth.generate_cohort(spec, out_dir)
-    run_config = asdict(spec)
-    del run_config["class_profiles"]  # not a flag; cohort.json records the profiles
-    _write_run_config(out_dir, "synth", run_config)
-    print(f"synth: wrote {len(manifest)} recordings + cohort.csv to {out_dir}")
+    manifest = synth.generate_cohort(spec, ns.out)
+    _write_run_config(ns)
+    print(f"synth: wrote {len(manifest)} recordings + cohort.csv to {ns.out}")
     print(f"note: {synth.NON_CLINICAL_NOTE}")
     return 0
 
@@ -170,7 +185,6 @@ def _recording_features(wav_path, source_id: str, silence, segment_seconds, conf
 
 def cmd_extract(ns) -> int:
     manifest_path = Path(ns.manifest)
-    out_dir = Path(ns.out)
     with _named("--frame-seconds/--hop-seconds/--threshold-ratio", ValueError, usage=True):
         silence = preprocess.SilenceParams(
             frame_seconds=ns.frame_seconds,
@@ -205,12 +219,12 @@ def cmd_extract(ns) -> int:
             segment_rows.append(dataset.ManifestRow(path=_segment_id(row.path, i),
                                                     label=row.label, participant=row.participant))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_features_csv(out_dir / "features.csv", [r.path for r in segment_rows],
+    ns.out.mkdir(parents=True, exist_ok=True)
+    write_features_csv(ns.out / "features.csv", [r.path for r in segment_rows],
                        [r.label for r in segment_rows], feature_rows)
     segment_manifest = dataset.DatasetManifest(rows=segment_rows)
-    dataset.save_manifest(out_dir / "segments.csv", segment_manifest)
-    _write_run_config(out_dir, "extract", {
+    dataset.save_manifest(ns.out / "segments.csv", segment_manifest)
+    _write_run_config(ns, {
         "manifest": str(manifest_path),
         "segment_seconds": segment_seconds,
         "silence": asdict(silence),
@@ -218,26 +232,24 @@ def cmd_extract(ns) -> int:
     })
     counts = segment_manifest.label_counts()
     summary = ", ".join(f"{label}={counts[label]}" for label in sorted(counts))
-    print(f"extract: {len(segment_manifest)} segments ({summary}) -> {out_dir}")
+    print(f"extract: {len(segment_manifest)} segments ({summary}) -> {ns.out}")
     return 0
 
 
 def cmd_split(ns) -> int:
-    out_dir = Path(ns.out)
     with _named("--train-fraction/--mode", ValueError, usage=True):
         spec = dataset.SplitSpec(train_fraction=ns.train_fraction, seed=ns.seed, mode=ns.mode)
     manifest = dataset.load_manifest(ns.manifest)
     train, test = dataset.split(manifest, spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sidecar = dataset.write_split(out_dir, train, test, spec)
-    _write_run_config(out_dir, "split", {"manifest": str(ns.manifest), **asdict(spec)})
+    ns.out.mkdir(parents=True, exist_ok=True)
+    sidecar = dataset.write_split(ns.out, train, test, spec)
+    _write_run_config(ns)
     print(f"split[{spec.mode}]: train={sidecar['counts']['train']['total']}"
-          f" test={sidecar['counts']['test']['total']} -> {out_dir}")
+          f" test={sidecar['counts']['test']['total']} -> {ns.out}")
     return 0
 
 
 def cmd_train(ns) -> int:
-    out_dir = Path(ns.out)
     k, p, use_scaler = ns.k, ns.p, ns.scaler
     with _named("--k/--p", ValueError, model.EvenK, usage=True):
         model.check_k_and_p(k, p)
@@ -251,22 +263,15 @@ def cmd_train(ns) -> int:
     with _named(f"{ns.manifest}: too few rows for --k {k}", model.TooFewSamples):
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
                                feature_config=_recorded_config(ns.features) or FeatureConfig())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model.save_model(fitted, out_dir / "model.json")
-    _write_run_config(out_dir, "train", {
-        "features": str(ns.features),
-        "manifest": str(ns.manifest),
-        "k": k,
-        "p": p,
-        "scaler": use_scaler,
-    })
+    ns.out.mkdir(parents=True, exist_ok=True)
+    model.save_model(fitted, ns.out / "model.json")
+    _write_run_config(ns)
     print(f"train: knn(k={k}, p={p:g}, scaler={'on' if use_scaler else 'off'})"
-          f" on {len(labels)} segments -> {out_dir / 'model.json'}")
+          f" on {len(labels)} segments -> {ns.out / 'model.json'}")
     return 0
 
 
 def cmd_evaluate(ns) -> int:
-    out_dir = Path(ns.out)
     manifest = dataset.load_manifest(ns.manifest)
     if not len(manifest):
         raise evaluation.EmptyInput(f"{ns.manifest}: no segments to score")
@@ -285,20 +290,14 @@ def cmd_evaluate(ns) -> int:
                 if split_mode not in dataset.SPLIT_MODES:
                     raise ValueError(f"mode {split_mode!r} is not one of"
                                      f" {', '.join(dataset.SPLIT_MODES)}")
-    with _named(ns.model, model.DistanceOverflow), model.overflow_guard():
-        predictions = [model.knn_predict(fitted, row)[0] for row in features]
+    predictions = [label for label, _score in _predictions(fitted, ns.model, features)]
     report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
                                              extra={"model_k": fitted.k, "model_p": fitted.p})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset.write_json(out_dir / "eval_report.json", report.to_json_dict())
+    ns.out.mkdir(parents=True, exist_ok=True)
+    dataset.write_json(ns.out / "eval_report.json", report.to_json_dict())
     text = evaluation.render_eval_text(report)
-    (out_dir / "eval_report.txt").write_text(text)
-    _write_run_config(out_dir, "evaluate", {
-        "features": str(ns.features),
-        "manifest": str(ns.manifest),
-        "model": str(ns.model),
-        "split_sidecar": str(ns.split_sidecar) if ns.split_sidecar else None,
-    })
+    (ns.out / "eval_report.txt").write_text(text)
+    _write_run_config(ns)
     print(text, end="")
     return 0
 
@@ -306,26 +305,22 @@ def cmd_evaluate(ns) -> int:
 def cmd_predict(ns) -> int:
     fitted = _load_model(ns.model, ns.features)
     ids, _labels, matrix = read_features_csv(ns.features)
-    lines = ["segment_id,label,score"]
-    with _named(ns.model, model.DistanceOverflow), model.overflow_guard():
-        for sid, row in zip(ids, matrix):
-            label, score = model.knn_predict(fitted, row)
-            lines.append(f"{sid},{label},{score!r}")
-    text = "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["segment_id", "label", "score"])
+    for sid, (label, score) in zip(ids, _predictions(fitted, ns.model, matrix)):
+        writer.writerow([sid, label, repr(score)])
+    text = buffer.getvalue()
     print(text, end="")
     if ns.out:
         out_dir = Path(ns.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "predictions.csv").write_text(text)
-        _write_run_config(out_dir, "predict", {
-            "features": str(ns.features),
-            "model": str(ns.model),
-        })
+        _write_run_config(ns)
     return 0
 
 
 def cmd_select(ns) -> int:
-    out_dir = Path(ns.out)
     with _named("--folds", ValueError, usage=True):
         evaluation.check_folds(ns.folds)
     manifest = dataset.load_manifest(ns.manifest)
@@ -336,20 +331,14 @@ def cmd_select(ns) -> int:
                  evaluation.TooFewSamplesPerClass, model.TooFewSamples)):
         report = evaluation.grid_select(evaluation.default_grid(), features, labels,
                                         folds=ns.folds, seed=ns.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset.write_json(out_dir / "selection_report.json", report.to_json_dict())
-    _write_run_config(out_dir, "select", {
-        "features": str(ns.features),
-        "manifest": str(ns.manifest),
-        "folds": ns.folds,
-        "seed": ns.seed,
-    })
+    ns.out.mkdir(parents=True, exist_ok=True)
+    dataset.write_json(ns.out / "selection_report.json", report.to_json_dict())
+    _write_run_config(ns)
     print(evaluation.render_selection_text(report), end="")
     return 0
 
 
 def cmd_stats(ns) -> int:
-    out_dir = Path(ns.out)
     _ids, labels, matrix = read_features_csv(ns.features)
     if not labels:
         raise VocalScreenError(f"{ns.features}: no feature rows")
@@ -360,11 +349,11 @@ def cmd_stats(ns) -> int:
     stats = evaluation.descriptive_stats(by_group)
     with _named(ns.features, evaluation.GroupTooSmall):
         t_tests = evaluation.group_t_tests(by_group) if len(by_group) == 2 else None
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset.write_json(out_dir / "stats.json", {"descriptives": stats, "t_tests": t_tests})
+    ns.out.mkdir(parents=True, exist_ok=True)
+    dataset.write_json(ns.out / "stats.json", {"descriptives": stats, "t_tests": t_tests})
     text = evaluation.render_stats_text(stats, t_tests)
-    (out_dir / "stats.txt").write_text(text)
-    _write_run_config(out_dir, "stats", {"features": str(ns.features)})
+    (ns.out / "stats.txt").write_text(text)
+    _write_run_config(ns)
     print(text, end="")
     return 0
 
@@ -376,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="file of key = value lines, read as flags before the command line")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", type=Path, required=True, help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[writes])
     # a string default goes through type=int, so a bad $VOCALSCREEN_SEED is a usage error
     seeded.add_argument("--seed", type=int,
                         default=os.environ.get("VOCALSCREEN_SEED") or dataset.SplitSpec.seed,
@@ -389,17 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic labeled cohort")
-    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--speakers-per-class", type=int, default=synth.CohortSpec.speakers_per_class)
     p.add_argument("--seconds-per-speaker", type=float,
                    default=synth.CohortSpec.seconds_per_speaker)
     p.set_defaults(handler=cmd_synth)
 
     silence, features = preprocess.SilenceParams, FeatureConfig
-    p = sub.add_parser("extract", parents=[common],
+    p = sub.add_parser("extract", parents=[writes],
                        help="decode, de-silence, segment, and extract features")
     p.add_argument("--manifest", required=True, help="recording manifest CSV")
-    p.add_argument("--out", required=True)
     p.add_argument("--segment-seconds", type=float, default=4.0)
     p.add_argument("--frame-seconds", type=float, default=silence.frame_seconds,
                    help="silence-detector frame")
@@ -414,27 +403,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", parents=[seeded], help="deterministic train/test split")
     p.add_argument("--manifest", required=True, help="segment manifest CSV")
-    p.add_argument("--out", required=True)
     p.add_argument("--train-fraction", type=float, default=dataset.SplitSpec.train_fraction)
     p.add_argument("--mode", choices=dataset.SPLIT_MODES, default=dataset.SplitSpec.mode)
     p.set_defaults(handler=cmd_split)
 
     candidate = evaluation.PipelineCandidate
-    p = sub.add_parser("train", parents=[common], help="fit scaler + KNN and persist the model")
+    p = sub.add_parser("train", parents=[writes], help="fit scaler + KNN and persist the model")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True, help="training-side segment manifest")
-    p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=candidate.k)
     p.add_argument("--p", type=float, default=candidate.p)
     p.add_argument("--scaler", action=argparse.BooleanOptionalAction, default=candidate.use_scaler)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a model on held-out segments")
+    p = sub.add_parser("evaluate", parents=[writes], help="score a model on held-out segments")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True, help="test-side segment manifest")
     p.add_argument("--model", required=True)
     p.add_argument("--split-sidecar", default=None, help="split.json recording the split mode")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("predict", parents=[common], help="print segment_id,label,score per row")
@@ -447,13 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustive cross-validated grid over KNN pipelines")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True, help="training-side segment manifest")
-    p.add_argument("--out", required=True)
     p.add_argument("--folds", type=int, default=5)
     p.set_defaults(handler=cmd_select)
 
-    p = sub.add_parser("stats", parents=[common], help="per-group descriptive stats and t-tests")
+    p = sub.add_parser("stats", parents=[writes], help="per-group descriptive stats and t-tests")
     p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_stats)
 
     return parser

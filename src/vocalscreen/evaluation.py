@@ -116,10 +116,13 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     Each class's indices are shuffled by one shared SplitMix64 stream
     (classes visited in sorted label order) and dealt into ``folds``
     contiguous chunks whose sizes differ by at most one. Fold i is the
-    union of every class's chunk i.
+    union of every class's chunk i. No rows, like a class of fewer rows
+    than folds, raise TooFewSamplesPerClass.
     """
     labels = list(labels)
     check_folds(folds)
+    if not labels:
+        raise TooFewSamplesPerClass(f"no rows to deal into {folds} folds")
     stream = SplitMix64(seed)
     fold_indices = [[] for _ in range(folds)]
     for label in sorted(set(labels)):
@@ -182,7 +185,7 @@ def select_best(results) -> CandidateResult:
     )
 
 
-def grid_select(space, features, labels, folds: int = 5, seed: int = 0) -> SelectionReport:
+def grid_select(space, features, labels, folds: int, seed: int = 0) -> SelectionReport:
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
     Each fold fits one model per scaler and standardizes its held-out rows

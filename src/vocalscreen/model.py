@@ -260,7 +260,7 @@ class KnnModel:
     """Standardized training matrix plus the hyperparameters that query it.
 
     The matrix is finite with one column per scaler dimension, the labels
-    are strings, and k and p pass check_k_and_p.
+    are strings of at most two values, and k and p pass check_k_and_p.
     """
 
     train_matrix: np.ndarray
@@ -282,6 +282,8 @@ class KnnModel:
             raise ValueError("train matrix must be finite")
         if not all(map(isinstance, self.train_labels, repeat(str))):
             raise ValueError("labels must be strings")
+        if len(set(self.train_labels)) > 2:
+            raise ValueError(f"labels must be binary, got {sorted(set(self.train_labels))}")
         check_k_and_p(self.k, self.p)
         if matrix.shape[0] < self.k:
             raise TooFewSamples(f"{matrix.shape[0]} rows < k={self.k}")
@@ -293,10 +295,6 @@ class KnnModel:
         Its rows are the dimensions in _lane_order, the order _sum_rows adds them in.
         """
         return np.ascontiguousarray(self.train_matrix.T[_lane_order(self.train_matrix.shape[1])])
-
-    @property
-    def feature_config_digest(self) -> str:
-        return _payload_digest(asdict(self.feature_config))
 
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
@@ -310,12 +308,8 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
     """
     matrix = as_matrix(features)
     labels = tuple(str(label) for label in labels)
-    if matrix.shape[0] != len(labels):
-        raise ValueError("features and labels must have the same length")
     if matrix.shape[0] == 0:
         raise EmptyTrainingSet("cannot fit a model on zero rows")
-    if len(set(labels)) > 2:
-        raise ValueError(f"labels must be binary, got {sorted(set(labels))}")
     if scaler is None:
         scaler = identity_scaler(matrix.shape[1])
     standardized = transform(scaler, matrix)

@@ -110,7 +110,7 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     return AudioClip(samples=clip.samples[keep], sample_rate=clip.sample_rate)
 
 
-def segment(clip: AudioClip, segment_seconds: float = 4.0) -> SegmentSet:
+def segment(clip: AudioClip, segment_seconds: float) -> SegmentSet:
     """Cut a clip into consecutive non-overlapping windows of fixed length.
 
     The trailing remainder shorter than one window is discarded. A clip

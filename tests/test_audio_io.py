@@ -317,6 +317,15 @@ def test_resample_same_rate_is_identity():
     assert resample(clip, 16000) is clip
 
 
+@pytest.mark.parametrize("target_rate", [8000.0, True])
+def test_resample_rejects_a_target_rate_that_is_not_an_int(monkeypatch, target_rate):
+    # rejected before any interpolation, naming the argument, as AudioClip names sample_rate
+    monkeypatch.setattr(audio_io, "_resampled", None)
+    clip = AudioClip(samples=np.zeros(8), sample_rate=16000)
+    with pytest.raises(ValueError, match=rf"^target_rate must be an integer, got {target_rate!r}$"):
+        resample(clip, target_rate)
+
+
 def test_resample_hand_case():
     # positions 0, 0.5, 1, 1.5 against inputs at 0, 1 with endpoint hold
     clip = AudioClip(samples=np.array([0.0, 1.0]), sample_rate=2)

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import math
 import re
@@ -149,6 +151,20 @@ def test_predict_writes_csv_when_out_given(small_cohort, tmp_path, capsys):
     written = (out / "predictions.csv").read_text()
     assert written in printed
     assert written.splitlines()[0] == "segment_id,label,score"
+
+    # a segment id holding a comma (from a manifest path "ctl,a.wav") is quoted
+    ids, labels, matrix = read_features_csv(work / "features.csv")
+    ids[0] = "ctl,a.seg000"
+    write_features_csv(tmp_path / "features.csv", ids, labels, matrix)
+    assert main(["predict", "--model", str(out / "model.json"),
+                 "--features", str(tmp_path / "features.csv"), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    with open(out / "predictions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert printed == (out / "predictions.csv").read_text()
+    assert printed.splitlines()[1].startswith('"ctl,a.seg000",')
+    assert [row[0] for row in rows] == ["segment_id", *ids]
+    assert {len(row) for row in rows} == {3}
 
 
 def test_select_report(small_cohort, tmp_path, capsys):
@@ -708,6 +724,8 @@ def first_rows_manifest(work, path, per_class) -> Path:
      "too few rows for --folds 3: 4 rows < k=5"),
     ("train", {"control": 4, "depression": 3}, ["--k", "11"],
      "too few rows for --k 11: 7 rows < k=11"),
+    ("select", {"control": 0, "depression": 0}, ["--folds", "5"],
+     "too few rows for --folds 5: no rows to deal into 5 folds"),
 ])
 def test_too_few_rows_names_manifest_and_flag(small_cohort, tmp_path, capsys, stage, per_class,
                                               flags, message):
@@ -843,6 +861,29 @@ def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
         ns = build_parser().parse_args(argv)
         assert {key: repr(getattr(ns, key)) for key in values} == \
             {key: repr(value) for key, value in values.items()}, argv
+
+
+def test_every_record_holds_exactly_the_parsed_flags(small_cohort, tmp_path, monkeypatch,
+                                                     capsys):
+    """Each stage's record but extract's holds its command and every flag it parses, but
+    --out and --config: walking the parser, a flag the record dropped would show."""
+    monkeypatch.delenv("VOCALSCREEN_SEED", raising=False)
+    for name in ("cohort", "work"):
+        (tmp_path / name).symlink_to(small_cohort / name)
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subcommands) == sorted(PINNED_STAGES)
+    with chdir(tmp_path):
+        for stage, argv in PINNED_STAGES.items():
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    for stage, parser in subcommands.items():
+        if stage == "extract":  # records its constants nested, as train binds them
+            continue
+        dests = {action.dest for action in parser._actions} - {"help", "out", "config"}
+        record = json.loads((tmp_path / "pinned" / stage / f"{stage}.run.json").read_text())
+        assert sorted(record) == sorted({"command", *dests}), stage
+        assert record["command"] == stage
 
 
 README_WORKFLOW = [

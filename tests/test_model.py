@@ -1,6 +1,7 @@
 import copy
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,15 +157,16 @@ def assert_distance_paths_equal_former(matrix, query, p):
     assert bits(query_distances(model, query)) == bits(former)
     with overflow_guard():
         assert bits(query_distances(model, query)) == bits(former)
-    # the query loop answers with the nearest row of the former distances: each row
-    # is its own label, and equal distances go to the lower row
-    model = KnnModel(train_matrix=matrix, train_labels=[str(i) for i in range(len(matrix))],
-                     k=1, p=p, scaler=identity_scaler(matrix.shape[1]),
-                     feature_config=FeatureConfig())
+    # the query loop answers with the nearest row of the former distances: that row
+    # alone is labelled depression, and equal distances go to the lower row
     if not np.isinf(former).all():  # else the nearest distance overflows
+        labels = ["control"] * len(matrix)
+        labels[np.argsort(former, kind="stable")[0]] = "depression"
+        model = KnnModel(train_matrix=matrix, train_labels=labels, k=1, p=p,
+                         scaler=identity_scaler(matrix.shape[1]), feature_config=FeatureConfig())
         with overflow_guard():
             (answer,) = _answers(model, [query], {p: {1}})
-        assert answer == {p: {1: (str(np.argsort(former, kind="stable")[0]), 1.0)}}
+        assert answer == {p: {1: ("depression", 1.0)}}
 
 
 # 1-40 dims cover the sequential, block-of-eight and tail steps; 127-129 the
@@ -384,8 +386,8 @@ def test_votes_equal_former_vote_for_every_k(data):
                        label="labels")
     nearest = data.draw(st.permutations(range(len(labels))), label="nearest")
     ks = data.draw(st.sets(st.integers(1, len(labels)), min_size=1), label="ks")
-    model = KnnModel(train_matrix=np.zeros((len(labels), 1)), train_labels=labels, k=1,
-                     p=2.0, scaler=identity_scaler(1), feature_config=FeatureConfig())
+    # a stand-in holding the labels _votes reads: a KnnModel holds at most two
+    model = SimpleNamespace(train_labels=tuple(labels))
     assert _votes(model, nearest, ks) == {k: former_vote(labels, nearest, k) for k in ks}
 
 
@@ -424,7 +426,7 @@ def test_save_load_roundtrip_predicts_identically(tmp_path):
     queries = rng.normal(size=(100, 16))
     for q in queries:
         assert knn_predict(loaded, q) == knn_predict(model, q)
-    assert loaded.feature_config_digest == model.feature_config_digest
+    assert loaded.feature_config == model.feature_config
 
 
 def former_save_model(model, path):
@@ -466,7 +468,7 @@ def saved_models(draw):
     """Any model a file can hold: 1-300 rows, so chunks of rows split, and 1-20 dims."""
     rows = draw(st.integers(1, 300), label="rows")
     dims = draw(st.integers(1, 20), label="dims")
-    pool = draw(st.lists(label_texts, min_size=1, max_size=3), label="label pool")
+    pool = draw(st.lists(label_texts, min_size=1, max_size=2), label="label pool")
     return KnnModel(
         train_matrix=draw(arrays(np.float64, (rows, dims), elements=matrix_values),
                           label="matrix"),
@@ -546,6 +548,8 @@ def saved_payload(tmp_path):
     (lambda m: m.update(p=True), "p must be a number, got True"),
     (lambda m: m.update(p=float("inf")), "p must be finite, got inf"),
     (lambda m: m["train"]["labels"].__setitem__(0, [1]), "labels must be strings"),
+    (lambda m: m["train"]["labels"].__setitem__(0, "other"),
+     r"labels must be binary, got \['control', 'depression', 'other'\]"),
     (lambda m: m["train"]["matrix"][0].__setitem__(0, float("nan")), "must be finite"),
     (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
     (lambda m: m.update(feature_config=[1, 2]), "feature_config must be an object"),
