@@ -1,14 +1,18 @@
 """WAV decoding and writing, channel mixdown, and resampling.
 
 Everything downstream works on mono clips at the canonical pipeline rate
-(16 kHz). Ingest is one pass over blocks, ``load_mono``: it parses the
-container once and checks every float sample, then, for each block of
-2^14 output samples, converts only the input frames that block reads,
-mixes them to mono and interpolates, in block-sized buffers. A file
-already at 16 kHz skips the interpolation. Only RIFF/WAVE containers
-(plain or WAVE_FORMAT_EXTENSIBLE) with PCM 16-bit or IEEE float 32-bit
-payloads, finite samples and one or two channels are accepted; rejecting
-anything else beats silently misreading it.
+(16 kHz). Ingest, ``load_mono``, reads the file in blocks and never holds
+all of it: one parser, ``_parse_wav``, walks the chunk headers of the
+open file; a first pass reads the payload into one block buffer and
+checks every float sample; then, for each block of 2^14 output samples,
+the frames that block needs are read into that buffer, converted, mixed
+to mono and interpolated. At a whole multiple of 16 kHz (16, 32, 48 or
+96 kHz) every output sample falls on a frame, so a block converts only
+every n-th frame, straight into the clip, and interpolates nothing.
+Only RIFF/WAVE containers (plain or WAVE_FORMAT_EXTENSIBLE) with PCM
+16-bit or IEEE float 32-bit payloads, finite samples and one or two
+channels are accepted; rejecting anything else beats silently misreading
+it.
 
 Writing is one block writer, ``_wav_writer``, behind both ``save_wav``
 (to a file) and ``encode_wav`` (to bytes). It checks the header first,
@@ -22,7 +26,8 @@ The public steps ``decode_wav`` (or ``load_wav``) -> ``to_mono`` ->
 ``resample`` remain the reference: ``load_mono(path)`` is byte-identical
 to ``resample(to_mono(load_wav(path)), 16000)``, because both run the
 same private kernels (``_parse_wav``, ``_to_float``, ``_mix_down``,
-``_interpolate``) on the same values. Each step equals its plain numpy
+``_resampled``) on the same values. ``decode_wav`` runs the same parser
+on its bytes wrapped in ``io.BytesIO``. Each step equals its plain numpy
 definition bit for bit (``astype(float64) / 32768``, ``mean(axis=1)``,
 ``np.interp`` over ``arange(n)``), signed zeros included.
 """
@@ -43,9 +48,11 @@ DEFAULT_SAMPLE_RATE = 16000
 INT16_SCALE = 32768.0
 
 # Output samples per block of load_mono and resample: a block's buffers (the
-# input frames it reads as float64, positions, indices) take about 1.7 MB
-# for 48 kHz stereo input, so they stay in a 2 MB L2 cache. The WAV writer
-# encodes this many frames per block: 160 KB of buffers for mono PCM16.
+# payload frames it reads, their float64 mix, positions, indices) take at
+# most about 1.3 MB (44.1 kHz stereo PCM16 input), so they stay in a 2 MB
+# L2 cache; 48 kHz stereo float32 reads 393 KB of frames and mixes them
+# straight into the clip. The WAV writer encodes this many frames per
+# block: 160 KB of buffers for mono PCM16.
 _BLOCK = 1 << 14
 
 FORMAT_PCM = 1
@@ -97,48 +104,66 @@ class AudioClip:
         return len(self.samples)
 
 
-def _read_chunks(data: bytes):
-    """Yield (chunk_id, payload) for every chunk after the RIFF header.
+@dataclass(frozen=True)
+class _Payload:
+    """Where a WAV file's samples lie and how they are laid out, from ``_parse_wav``."""
 
-    Payloads are memoryview slices of ``data``, not copies.
+    offset: int  # byte offset of frame 0 in the file
+    frames: int
+    channels: int
+    dtype: np.dtype  # <i2 (PCM16) or <f4 (float32)
+    sample_rate: int
+
+    def read(self, fh, lo: int, out: np.ndarray) -> np.ndarray:
+        """Read frames lo..lo + len(out) - 1 of ``fh`` into ``out``, a (k, channels) array.
+
+        A short read (the file shrank after its chunks were walked) raises
+        MalformedWav, so no unread byte of ``out`` is ever returned.
+        """
+        fh.seek(self.offset + lo * out.itemsize * self.channels)
+        got = fh.readinto(out)
+        if got != out.nbytes:
+            raise MalformedWav(f"file truncated: read {got} of {out.nbytes} bytes"
+                               f" at frame {lo} of the data chunk")
+        return out
+
+
+def _parse_wav(fh) -> _Payload:
+    """Walk the chunk headers of a seekable WAV file object and validate its format.
+
+    Reads only the chunk headers and the fmt chunk; every chunk is checked
+    to fit in the file, in file order, before the format is judged.
+    Samples are not read, so float samples are checked by the caller
+    (``_check_range``) as it reads them.
     """
-    data = memoryview(data)
-    if len(data) < 12:
+    size = fh.seek(0, io.SEEK_END)
+    if size < 12:
         raise MalformedWav("file shorter than a RIFF header")
-    if data[0:4] != b"RIFF":
+    fh.seek(0)
+    head = fh.read(12)
+    if head[0:4] != b"RIFF":
         raise MalformedWav("missing RIFF magic")
-    if data[8:12] != b"WAVE":
+    if head[8:12] != b"WAVE":
         raise MalformedWav("missing WAVE form type")
-    pos = 12
-    while pos < len(data):
-        if pos + 8 > len(data):
-            raise MalformedWav("truncated chunk header")
-        chunk_id = bytes(data[pos : pos + 4])
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        start = pos + 8
-        if start + size > len(data):
-            raise MalformedWav(f"chunk {chunk_id!r} truncated: declared {size} bytes")
-        yield chunk_id, data[start : start + size]
-        # chunks are word-aligned; odd sizes carry one pad byte
-        pos = start + size + (size & 1)
-
-
-def _parse_wav(data: bytes) -> tuple:
-    """Validate a WAV container -> (payload as a (frames, channels) view, sample rate).
-
-    The view is ``<i2`` (PCM16) or ``<f4`` (float32) over ``data`` itself,
-    not a copy. Every float sample is checked to lie in [-1, 1] here, so a
-    caller that converts only some frames still rejects a bad one anywhere.
-    """
     fmt = None
     payload = None
-    for chunk_id, body in _read_chunks(data):
+    pos = 12
+    while pos < size:
+        if pos + 8 > size:
+            raise MalformedWav("truncated chunk header")
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+        start = pos + 8
+        if start + chunk_size > size:
+            raise MalformedWav(f"chunk {chunk_id!r} truncated: declared {chunk_size} bytes")
         if chunk_id == b"fmt " and fmt is None:
-            if len(body) < 16:
+            if chunk_size < 16:
                 raise MalformedWav("fmt chunk shorter than 16 bytes")
-            fmt = body
+            fmt = fh.read(min(chunk_size, 40))  # a sub-format GUID ends at byte 40
         elif chunk_id == b"data" and payload is None:
-            payload = body
+            payload = (start, chunk_size)
+        # chunks are word-aligned; odd sizes carry one pad byte
+        pos = start + chunk_size + (chunk_size & 1)
     if fmt is None:
         raise MalformedWav("missing fmt chunk")
     if payload is None:
@@ -167,25 +192,38 @@ def _parse_wav(data: bytes) -> tuple:
     frame_bytes = dtype.itemsize * channels
     if block_align != frame_bytes:
         raise MalformedWav(f"block align {block_align} != {frame_bytes}")
-    if len(payload) % frame_bytes:
+    offset, data_size = payload
+    if data_size % frame_bytes:
         raise MalformedWav("data chunk is not a whole number of frames")
+    return _Payload(offset, data_size // frame_bytes, channels, dtype, int(sample_rate))
 
-    samples = np.frombuffer(payload, dtype=dtype)
+
+def _check_range(raw: np.ndarray) -> None:
+    """Reject a float payload block holding a sample that is NaN or outside [-1, 1]."""
     # negated comparisons: max()/min() propagate NaN, which fails both
-    if format_code == FORMAT_IEEE_FLOAT and samples.size and not (
-            samples.max() <= 1.0 and samples.min() >= -1.0):
+    if raw.dtype.kind == "f" and raw.size and not (raw.max() <= 1.0 and raw.min() >= -1.0):
         raise MalformedWav("float sample NaN or outside [-1, 1]")
-    return samples.reshape(-1, channels), int(sample_rate)
 
 
-def _to_float(raw: np.ndarray) -> np.ndarray:
-    """Payload samples as float64: PCM16 scaled by 1/32768, float32 as they are.
+def _to_float(raw: np.ndarray, out=None) -> np.ndarray:
+    """Payload samples as float64, into ``out`` if given: PCM16 scaled by 1/32768,
+    float32 as they are.
 
     1/32768 is a power of two and float32 -> float64 is exact, so the one
     product equals ``astype(float64) / 32768`` and ``astype(float64)``.
     """
     scale = 1.0 / INT16_SCALE if raw.dtype.kind == "i" else 1.0
-    return np.multiply(raw, scale, dtype=np.float64)
+    return np.multiply(raw, scale, out=out, dtype=np.float64)
+
+
+def _decode(fh) -> AudioClip:
+    """``decode_wav`` of an open WAV file object: the whole payload in one read."""
+    payload = _parse_wav(fh)
+    raw = payload.read(fh, 0, np.empty((payload.frames, payload.channels), payload.dtype))
+    _check_range(raw)
+    samples = _to_float(raw)
+    return AudioClip(samples=samples[:, 0] if payload.channels == 1 else samples,
+                     sample_rate=payload.sample_rate)
 
 
 def decode_wav(data: bytes) -> AudioClip:
@@ -199,10 +237,7 @@ def decode_wav(data: bytes) -> AudioClip:
     sample and UnsupportedFormat for codecs, bit depths, or channel counts
     outside PCM16/float32 x {1,2}.
     """
-    raw, sample_rate = _parse_wav(data)
-    samples = _to_float(raw)
-    return AudioClip(samples=samples[:, 0] if raw.shape[1] == 1 else samples,
-                     sample_rate=sample_rate)
+    return _decode(io.BytesIO(data))
 
 
 def _subformat_code(fmt) -> int:
@@ -289,21 +324,30 @@ def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
     return buffer.getvalue()
 
 
-def _mix_down(frames: np.ndarray) -> np.ndarray:
-    """Mean of each row of a (frames, channels) array.
+def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
+    """Mean of each row of a (frames, channels) payload or float array, as float64.
 
-    Adds the channel columns, then ``+ 0.0`` and ``/ channels``: for stereo
-    ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` bit for bit for fewer
-    than eight channels: mean sums from a +0.0 identity, so all channels
-    -0.0 average to +0.0.
+    Converts the first column into ``out`` (a new array if None), adds the
+    others, then ``+ 0.0`` and ``/ channels``: for stereo
+    ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` of ``_to_float(frames)``
+    bit for bit for fewer than eight channels: mean sums from a +0.0
+    identity, so all channels -0.0 average to +0.0.
     """
     first, *rest = frames.T
-    out = np.add(first, rest[0]) if rest else first.copy()
-    for channel in rest[1:]:
-        out += channel
+    out = _to_float(first, out)
+    for channel in rest:
+        # float samples convert exactly inside the add; PCM16 needs its scale first
+        out += _to_float(channel) if channel.dtype.kind == "i" else channel
     out += 0.0
     out /= frames.shape[1]
     return out
+
+
+def _mono(frames: np.ndarray, out=None) -> np.ndarray:
+    """A (frames, channels) block as mono float64: its one channel, or the channels' mean."""
+    if frames.shape[1] == 1:
+        return _to_float(frames[:, 0], out)
+    return _mix_down(frames, out)
 
 
 def _interpolate(y: np.ndarray, j: np.ndarray, frac: np.ndarray, out: np.ndarray) -> None:
@@ -320,19 +364,32 @@ def _interpolate(y: np.ndarray, j: np.ndarray, frac: np.ndarray, out: np.ndarray
     np.copyto(out, left, where=frac == 0.0)
 
 
-def _resampled(mono, n: int, source_rate: int, target_rate: int) -> np.ndarray:
-    """``resample``'s interpolation of n mono frames, one block of output positions at a time.
+def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray:
+    """``resample``'s interpolation of n frames mixed to mono, one block of outputs at a time.
 
-    ``mono(lo, hi)`` returns frames lo..hi-1 as float64; each block asks
-    only for the frames its positions read.
+    ``frames(lo, hi)`` returns frames lo..hi-1 as a (k, channels) array;
+    each block asks only for the frames its positions read and converts
+    them with ``_mono``. When ``source_rate`` is a whole multiple of
+    ``target_rate`` (the same rate included), output i is frame
+    ``i * stride`` exactly, where interpolation would return ``y[j]``
+    itself, so a block converts only every stride-th frame it read,
+    straight into the output, and interpolates nothing.
     """
     from .rng import round_half_up
 
     m = round_half_up(n * target_rate / source_rate)
     if n == 0 or m == 0:
         return np.zeros(0)
-    step = source_rate / target_rate
     out = np.empty(m)
+    if source_rate % target_rate == 0:
+        stride = source_rate // target_rate
+        # m rounds n / stride half up, so (m - 1) * stride <= n - 1: every
+        # position is a frame, none past the last
+        for start in range(0, m, _BLOCK):
+            end = min(start + _BLOCK, m)
+            _mono(frames(start * stride, (end - 1) * stride + 1)[::stride], out[start:end])
+        return out
+    step = source_rate / target_rate
     for start in range(0, m, _BLOCK):
         # arange from an integer start yields the same float64 integers as a
         # full-length arange, so these positions equal arange(m) * step
@@ -344,11 +401,11 @@ def _resampled(mono, n: int, source_rate: int, target_rate: int) -> np.ndarray:
             frac = positions[:inner]
             frac -= j
             first = int(j[0])
-            y = mono(first, int(j[-1]) + 2)
+            y = _mono(frames(first, int(j[-1]) + 2))
             j -= first
             _interpolate(y, j, frac, out[start:start + inner])
         if inner < len(positions):  # every later position is past the last frame too
-            out[start + inner:] = mono(n - 1, n)[0]
+            out[start + inner:] = _mono(frames(n - 1, n))[0]
             break
     return out
 
@@ -381,38 +438,42 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate == clip.sample_rate:
         return clip
     y = clip.samples
-    return AudioClip(samples=_resampled(lambda lo, hi: y[lo:hi], len(y), clip.sample_rate,
+    return AudioClip(samples=_resampled(lambda lo, hi: y[lo:hi, None], len(y), clip.sample_rate,
                                         target_rate),
                      sample_rate=target_rate)
 
 
 def load_wav(path) -> AudioClip:
-    """Read a WAV file from disk and decode it."""
+    """Read a WAV file from disk and decode it (see ``decode_wav``)."""
     with open(path, "rb") as fh:
-        return decode_wav(fh.read())
+        return _decode(fh)
 
 
 def load_mono(path) -> AudioClip:
-    """Read a WAV file as a mono clip at DEFAULT_SAMPLE_RATE, in one pass over blocks.
+    """Read a WAV file as a mono clip at DEFAULT_SAMPLE_RATE, in blocks.
 
     Byte for byte ``resample(to_mono(load_wav(path)), DEFAULT_SAMPLE_RATE)``,
-    with the same errors: the container is parsed and every float sample
-    checked first, then each block of output samples converts, mixes and
-    interpolates only the input frames it reads, in block-sized buffers.
-    A file already at DEFAULT_SAMPLE_RATE skips the interpolation.
+    with the same errors, and never holding the whole file: the chunk
+    headers are walked, then a first pass reads the payload in blocks
+    into one buffer and checks every float sample, then each block of
+    2^14 output samples reads only the frames it needs into that buffer,
+    converts and mixes them and interpolates. At a whole multiple of
+    DEFAULT_SAMPLE_RATE (16, 32, 48 or 96 kHz) a block converts and mixes
+    only every n-th frame, straight into the clip, and interpolates
+    nothing.
     """
     with open(path, "rb") as fh:
-        raw, source_rate = _parse_wav(fh.read())
-
-    def mono(lo, hi):
-        if raw.shape[1] == 1:
-            return _to_float(raw[lo:hi, 0])
-        return _mix_down(_to_float(raw[lo:hi]))
-
-    if source_rate == DEFAULT_SAMPLE_RATE:
-        samples = mono(0, len(raw))
-    else:
-        samples = _resampled(mono, len(raw), source_rate, DEFAULT_SAMPLE_RATE)
+        payload = _parse_wav(fh)
+        # one output block's positions span under _BLOCK * step frames, so
+        # with floors and the right-hand neighbour it reads at most 3 more
+        step = payload.sample_rate / DEFAULT_SAMPLE_RATE
+        buffer = np.empty((min(int(_BLOCK * step) + 3, payload.frames), payload.channels),
+                          payload.dtype)
+        if payload.dtype.kind == "f" and payload.frames:
+            for lo in range(0, payload.frames, len(buffer)):
+                _check_range(payload.read(fh, lo, buffer[:payload.frames - lo]))
+        samples = _resampled(lambda lo, hi: payload.read(fh, lo, buffer[:hi - lo]),
+                             payload.frames, payload.sample_rate, DEFAULT_SAMPLE_RATE)
     return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
 
 

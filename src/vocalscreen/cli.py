@@ -173,13 +173,17 @@ def cmd_synth(ns) -> int:
 def _recording_features(wav_path, source_id: str, silence, segment_seconds, config) -> list:
     """Feature rows of one recording's segments, in segment order.
 
-    The recording's audio is dropped on return, before the caller reads
-    the next file.
+    A recording with less voiced audio than one segment yields no row and
+    is named on stderr with its voiced seconds. The recording's audio is
+    dropped on return, before the caller reads the next file.
     """
     with _named(source_id, VocalScreenError, OSError, ValueError):
         clip = audio_io.load_mono(wav_path)
         voiced = preprocess.remove_silence(clip, silence)
         segments = preprocess.segment(voiced, segment_seconds)
+    if not segments:
+        print(f"extract: {source_id}: no segment, {voiced.duration_seconds:.2f} s voiced"
+              f" is shorter than {segment_seconds} s", file=sys.stderr)
     return [extract_features(seg, config) for seg in segments]
 
 

@@ -485,7 +485,8 @@ def payloads(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(payload=payloads(), rate=st.sampled_from([8000, 16000, 22050, 44100, 48000]),
+@given(payload=payloads(),
+       rate=st.sampled_from([8000, 16000, 22050, 32000, 44100, 48000, 96000]),
        extensible=st.booleans())
 def test_load_mono_equals_reference(tmp_path_factory, payload, rate, extensible):
     samples, code = payload
@@ -515,15 +516,54 @@ def test_load_mono_equals_reference_over_full_blocks(tmp_path, rate, dtype, chan
                      resample(to_mono(audio_io.load_wav(path)), 16000).samples)
 
 
-@pytest.mark.parametrize("frame", [3 * 20 + 2, 299])
-def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame):
-    # at 48 kHz output i reads frames 3i and 3i + 1 only; 299 is the last frame
+@pytest.mark.parametrize("frame, rate, block", [
+    pytest.param(3 * 20 + 2, 48000, None, id="62"),
+    pytest.param(299, 48000, None, id="299"),
+    pytest.param(3 * 20 + 2, 44100, None, id="44100-62"),
+    # the check pass reads 8 * 3 + 3 = 27 frames a block; frame 80 ends the third
+    pytest.param(80, 48000, 8, id="block8-80"),
+])
+def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame, rate, block):
+    # at 48 kHz output i reads frame 3i only; 299 is the last frame
     samples = np.zeros((300, 2), dtype=np.float32)
     samples[frame, 1] = np.nan
     path = tmp_path / "nan.wav"
-    path.write_bytes(wav_of(samples, 3, 48000, False))
-    with pytest.raises(MalformedWav, match="float sample NaN"):
-        load_mono(path)
+    path.write_bytes(wav_of(samples, 3, rate, False))
+    with mock.patch.object(audio_io, "_BLOCK", block or audio_io._BLOCK):
+        with pytest.raises(MalformedWav, match="float sample NaN"):
+            load_mono(path)
+
+
+@pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16),
+                                         (16000, np.int16)])
+def test_load_mono_holds_one_block(tmp_path, rate, dtype):
+    """Reading a 20 s stereo file allocates the clip and block-sized buffers, not the file."""
+    samples = np.zeros((20 * rate, 2), dtype=dtype)
+    path = tmp_path / "long.wav"
+    path.write_bytes(wav_of(samples, 1 if dtype == np.int16 else 3, rate, False))
+    del samples
+    clip_bytes = 20 * 16000 * 8
+    assert traced_peak(load_mono, path) < clip_bytes + 2_000_000
+
+
+@pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16)])
+@pytest.mark.parametrize("loader", [load_mono, audio_io.load_wav])
+def test_read_of_a_file_shrunk_after_its_header_walk_raises(tmp_path, rate, dtype, loader):
+    # float payloads come short in the check pass, PCM16 in the conversion pass
+    samples = np.full((3 * rate, 2), 0.25, dtype=dtype)
+    path = tmp_path / "in.wav"
+    path.write_bytes(wav_of(samples, 1 if dtype == np.int16 else 3, rate, False))
+    parse_wav = audio_io._parse_wav
+
+    def parse_then_truncate(fh):
+        payload = parse_wav(fh)
+        with open(path, "r+b") as out:
+            out.truncate(payload.offset + samples.nbytes // 2 + 3)
+        return payload
+
+    with mock.patch.object(audio_io, "_parse_wav", parse_then_truncate):
+        with pytest.raises(MalformedWav, match="file truncated: read"):
+            loader(path)
 
 
 def test_clip_invariants():

@@ -82,6 +82,21 @@ def test_extract_rejects_nan_sample(tmp_path, capsys):
     assert not (tmp_path / "out" / "features.csv").exists()
 
 
+def test_extract_names_a_recording_without_a_segment(tmp_path, capsys):
+    for name, seconds in (("short.wav", 3.0), ("long.wav", 9.0)):
+        (tmp_path / name).write_bytes(encode_wav(tone(220.0, seconds=seconds)))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,participant\n"
+                        "short.wav,control,p0\nlong.wav,depression,p1\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert err == "extract: short.wav: no segment, 3.00 s voiced is shorter than 4.0 s\n"
+    assert out.startswith("extract: 2 segments (control=0, depression=2) ->")
+    ids, _, _ = read_features_csv(tmp_path / "out" / "features.csv")
+    assert ids == ["long.seg000", "long.seg001"]
+
+
 def test_split_outputs(small_cohort):
     sidecar = json.loads((small_cohort / "work" / "split.json").read_text())
     assert sidecar["mode"] == "segment-level"
