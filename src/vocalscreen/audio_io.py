@@ -1,14 +1,24 @@
 """WAV decoding and writing, channel mixdown, and resampling.
 
 Everything downstream works on mono clips at the canonical pipeline rate
-(16 kHz). Ingest, ``load_mono``, reads the file in blocks and never holds
-all of it: one parser, ``_parse_wav``, walks the chunk headers of the
-open file; a first pass reads the payload into one block buffer and
-checks every float sample; then, for each block of 2^14 output samples,
-the frames that block needs are read into that buffer, converted, mixed
+(16 kHz). Ingest, ``load_mono``, makes one pass over the payload and
+never holds all of it: one parser, ``_parse_wav``, walks the chunk
+headers of the open file; then, for each block of 2^14 output samples,
+the frames that block needs are read into one buffer, converted, mixed
 to mono and interpolated. At a whole multiple of 16 kHz (16, 32, 48 or
 96 kHz) every output sample falls on a frame, so a block converts only
 every n-th frame, straight into the clip, and interpolates nothing.
+
+Every sample is range-checked once, where it is made. A float payload
+frame is checked as it is read (``_check_range``, MalformedWav), and the
+frames no output block reads are read in file order only to be checked.
+Each block of ``_resampled``'s output is checked while it is still in
+cache (``_check_samples``, the ValueError ``AudioClip`` raises), so
+``load_mono`` and ``resample`` build their clips without a second scan,
+and ``remove_silence`` and ``segment`` build theirs from slices of a
+checked clip; all of them use ``AudioClip._from_checked``. The public
+``AudioClip(...)`` always scans.
+
 Only RIFF/WAVE containers (plain or WAVE_FORMAT_EXTENSIBLE) with PCM
 16-bit or IEEE float 32-bit payloads, finite samples and one or two
 channels are accepted; rejecting anything else beats silently misreading
@@ -71,13 +81,22 @@ class UnsupportedFormat(VocalScreenError):
     """Valid container but a payload this pipeline does not accept."""
 
 
+def _check_samples(samples: np.ndarray) -> None:
+    """Reject float64 clip samples outside [-1, 1] (NaN is not caught, as ever)."""
+    if samples.size and (samples.max() > 1.0 or samples.min() < -1.0):
+        raise ValueError("samples must lie in [-1.0, 1.0]")
+
+
 @dataclass(frozen=True)
 class AudioClip:
     """A sample buffer with its rate.
 
     ``samples`` is float64 in [-1.0, 1.0]; shape ``(n,)`` for mono or
     ``(n, channels)`` straight out of the decoder. All processing beyond
-    ``to_mono`` expects mono.
+    ``to_mono`` expects mono. ``AudioClip(...)`` scans every sample for
+    that range; ``_from_checked`` builds a clip whose samples were
+    checked where they were made (see the module docstring), without
+    that second scan.
     """
 
     samples: np.ndarray
@@ -89,8 +108,16 @@ class AudioClip:
             raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.samples.size and (self.samples.max() > 1.0 or self.samples.min() < -1.0):
-            raise ValueError("samples must lie in [-1.0, 1.0]")
+        _check_samples(self.samples)
+
+    @classmethod
+    def _from_checked(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
+        """A clip of float64 ``samples`` already range-checked where they were made,
+        at a valid ``sample_rate``: built without ``__post_init__``'s second scan."""
+        clip = object.__new__(cls)
+        object.__setattr__(clip, "samples", samples)
+        object.__setattr__(clip, "sample_rate", sample_rate)
+        return clip
 
     @property
     def channels(self) -> int:
@@ -332,7 +359,17 @@ def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
     ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` of ``_to_float(frames)``
     bit for bit for fewer than eight channels: mean sums from a +0.0
     identity, so all channels -0.0 average to +0.0.
+
+    A C-contiguous PCM16 block (stereo: ``_mono`` takes mono) is cast once
+    and mixed as ``(L + R) * 2^-16``: every step is exact and no int makes
+    -0.0, so the bits are equal, without numpy's buffered per-column casts.
+    Strided blocks keep the per-column path, which is faster for them.
     """
+    if frames.dtype.kind == "i" and frames.flags.c_contiguous:
+        wide = frames.astype(np.float64)
+        out = np.add(wide[:, 0], wide[:, 1], out=out)
+        out *= 0.5 / INT16_SCALE
+        return out
     first, *rest = frames.T
     out = _to_float(first, out)
     for channel in rest:
@@ -368,12 +405,14 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
     """``resample``'s interpolation of n frames mixed to mono, one block of outputs at a time.
 
     ``frames(lo, hi)`` returns frames lo..hi-1 as a (k, channels) array;
-    each block asks only for the frames its positions read and converts
-    them with ``_mono``. When ``source_rate`` is a whole multiple of
-    ``target_rate`` (the same rate included), output i is frame
+    each block asks only for the frames its positions read, in file order,
+    and converts them with ``_mono``. When ``source_rate`` is a whole
+    multiple of ``target_rate`` (the same rate included), output i is frame
     ``i * stride`` exactly, where interpolation would return ``y[j]``
     itself, so a block converts only every stride-th frame it read,
-    straight into the output, and interpolates nothing.
+    straight into the output, and interpolates nothing. Each output block
+    is range-checked as ``AudioClip`` checks a clip, while it is still in
+    cache, so the caller builds its clip without a second scan.
     """
     from .rng import round_half_up
 
@@ -388,6 +427,7 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
         for start in range(0, m, _BLOCK):
             end = min(start + _BLOCK, m)
             _mono(frames(start * stride, (end - 1) * stride + 1)[::stride], out[start:end])
+            _check_samples(out[start:end])
         return out
     step = source_rate / target_rate
     for start in range(0, m, _BLOCK):
@@ -406,7 +446,9 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
             _interpolate(y, j, frac, out[start:start + inner])
         if inner < len(positions):  # every later position is past the last frame too
             out[start + inner:] = _mono(frames(n - 1, n))[0]
+            _check_samples(out[start:])
             break
+        _check_samples(out[start:start + inner])
     return out
 
 
@@ -438,9 +480,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate == clip.sample_rate:
         return clip
     y = clip.samples
-    return AudioClip(samples=_resampled(lambda lo, hi: y[lo:hi, None], len(y), clip.sample_rate,
-                                        target_rate),
-                     sample_rate=target_rate)
+    return AudioClip._from_checked(
+        _resampled(lambda lo, hi: y[lo:hi, None], len(y), clip.sample_rate, target_rate),
+        target_rate)
 
 
 def load_wav(path) -> AudioClip:
@@ -453,14 +495,19 @@ def load_mono(path) -> AudioClip:
     """Read a WAV file as a mono clip at DEFAULT_SAMPLE_RATE, in blocks.
 
     Byte for byte ``resample(to_mono(load_wav(path)), DEFAULT_SAMPLE_RATE)``,
-    with the same errors, and never holding the whole file: the chunk
-    headers are walked, then a first pass reads the payload in blocks
-    into one buffer and checks every float sample, then each block of
-    2^14 output samples reads only the frames it needs into that buffer,
+    with the same errors, in one pass over the payload and never holding
+    the whole file: the chunk headers are walked, then each block of 2^14
+    output samples reads only the frames it needs into one buffer,
     converts and mixes them and interpolates. At a whole multiple of
     DEFAULT_SAMPLE_RATE (16, 32, 48 or 96 kHz) a block converts and mixes
     only every n-th frame, straight into the clip, and interpolates
     nothing.
+
+    Every sample is range-checked once, where it is made: each float
+    payload frame as it is read, in file order (frames no block reads,
+    between stride blocks and after the last output, are read and checked
+    on their own), and each output block by ``_resampled``, so the clip is
+    built without a second scan.
     """
     with open(path, "rb") as fh:
         payload = _parse_wav(fh)
@@ -469,12 +516,28 @@ def load_mono(path) -> AudioClip:
         step = payload.sample_rate / DEFAULT_SAMPLE_RATE
         buffer = np.empty((min(int(_BLOCK * step) + 3, payload.frames), payload.channels),
                           payload.dtype)
-        if payload.dtype.kind == "f" and payload.frames:
-            for lo in range(0, payload.frames, len(buffer)):
-                _check_range(payload.read(fh, lo, buffer[:payload.frames - lo]))
-        samples = _resampled(lambda lo, hi: payload.read(fh, lo, buffer[:hi - lo]),
-                             payload.frames, payload.sample_rate, DEFAULT_SAMPLE_RATE)
-    return AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE)
+        checked = 0 if payload.dtype.kind == "f" else payload.frames  # PCM16 needs no check
+
+        def check_to(hi):
+            """Read and check the frames from ``checked`` to ``hi`` that no block read."""
+            nonlocal checked
+            while checked < hi:
+                gap = payload.read(fh, checked, buffer[:hi - checked])
+                _check_range(gap)
+                checked += len(gap)
+
+        def frames(lo, hi):
+            nonlocal checked
+            check_to(lo)
+            block = payload.read(fh, lo, buffer[:hi - lo])
+            if checked < hi:  # blocks of the interpolation path share a frame
+                _check_range(block[checked - lo:])
+                checked = hi
+            return block
+
+        samples = _resampled(frames, payload.frames, payload.sample_rate, DEFAULT_SAMPLE_RATE)
+        check_to(payload.frames)
+    return AudioClip._from_checked(samples, DEFAULT_SAMPLE_RATE)
 
 
 def save_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:

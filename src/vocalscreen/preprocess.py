@@ -84,7 +84,9 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     Every complete frame is scored by RMS; a sample survives if it lies in
     at least one frame whose RMS >= threshold_ratio * max frame RMS. An
     all-silent clip (max RMS 0) comes back empty, as does any clip shorter
-    than one frame.
+    than one frame. The voiced clip is built from the runs' slices of the
+    input clip, whose range was checked when it was built, so it is not
+    scanned again.
     """
     if len(clip) == 0:
         raise ValueError("remove_silence needs a non-empty clip")
@@ -94,34 +96,38 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     frame_len = sample_count(params.frame_seconds, "frame_seconds", clip.sample_rate)
     hop_len = sample_count(params.hop_seconds, "hop_seconds", clip.sample_rate)
     rms = _frame_rms(clip.samples, frame_len, hop_len)
-    if len(rms) == 0:
-        return AudioClip(samples=np.zeros(0), sample_rate=clip.sample_rate)
+    if len(rms) == 0 or (peak := rms.max()) == 0.0:
+        return AudioClip._from_checked(np.zeros(0), clip.sample_rate)
 
-    peak = rms.max()
-    if peak == 0.0:
-        return AudioClip(samples=np.zeros(0), sample_rate=clip.sample_rate)
-
-    # frames first..last of a voiced run cover [first * hop, last * hop + frame)
+    # frames first..last of a voiced run cover [first * hop, last * hop + frame);
+    # a run that starts before the last one ends (a frame over two hops) extends it
     voiced = np.concatenate(([False], rms >= params.threshold_ratio * peak, [False]))
     edges = np.flatnonzero(voiced[1:] != voiced[:-1])
-    keep = np.zeros(len(clip), dtype=bool)
+    runs = []
     for first, stop in zip(edges[::2], edges[1::2]):
-        keep[first * hop_len : (stop - 1) * hop_len + frame_len] = True
-    return AudioClip(samples=clip.samples[keep], sample_rate=clip.sample_rate)
+        lo, hi = first * hop_len, (stop - 1) * hop_len + frame_len
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    return AudioClip._from_checked(np.concatenate([clip.samples[lo:hi] for lo, hi in runs]),
+                                   clip.sample_rate)
 
 
 def segment(clip: AudioClip, segment_seconds: float) -> SegmentSet:
     """Cut a clip into consecutive non-overlapping windows of fixed length.
 
     The trailing remainder shorter than one window is discarded. A clip
-    shorter than one window yields an empty SegmentSet.
+    shorter than one window yields an empty SegmentSet. Segments are
+    slices of the clip, whose range was checked when it was built, so
+    none is scanned again.
     """
     seg_len = sample_count(segment_seconds, "segment_seconds", clip.sample_rate)
     if clip.samples.ndim != 1:
         raise ValueError("segment expects a mono clip")
     count = len(clip) // seg_len
     segments = tuple(
-        AudioClip(samples=clip.samples[i * seg_len : (i + 1) * seg_len], sample_rate=clip.sample_rate)
+        AudioClip._from_checked(clip.samples[i * seg_len : (i + 1) * seg_len], clip.sample_rate)
         for i in range(count)
     )
     return SegmentSet(segments=segments)

@@ -519,9 +519,13 @@ def test_load_mono_equals_reference_over_full_blocks(tmp_path, rate, dtype, chan
 @pytest.mark.parametrize("frame, rate, block", [
     pytest.param(3 * 20 + 2, 48000, None, id="62"),
     pytest.param(299, 48000, None, id="299"),
+    # the last output reads frame 297, so frames 298 and 299 are read after it
+    pytest.param(298, 48000, None, id="298"),
     pytest.param(3 * 20 + 2, 44100, None, id="44100-62"),
-    # the check pass reads 8 * 3 + 3 = 27 frames a block; frame 80 ends the third
+    # with 8 outputs a block, block k reads frames 24k..24k + 21: frame 80 inside the
+    # fourth, frame 22 between the first two, which is read and checked on its own
     pytest.param(80, 48000, 8, id="block8-80"),
+    pytest.param(22, 48000, 8, id="block8-22"),
 ])
 def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame, rate, block):
     # at 48 kHz output i reads frame 3i only; 299 is the last frame
@@ -532,6 +536,29 @@ def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame, rate, block):
     with mock.patch.object(audio_io, "_BLOCK", block or audio_io._BLOCK):
         with pytest.raises(MalformedWav, match="float sample NaN"):
             load_mono(path)
+
+
+@pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16)])
+def test_load_mono_checks_every_output_block(tmp_path, monkeypatch, rate, dtype):
+    """The clip is built without a scan of its own, so a block mixed out of range
+    (here the second of three, on the stride and the interpolation path) must
+    fail with AudioClip's own error."""
+    samples = np.zeros((3 * audio_io._BLOCK * rate // 16000, 2), dtype=dtype)
+    path = tmp_path / "in.wav"
+    path.write_bytes(wav_of(samples, 1 if dtype == np.int16 else 3, rate, False))
+    mono, calls = audio_io._mono, []
+
+    def second_block_out_of_range(frames, out=None):
+        y = mono(frames, out)
+        calls.append(len(y))
+        if len(calls) == 2:
+            y[:] = 1.5
+        return y
+
+    monkeypatch.setattr(audio_io, "_mono", second_block_out_of_range)
+    with pytest.raises(ValueError, match=r"^samples must lie in \[-1\.0, 1\.0\]$"):
+        load_mono(path)
+    assert len(calls) == 2  # raised at the block, before the third was read
 
 
 @pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16),
@@ -549,7 +576,8 @@ def test_load_mono_holds_one_block(tmp_path, rate, dtype):
 @pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16)])
 @pytest.mark.parametrize("loader", [load_mono, audio_io.load_wav])
 def test_read_of_a_file_shrunk_after_its_header_walk_raises(tmp_path, rate, dtype, loader):
-    # float payloads come short in the check pass, PCM16 in the conversion pass
+    # float32 at 48 kHz comes short in a stride block, PCM16 at 44.1 kHz in an
+    # interpolation block
     samples = np.full((3 * rate, 2), 0.25, dtype=dtype)
     path = tmp_path / "in.wav"
     path.write_bytes(wav_of(samples, 1 if dtype == np.int16 else 3, rate, False))

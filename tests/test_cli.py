@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chdir, tone
-from vocalscreen.audio_io import (DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, load_wav,
+from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, load_wav,
                                   resample, to_mono)
 from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
@@ -79,6 +79,24 @@ def test_extract_rejects_nan_sample(tmp_path, capsys):
     rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: nan.wav: float sample NaN")
+    assert not (tmp_path / "out" / "features.csv").exists()
+
+
+def test_extract_rejects_nan_on_a_frame_no_output_reads(tmp_path, capsys):
+    (tmp_path / "good.wav").write_bytes(encode_wav(tone(220.0, seconds=9.0)))
+    mono = tone(220.0, seconds=4.0, sample_rate=48000).samples
+    stereo = np.stack([mono, mono], axis=1)
+    # at 48 kHz the first block reads frames 0..3 * (_BLOCK - 1); the next two
+    # frames are read only to be checked
+    stereo[3 * _BLOCK - 2, 1] = np.nan
+    (tmp_path / "nan48k.wav").write_bytes(
+        encode_wav(AudioClip(samples=stereo, sample_rate=48000), bit_depth=32))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,participant\n"
+                        "good.wav,control,p0\nnan48k.wav,depression,p1\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: nan48k.wav: float sample NaN")
     assert not (tmp_path / "out" / "features.csv").exists()
 
 

@@ -65,6 +65,8 @@ def former_remove_silence(samples, frame_len, hop_len, ratio):
        ratio=st.floats(0.01, 0.99))
 @example(samples=np.r_[np.zeros(10), np.full(7, 0.5), np.zeros(9), np.full(3, -0.5), np.zeros(20)],
          frame_len=5, hop_fraction=0.4, ratio=0.5)  # hop 2: frame_len not a multiple of it
+# hop 1, frame 4: the voiced runs at 0 and 2 overlap because a frame spans over two hops
+@example(samples=np.array([1., 0, 0, 0, 0, 1]), frame_len=4, hop_fraction=0.25, ratio=0.5)
 def test_remove_silence_equals_slice_loop(samples, frame_len, hop_fraction, ratio):
     hop_len = max(1, round(frame_len * hop_fraction))
     rate = 1000
