@@ -416,9 +416,7 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
     """
     from .rng import round_half_up
 
-    m = round_half_up(n * target_rate / source_rate)
-    if n == 0 or m == 0:
-        return np.zeros(0)
+    m = round_half_up(n * target_rate / source_rate)  # 0 when n is 0: then no block runs
     out = np.empty(m)
     if source_rate % target_rate == 0:
         stride = source_rate // target_rate
@@ -530,7 +528,7 @@ def load_mono(path) -> AudioClip:
             nonlocal checked
             check_to(lo)
             block = payload.read(fh, lo, buffer[:hi - lo])
-            if checked < hi:  # blocks of the interpolation path share a frame
+            if checked < hi:  # past the frames read before (an interpolation block may share one)
                 _check_range(block[checked - lo:])
                 checked = hi
             return block

@@ -23,7 +23,10 @@ result goes to ``--out`` (``tests/mutants.json``) after every mutant, with
 each mutant's module, line, kind, change and source line.
 
 Mutation sites are enumerated in ``ast.walk`` order, so the list is fixed
-for a given source; ``--limit`` runs a sample of it drawn with ``--seed``.
+for a given source (the report keeps each module's SHA-256); ``--limit``
+runs a sample of it drawn with ``--seed``. ``--rerun REPORT`` tests only
+the survivors of an earlier report on the same sources again, so a new
+test shows its effect as killed mutants.
 pytest does not collect this file (its name does not start with
 ``test_``), and it is not part of tier-1: it runs each test file once per
 mutant, which takes tens of minutes for the two modules.
@@ -31,6 +34,7 @@ mutant, which takes tens of minutes for the two modules.
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import queue
@@ -148,6 +152,16 @@ def run_tests(work: Path, test_file: str, seed: int, timeout) -> str:
     return "passed" if proc.returncode == 0 else "failed"
 
 
+def tally(report: dict) -> None:
+    """Set each module's counts and the overall score from ``report["mutants"]``."""
+    for module, entry in report["modules"].items():
+        statuses = [m["status"] for m in report["mutants"] if m["module"] == f"{module}.py"]
+        entry.update({"run": len(statuses), **{s: statuses.count(s)
+                                                for s in ("killed", "timeout", "survived")}})
+    statuses = [m["status"] for m in report["mutants"]]
+    report["score"] = round(1 - statuses.count("survived") / max(len(statuses), 1), 4)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--module", action="append", choices=sorted(TEST_FILES),
@@ -157,55 +171,70 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, choices=range(1, 9),
                         help="mutants tested at once, each in its own copy (1-8)")
+    parser.add_argument("--rerun", type=Path, default=None,
+                        help="test again only the survivors of this report, and write it,"
+                             " updated, to --out")
     parser.add_argument("--out", type=Path, default=ROOT / "tests" / "mutants.json")
     args = parser.parse_args(argv)
 
-    report = {"seed": args.seed, "limit": args.limit, "modules": {}, "mutants": []}
+    if args.rerun:
+        report = json.loads(args.rerun.read_text())
+        modules = list(report["modules"])
+    else:
+        report = {"seed": args.seed, "limit": args.limit, "modules": {}, "mutants": []}
+        modules = args.module or sorted(TEST_FILES)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies = queue.Queue()
         for job in range(args.jobs):
             copy_tree(Path(tmp) / str(job))
             copies.put(Path(tmp) / str(job))
-        for module in args.module or sorted(TEST_FILES):
+        for module in modules:
             relative = Path("src") / "vocalscreen" / f"{module}.py"
             source = (ROOT / relative).read_text()
+            digest = hashlib.sha256(source.encode()).hexdigest()
             lines = source.splitlines()
             test_file = TEST_FILES[module]
+            all_sites = sites(ast.parse(source))
+            if args.rerun:
+                if report["modules"][module]["sha256"] != digest:
+                    print(f"{relative} changed since {args.rerun} was written", file=sys.stderr)
+                    return 1
+                todo = [m["site"] for m in report["mutants"]
+                        if m["module"] == f"{module}.py" and m["status"] == "survived"]
+            else:
+                report["modules"][module] = {"sites": len(all_sites), "sha256": digest}
+                todo = range(len(all_sites))
+                if args.limit is not None and args.limit < len(all_sites):
+                    todo = sorted(random.Random(args.seed).sample(todo, args.limit))
             start = time.perf_counter()
-            if run_tests(Path(tmp) / "0", test_file, args.seed, None) != "passed":
+            if run_tests(Path(tmp) / "0", test_file, report["seed"], None) != "passed":
                 print(f"{test_file} fails on the unmutated source", file=sys.stderr)
                 return 1
             timeout = max(60.0, 10 * (time.perf_counter() - start))
-            todo = sites(ast.parse(source))
-            counts = report["modules"][module] = {"sites": len(todo), "run": 0, "killed": 0,
-                                                  "timeout": 0, "survived": 0}
-            if args.limit is not None and args.limit < len(todo):
-                chosen = set(random.Random(args.seed).sample(range(len(todo)), args.limit))
-                todo = [site for i, site in enumerate(todo) if i in chosen]
 
-            def test_mutant(site):
-                mutated, line, change = mutate(source, site)
+            def test_mutant(index):
+                mutated, line, change = mutate(source, all_sites[index])
                 work = copies.get()
                 try:
                     (work / relative).write_text(mutated)
                     started = time.perf_counter()
-                    result = run_tests(work, test_file, args.seed, timeout)
+                    result = run_tests(work, test_file, report["seed"], timeout)
                     (work / relative).write_text(source)
                 finally:
                     copies.put(work)
-                return {"module": f"{module}.py", "line": line, "kind": site[0],
-                        "change": change, "code": lines[line - 1].strip(),
+                return {"module": f"{module}.py", "site": index, "line": line,
+                        "kind": all_sites[index][0], "change": change,
+                        "code": lines[line - 1].strip(),
                         "status": {"passed": "survived", "failed": "killed"}.get(result, result),
                         "seconds": round(time.perf_counter() - started, 1)}
 
             with ThreadPoolExecutor(args.jobs) as pool:
                 for mutant in pool.map(test_mutant, todo):
-                    counts["run"] += 1
-                    counts[mutant["status"]] += 1
-                    report["mutants"].append(mutant)
-                    total = sum(c["run"] for c in report["modules"].values())
-                    dead = sum(c["killed"] + c["timeout"] for c in report["modules"].values())
-                    report["score"] = round(dead / total, 4)
+                    key = (mutant["module"], mutant["site"])
+                    report["mutants"] = [m for m in report["mutants"]
+                                         if (m["module"], m["site"]) != key] + [mutant]
+                    report["mutants"].sort(key=lambda m: (m["module"], m["site"]))
+                    tally(report)
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
                     print(f"{module}.py:{mutant['line']} {mutant['kind']} {mutant['change']}:"
                           f" {mutant['status']}", flush=True)

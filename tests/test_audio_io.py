@@ -1,3 +1,4 @@
+import re
 import struct
 from unittest import mock
 
@@ -172,6 +173,61 @@ def test_decode_rejects_missing_chunks():
         decode_wav(header)
 
 
+def riff_wave(*chunks) -> bytes:
+    """A RIFF/WAVE container of (chunk id, body) pairs, each padded to an even size."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + bytes(len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+PCM_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (b"RIFF\x04\x00\x00\x00WAV", MalformedWav, "file shorter than a RIFF header"),
+    (b"RIFX" + bytes(40), MalformedWav, "missing RIFF magic"),
+    (b"RIFF" + struct.pack("<I", 4) + b"AIFF", MalformedWav, "missing WAVE form type"),
+    (b"RIFF" + struct.pack("<I", 8) + b"WAVEfmt ", MalformedWav, "truncated chunk header"),
+    (make_wav(struct.pack("<4h", 1, 2, 3, 4))[:-3], MalformedWav,
+     "chunk b'data' truncated: declared 8 bytes"),
+    (riff_wave((b"fmt ", PCM_FMT[:15]), (b"data", b"\x00\x00")), MalformedWav,
+     "fmt chunk shorter than 16 bytes"),
+    (riff_wave(), MalformedWav, "missing fmt chunk"),
+    (riff_wave((b"data", b"\x00\x00")), MalformedWav, "missing fmt chunk"),
+    (riff_wave((b"fmt ", PCM_FMT)), MalformedWav, "missing data chunk"),
+    (make_wav(b"\x00\x00", format_code=2), UnsupportedFormat,
+     "format code 2 (want PCM or IEEE float)"),
+    (make_wav(bytes(6), channels=3), UnsupportedFormat, "3 channels (want 1 or 2)"),
+    (make_wav(b"\x00\x00", rate=0), MalformedWav, "non-positive sample rate in fmt chunk"),
+    (make_wav(b"\x00", bits=8), UnsupportedFormat, "8-bit PCM (want 16)"),
+    (make_wav(b"\x00\x00", format_code=3, bits=16), UnsupportedFormat, "16-bit float (want 32)"),
+    (riff_wave((b"fmt ", PCM_FMT[:12] + struct.pack("<HH", 4, 16)), (b"data", b"\x00\x00")),
+     MalformedWav, "block align 4 != 2"),
+    (make_wav(b"\x00\x00\x00"), MalformedWav, "data chunk is not a whole number of frames"),
+    (riff_wave((b"fmt ", extensible_fmt(1)[:39]), (b"data", b"\x00\x00")),
+     MalformedWav, "WAVE_FORMAT_EXTENSIBLE fmt chunk shorter than 40 bytes"),
+    (riff_wave((b"fmt ", extensible_fmt(struct.pack("<I", 6) + GUID_TAIL)),
+               (b"data", b"\x00\x00")),
+     UnsupportedFormat,
+     "extensible sub-format 0600000000001000800000aa00389b71 (want PCM or IEEE float)"),
+    # the format code is all four leading bytes: 0x01000001, not PCM
+    (riff_wave((b"fmt ", extensible_fmt(struct.pack("<I", 1 + (1 << 24)) + GUID_TAIL)),
+               (b"data", b"\x00\x00")),
+     UnsupportedFormat,
+     "extensible sub-format 0100000100001000800000aa00389b71 (want PCM or IEEE float)"),
+    (make_wav(struct.pack("<2f", 0.5, np.nan), format_code=3, bits=32), MalformedWav,
+     "float sample NaN or outside [-1, 1]"),
+])
+def test_decoders_name_each_fault_alike(tmp_path, data, error, message):
+    """Each container or payload fault raises its own error, the same from the
+    bytes decoder and from the block reader of a file."""
+    path = tmp_path / "bad.wav"
+    path.write_bytes(data)
+    for decode, arg in ((decode_wav, data), (load_mono, path)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            decode(arg)
+
+
 def test_roundtrip_pcm16_exact():
     rng = np.random.default_rng(1)
     ints = rng.integers(-32768, 32768, size=500)
@@ -253,11 +309,14 @@ def _unchecked_clip(samples, sample_rate=16000):
     (AudioClip(samples=np.zeros((4, 0)), sample_rate=16000), 16, "channels"),
     (AudioClip(samples=np.zeros((4, 2, 2)), sample_rate=16000), 32, "channels"),
     # the RIFF size is 36 bytes plus the body, one frame past the limit
-    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16) + 1,))), 16, "RIFF size"),
-    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(2, 32) + 1, 2))), 32, "RIFF size"),
+    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16) + 1,))), 16,
+     r"^RIFF size 4294967296 \(2147483630 frames of 2 bytes\) overflows 32 bits$"),
+    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(2, 32) + 1, 2))), 32,
+     r"^RIFF size 4294967300 \(536870908 frames of 8 bytes\) overflows 32 bits$"),
     # struct.error escaped for these two
     (AudioClip(samples=np.zeros(4), sample_rate=2 ** 31), 16, "byte rate"),
     (AudioClip(samples=np.zeros((4, 2)), sample_rate=2 ** 29), 32, "byte rate"),
+    (AudioClip(samples=np.zeros(4), sample_rate=16000), 24, "bit_depth must be 16 or 32"),
 ])
 def test_writer_rejects_what_a_wav_cannot_hold(tmp_path, clip, bit_depth, field):
     with pytest.raises(ValueError, match=field):
@@ -277,6 +336,7 @@ def test_writer_limits_are_exact():
     assert back.sample_rate == 2 ** 31 - 1  # byte rate 2^32 - 2
     back = decode_wav(encode_wav(AudioClip(samples=np.zeros((3, 2)), sample_rate=2 ** 29 - 1), 32))
     assert back.sample_rate == 2 ** 29 - 1 and back.channels == 2
+    assert decode_wav(encode_wav(AudioClip(samples=np.zeros(3), sample_rate=1))).sample_rate == 1
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -324,6 +384,13 @@ def test_resample_rejects_a_target_rate_that_is_not_an_int(monkeypatch, target_r
     clip = AudioClip(samples=np.zeros(8), sample_rate=16000)
     with pytest.raises(ValueError, match=rf"^target_rate must be an integer, got {target_rate!r}$"):
         resample(clip, target_rate)
+
+
+def test_resample_rejects_a_rate_below_one_and_a_stereo_clip():
+    with pytest.raises(ValueError, match="^target_rate must be positive$"):
+        resample(AudioClip(samples=np.zeros(8), sample_rate=16000), 0)
+    with pytest.raises(ValueError, match="^resample expects a mono clip; call to_mono first$"):
+        resample(AudioClip(samples=np.zeros((8, 2)), sample_rate=16000), 8000)
 
 
 def test_resample_hand_case():
@@ -486,7 +553,8 @@ def payloads(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(payload=payloads(),
-       rate=st.sampled_from([8000, 16000, 22050, 32000, 44100, 48000, 96000]),
+       # at 5512 Hz an upsampling block reads all 3 spare frames of load_mono's buffer
+       rate=st.sampled_from([5512, 8000, 16000, 22050, 32000, 44100, 48000, 96000]),
        extensible=st.booleans())
 def test_load_mono_equals_reference(tmp_path_factory, payload, rate, extensible):
     samples, code = payload
@@ -503,7 +571,10 @@ def test_load_mono_equals_reference(tmp_path_factory, payload, rate, extensible)
 @pytest.mark.parametrize("rate, dtype, channels", [
     (48000, np.float32, 2), (44100, np.int16, 2), (16000, np.int16, 1), (16000, np.float32, 2),
 ])
-def test_load_mono_equals_reference_over_full_blocks(tmp_path, rate, dtype, channels):
+def test_load_mono_equals_reference_over_full_blocks(tmp_path, monkeypatch, rate, dtype,
+                                                     channels):
+    if rate % 16000 == 0:  # every output falls on a frame, so nothing is interpolated
+        monkeypatch.setattr(audio_io, "_interpolate", None)
     rng = np.random.default_rng(rate + channels)
     frames = 3 * audio_io._BLOCK * rate // 16000 + 7  # three output blocks and a part
     samples = rng.uniform(-1, 1, (frames, channels))
@@ -526,6 +597,9 @@ def test_load_mono_equals_reference_over_full_blocks(tmp_path, rate, dtype, chan
     # fourth, frame 22 between the first two, which is read and checked on its own
     pytest.param(80, 48000, 8, id="block8-80"),
     pytest.param(22, 48000, 8, id="block8-22"),
+    # at 8 kHz block k reads frames 4k..4k + 4, so each shares its first frame with
+    # the last block: frame 6 is one of the second block's own
+    pytest.param(6, 8000, 8, id="block8-8000-6"),
 ])
 def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame, rate, block):
     # at 48 kHz output i reads frame 3i only; 299 is the last frame

@@ -67,6 +67,9 @@ def former_remove_silence(samples, frame_len, hop_len, ratio):
          frame_len=5, hop_fraction=0.4, ratio=0.5)  # hop 2: frame_len not a multiple of it
 # hop 1, frame 4: the voiced runs at 0 and 2 overlap because a frame spans over two hops
 @example(samples=np.array([1., 0, 0, 0, 0, 1]), frame_len=4, hop_fraction=0.25, ratio=0.5)
+# the third of three runs overlaps the second, not the first
+@example(samples=np.array([1., 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]), frame_len=4,
+         hop_fraction=0.25, ratio=0.5)
 def test_remove_silence_equals_slice_loop(samples, frame_len, hop_fraction, ratio):
     hop_len = max(1, round(frame_len * hop_fraction))
     rate = 1000
@@ -84,10 +87,12 @@ def test_remove_silence_equals_slice_loop(samples, frame_len, hop_fraction, rati
 def test_silence_params_invariants():
     with pytest.raises(ValueError):
         SilenceParams(frame_seconds=0.05, hop_seconds=0.06)
-    with pytest.raises(ValueError):
-        SilenceParams(threshold_ratio=1.0)
-    with pytest.raises(ValueError):
-        SilenceParams(hop_seconds=0.0)
+    for ratio in (1.0, 0.0):
+        with pytest.raises(ValueError, match=r"^threshold_ratio must be in \(0, 1\)$"):
+            SilenceParams(threshold_ratio=ratio)
+    for hop in (0.0, -0.01):
+        with pytest.raises(ValueError, match="^need 0 < hop_seconds <= frame_seconds < inf$"):
+            SilenceParams(hop_seconds=hop)
     # an infinite frame would overflow the sample count taken from it
     for frame, hop in ((np.inf, 1.0), (np.inf, np.inf), (np.nan, 0.025)):
         with pytest.raises(ValueError, match="hop_seconds <= frame_seconds < inf"):
@@ -146,6 +151,14 @@ def test_remove_silence_is_ordered_subsequence():
         while samples[pos] != value:
             pos += 1
     assert pos < len(samples)
+
+
+def test_remove_silence_and_segment_reject_a_stereo_clip():
+    stereo = AudioClip(samples=np.full((2000, 2), 0.3), sample_rate=RATE)
+    with pytest.raises(ValueError, match="^remove_silence expects a mono clip$"):
+        remove_silence(stereo)
+    with pytest.raises(ValueError, match="^segment expects a mono clip$"):
+        segment(stereo, 0.05)
 
 
 def test_segment_counts():
