@@ -97,30 +97,6 @@ def test_decode_skips_unknown_chunks():
     assert clip.samples.tolist() == [0.5]
 
 
-def test_decode_rejects_bad_magic():
-    with pytest.raises(MalformedWav):
-        decode_wav(b"RIFX" + b"\x00" * 40)
-    with pytest.raises(MalformedWav):
-        decode_wav(b"RIFF" + struct.pack("<I", 4) + b"AIFF")
-
-
-def test_decode_rejects_truncated_data_chunk():
-    good = make_wav(struct.pack("<4h", 1, 2, 3, 4))
-    with pytest.raises(MalformedWav):
-        decode_wav(good[:-3])
-
-
-def test_decode_rejects_unsupported():
-    with pytest.raises(UnsupportedFormat):
-        decode_wav(make_wav(b"\x00\x00", format_code=2))  # ADPCM
-    with pytest.raises(UnsupportedFormat):
-        decode_wav(make_wav(b"\x00", bits=8))
-    with pytest.raises(UnsupportedFormat):
-        # 3 channels
-        body = struct.pack("<3h", 0, 0, 0)
-        decode_wav(make_wav(body, channels=3))
-
-
 def test_decode_rejects_out_of_range_float():
     for value in (1.5, -1.5, np.inf, -np.inf, np.nan, -np.nan):
         body = struct.pack("<3f", 0.5, value, -0.5)
@@ -167,12 +143,6 @@ def test_decode_extensible_rejects_other_subformats():
         decode_wav(with_fmt(wav, extensible_fmt(1)[:18]))
 
 
-def test_decode_rejects_missing_chunks():
-    header = b"RIFF" + struct.pack("<I", 4) + b"WAVE"
-    with pytest.raises(MalformedWav):
-        decode_wav(header)
-
-
 def riff_wave(*chunks) -> bytes:
     """A RIFF/WAVE container of (chunk id, body) pairs, each padded to an even size."""
     body = b"".join(cid + struct.pack("<I", len(data)) + data + bytes(len(data) & 1)
@@ -195,7 +165,7 @@ PCM_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
     (riff_wave(), MalformedWav, "missing fmt chunk"),
     (riff_wave((b"data", b"\x00\x00")), MalformedWav, "missing fmt chunk"),
     (riff_wave((b"fmt ", PCM_FMT)), MalformedWav, "missing data chunk"),
-    (make_wav(b"\x00\x00", format_code=2), UnsupportedFormat,
+    (make_wav(b"\x00\x00", format_code=2), UnsupportedFormat,  # ADPCM
      "format code 2 (want PCM or IEEE float)"),
     (make_wav(bytes(6), channels=3), UnsupportedFormat, "3 channels (want 1 or 2)"),
     (make_wav(b"\x00\x00", rate=0), MalformedWav, "non-positive sample rate in fmt chunk"),
@@ -309,10 +279,12 @@ def _unchecked_clip(samples, sample_rate=16000):
     (AudioClip(samples=np.zeros((4, 0)), sample_rate=16000), 16, "channels"),
     (AudioClip(samples=np.zeros((4, 2, 2)), sample_rate=16000), 32, "channels"),
     # the RIFF size is 36 bytes plus the body, one frame past the limit
-    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16) + 1,))), 16,
-     r"^RIFF size 4294967296 \(2147483630 frames of 2 bytes\) overflows 32 bits$"),
-    (_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(2, 32) + 1, 2))), 32,
-     r"^RIFF size 4294967300 \(536870908 frames of 8 bytes\) overflows 32 bits$"),
+    pytest.param(_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16) + 1,))), 16,
+                 r"^RIFF size 4294967296 \(2147483630 frames of 2 bytes\) overflows 32 bits$",
+                 id="clip3-16-RIFF size"),
+    pytest.param(_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(2, 32) + 1, 2))), 32,
+                 r"^RIFF size 4294967300 \(536870908 frames of 8 bytes\) overflows 32 bits$",
+                 id="clip4-32-RIFF size"),
     # struct.error escaped for these two
     (AudioClip(samples=np.zeros(4), sample_rate=2 ** 31), 16, "byte rate"),
     (AudioClip(samples=np.zeros((4, 2)), sample_rate=2 ** 29), 32, "byte rate"),
