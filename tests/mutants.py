@@ -218,12 +218,12 @@ def main(argv=None) -> int:
             def test_mutant(index):
                 mutated, line, change = mutate(source, all_sites[index])
                 work = copies.get()
+                started = time.perf_counter()
                 try:
                     (work / relative).write_text(mutated)
-                    started = time.perf_counter()
                     result = run_tests(work, test_file, report["seed"], timeout)
-                    (work / relative).write_text(source)
                 finally:
+                    (work / relative).write_text(source)
                     copies.put(work)
                 return {"module": f"{module}.py", "site": index, "line": line,
                         "kind": all_sites[index][0], "change": change,
