@@ -360,16 +360,14 @@ def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
     bit for bit for fewer than eight channels: mean sums from a +0.0
     identity, so all channels -0.0 average to +0.0.
 
-    A C-contiguous PCM16 block (stereo: ``_mono`` takes mono) is cast once
-    and mixed as ``(L + R) * 2^-16``: every step is exact and no int makes
-    -0.0, so the bits are equal, without numpy's buffered per-column casts.
-    Strided blocks keep the per-column path, which is faster for them.
+    A PCM16 block (stereo: ``_mono`` takes mono) is mixed as
+    ``(L + R) * 2^-16``, the sum taken in int32: every step is exact and no
+    int makes -0.0, so the bits are equal, without numpy's buffered
+    per-column casts to float64.
     """
-    if frames.dtype.kind == "i" and frames.flags.c_contiguous:
-        wide = frames.astype(np.float64)
-        out = np.add(wide[:, 0], wide[:, 1], out=out)
-        out *= 0.5 / INT16_SCALE
-        return out
+    if frames.dtype.kind == "i":
+        total = np.add(frames[:, 0], frames[:, 1], dtype=np.int32)
+        return np.multiply(total, 0.5 / INT16_SCALE, out=out)
     first, *rest = frames.T
     out = _to_float(first, out)
     for channel in rest:

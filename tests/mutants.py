@@ -1,7 +1,6 @@
 """Mutation score of the tests of ``audio_io.py`` and ``preprocess.py``.
 
-    python tests/mutants.py [--module audio_io] [--limit N] [--seed 0] [--jobs 2]
-                            [--rerun REPORT] [--out FILE]
+    python tests/mutants.py [--jobs 2] [--rerun tests/mutants.json]
 
 Run from the repository root. It copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory and makes one mutant at a time
@@ -16,18 +15,18 @@ of a module there, with the standard library's ``ast``:
 For each mutant it runs that module's test file with ``pytest -x`` (a fixed
 ``--hypothesis-seed``, no example database and no shrinking, so a rerun
 decides the same, and ``--jobs`` copies test that many mutants at once),
-in a child limited to 3 GiB of address space and 512 MiB per written file,
-so a mutant that drops a size check cannot fill memory or the disk. A
-mutant is ``killed`` when the tests fail, ``timeout`` when they run past ten
-times the unmutated run (or 60 s), and ``survived`` when they pass. The
-result goes to ``--out`` (``tests/mutants.json``) after every mutant, with
-each mutant's module, line, kind, change and source line.
+in a child that limits itself to 3 GiB of address space and 512 MiB per
+written file before pytest starts, so a mutant that drops a size check
+cannot fill memory or the disk. A mutant is ``killed`` when the tests fail,
+``timeout`` when they run past ten times the unmutated run (or 60 s), and
+``survived`` when they pass. The result goes to ``tests/mutants.json``
+after every mutant, with each mutant's module, line, kind, change and
+source line.
 
 Mutation sites are enumerated in ``ast.walk`` order, so the list is fixed
-for a given source (the report keeps each module's SHA-256); ``--limit``
-runs a sample of it drawn with ``--seed``. ``--rerun REPORT`` tests only
-the survivors of an earlier report on the same sources again, so a new
-test shows its effect as killed mutants.
+for a given source (the report keeps each module's SHA-256).
+``--rerun REPORT`` tests only the survivors of an earlier report on the
+same sources again, so a new test shows its effect as killed mutants.
 
 pytest does not collect this file (its name does not start with
 ``test_``), and it is not part of tier-1: it runs a test file once per
@@ -41,8 +40,6 @@ import hashlib
 import json
 import os
 import queue
-import random
-import resource
 import shutil
 import subprocess
 import sys
@@ -66,8 +63,17 @@ SYMBOLS = {ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in",
            ast.NotIn: "not in"}
 
-MEMORY_LIMIT = 3 << 30
-FILE_LIMIT = 512 << 20
+REPORT = ROOT / "tests" / "mutants.json"
+HYPOTHESIS_SEED = 0
+
+# run as ``python -c CHILD <pytest args>``: the child limits itself before
+# pytest starts (subprocess's preexec_fn is not safe beside threads)
+CHILD = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+resource.setrlimit(resource.RLIMIT_FSIZE, (512 << 20, 512 << 20))
+import pytest
+sys.exit(pytest.main(sys.argv[1:]))
+"""
 
 
 def sites(tree) -> list:
@@ -116,11 +122,6 @@ def mutate(source: str, site) -> tuple:
     return ast.unparse(tree), node.lineno, change
 
 
-def _limits():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
-    resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_LIMIT, FILE_LIMIT))
-
-
 # appended to the copied conftest: a failing example kills the mutant whether
 # or not it is shrunk, so the shrink phase is skipped
 PROFILE = """
@@ -139,17 +140,17 @@ def copy_tree(work: Path) -> None:
         fh.write(PROFILE)
 
 
-def run_tests(work: Path, test_file: str, seed: int, timeout) -> str:
+def run_tests(work: Path, test_file: str, timeout) -> str:
     """'passed', 'failed' or 'timeout' for one run of ``test_file`` in ``work``."""
     shutil.rmtree(work / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-profile=mutants", f"--hypothesis-seed={seed}",
+    cmd = [sys.executable, "-c", CHILD, "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutants", f"--hypothesis-seed={HYPOTHESIS_SEED}",
            "--basetemp", str(work / "basetemp"), test_file]
     try:
         proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout, preexec_fn=_limits)
+                              stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if proc.returncode == 0 else "failed"
@@ -167,25 +168,19 @@ def tally(report: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--module", action="append", choices=sorted(TEST_FILES),
-                        help="module to mutate (repeatable; default: all)")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="run a seeded sample of this many mutants per module")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, choices=range(1, 9),
                         help="mutants tested at once, each in its own copy (1-8)")
     parser.add_argument("--rerun", type=Path, default=None,
                         help="test again only the survivors of this report, and write it,"
-                             " updated, to --out")
-    parser.add_argument("--out", type=Path, default=ROOT / "tests" / "mutants.json")
+                             f" updated, to {REPORT.relative_to(ROOT)}")
     args = parser.parse_args(argv)
 
     if args.rerun:
         report = json.loads(args.rerun.read_text())
         modules = list(report["modules"])
     else:
-        report = {"seed": args.seed, "limit": args.limit, "modules": {}, "mutants": []}
-        modules = args.module or sorted(TEST_FILES)
+        report = {"modules": {}, "mutants": []}
+        modules = sorted(TEST_FILES)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies = queue.Queue()
         for job in range(args.jobs):
@@ -207,10 +202,8 @@ def main(argv=None) -> int:
             else:
                 report["modules"][module] = {"sites": len(all_sites), "sha256": digest}
                 todo = range(len(all_sites))
-                if args.limit is not None and args.limit < len(all_sites):
-                    todo = sorted(random.Random(args.seed).sample(todo, args.limit))
             start = time.perf_counter()
-            if run_tests(Path(tmp) / "0", test_file, report["seed"], None) != "passed":
+            if run_tests(Path(tmp) / "0", test_file, None) != "passed":
                 print(f"{test_file} fails on the unmutated source", file=sys.stderr)
                 return 1
             timeout = max(60.0, 10 * (time.perf_counter() - start))
@@ -221,7 +214,7 @@ def main(argv=None) -> int:
                 started = time.perf_counter()
                 try:
                     (work / relative).write_text(mutated)
-                    result = run_tests(work, test_file, report["seed"], timeout)
+                    result = run_tests(work, test_file, timeout)
                 finally:
                     (work / relative).write_text(source)
                     copies.put(work)
@@ -238,7 +231,7 @@ def main(argv=None) -> int:
                                          if (m["module"], m["site"]) != key] + [mutant]
                     report["mutants"].sort(key=lambda m: (m["module"], m["site"]))
                     tally(report)
-                    args.out.write_text(json.dumps(report, indent=1) + "\n")
+                    REPORT.write_text(json.dumps(report, indent=1) + "\n")
                     print(f"{module}.py:{mutant['line']} {mutant['kind']} {mutant['change']}:"
                           f" {mutant['status']}", flush=True)
     return 0

@@ -119,6 +119,15 @@ def test_remove_silence_all_zero():
     assert len(out) == 0
 
 
+def test_remove_silence_of_a_clip_holding_nan_is_empty():
+    # AudioClip lets NaN through its range check; a NaN makes every later frame's
+    # RMS NaN, and so the peak, and no frame compares voiced
+    samples = np.full(2000, 0.3)
+    samples[1500] = np.nan
+    out = remove_silence(clip_of(samples))
+    assert len(out) == 0 and out.sample_rate == RATE
+
+
 def test_remove_silence_constant_signal():
     # 2000 samples: frames at 0,400,800,1200 cover everything
     samples = np.full(2000, 0.3)
