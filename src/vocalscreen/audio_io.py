@@ -354,15 +354,15 @@ def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
 def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
     """Mean of each row of a (frames, channels) payload or float array, as float64.
 
-    Converts the first column into ``out`` (a new array if None), adds the
-    others, then ``+ 0.0`` and ``/ channels``: for stereo
-    ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` of ``_to_float(frames)``
-    bit for bit for fewer than eight channels: mean sums from a +0.0
-    identity, so all channels -0.0 average to +0.0.
+    Float samples: the first column is converted into ``out`` (a new array
+    if None), the others are added, then ``+ 0.0`` and ``/ channels``: for
+    stereo ``(L + R + 0.0) / 2``. That is ``mean(axis=1)`` of
+    ``_to_float(frames)`` bit for bit for fewer than eight channels: mean
+    sums from a +0.0 identity, so all channels -0.0 average to +0.0.
 
     A PCM16 block (stereo: ``_mono`` takes mono) is mixed as
     ``(L + R) * 2^-16``, the sum taken in int32: every step is exact and no
-    int makes -0.0, so the bits are equal, without numpy's buffered
+    int makes -0.0, so the bits are the same, without numpy's buffered
     per-column casts to float64.
     """
     if frames.dtype.kind == "i":
@@ -371,8 +371,7 @@ def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
     first, *rest = frames.T
     out = _to_float(first, out)
     for channel in rest:
-        # float samples convert exactly inside the add; PCM16 needs its scale first
-        out += _to_float(channel) if channel.dtype.kind == "i" else channel
+        out += channel  # float32 samples convert exactly inside the add
     out += 0.0
     out /= frames.shape[1]
     return out
