@@ -1,6 +1,6 @@
 """Mutation score of the tests of ``audio_io.py`` and ``preprocess.py``.
 
-    python tests/mutants.py [--jobs 2] [--rerun tests/mutants.json]
+    python tests/mutants.py [--jobs 2] [--rerun]
 
 Run from the repository root. It copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory and makes one mutant at a time
@@ -25,8 +25,8 @@ source line.
 
 Mutation sites are enumerated in ``ast.walk`` order, so the list is fixed
 for a given source (the report keeps each module's SHA-256).
-``--rerun REPORT`` tests only the survivors of an earlier report on the
-same sources again, so a new test shows its effect as killed mutants.
+``--rerun`` tests only the survivors in ``tests/mutants.json`` again, on
+the same sources, so a new test shows its effect as killed mutants.
 
 pytest does not collect this file (its name does not start with
 ``test_``), and it is not part of tier-1: it runs a test file once per
@@ -170,13 +170,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=1, choices=range(1, 9),
                         help="mutants tested at once, each in its own copy (1-8)")
-    parser.add_argument("--rerun", type=Path, default=None,
-                        help="test again only the survivors of this report, and write it,"
-                             f" updated, to {REPORT.relative_to(ROOT)}")
+    parser.add_argument("--rerun", action="store_true",
+                        help=f"test again only the survivors in {REPORT.relative_to(ROOT)}")
     args = parser.parse_args(argv)
 
     if args.rerun:
-        report = json.loads(args.rerun.read_text())
+        report = json.loads(REPORT.read_text())
         modules = list(report["modules"])
     else:
         report = {"modules": {}, "mutants": []}
@@ -195,7 +194,8 @@ def main(argv=None) -> int:
             all_sites = sites(ast.parse(source))
             if args.rerun:
                 if report["modules"][module]["sha256"] != digest:
-                    print(f"{relative} changed since {args.rerun} was written", file=sys.stderr)
+                    print(f"{relative} changed since {REPORT.relative_to(ROOT)} was written",
+                          file=sys.stderr)
                     return 1
                 todo = [m["site"] for m in report["mutants"]
                         if m["module"] == f"{module}.py" and m["status"] == "survived"]
