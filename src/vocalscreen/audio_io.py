@@ -9,15 +9,14 @@ to mono and interpolated. At a whole multiple of 16 kHz (16, 32, 48 or
 96 kHz) every output sample falls on a frame, so a block converts only
 every n-th frame, straight into the clip, and interpolates nothing.
 
-Every sample is range-checked once, where it is made. A float payload
-frame is checked as it is read (``_check_range``, MalformedWav), and the
-frames no output block reads are read in file order only to be checked.
-Each block of ``_resampled``'s output is checked while it is still in
-cache (``_check_samples``, the ValueError ``AudioClip`` raises), so
-``load_mono`` and ``resample`` build their clips without a second scan,
-and ``remove_silence`` and ``segment`` build theirs from slices of a
-checked clip; all of them use ``AudioClip._from_checked``. The public
-``AudioClip(...)`` always scans.
+A clip's samples are finite and lie in [-1, 1], and that is checked
+only where samples enter, by one predicate (``_in_range``): the public
+``AudioClip(...)`` (ValueError) and each float payload block as it is
+read (``_check_range``, MalformedWav; PCM16 cannot leave the range).
+Every value made from checked samples stays in range (see ``_mix_down``
+and ``_resampled``), so decoding, mixing, resampling and silence
+removal build their clips with ``AudioClip._from_checked`` and scan
+nothing again.
 
 Only RIFF/WAVE containers (plain or WAVE_FORMAT_EXTENSIBLE) with PCM
 16-bit or IEEE float 32-bit payloads, finite samples and one or two
@@ -81,22 +80,22 @@ class UnsupportedFormat(VocalScreenError):
     """Valid container but a payload this pipeline does not accept."""
 
 
-def _check_samples(samples: np.ndarray) -> None:
-    """Reject float64 clip samples outside [-1, 1] (NaN is not caught, as ever)."""
-    if samples.size and (samples.max() > 1.0 or samples.min() < -1.0):
-        raise ValueError("samples must lie in [-1.0, 1.0]")
+def _in_range(samples: np.ndarray) -> bool:
+    """Whether every sample is finite and in [-1, 1] (none, if empty)."""
+    # negated comparisons: max()/min() propagate NaN, which fails both
+    return not samples.size or (samples.max() <= 1.0 and samples.min() >= -1.0)
 
 
 @dataclass(frozen=True)
 class AudioClip:
     """A sample buffer with its rate.
 
-    ``samples`` is float64 in [-1.0, 1.0]; shape ``(n,)`` for mono or
-    ``(n, channels)`` straight out of the decoder. All processing beyond
-    ``to_mono`` expects mono. ``AudioClip(...)`` scans every sample for
-    that range; ``_from_checked`` builds a clip whose samples were
-    checked where they were made (see the module docstring), without
-    that second scan.
+    ``samples`` is float64, finite and in [-1.0, 1.0] (NaN is rejected),
+    of shape ``(n,)`` for mono or ``(n, channels)``, channels >= 1,
+    straight out of the decoder. All processing beyond ``to_mono``
+    expects mono. ``AudioClip(...)`` checks the shape and scans every
+    sample; ``_from_checked`` builds a clip from values derived from
+    checked samples (see the module docstring), without that scan.
     """
 
     samples: np.ndarray
@@ -108,12 +107,16 @@ class AudioClip:
             raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        _check_samples(self.samples)
+        shape = self.samples.shape
+        if not (len(shape) == 1 or len(shape) == 2 and shape[1] >= 1):
+            raise ValueError(f"samples must have shape (n,) or (n, channels), got {shape}")
+        if not _in_range(self.samples):
+            raise ValueError("samples must be finite and lie in [-1.0, 1.0]")
 
     @classmethod
     def _from_checked(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
-        """A clip of float64 ``samples`` already range-checked where they were made,
-        at a valid ``sample_rate``: built without ``__post_init__``'s second scan."""
+        """A clip of float64 ``samples`` of a valid shape, each derived from
+        checked samples, at a valid ``sample_rate``: built without a scan."""
         clip = object.__new__(cls)
         object.__setattr__(clip, "samples", samples)
         object.__setattr__(clip, "sample_rate", sample_rate)
@@ -227,8 +230,7 @@ def _parse_wav(fh) -> _Payload:
 
 def _check_range(raw: np.ndarray) -> None:
     """Reject a float payload block holding a sample that is NaN or outside [-1, 1]."""
-    # negated comparisons: max()/min() propagate NaN, which fails both
-    if raw.dtype.kind == "f" and raw.size and not (raw.max() <= 1.0 and raw.min() >= -1.0):
+    if raw.dtype.kind == "f" and not _in_range(raw):
         raise MalformedWav("float sample NaN or outside [-1, 1]")
 
 
@@ -249,8 +251,8 @@ def _decode(fh) -> AudioClip:
     raw = payload.read(fh, 0, np.empty((payload.frames, payload.channels), payload.dtype))
     _check_range(raw)
     samples = _to_float(raw)
-    return AudioClip(samples=samples[:, 0] if payload.channels == 1 else samples,
-                     sample_rate=payload.sample_rate)
+    return AudioClip._from_checked(samples[:, 0] if payload.channels == 1 else samples,
+                                   payload.sample_rate)
 
 
 def decode_wav(data: bytes) -> AudioClip:
@@ -309,7 +311,7 @@ def _wav_writer(clip: AudioClip, bit_depth: int):
     if bit_depth not in (16, 32):
         raise ValueError(f"bit_depth must be 16 or 32, got {bit_depth}")
     channels, frames = clip.channels, len(clip)
-    if clip.samples.ndim > 2 or channels not in (1, 2):
+    if channels not in (1, 2):
         raise ValueError(f"channels must be 1 or 2, got samples of shape {clip.samples.shape}")
     block_align = channels * bit_depth // 8
     body_bytes = frames * block_align
@@ -363,7 +365,8 @@ def _mix_down(frames: np.ndarray, out=None) -> np.ndarray:
     A PCM16 block (stereo: ``_mono`` takes mono) is mixed as
     ``(L + R) * 2^-16``, the sum taken in int32: every step is exact and no
     int makes -0.0, so the bits are the same, without numpy's buffered
-    per-column casts to float64.
+    per-column casts to float64. Rounding is monotonic, so means of
+    samples in [-1, 1] stay there.
     """
     if frames.dtype.kind == "i":
         total = np.add(frames[:, 0], frames[:, 1], dtype=np.int32)
@@ -407,9 +410,12 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
     multiple of ``target_rate`` (the same rate included), output i is frame
     ``i * stride`` exactly, where interpolation would return ``y[j]``
     itself, so a block converts only every stride-th frame it read,
-    straight into the output, and interpolates nothing. Each output block
-    is range-checked as ``AudioClip`` checks a clip, while it is still in
-    cache, so the caller builds its clip without a second scan.
+    straight into the output, and interpolates nothing.
+
+    Outputs of samples in [-1, 1] stay there, so nothing checks them: each
+    is a sample or ``fl(y0 + fl(fl(y1 - y0) * f))``, f in [0, 1), which
+    monotonic rounding keeps between y0 and ``fl(y0 + fl(y1 - y0))``; that
+    sum is within 2^-53 of y1, so it rounds into [-1, 1] (ties to even at 1).
     """
     from .rng import round_half_up
 
@@ -422,7 +428,6 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
         for start in range(0, m, _BLOCK):
             end = min(start + _BLOCK, m)
             _mono(frames(start * stride, (end - 1) * stride + 1)[::stride], out[start:end])
-            _check_samples(out[start:end])
         return out
     step = source_rate / target_rate
     for start in range(0, m, _BLOCK):
@@ -441,9 +446,7 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
             _interpolate(y, j, frac, out[start:start + inner])
         if inner < len(positions):  # every later position is past the last frame too
             out[start + inner:] = _mono(frames(n - 1, n))[0]
-            _check_samples(out[start:])
             break
-        _check_samples(out[start:start + inner])
     return out
 
 
@@ -452,7 +455,7 @@ def to_mono(clip: AudioClip) -> AudioClip:
     mono input passes through."""
     if clip.samples.ndim == 1:
         return clip
-    return AudioClip(samples=_mix_down(clip.samples), sample_rate=clip.sample_rate)
+    return AudioClip._from_checked(_mix_down(clip.samples), clip.sample_rate)
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -498,40 +501,34 @@ def load_mono(path) -> AudioClip:
     only every n-th frame, straight into the clip, and interpolates
     nothing.
 
-    Every sample is range-checked once, where it is made: each float
-    payload frame as it is read, in file order (frames no block reads,
-    between stride blocks and after the last output, are read and checked
-    on their own), and each output block by ``_resampled``, so the clip is
-    built without a second scan.
+    Each float payload frame is range-checked once, as it is read, in
+    file order: a block also reads the frames since the last one it
+    checked (between stride blocks no output reads them), and the frames
+    after the last output are read at the end. PCM16 is never scanned,
+    and nor is the clip (see ``_resampled``).
     """
     with open(path, "rb") as fh:
         payload = _parse_wav(fh)
-        # one output block's positions span under _BLOCK * step frames, so
-        # with floors and the right-hand neighbour it reads at most 3 more
+        # a block reads at most _BLOCK * step frames from the first it needs or has
+        # not checked, plus 3 for floors and the right-hand neighbour; the tail is
+        # under 1.5 * step
         step = payload.sample_rate / DEFAULT_SAMPLE_RATE
         buffer = np.empty((min(int(_BLOCK * step) + 3, payload.frames), payload.channels),
                           payload.dtype)
         checked = 0 if payload.dtype.kind == "f" else payload.frames  # PCM16 needs no check
 
-        def check_to(hi):
-            """Read and check the frames from ``checked`` to ``hi`` that no block read."""
-            nonlocal checked
-            while checked < hi:
-                gap = payload.read(fh, checked, buffer[:hi - checked])
-                _check_range(gap)
-                checked += len(gap)
-
         def frames(lo, hi):
+            """Frames lo..hi-1, read from ``checked`` if that is before lo; the frames
+            past ``checked`` are checked (an interpolation block may share one)."""
             nonlocal checked
-            check_to(lo)
-            block = payload.read(fh, lo, buffer[:hi - lo])
-            if checked < hi:  # past the frames read before (an interpolation block may share one)
-                _check_range(block[checked - lo:])
-                checked = hi
-            return block
+            start = min(lo, checked)
+            block = payload.read(fh, start, buffer[:hi - start])
+            _check_range(block[checked - start:])
+            checked = max(checked, hi)
+            return block[lo - start:]
 
         samples = _resampled(frames, payload.frames, payload.sample_rate, DEFAULT_SAMPLE_RATE)
-        check_to(payload.frames)
+        frames(checked, payload.frames)
     return AudioClip._from_checked(samples, DEFAULT_SAMPLE_RATE)
 
 

@@ -157,7 +157,7 @@ def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
 
 
 def cmd_synth(ns) -> int:
-    with _named("--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
+    with _named("--seed/--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
         spec = synth.CohortSpec(
             speakers_per_class=ns.speakers_per_class,
             seconds_per_speaker=ns.seconds_per_speaker,

@@ -83,10 +83,9 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
 
     Every complete frame is scored by RMS; a sample survives if it lies in
     at least one frame whose RMS >= threshold_ratio * max frame RMS. An
-    all-silent clip (max RMS 0) comes back empty, as do any clip shorter
-    than one frame and a clip holding a NaN (its max RMS is NaN). The
-    voiced clip is built from the runs' slices of the input clip, whose
-    range was checked when it was built, so it is not scanned again.
+    all-silent clip (max RMS 0) comes back empty, as does any clip shorter
+    than one frame. The voiced clip holds samples of the input clip, so
+    it is built without a scan (``AudioClip._from_checked``).
     """
     if len(clip) == 0:
         raise ValueError("remove_silence needs a non-empty clip")
@@ -96,7 +95,7 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     frame_len = sample_count(params.frame_seconds, "frame_seconds", clip.sample_rate)
     hop_len = sample_count(params.hop_seconds, "hop_seconds", clip.sample_rate)
     rms = _frame_rms(clip.samples, frame_len, hop_len)
-    if len(rms) == 0 or not (peak := rms.max()) > 0.0:  # a NaN sample makes the peak NaN
+    if len(rms) == 0 or (peak := rms.max()) == 0.0:
         return AudioClip._from_checked(np.zeros(0), clip.sample_rate)
 
     # frames first..last of a voiced run cover [first * hop, last * hop + frame);
@@ -119,8 +118,7 @@ def segment(clip: AudioClip, segment_seconds: float) -> SegmentSet:
 
     The trailing remainder shorter than one window is discarded. A clip
     shorter than one window yields an empty SegmentSet. Segments are
-    slices of the clip, whose range was checked when it was built, so
-    none is scanned again.
+    slices of the clip, built without a scan (``AudioClip._from_checked``).
     """
     seg_len = sample_count(segment_seconds, "segment_seconds", clip.sample_rate)
     if clip.samples.ndim != 1:

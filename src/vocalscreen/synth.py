@@ -79,6 +79,8 @@ class CohortSpec:
     def __post_init__(self):
         if self.speakers_per_class < 1:
             raise ValueError("speakers_per_class must be >= 1")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         samples = sample_count(self.seconds_per_speaker, "seconds_per_speaker")
         limit = max_wav_frames(1, 16)  # each speaker is one mono PCM16 WAV
         if samples > limit:

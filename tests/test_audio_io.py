@@ -276,8 +276,6 @@ def _unchecked_clip(samples, sample_rate=16000):
 
 @pytest.mark.parametrize("clip, bit_depth, field", [
     (AudioClip(samples=np.zeros((4, 3)), sample_rate=16000), 16, "channels"),
-    (AudioClip(samples=np.zeros((4, 0)), sample_rate=16000), 16, "channels"),
-    (AudioClip(samples=np.zeros((4, 2, 2)), sample_rate=16000), 32, "channels"),
     # the RIFF size is 36 bytes plus the body, one frame past the limit
     pytest.param(_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16) + 1,))), 16,
                  r"^RIFF size 4294967296 \(2147483630 frames of 2 bytes\) overflows 32 bits$",
@@ -286,9 +284,12 @@ def _unchecked_clip(samples, sample_rate=16000):
                  r"^RIFF size 4294967300 \(536870908 frames of 8 bytes\) overflows 32 bits$",
                  id="clip4-32-RIFF size"),
     # struct.error escaped for these two
-    (AudioClip(samples=np.zeros(4), sample_rate=2 ** 31), 16, "byte rate"),
-    (AudioClip(samples=np.zeros((4, 2)), sample_rate=2 ** 29), 32, "byte rate"),
-    (AudioClip(samples=np.zeros(4), sample_rate=16000), 24, "bit_depth must be 16 or 32"),
+    pytest.param(AudioClip(samples=np.zeros(4), sample_rate=2 ** 31), 16, "byte rate",
+                 id="clip5-16-byte rate"),
+    pytest.param(AudioClip(samples=np.zeros((4, 2)), sample_rate=2 ** 29), 32, "byte rate",
+                 id="clip6-32-byte rate"),
+    pytest.param(AudioClip(samples=np.zeros(4), sample_rate=16000), 24,
+                 "bit_depth must be 16 or 32", id="clip7-24-bit_depth must be 16 or 32"),
 ])
 def test_writer_rejects_what_a_wav_cannot_hold(tmp_path, clip, bit_depth, field):
     with pytest.raises(ValueError, match=field):
@@ -431,7 +432,8 @@ def test_resample_equals_interp(samples, source, target):
                                          st.sampled_from([1.0000000000000002, -1.5, np.inf,
                                                           -np.inf, np.nan]))))
 def test_clip_range_check_equals_former(samples):
-    former_rejects = samples.size > 0 and np.max(np.abs(samples)) > 1.0
+    # as before, but NaN is rejected too: it no longer passes as silence
+    former_rejects = not np.all(np.abs(samples) <= 1.0)
     try:
         AudioClip(samples=samples, sample_rate=16000)
         rejected = False
@@ -600,27 +602,41 @@ def test_load_mono_rejects_nan_on_any_frame(tmp_path, frame, rate, block):
             load_mono(path)
 
 
-@pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16)])
-def test_load_mono_checks_every_output_block(tmp_path, monkeypatch, rate, dtype):
-    """The clip is built without a scan of its own, so a block mixed out of range
-    (here the second of three, on the stride and the interpolation path) must
-    fail with AudioClip's own error."""
-    samples = np.zeros((3 * audio_io._BLOCK * rate // 16000, 2), dtype=dtype)
-    path = tmp_path / "in.wav"
-    path.write_bytes(wav_of(samples, 1 if dtype == np.int16 else 3, rate, False))
-    mono, calls = audio_io._mono, []
+@st.composite
+def edge_samples(draw, dtype, channels):
+    """(frames, channels) samples at and within 3 steps of +1 or -1, or +-0.0, their
+    signs drawn or alternating frame by frame (each step then spans almost 2)."""
+    if dtype == np.int16:
+        high, low = [32767, 32766, 32765, 32764, 0], [-32768, -32767, -32766, -32765, 0]
+    else:
+        high = [dtype(1.0)]
+        for _ in range(3):
+            high.append(np.nextafter(high[-1], dtype(0.0)))
+        low = [-v for v in high] + [dtype(-0.0)]
+        high.append(dtype(0.0))
+    shape = (draw(st.integers(1, 60)), channels)
+    pick = draw(arrays(np.intp, shape, elements=st.integers(0, 4)))
+    if draw(st.booleans()):
+        positive = np.arange(shape[0])[:, None] % 2 == 0
+    else:
+        positive = draw(arrays(bool, shape))
+    return np.where(positive, np.array(high, dtype)[pick], np.array(low, dtype)[pick])
 
-    def second_block_out_of_range(frames, out=None):
-        y = mono(frames, out)
-        calls.append(len(y))
-        if len(calls) == 2:
-            y[:] = 1.5
-        return y
 
-    monkeypatch.setattr(audio_io, "_mono", second_block_out_of_range)
-    with pytest.raises(ValueError, match=r"^samples must lie in \[-1\.0, 1\.0\]$"):
-        load_mono(path)
-    assert len(calls) == 2  # raised at the block, before the third was read
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.int16]),
+       channels=st.integers(1, 2), rate=st.sampled_from([5512, 8000, 44100, 48000]))
+def test_resample_and_load_mono_stay_in_range_at_the_edges(tmp_path_factory, data, dtype,
+                                                           channels, rate):
+    """Nothing checks resampled values again, so they must stay in [-1, 1]."""
+    mono = data.draw(edge_samples(np.float64, 1))[:, 0]
+    resampled = resample(AudioClip(samples=mono, sample_rate=rate), 16000).samples
+    assert np.all(np.abs(resampled) <= 1.0)
+    path = tmp_path_factory.mktemp("edge") / "in.wav"
+    path.write_bytes(wav_of(data.draw(edge_samples(dtype, channels)),
+                            1 if dtype == np.int16 else 3, rate, False))
+    with mock.patch.object(audio_io, "_BLOCK", 8):
+        assert np.all(np.abs(load_mono(path).samples) <= 1.0)
 
 
 @pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16),
@@ -654,6 +670,21 @@ def test_read_of_a_file_shrunk_after_its_header_walk_raises(tmp_path, rate, dtyp
     with mock.patch.object(audio_io, "_parse_wav", parse_then_truncate):
         with pytest.raises(MalformedWav, match="file truncated: read"):
             loader(path)
+
+
+# a scalar clip made encode_wav raise IndexError; a (4, 2, 2) one made to_mono
+# return garbage
+@pytest.mark.parametrize("shape, accepted", [
+    ((0,), True), ((4,), True), ((0, 2), True), ((4, 1), True), ((4, 3), True),
+    ((), False), ((4, 0), False), ((0, 0), False), ((4, 2, 2), False), ((1, 1, 1), False),
+])
+def test_clip_shape_is_mono_or_frames_by_channels(shape, accepted):
+    if accepted:
+        assert AudioClip(samples=np.zeros(shape), sample_rate=16000).samples.shape == shape
+        return
+    with pytest.raises(ValueError, match=re.escape(
+            f"samples must have shape (n,) or (n, channels), got {shape}")):
+        AudioClip(samples=np.zeros(shape), sample_rate=16000)
 
 
 def test_clip_invariants():

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chdir, tone
-from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, load_wav,
-                                  resample, to_mono)
+from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
+                                  to_mono)
 from vocalscreen.cli import build_parser, load_config, main
 from vocalscreen.dataset import load_manifest
 from vocalscreen.errors import VocalScreenError
@@ -69,11 +70,20 @@ def test_extract_names_offending_file(tmp_path, capsys):
     assert "missing.wav" in capsys.readouterr().err
 
 
+def float32_wav(samples, sample_rate) -> bytes:
+    """WAV bytes of a (frames,) or (frames, channels) array as float32, written without
+    an AudioClip, so a NaN reaches the payload."""
+    body = np.asarray(samples, dtype="<f4").tobytes()
+    block_align = 4 * (1 if samples.ndim == 1 else samples.shape[1])
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(body), b"WAVE", b"fmt ", 16, 3,
+                       block_align // 4, sample_rate, sample_rate * block_align, block_align,
+                       32, b"data", len(body)) + body
+
+
 def test_extract_rejects_nan_sample(tmp_path, capsys):
     samples = tone(220.0, seconds=10.0).samples
     samples[DEFAULT_SAMPLE_RATE] = np.nan  # one NaN once silenced the whole recording
-    (tmp_path / "nan.wav").write_bytes(
-        encode_wav(AudioClip(samples=samples, sample_rate=DEFAULT_SAMPLE_RATE), bit_depth=32))
+    (tmp_path / "nan.wav").write_bytes(float32_wav(samples, DEFAULT_SAMPLE_RATE))
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,label,participant\nnan.wav,control,p0\n")
     rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
@@ -89,8 +99,7 @@ def test_extract_rejects_nan_on_a_frame_no_output_reads(tmp_path, capsys):
     # at 48 kHz the first block reads frames 0..3 * (_BLOCK - 1); the next two
     # frames are read only to be checked
     stereo[3 * _BLOCK - 2, 1] = np.nan
-    (tmp_path / "nan48k.wav").write_bytes(
-        encode_wav(AudioClip(samples=stereo, sample_rate=48000), bit_depth=32))
+    (tmp_path / "nan48k.wav").write_bytes(float32_wav(stereo, 48000))
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,label,participant\n"
                         "good.wav,control,p0\nnan48k.wav,depression,p1\n")
@@ -303,6 +312,18 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+def test_synth_rejects_a_negative_seed(tmp_path, monkeypatch, capsys, flag, env):
+    # numpy's default_rng raised "expected non-negative integer" as a traceback
+    if env is not None:
+        monkeypatch.setenv("VOCALSCREEN_SEED", env)
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--speakers-per-class", "1", *flag]) == 2
+    assert capsys.readouterr().err == ("error: --seed/--speakers-per-class/--seconds-per-speaker:"
+                                       " seed must be >= 0, got -1\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
