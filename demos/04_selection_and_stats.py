@@ -20,9 +20,9 @@ labels = ["depression"] * n + ["control"] * n
 report = grid_select(default_grid(), features, labels, folds=5, seed=2)
 print(render_selection_text(report))
 
-for result in report.candidates[:4]:
-    folds = ", ".join(f"{s:.3f}" for s in result.fold_scores)
-    print(f"  {result.candidate.describe():<28} folds [{folds}] mean {result.mean:.4f}")
+for result in report["candidates"][:4]:
+    folds = ", ".join(f"{s:.3f}" for s in result["fold_scores"])
+    print(f"  {result['pipeline']:<28} folds [{folds}] mean {result['mean_cv_score']:.4f}")
 print("  ...")
 
 by_group = {"depression": depression, "control": control}

@@ -90,7 +90,8 @@ def _in_range(samples: np.ndarray) -> bool:
 class AudioClip:
     """A sample buffer with its rate.
 
-    ``samples`` is float64, finite and in [-1.0, 1.0] (NaN is rejected),
+    ``samples`` is float64, converted from bool, integer or float values
+    (any other dtype is rejected), finite and in [-1.0, 1.0] (NaN is rejected),
     of shape ``(n,)`` for mono or ``(n, channels)``, channels >= 1,
     straight out of the decoder. All processing beyond ``to_mono``
     expects mono. ``AudioClip(...)`` checks the shape and scans every
@@ -102,7 +103,10 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "biuf":  # a complex or text value would convert silently
+            raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
+        object.__setattr__(self, "samples", samples.astype(np.float64, copy=False))
         if type(self.sample_rate) is not int:  # not a bool either
             raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
         if self.sample_rate <= 0:

@@ -270,7 +270,7 @@ def cmd_train(ns) -> int:
     ns.out.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, ns.out / "model.json")
     _write_run_config(ns)
-    print(f"train: knn(k={k}, p={p:g}, scaler={'on' if use_scaler else 'off'})"
+    print(f"train: {evaluation.PipelineCandidate(k, p, use_scaler).describe()}"
           f" on {len(labels)} segments -> {ns.out / 'model.json'}")
     return 0
 
@@ -295,10 +295,9 @@ def cmd_evaluate(ns) -> int:
                     raise ValueError(f"mode {split_mode!r} is not one of"
                                      f" {', '.join(dataset.SPLIT_MODES)}")
     predictions = [label for label, _score in _predictions(fitted, ns.model, features)]
-    report = evaluation.evaluate_predictions(predictions, truth, split_mode=split_mode,
-                                             extra={"model_k": fitted.k, "model_p": fitted.p})
+    report = evaluation.eval_report(predictions, truth, split_mode, fitted.k, fitted.p)
     ns.out.mkdir(parents=True, exist_ok=True)
-    dataset.write_json(ns.out / "eval_report.json", report.to_json_dict())
+    dataset.write_json(ns.out / "eval_report.json", report)
     text = evaluation.render_eval_text(report)
     (ns.out / "eval_report.txt").write_text(text)
     _write_run_config(ns)
@@ -336,7 +335,7 @@ def cmd_select(ns) -> int:
         report = evaluation.grid_select(evaluation.default_grid(), features, labels,
                                         folds=ns.folds, seed=ns.seed)
     ns.out.mkdir(parents=True, exist_ok=True)
-    dataset.write_json(ns.out / "selection_report.json", report.to_json_dict())
+    dataset.write_json(ns.out / "selection_report.json", report)
     _write_run_config(ns)
     print(evaluation.render_selection_text(report), end="")
     return 0

@@ -6,11 +6,17 @@ k-fold accuracy. The report keeps a per-candidate trail plus a running
 best-so-far curve over the evaluation order, so improvement across the
 sweep reads like successive generations of a search.
 
+Each report is its JSON payload: grid_select returns the
+selection_report.json dict and eval_report the eval_report.json dict, the
+CLI writes them unchanged, and render_selection_text / render_eval_text
+read the same dicts.
+
 "depression" is the positive class everywhere a positive class matters.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -141,58 +147,25 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     return [sorted(fold) for fold in fold_indices]
 
 
-@dataclass(frozen=True)
-class CandidateResult:
-    candidate: PipelineCandidate
-    fold_scores: tuple
-    mean: float
-
-
-@dataclass(frozen=True)
-class SelectionReport:
-    candidates: tuple
-    best: CandidateResult
-    generations: tuple
-    folds: int
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        def entry(result: CandidateResult) -> dict:
-            return {
-                "pipeline": result.candidate.describe(),
-                "k": result.candidate.k,
-                "p": result.candidate.p,
-                "scaler": result.candidate.use_scaler,
-                "fold_scores": list(result.fold_scores),
-                "mean_cv_score": result.mean,
-            }
-
-        return {
-            "folds": self.folds,
-            "seed": self.seed,
-            "candidates": [entry(c) for c in self.candidates],
-            "best": entry(self.best),
-            "generations": list(self.generations),
-        }
-
-
-def select_best(results) -> CandidateResult:
-    """Highest mean wins; ties prefer fewer neighbors, then lower p, then
+def select_best(candidates) -> dict:
+    """Highest mean_cv_score wins; ties prefer fewer neighbors, then lower p, then
     scaler-on over scaler-off."""
-    return min(
-        results,
-        key=lambda r: (-r.mean, r.candidate.k, r.candidate.p, 0 if r.candidate.use_scaler else 1),
-    )
+    return min(candidates, key=lambda c: (-c["mean_cv_score"], c["k"], c["p"], not c["scaler"]))
 
 
-def grid_select(space, features, labels, folds: int, seed: int = 0) -> SelectionReport:
+def grid_select(space, features, labels, folds: int, seed: int = 0) -> dict:
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
     Each fold fits one model per scaler and standardizes its held-out rows
     once; model._answers answers every held-out row for every (p, k) of
     that scaler's candidates, so the predictions are those of one
-    knn_predict per candidate and row. The report lists candidates in
-    definition order, as does the best-so-far curve.
+    knn_predict per candidate and row.
+
+    Returns the selection_report.json payload: ``folds``, ``seed``,
+    ``candidates`` in definition order, each {pipeline, k, p, scaler,
+    fold_scores, mean_cv_score}, ``best`` (select_best's pick, one of
+    those dicts) and ``generations``, the best-so-far mean over the
+    candidates in the same order.
     """
     space = list(space)
     if not space:
@@ -219,16 +192,12 @@ def grid_select(space, features, labels, folds: int, seed: int = 0) -> Selection
                 for t, answers in zip(held_out, _answers(fitted, queries, ks_by_p)):
                     for j, p, k in members:
                         hits[j][i] += answers[p][k][0] == labels[t]
-    results = [CandidateResult(candidate=c, fold_scores=tuple(s), mean=float(s.mean()))
-               for c, s in zip(space, np.array(hits) / [len(fold) for fold in fold_sets])]
-
-    generations = []
-    best_so_far = -math.inf
-    for result in results:
-        best_so_far = max(best_so_far, result.mean)
-        generations.append(best_so_far)
-    return SelectionReport(candidates=tuple(results), best=select_best(results),
-                           generations=tuple(generations), folds=folds, seed=seed)
+    candidates = [{"pipeline": c.describe(), "k": c.k, "p": c.p, "scaler": c.use_scaler,
+                   "fold_scores": s.tolist(), "mean_cv_score": float(s.mean())}
+                  for c, s in zip(space, np.array(hits) / [len(fold) for fold in fold_sets])]
+    means = [c["mean_cv_score"] for c in candidates]
+    return {"folds": folds, "seed": seed, "candidates": candidates,
+            "best": select_best(candidates), "generations": list(accumulate(means, max))}
 
 
 def two_sample_t(group_a, group_b) -> tuple:
@@ -269,11 +238,13 @@ def descriptive_stats(features_by_group: dict) -> list:
     for label, matrix in features_by_group.items():
         if len(np.atleast_2d(matrix)) == 0:
             raise EmptyInput(f"group {label!r} is empty")
+    summaries = {label: summary_features(features_by_group[label])
+                 for label in sorted(features_by_group)}
     rows = []
     for i, name in enumerate(SUMMARY_FEATURES):
         entry = {"feature": name, "groups": {}}
-        for label in sorted(features_by_group):
-            col = summary_features(features_by_group[label])[:, i]
+        for label, summary in summaries.items():
+            col = summary[:, i]
             degenerate = len(col) < 2
             sd = 0.0 if degenerate else float(col.std(ddof=1))
             entry["groups"][label] = {
@@ -303,48 +274,29 @@ def group_t_tests(features_by_group: dict) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Held-out scoring results plus provenance of the split that made them."""
-
-    cm: ConfusionMatrix
-    metrics: Metrics
-    split_mode: str = "unknown"
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "split_mode": self.split_mode,
-            "positive_label": POSITIVE_LABEL,
-            "confusion": asdict(self.cm),
-            **self.metrics._asdict(),
-            "n": self.cm.total,
-            **self.extra,
-        }
-
-
-def evaluate_predictions(predictions, truth, split_mode: str = "unknown",
-                         extra: dict | None = None) -> EvalReport:
+def eval_report(predictions, truth, split_mode: str, k: int, p: float) -> dict:
+    """The eval_report.json payload: positive-class confusion counts and metrics of
+    ``predictions`` against ``truth``, the split mode that made the held-out set, and
+    the k and p of the model that predicted."""
     cm = confusion(predictions, truth)
-    return EvalReport(cm=cm, metrics=precision_recall_f1(cm), split_mode=split_mode,
-                      extra=dict(extra or {}))
+    return {"split_mode": split_mode, "positive_label": POSITIVE_LABEL, "confusion": asdict(cm),
+            **precision_recall_f1(cm)._asdict(), "n": cm.total, "model_k": k, "model_p": p}
 
 
-def render_eval_text(report: EvalReport) -> str:
-    """Aligned plain-text score table; the split mode heads the output."""
-    m = report.metrics
+def render_eval_text(report: dict) -> str:
+    """Aligned plain-text score table of an eval_report payload; the split mode heads it."""
+    positive, cm = report["positive_label"], report["confusion"]
     lines = [
-        f"=== evaluation (split mode: {report.split_mode}) ===",
-        f"positive class: {POSITIVE_LABEL}",
+        f"=== evaluation (split mode: {report['split_mode']}) ===",
+        f"positive class: {positive}",
         "",
-        f"{'Metric':<12}{POSITIVE_LABEL:>12}",
-        f"{'Precision':<12}{m.precision:>12.4f}",
-        f"{'Recall':<12}{m.recall:>12.4f}",
-        f"{'F1-Score':<12}{m.f1:>12.4f}",
-        f"{'Accuracy':<12}{m.accuracy:>12.4f}",
+        f"{'Metric':<12}{positive:>12}",
+        f"{'Precision':<12}{report['precision']:>12.4f}",
+        f"{'Recall':<12}{report['recall']:>12.4f}",
+        f"{'F1-Score':<12}{report['f1']:>12.4f}",
+        f"{'Accuracy':<12}{report['accuracy']:>12.4f}",
         "",
-        f"confusion: tp={report.cm.tp} fp={report.cm.fp} fn={report.cm.fn} tn={report.cm.tn}"
-        f" (n={report.cm.total})",
+        f"confusion: tp={cm['tp']} fp={cm['fp']} fn={cm['fn']} tn={cm['tn']} (n={report['n']})",
     ]
     return "\n".join(lines) + "\n"
 
@@ -352,7 +304,7 @@ def render_eval_text(report: EvalReport) -> str:
 def render_stats_text(stats: list, t_tests: list | None = None) -> str:
     """Aligned plain-text table of per-group descriptives (and t-tests)."""
     groups = sorted(stats[0]["groups"]) if stats else []
-    width = max((len(name) for name in SUMMARY_FEATURES), default=10) + 2
+    width = max(len(name) for name in SUMMARY_FEATURES) + 2
     header = f"{'Feature':<{width}}{'Metric':<8}" + "".join(f"{g:>18}" for g in groups)
     lines = [header, "-" * len(header)]
     for entry in stats:
@@ -367,11 +319,11 @@ def render_stats_text(stats: list, t_tests: list | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_selection_text(report: SelectionReport) -> str:
-    lines = [f"=== model selection ({report.folds}-fold CV, seed {report.seed}) ==="]
-    for i, gen in enumerate(report.generations, start=1):
+def render_selection_text(report: dict) -> str:
+    """The generations and the best pipeline of a grid_select payload."""
+    lines = [f"=== model selection ({report['folds']}-fold CV, seed {report['seed']}) ==="]
+    for i, gen in enumerate(report["generations"], start=1):
         lines.append(f"Generation {i}: {gen:.4f}")
-    best = report.best
-    lines.append(f"best pipeline: {best.candidate.describe()}")
-    lines.append(f"mean CV score: {best.mean:.4f}")
+    lines.append(f"best pipeline: {report['best']['pipeline']}")
+    lines.append(f"mean CV score: {report['best']['mean_cv_score']:.4f}")
     return "\n".join(lines) + "\n"

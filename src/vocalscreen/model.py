@@ -389,11 +389,19 @@ def knn_predict(model: KnnModel, v) -> tuple:
     """Classify one vector -> (label, vote fraction for that label).
 
     The k nearest standardized training rows vote uniformly; equal
-    distances are broken by lower row index. Raises DistanceOverflow if
-    the k-th nearest distance overflows; run queries inside
-    ``overflow_guard()`` to keep the overflows of farther rows quiet.
+    distances are broken by lower row index. A query that is not one
+    finite row of the model's width raises VocalScreenError. Raises
+    DistanceOverflow if the k-th nearest distance overflows; run queries
+    inside ``overflow_guard()`` to keep the overflows of farther rows quiet.
     """
-    answers = next(_answers(model, [transform(model.scaler, v)], {model.p: (model.k,)}))
+    query = np.asarray(v, dtype=np.float64)
+    if query.shape != model.scaler.means.shape:
+        raise VocalScreenError(f"a query must be one row of {len(model.scaler.means)}"
+                               f" feature values, got shape {query.shape}")
+    if not np.isfinite(query).all():
+        raise VocalScreenError(f"query value {np.flatnonzero(~np.isfinite(query))[0]}"
+                               f" is not finite")
+    answers = next(_answers(model, [transform(model.scaler, query)], {model.p: (model.k,)}))
     return answers[model.p][model.k]
 
 

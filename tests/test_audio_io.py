@@ -687,6 +687,29 @@ def test_clip_shape_is_mono_or_frames_by_channels(shape, accepted):
         AudioClip(samples=np.zeros(shape), sample_rate=16000)
 
 
+@pytest.mark.parametrize("samples, dtype", [
+    (np.array([0.5 + 0.5j]), "complex128"),  # kept its real part with a ComplexWarning
+    (np.array(["0.5"]), "<U3"),  # read as 0.5
+    (np.array([0.5], dtype=object), "object"),
+    (np.array([0], dtype="datetime64[s]"), "datetime64[s]"),
+])
+def test_clip_rejects_samples_that_are_not_real_numbers(samples, dtype):
+    message = f"samples must be real numbers, got dtype {dtype}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AudioClip(samples=samples, sample_rate=16000)
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([True, False]), np.array([1, 0, -1], dtype=np.int8),
+    np.array([0, 1], dtype=np.uint16), np.array([0.5, -0.25], dtype=np.float32),
+    [0.5, -0.25], [1, 0],
+])
+def test_clip_takes_bool_integer_and_float_samples_as_float64(samples):
+    clip = AudioClip(samples=samples, sample_rate=16000)
+    assert clip.samples.dtype == np.float64
+    assert clip.samples.tolist() == [float(x) for x in samples]
+
+
 def test_clip_invariants():
     with pytest.raises(ValueError):
         AudioClip(samples=np.zeros(4), sample_rate=0)

@@ -269,6 +269,9 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),
         (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1", "--fft-hop", "1"],
          "--n-fft"),
+        # 13 MFCCs are taken from the mel bands, so 5 bands cannot give them
+        (["extract", "--manifest", "m.csv", "--out", out, "--n-mels", "5"],
+         "--n-fft/--fft-hop/--n-mels: n_mfcc cannot exceed n_mels"),
         (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
          "--segment-seconds"),
         # an infinite duration overflowed its sample count into a traceback
@@ -312,6 +315,16 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_into_a_path_under_a_file_exits_1_naming_it(tmp_path, capsys):
+    # a path under a regular file fails for any user, root included, unlike permission bits
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "cohort"
+    assert main(["synth", "--out", str(out), "--speakers-per-class", "1",
+                 "--seconds-per-speaker", "1"]) == 1
+    assert capsys.readouterr().err == (f"error: cannot write cohort to {out}: [Errno 20] Not a"
+                                       f" directory: '{out}'\n")
 
 
 @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])

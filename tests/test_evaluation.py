@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -8,17 +9,17 @@ from hypothesis import strategies as st
 
 from oracles import knn_scan, pooled_t_reference
 from vocalscreen.evaluation import (
-    CandidateResult,
     ConfusionMatrix,
     EmptyInput,
     GroupTooSmall,
     LengthMismatch,
     PipelineCandidate,
     TooFewSamplesPerClass,
+    check_folds,
     confusion,
     default_grid,
     descriptive_stats,
-    evaluate_predictions,
+    eval_report,
     grid_select,
     group_t_tests,
     precision_recall_f1,
@@ -27,6 +28,7 @@ from vocalscreen.evaluation import (
     render_stats_text,
     select_best,
     stratified_folds,
+    summary_features,
     two_sample_t,
 )
 from vocalscreen.model import fit_scaler, identity_scaler, transform
@@ -96,6 +98,23 @@ def test_stratified_folds_partition():
         assert dep in (2, 3)  # 13/5 stratified
 
 
+def test_stratified_folds_deal_each_class_alone():
+    labels = ["a"] * 4 + ["b"] * 6 + ["c"] * 5
+    folds = stratified_folds(labels, folds=2, seed=3)
+    assert sorted(i for fold in folds for i in fold) == list(range(15))
+    for label, sizes in (("a", {2}), ("b", {3}), ("c", {2, 3})):
+        assert {sum(labels[i] == label for i in fold) for fold in folds} == sizes
+
+
+def test_fold_count_below_two_and_no_rows_are_rejected():
+    for folds in (1, 0):
+        with pytest.raises(ValueError, match=f"^folds must be >= 2, got {folds}$"):
+            check_folds(folds)
+    check_folds(2)
+    with pytest.raises(TooFewSamplesPerClass, match="^no rows to deal into 3 folds$"):
+        stratified_folds([], folds=3, seed=0)
+
+
 def test_stratified_folds_too_few():
     with pytest.raises(TooFewSamplesPerClass):
         stratified_folds([DEP, DEP, CON, CON, CON], folds=3, seed=0)
@@ -112,8 +131,8 @@ def test_cross_validate_constant_majority_classifier():
     # k equal to (train size - 1) makes every prediction the global majority
     features, labels = majority_dataset()
     scores = grid_select([PipelineCandidate(k=39, p=2.0, use_scaler=False)],
-                         features, labels, folds=5, seed=0).best.fold_scores
-    assert scores == (0.6,) * 5
+                         features, labels, folds=5, seed=0)["best"]["fold_scores"]
+    assert scores == [0.6] * 5
 
 
 def test_cross_validate_duplicated_rows_k1():
@@ -121,12 +140,12 @@ def test_cross_validate_duplicated_rows_k1():
     base = np.vstack([rng.normal(0, 0.3, size=(12, 3)), rng.normal(8, 0.3, size=(12, 3))])
     labels = [CON] * 12 + [DEP] * 12
     candidate = PipelineCandidate(k=1, p=2.0, use_scaler=True)
-    single = grid_select([candidate], base, labels, folds=3, seed=4).best
+    single = grid_select([candidate], base, labels, folds=3, seed=4)["best"]
     doubled = grid_select([candidate], np.vstack([base, base]), labels + labels,
-                          folds=3, seed=4).best
+                          folds=3, seed=4)["best"]
     # verified by direct run: cleanly separated clusters score 1.0 both ways
-    assert single.fold_scores == (1.0,) * 3 and single.mean == 1.0
-    assert doubled.mean == single.mean
+    assert single["fold_scores"] == [1.0] * 3 and single["mean_cv_score"] == 1.0
+    assert doubled["mean_cv_score"] == single["mean_cv_score"]
 
 
 def test_cross_validate_too_few_per_class():
@@ -140,8 +159,8 @@ def test_cross_validate_too_few_per_class():
 def test_cross_validate_deterministic():
     features, labels = majority_dataset()
     candidate = PipelineCandidate(k=3, p=2.0, use_scaler=True)
-    first = grid_select([candidate], features, labels, folds=5, seed=17).best.fold_scores
-    second = grid_select([candidate], features, labels, folds=5, seed=17).best.fold_scores
+    first = grid_select([candidate], features, labels, folds=5, seed=17)["best"]["fold_scores"]
+    second = grid_select([candidate], features, labels, folds=5, seed=17)["best"]["fold_scores"]
     assert len(first) == 5 and first == second
 
 
@@ -151,19 +170,34 @@ def test_cross_validate_deterministic():
 def test_grid_select_singleton():
     features, labels = majority_dataset()
     report = grid_select([PipelineCandidate(k=3)], features, labels, folds=5, seed=0)
-    assert len(report.candidates) == 1
-    assert report.best == report.candidates[0]
-    assert list(report.generations) == [report.best.mean]
+    assert len(report["candidates"]) == 1
+    assert report["best"] == report["candidates"][0]
+    assert report["generations"] == [report["best"]["mean_cv_score"]]
+
+
+def test_grid_select_input_rules():
+    features, labels = majority_dataset()
+    assert grid_select([PipelineCandidate()], features, labels, folds=5)["seed"] == 0
+    with pytest.raises(ValueError, match="^candidate space is empty$"):
+        grid_select([], features, labels, folds=5)
+    with pytest.raises(LengthMismatch, match="^50 rows vs 49 labels$"):
+        grid_select([PipelineCandidate()], features, labels[:-1], folds=5)
+
+
+def test_pipeline_candidate_defaults():
+    # the defaults of train's --k, --p and --scaler
+    assert PipelineCandidate() == PipelineCandidate(k=3, p=2.0, use_scaler=True)
+    assert PipelineCandidate().describe() == "knn(k=3, p=2, scaler=on)"
 
 
 def test_grid_select_default_grid_shape():
     features, labels = majority_dataset()
     report = grid_select(default_grid(), features, labels, folds=5, seed=0)
-    assert len(report.candidates) == 16
-    assert report.best.mean == max(c.mean for c in report.candidates)
-    gens = list(report.generations)
+    assert len(report["candidates"]) == 16
+    assert report["best"]["mean_cv_score"] == max(c["mean_cv_score"] for c in report["candidates"])
+    gens = report["generations"]
     assert gens == sorted(gens)  # non-decreasing
-    assert report.to_json_dict()["best"]["mean_cv_score"] == report.best.mean
+    assert json.loads(json.dumps(report)) == report  # the payload is what write_json writes
 
 
 def test_grid_select_matches_brute_force_scan_with_ties():
@@ -179,19 +213,18 @@ def test_grid_select_matches_brute_force_scan_with_ties():
     folds, seed = 4, 5
     report = grid_select(default_grid(), features, labels, folds=folds, seed=seed)
     fold_sets = stratified_folds(labels, folds, seed)
-    for result_ in report.candidates:
-        c = result_.candidate
+    for c in report["candidates"]:
         expected = []
         for held_out in fold_sets:
             train_idx = [i for i in range(len(labels)) if i not in held_out]
             train_x = features[train_idx]
-            scaler = fit_scaler(train_x) if c.use_scaler else identity_scaler(3)
+            scaler = fit_scaler(train_x) if c["scaler"] else identity_scaler(3)
             train_z = transform(scaler, train_x)
             train_y = [labels[i] for i in train_idx]
-            hits = sum(knn_scan(train_z, train_y, q, c.k, c.p)[0] == labels[i]
+            hits = sum(knn_scan(train_z, train_y, q, c["k"], c["p"])[0] == labels[i]
                        for i, q in zip(held_out, transform(scaler, features[held_out])))
             expected.append(hits / len(held_out))
-        assert list(result_.fold_scores) == expected, c.describe()
+        assert c["fold_scores"] == expected, c["pipeline"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,15 +245,15 @@ def test_grid_select_equals_single_candidate_runs(data, folds):
     features[:, 0] *= data.draw(st.sampled_from([1.0, 1e3]), label="scale")  # scaler matters
     seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
     report = grid_select(default_grid(), features, labels, folds=folds, seed=seed)
-    singles = tuple(grid_select([c], features, labels, folds=folds, seed=seed).best
-                    for c in default_grid())
-    assert report.candidates == singles
-    assert report.best == select_best(singles)
+    singles = [grid_select([c], features, labels, folds=folds, seed=seed)["best"]
+               for c in default_grid()]
+    assert report["candidates"] == singles
+    assert report["best"] == select_best(singles)
 
 
 def result(k, p, use_scaler, mean):
-    return CandidateResult(candidate=PipelineCandidate(k=k, p=p, use_scaler=use_scaler),
-                           fold_scores=(mean,), mean=mean)
+    return {"pipeline": PipelineCandidate(k=k, p=p, use_scaler=use_scaler).describe(),
+            "k": k, "p": p, "scaler": use_scaler, "fold_scores": [mean], "mean_cv_score": mean}
 
 
 def test_select_best_tie_rules():
@@ -239,10 +272,9 @@ def test_select_best_affine_invariant():
     rng = np.random.default_rng(44)
     results = [result(k, p, s, float(rng.uniform(0.4, 0.99)))
                for k in (1, 3, 5) for p in (1.0, 2.0) for s in (True, False)]
-    baseline = select_best(results).candidate
-    shifted = [CandidateResult(candidate=r.candidate, fold_scores=r.fold_scores,
-                               mean=2.5 * r.mean + 0.1) for r in results]
-    assert select_best(shifted).candidate == baseline
+    baseline = select_best(results)["pipeline"]
+    shifted = [{**r, "mean_cv_score": 2.5 * r["mean_cv_score"] + 0.1} for r in results]
+    assert select_best(shifted)["pipeline"] == baseline
 
 
 # --- t-test ---------------------------------------------------------------------
@@ -258,6 +290,11 @@ def test_t_df_for_large_unequal_groups():
     rng = np.random.default_rng(45)
     t, df = two_sample_t(rng.normal(size=1632), rng.normal(size=2337))
     assert df == 3967
+
+
+def test_t_zero_pooled_variance():
+    assert two_sample_t([1.0, 1.0], [1.0, 1.0]) == (0.0, 2)
+    assert two_sample_t([1.0, 1.0], [2.0, 2.0]) == (-math.inf, 2)
 
 
 def test_t_hand_worked():
@@ -289,6 +326,10 @@ def test_t_antisymmetric():
 def test_t_group_too_small():
     with pytest.raises(GroupTooSmall):
         two_sample_t([1.0], [1.0, 2.0])
+    with pytest.raises(GroupTooSmall):
+        two_sample_t([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="^t-tests need exactly two groups$"):
+        group_t_tests({label: np.zeros((3, 16)) for label in ("a", "b", "c")})
     with pytest.raises(GroupTooSmall, match="group 'depression': .* at least 2 rows, got 1"):
         group_t_tests({"control": np.zeros((3, 16)), "depression": np.zeros((1, 16))})
 
@@ -320,6 +361,18 @@ def test_descriptive_stats_textbook_values():
     assert set(mfcc_row["groups"]) == {DEP, CON}
 
 
+def test_summary_features_columns():
+    rows = np.arange(32.0).reshape(2, 16)
+    assert summary_features(rows).tolist() == [[6.0, 13.0, 14.0, 15.0], [22.0, 29.0, 30.0, 31.0]]
+
+
+def test_descriptive_stats_two_rows_and_an_empty_group():
+    block = descriptive_stats({DEP: matrix_with_mfcc_mean([1.0, 3.0])})[0]["groups"][DEP]
+    assert block == {"mean": 2.0, "sd": math.sqrt(2.0), "n": 2, "degenerate": False}
+    with pytest.raises(EmptyInput, match="^group 'control' is empty$"):
+        descriptive_stats({DEP: matrix_with_mfcc_mean([1.0]), CON: np.zeros((0, 16))})
+
+
 def test_descriptive_stats_single_value_degenerate():
     stats = descriptive_stats({DEP: matrix_with_mfcc_mean([3.0])})
     block = stats[0]["groups"][DEP]
@@ -340,13 +393,11 @@ def test_group_t_tests_shape():
 # --- reports / rendering ----------------------------------------------------------
 
 
-def test_evaluate_predictions_report():
-    report = evaluate_predictions([DEP, DEP, CON], [DEP, CON, CON],
-                                  split_mode="speaker-disjoint")
-    payload = report.to_json_dict()
+def test_eval_report_payload():
+    payload = eval_report([DEP, DEP, CON], [DEP, CON, CON], "speaker-disjoint", 3, 2.0)
     assert payload["split_mode"] == "speaker-disjoint"
     assert payload["confusion"] == {"tp": 1, "fp": 1, "fn": 0, "tn": 1}
-    text = render_eval_text(report)
+    text = render_eval_text(payload)
     assert "split mode: speaker-disjoint" in text
     assert "Precision" in text
 
@@ -355,6 +406,8 @@ def test_render_stats_and_selection_text():
     groups = {DEP: matrix_with_mfcc_mean([1.0, 2.0]), CON: matrix_with_mfcc_mean([2.0, 4.0])}
     text = render_stats_text(descriptive_stats(groups), group_t_tests(groups))
     assert "mfcc_mean" in text and "Mean" in text and "t-test" in text
+    # the feature column is as wide as the longest summary name plus two
+    assert text.splitlines()[0] == f"{'Feature':<21}{'Metric':<8}{CON:>18}{DEP:>18}"
 
     features, labels = majority_dataset()
     report = grid_select([PipelineCandidate(k=3)], features, labels, folds=5, seed=0)

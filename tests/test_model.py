@@ -287,6 +287,29 @@ def test_knn_predict_memorizes_with_k1():
     assert knn_predict(model, [5.0, 5.0]) == ("depression", 1.0)
 
 
+def test_knn_predict_rejects_a_query_that_is_not_one_finite_row():
+    # a NaN query was answered ('control', 1.0), and a short row or a scalar was
+    # broadcast to every dimension and answered
+    rng = np.random.default_rng(34)
+    features = rng.normal(size=(20, 16))
+    labels = ["control"] * 10 + ["depression"] * 10
+    model = knn_fit(features, labels, k=3, scaler=fit_scaler(features))
+    nan_row = features[15].copy()
+    nan_row[4] = np.nan
+    for query, message in [
+        ([np.nan] * 16, "query value 0 is not finite"),
+        (nan_row, "query value 4 is not finite"),
+        (np.r_[np.zeros(15), -np.inf], "query value 15 is not finite"),
+        ([0.5], r"a query must be one row of 16 feature values, got shape \(1,\)"),
+        (0.5, r"a query must be one row of 16 feature values, got shape \(\)"),
+        (features[:2], r"a query must be one row of 16 feature values, got shape \(2, 16\)"),
+        (np.zeros(17), r"a query must be one row of 16 feature values, got shape \(17,\)"),
+    ]:
+        with pytest.raises(VocalScreenError, match=f"^{message}"):
+            knn_predict(model, query)
+    assert knn_predict(model, features[15]) == ("depression", 2 / 3)  # the row the NaN was put in
+
+
 def test_knn_predict_majority_two_thirds():
     model = small_model(k=3)
     label, score = knn_predict(model, [0.05, 0.0])
@@ -358,7 +381,8 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
 
 def test_nearest_rows_of_nan_query_follow_stable_argsort():
     # the order is what counts: p = 2 squares without abs, so a -NaN query may
-    # give -NaN distances where the former formula gave +NaN; both sort last
+    # give -NaN distances where the former formula gave +NaN; both sort last.
+    # knn_predict itself rejects such a query rather than answer it
     for p in (1.0, 1.5, 2.0, 3.0):
         model = small_model(k=3, p=p)
         for query in ([np.nan, 0.0], [-np.nan, 0.0], [0.05, -np.nan]):
@@ -366,7 +390,8 @@ def test_nearest_rows_of_nan_query_follow_stable_argsort():
             distances = query_distances(model, query)
             assert np.isnan(former).all() and np.isnan(distances).all()
             assert _nearest(distances, 3, p) == np.argsort(former, kind="stable").tolist()
-            assert knn_predict(model, query) == ("control", 2 / 3)
+            with pytest.raises(VocalScreenError, match="is not finite"):
+                knn_predict(model, query)
 
 
 def former_vote(train_labels, nearest, k):
@@ -658,7 +683,7 @@ def test_grid_select_names_the_only_overflowing_p():
     matrix = np.repeat(np.arange(6.0)[:, None] * 1e160, 2, axis=1)
     labels = ["control", "depression"] * 3
     p1, p2 = (PipelineCandidate(k=1, p=p, use_scaler=False) for p in (1.0, 2.0))
-    assert grid_select([p1], matrix, labels, folds=3).best.fold_scores == (0.5, 0.5, 0.0)
+    assert grid_select([p1], matrix, labels, folds=3)["best"]["fold_scores"] == [0.5, 0.5, 0.0]
     for space in ([p1, p2], [p2, p1]):
         with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: .* nearest row 1 "):
             grid_select(space, matrix, labels, folds=3)

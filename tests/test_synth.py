@@ -205,7 +205,7 @@ def _cohort_cv_accuracy(gap_hz: float, seed: int, tmp_path) -> float:
             features.append(extract_features(seg))
             labels.append(row.label)
     return grid_select([PipelineCandidate(k=3)], np.array(features), labels,
-                       folds=2, seed=seed).best.mean
+                       folds=2, seed=seed)["best"]["mean_cv_score"]
 
 
 def test_wider_f0_gap_does_not_hurt_accuracy(tmp_path):
