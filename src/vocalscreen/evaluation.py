@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VocalScreenError
+from .features import N_FEATURES
 from .model import (_answers, as_matrix, fit_scaler, identity_scaler, knn_fit, overflow_guard,
                     transform)
 from .rng import SplitMix64, fisher_yates
@@ -228,18 +229,34 @@ def summary_features(matrix: np.ndarray) -> np.ndarray:
     return np.column_stack([matrix[:, :13].mean(axis=1), matrix[:, 13], matrix[:, 14], matrix[:, 15]])
 
 
+def _group_summaries(features_by_group: dict) -> dict:
+    """summary_features of each group, in label order.
+
+    An empty group raises EmptyInput, and a group that is not rows of
+    N_FEATURES bool, integer or float values VocalScreenError, each naming
+    the group.
+    """
+    summaries = {}
+    for label in sorted(features_by_group):
+        matrix = np.atleast_2d(np.asarray(features_by_group[label]))
+        if matrix.size == 0:
+            raise EmptyInput(f"group {label!r} is empty")
+        real = matrix.dtype.kind in "biuf"  # a complex or text value would convert silently
+        if not real or matrix.ndim != 2 or matrix.shape[1] != N_FEATURES:
+            raise VocalScreenError(f"group {label!r}: rows must hold {N_FEATURES} real feature"
+                                   f" values, got {matrix.dtype} of shape {matrix.shape}")
+        summaries[label] = summary_features(matrix)
+    return summaries
+
+
 def descriptive_stats(features_by_group: dict) -> list:
     """Per-group mean and sample SD of each reported summary feature.
 
     Returns one dict per summary feature with a per-group
     {mean, sd, n, degenerate} block; single-row groups carry sd 0 and
-    degenerate=True.
+    degenerate=True. Groups are checked as _group_summaries checks them.
     """
-    for label, matrix in features_by_group.items():
-        if len(np.atleast_2d(matrix)) == 0:
-            raise EmptyInput(f"group {label!r} is empty")
-    summaries = {label: summary_features(features_by_group[label])
-                 for label in sorted(features_by_group)}
+    summaries = _group_summaries(features_by_group)
     rows = []
     for i, name in enumerate(SUMMARY_FEATURES):
         entry = {"feature": name, "groups": {}}
@@ -258,11 +275,11 @@ def descriptive_stats(features_by_group: dict) -> list:
 
 
 def group_t_tests(features_by_group: dict) -> list:
-    """Pooled t-test per summary feature across exactly two groups."""
+    """Pooled t-test per summary feature across exactly two groups, checked as
+    _group_summaries checks them."""
     if len(features_by_group) != 2:
         raise ValueError("t-tests need exactly two groups")
-    (label_a, group_a), (label_b, group_b) = sorted(features_by_group.items())
-    summary_a, summary_b = summary_features(group_a), summary_features(group_b)
+    (label_a, summary_a), (label_b, summary_b) = _group_summaries(features_by_group).items()
     for label, summary in ((label_a, summary_a), (label_b, summary_b)):
         if len(summary) < 2:
             raise GroupTooSmall(f"group {label!r}: a t-test needs at least 2 rows,"

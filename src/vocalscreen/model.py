@@ -10,12 +10,18 @@ depend on k, so grid selection orders the first max-k rows once per
 are sorted: a partition finds the max-k-th distance first.
 
 One query loop, _answers, answers every query of predict, evaluate and
-grid selection: it differences a standardized query against the training
-rows once, hands the differences to every p asked for, and votes every
-k of that p on one neighbor ordering. Its one distance kernel,
-_minkowski, works on a dimension-major copy of the training matrix and
-sums a query's |a - b|^p terms over dimensions with whole-row vector
-adds in np.sum's pairwise order, so each distance is bit-identical to
+grid selection, and votes every k of a p on one neighbor ordering. Given
+several queries, it answers p = 2 for blocks of _BLOCK of them at once:
+one BLAS product ranks every training row by |t|^2 - 2 q.t, which orders
+rows as their squared distance does, and only the rows that ranking
+cannot rule out, by a margin above its rounding error, get an exact
+distance (_filtered_heads). A single query, and every p but 2, is a
+scan: the query is differenced against the training rows once and the
+differences go to each such p. Both paths take every exact distance from
+one distance kernel, _minkowski, which works on a dimension-major copy
+of the training matrix and sums a query's |a - b|^p terms over
+dimensions with whole-row vector adds in np.sum's pairwise order, so
+each distance is bit-identical to
 np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p). The dimensions of each
 whole block of eight are stored in lane order (_lane_order), so the
 pairwise combination of np.sum's eight running sums is three adds of one
@@ -39,7 +45,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,6 +61,14 @@ _LANES = [0, 4, 2, 6, 1, 5, 3, 7]
 
 # matrix rows per C-encoder call in save_model
 _CHUNK_ROWS = 128
+
+# queries per block of the p = 2 candidate filter, and the filter's margin per
+# unit of (dims + 4) * (|q|^2 + max|t|^2 + smallest normal), 32 times the rounding
+# bound 8 u that _filtered_heads derives; at or above the ceiling, where s could
+# overflow, every row is a candidate
+_BLOCK = 16
+_MARGIN = 32 * 8 * 2.0 ** -53
+_CEILING = 2.0 ** 1021
 
 
 class EmptyTrainingSet(VocalScreenError):
@@ -296,6 +310,11 @@ class KnnModel:
         """
         return np.ascontiguousarray(self.train_matrix.T[_lane_order(self.train_matrix.shape[1])])
 
+    @cached_property
+    def _squared_norms(self) -> np.ndarray:
+        """|t|^2 of every training row, made once per model for _filtered_heads."""
+        return np.einsum("ij,ij->j", self._dims_major, self._dims_major)
+
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
             scaler: ScalerParams | None = None,
@@ -329,6 +348,11 @@ def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
     return np.subtract(columns, diffs, out=diffs)
 
 
+def _overflow(p: float, count: int) -> DistanceOverflow:
+    return DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row {count}"
+                            f" overflows float64")
+
+
 def _nearest(d: np.ndarray, count: int, p: float) -> list:
     """The first ``count`` indices of the exponent-p distances d, nearest first.
 
@@ -338,12 +362,73 @@ def _nearest(d: np.ndarray, count: int, p: float) -> list:
     """
     kth = np.partition(d, count - 1)[count - 1]
     if kth == np.inf:  # training rows are finite, so only an overflow reads inf
-        raise DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row"
-                               f" {count} overflows float64")
+        raise _overflow(p, count)
     # every row tied with or nearer than the count-th, in index order, so the
     # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last
     head = np.flatnonzero(~(d > kth))
     return head[np.argsort(d[head], kind="stable")][:count].tolist()
+
+
+def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndarray) -> list:
+    """_nearest's first ``count`` p = 2 rows for each query of a block, found through a filter.
+
+    Returns one (count-th distance, rows) pair per query; the caller
+    raises DistanceOverflow when that distance is inf, as _nearest does.
+    ``out`` is a float64 work array of shape (2, at least len(block),
+    training rows), which the caller reuses across blocks: at 16 queries
+    of 1624 rows each half is above malloc's mmap threshold, and fresh
+    ones, each page faulted in anew, measured to double this function's
+    time.
+
+    1. Filter: one BLAS product gives s = |t|^2 - 2 q.t for every query q
+       of the block and training row t; s lacks only |q|^2 of |t - q|^2.
+    2. Candidates: every row whose s is not above kth + margin, kth the
+       count-th smallest s of the query. A NaN s keeps its row, so a block
+       whose filter overflows scans every row.
+    3. Exact distances of the candidates by _minkowski, which sums each
+       column on its own, so each has the bits the full scan gives it.
+    4. Each query's candidates ordered by (distance, row): _nearest's head.
+
+    No nearest row is lost. Let u = 2^-53, d the dimension count and
+    M = |q|^2 + max|t|^2, and bound rounding to first order in u as in
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1.
+    The dot products |t|^2 and q.t are within d u of the sums of their
+    terms' magnitudes in any summation order, so for any BLAS and thread
+    count; those sums are at most M and |q||t| <= M / 2, and the last
+    addition adds u |s| <= 2 u M, so s is within 2(d + 1) u M of
+    |t|^2 - 2 q.t. The kernel's squared distance is within (d + 2) u of
+    |t - q|^2 <= 2M, relatively, and its square root rounds monotonically.
+    If row j is among the count nearest but not among the count of
+    smallest s, one of those, r, ranks after j, so
+    |t_j - q|^2 <= |t_r - q|^2 + 4(d + 4) u M and s_j <= kth + 8(d + 4) u M.
+    An underflow adds at most u 2^-1022 to a product, and the sums above
+    weigh at most 8d products, so the bound is 8(d + 4) u (M + 2^-1022);
+    the margin is 32 times that, which also covers the second-order terms.
+    It needs every value to stay below about 2M, so from M >= _CEILING on
+    every row is a candidate.
+    """
+    columns = model._dims_major
+    dims = len(columns)
+    queries = np.asarray(block)[:, _lane_order(dims)]  # coordinates in the columns' order
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, ranked = out[:, :len(block)]
+        np.matmul(-2.0 * queries, columns, out=s)  # scaling by -2 is exact
+        s += model._squared_norms
+        np.copyto(ranked, s)
+        ranked.partition(count - 1, axis=1)
+        kth = ranked[:, count - 1]
+        scale = np.einsum("ij,ij->i", queries, queries) + model._squared_norms.max()
+        limit = np.where(scale < _CEILING, kth + _MARGIN * (dims + 4) * (scale + 2.0 ** -1022),
+                         np.inf)
+        # a flat index search, which measured three times as fast as np.nonzero's pair
+        which, rows = np.divmod(np.flatnonzero(~(s > limit[:, None])), s.shape[1])
+    diffs = columns[:, rows]
+    distances = _minkowski(np.subtract(diffs, queries.T[:, which], out=diffs), 2.0)
+    order = np.lexsort((rows, distances, which))
+    counts = np.bincount(which, minlength=len(block))
+    starts = np.cumsum(counts) - counts  # every query has at least count candidates
+    heads = rows[order][starts[:, None] + np.arange(count)]
+    return list(zip(distances[order][starts + count - 1].tolist(), heads.tolist()))
 
 
 def _votes(model: KnnModel, nearest: list, ks) -> dict:
@@ -369,19 +454,36 @@ def _votes(model: KnnModel, nearest: list, ks) -> dict:
 def _answers(model: KnnModel, queries, ks_by_p: dict):
     """Answer standardized queries for every p and k of ``ks_by_p``, {p: ks}.
 
-    Yields {p: {k: (label, vote fraction)}} per query. Each query is
-    differenced against the training rows once; _minkowski overwrites its
-    input, so every p but the last takes a copy. The loop is a generator
-    so that one query's difference buffers are freed only when the next
-    query's are made: freed at once, they measured slower to allocate again.
+    Yields {p: {k: (label, vote fraction)}} per query. Given more than
+    one query, p = 2 is answered for a block of _BLOCK queries at a time by
+    _filtered_heads. Every other p is a scan: each query is differenced
+    against the training rows once, and _minkowski overwrites its input,
+    so every scanned p but the last takes a copy. A query raises for the
+    p it fails on first, in ks_by_p order, whichever path answers it. The
+    loop is a generator so that one query's difference buffers are freed
+    only when the next query's are made: freed at once, they measured
+    slower to allocate again.
     """
-    last = len(ks_by_p)
+    filtered = len(queries) > 1 and 2 in ks_by_p
+    scanned = [p for p in ks_by_p if not (filtered and p == 2)]
+    last = scanned[-1] if scanned else None
+    if filtered:  # the blocks' (count-th distance, rows) pairs, one block at a time
+        work = np.empty((2, _BLOCK, len(model.train_labels)))
+        heads = chain.from_iterable(
+            _filtered_heads(model, queries[start:start + _BLOCK], max(ks_by_p[2]), work)
+            for start in range(0, len(queries), _BLOCK))
     for query in queries:
-        diffs = _differences(model, query)
+        diffs = _differences(model, query) if scanned else None
         answers = {}
-        for n, (p, ks) in enumerate(ks_by_p.items(), 1):
-            distances = _minkowski(diffs if n == last else diffs.copy(), p)
-            answers[p] = _votes(model, _nearest(distances, max(ks), p), ks)
+        for p, ks in ks_by_p.items():
+            if filtered and p == 2:
+                kth, nearest = next(heads)
+                if kth == np.inf:
+                    raise _overflow(p, max(ks))
+            else:
+                distances = _minkowski(diffs if p == last else diffs.copy(), p)
+                nearest = _nearest(distances, max(ks), p)
+            answers[p] = _votes(model, nearest, ks)
         yield answers
 
 
@@ -390,11 +492,15 @@ def knn_predict(model: KnnModel, v) -> tuple:
 
     The k nearest standardized training rows vote uniformly; equal
     distances are broken by lower row index. A query that is not one
-    finite row of the model's width raises VocalScreenError. Raises
-    DistanceOverflow if the k-th nearest distance overflows; run queries
-    inside ``overflow_guard()`` to keep the overflows of farther rows quiet.
+    finite row of the model's width, of bool, integer or float values,
+    raises VocalScreenError. Raises DistanceOverflow if the k-th nearest
+    distance overflows; run queries inside ``overflow_guard()`` to keep
+    the overflows of farther rows quiet.
     """
-    query = np.asarray(v, dtype=np.float64)
+    query = np.asarray(v)
+    if query.dtype.kind not in "biuf":  # a complex or text value would convert silently
+        raise VocalScreenError(f"a query must hold real numbers, got dtype {query.dtype}")
+    query = query.astype(np.float64, copy=False)
     if query.shape != model.scaler.means.shape:
         raise VocalScreenError(f"a query must be one row of {len(model.scaler.means)}"
                                f" feature values, got shape {query.shape}")

@@ -1,4 +1,4 @@
-"""Mutation score of the tests of ``audio_io.py``, ``evaluation.py`` and ``preprocess.py``.
+"""Mutation score of the tests of four modules: audio_io, evaluation, model and preprocess.
 
     python tests/mutants.py [--jobs 2] [--rerun]
 
@@ -54,6 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_FILES = {
     "audio_io": "tests/test_audio_io.py",
     "evaluation": "tests/test_evaluation.py",
+    "model": "tests/test_model.py",
     "preprocess": "tests/test_preprocess.py",
 }
 

@@ -2,8 +2,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from conftest import chdir, tone
 from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
                                   to_mono)
 from vocalscreen.cli import build_parser, load_config, main
-from vocalscreen.dataset import load_manifest
+from vocalscreen.dataset import DatasetManifest, ManifestRow, load_manifest, save_manifest
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import FeatureConfig, read_features_csv, write_features_csv
 from vocalscreen.model import EvenK, _payload_digest, knn_fit, load_model, save_model, transform
@@ -222,6 +225,34 @@ def test_select_report(small_cohort, tmp_path, capsys):
     gens = report["generations"]
     assert gens == sorted(gens)
     assert report["best"]["mean_cv_score"] == max(c["mean_cv_score"] for c in report["candidates"])
+
+
+def test_select_report_does_not_depend_on_blas_threads(tmp_path):
+    # selection ranks p = 2 candidates with a BLAS product; with 1120 training
+    # rows per fold that product is large enough for OpenBLAS to split it across
+    # threads, so its rounding may differ, but the report must not
+    rng = np.random.default_rng(50)
+    labels = ["control", "depression"] * 700
+    matrix = rng.normal(size=(1400, 16)) + np.array([[0.0], [1.0]] * 700)
+    ids = [f"s{i:04d}" for i in range(1400)]
+    write_features_csv(tmp_path / "features.csv", ids, labels, matrix)
+    save_manifest(tmp_path / "train.csv", DatasetManifest(
+        rows=[ManifestRow(sid, label, f"p{i // 20}") for i, (sid, label)
+              in enumerate(zip(ids, labels))]))
+    src = [str(Path(__file__).resolve().parent.parent / "src")]
+    src += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(src))
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run([sys.executable, "-m", "vocalscreen.cli", "select",
+                               "--features", str(tmp_path / "features.csv"),
+                               "--manifest", str(tmp_path / "train.csv"),
+                               "--out", str(out), "--seed", "3"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append((out / "selection_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_stats_output(small_cohort, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_scan, pooled_t_reference
+from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import (
     ConfusionMatrix,
     EmptyInput,
@@ -371,6 +372,23 @@ def test_descriptive_stats_two_rows_and_an_empty_group():
     assert block == {"mean": 2.0, "sd": math.sqrt(2.0), "n": 2, "degenerate": False}
     with pytest.raises(EmptyInput, match="^group 'control' is empty$"):
         descriptive_stats({DEP: matrix_with_mfcc_mean([1.0]), CON: np.zeros((0, 16))})
+
+
+@pytest.mark.parametrize("stats", [descriptive_stats, group_t_tests])
+def test_stats_name_an_empty_or_narrow_group(stats):
+    # both raised IndexError from summary_features: np.atleast_2d([]) has one
+    # row of no columns, and a 15-column group has no column 15
+    fine = matrix_with_mfcc_mean([1.0, 2.0, 3.0])
+    with pytest.raises(EmptyInput, match="^group 'control' is empty$"):
+        stats({DEP: fine, CON: []})
+    for groups, named, got in [
+        ({DEP: fine, CON: np.zeros((3, 15))}, CON, r"float64 of shape \(3, 15\)"),
+        ({DEP: np.zeros(17, dtype=int), CON: fine}, DEP, r"int64 of shape \(1, 17\)"),
+        ({DEP: fine, CON: fine + 5j}, CON, r"complex128 of shape \(3, 16\)"),
+    ]:
+        with pytest.raises(VocalScreenError, match=f"^group '{named}': rows must hold 16 real"
+                                                   f" feature values, got {got}$"):
+            stats(groups)
 
 
 def test_descriptive_stats_single_value_degenerate():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import PipelineCandidate, grid_select
@@ -23,6 +24,7 @@ from vocalscreen.model import (
     ScalerParams,
     SchemaVersionMismatch,
     TooFewSamples,
+    as_matrix,
     fit_scaler,
     identity_scaler,
     knn_fit,
@@ -33,6 +35,7 @@ from vocalscreen.model import (
     transform,
     _answers,
     _differences,
+    _filtered_heads,
     _minkowski,
     _nearest,
     _payload_digest,
@@ -89,6 +92,20 @@ def test_knn_fit_empty():
             knn_fit(features, [])
 
 
+def test_scaler_params_must_be_finite():
+    # a NaN mean or an infinite std passes the positivity check, so only the
+    # finiteness check rejects them
+    for means, stds in (([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf])):
+        with pytest.raises(ValueError, match="^means and stds must be finite$"):
+            ScalerParams(means=means, stds=stds)
+
+
+def test_as_matrix_takes_one_row_as_a_matrix_of_one_row():
+    assert as_matrix([1.0, 2.0, 3.0]).shape == (1, 3)
+    assert as_matrix([]).shape == (0, 0)
+    assert as_matrix(np.zeros((0, 16))).shape == (0, 16)
+
+
 def test_transform_identities():
     scaler = fit_scaler(np.array([[1.0, 2.0], [3.0, 6.0]]))
     assert transform(scaler, scaler.means).tolist() == [0.0, 0.0]
@@ -101,7 +118,7 @@ def test_transform_identities():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_rejected(fit, bad):
     matrix = np.ones((4, 3))
-    matrix[2, 1] = bad
+    matrix[2, 1] = matrix[3, 0] = bad  # the first such row is named
     with pytest.raises(VocalScreenError, match="row 2 holds a non-finite value"):
         fit(matrix)
     with pytest.raises(VocalScreenError, match="row 2"):
@@ -114,6 +131,14 @@ def test_non_finite_rows_rejected(fit, bad):
 def query_distances(model, query):
     """Distances from a raw query to every training row, as model._answers computes them."""
     return _minkowski(_differences(model, transform(model.scaler, query)), model.p)
+
+
+def test_differences_allocate_one_array():
+    # the query is repeated into one (dims, rows) array and subtracted in place
+    model = knn_fit(np.random.default_rng(28).normal(size=(4000, 16)), ["control"] * 4000, k=1)
+    query = np.zeros(16)
+    _differences(model, query)  # the dimension-major copy is made once, outside the trace
+    assert traced_peak(_differences, model, query) < 1.5 * model._dims_major.nbytes
 
 
 def distance(a, b, p):
@@ -242,11 +267,19 @@ def small_model(k=3, p=2.0):
     return knn_fit(features, labels, k=k, p=p, scaler=identity_scaler(2))
 
 
+def test_knn_fit_defaults():
+    # the k, p and identity scaler the README's library example relies on
+    features = np.arange(10.0).reshape(5, 2)
+    model = knn_fit(features, ["control"] * 5)
+    assert (model.k, model.p) == (3, 2.0)
+    assert bits(model.train_matrix) == bits(features)
+
+
 def test_knn_fit_boundaries():
     small_model(k=3)  # 3 rows, k=3 is fine
-    with pytest.raises(TooFewSamples):
-        knn_fit(np.zeros((2, 2)), ["control", "depression"], k=3,
-                scaler=identity_scaler(2))
+    with pytest.raises(TooFewSamples, match=r"^2 rows < k=3$"):
+        knn_fit(np.zeros((2, 3)), ["control", "depression"], k=3,
+                scaler=identity_scaler(3))
     with pytest.raises(EvenK):
         knn_fit(np.zeros((5, 2)), ["control"] * 5, k=4, scaler=identity_scaler(2))
     with pytest.raises(ValueError):
@@ -270,7 +303,7 @@ def test_knn_fit_rejects_what_a_model_file_cannot_hold(k, p, message):
         knn_fit(np.arange(10.0).reshape(5, 2), ["control"] * 3 + ["depression"] * 2, k=k, p=p)
 
 
-@pytest.mark.parametrize("k", [-1, -3])
+@pytest.mark.parametrize("k", [-1, -3, 0])
 def test_k_below_one_rejected(k):
     features = np.arange(10.0).reshape(5, 2)
     labels = ["control"] * 3 + ["depression"] * 2
@@ -304,6 +337,9 @@ def test_knn_predict_rejects_a_query_that_is_not_one_finite_row():
         (0.5, r"a query must be one row of 16 feature values, got shape \(\)"),
         (features[:2], r"a query must be one row of 16 feature values, got shape \(2, 16\)"),
         (np.zeros(17), r"a query must be one row of 16 feature values, got shape \(17,\)"),
+        # a complex query was answered on its real part, with only a ComplexWarning
+        (features[15] + 5j, "a query must hold real numbers, got dtype complex128"),
+        (["0.5"] * 16, "a query must hold real numbers, got dtype <U3"),
     ]:
         with pytest.raises(VocalScreenError, match=f"^{message}"):
             knn_predict(model, query)
@@ -377,6 +413,16 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
                       kind="stable")
     for count in range(1, len(rows) + 1):
         assert _nearest(query_distances(model, query), count, p) == full[:count].tolist()
+
+
+def test_nearest_rows_of_a_large_table_are_head_of_stable_argsort():
+    # past a few hundred rows np.partition leaves the values beside its index
+    # unordered, so a partition at the wrong index shows here and not on the
+    # small tables above; rounding makes ties at many counts
+    d = np.round(np.random.default_rng(37).normal(size=1000) ** 2, 2)
+    full = np.argsort(d, kind="stable").tolist()
+    for count in range(1, 1001):
+        assert _nearest(d, count, 2.0) == full[:count]
 
 
 def test_nearest_rows_of_nan_query_follow_stable_argsort():
@@ -710,3 +756,152 @@ def test_overflow_of_farther_rows_keeps_the_answer():
             next(_answers(model, [query], {400.0: {5}}))
     grid_select([PipelineCandidate(k=1, p=400.0, use_scaler=False)], matrix[:4].repeat(2, axis=0),
                 labels[:4] * 2, folds=2)
+
+
+# --- p = 2 candidate filter -------------------------------------------------------
+
+
+def scan_answers(model, queries, ks_by_p):
+    """Each query answered alone, so by the scan that the filter must match."""
+    return [next(_answers(model, [query], ks_by_p)) for query in queries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_answers_equal_oracle_and_scan_on_exact_ties(data):
+    # integer coordinates times a power of two from about 1e-150 to 1e150: every
+    # difference, square and sum is exact, so duplicated rows and equal integer
+    # distances tie exactly, for the kernel and the plain-Python oracle alike
+    dims = data.draw(st.integers(1, 17), label="dims")
+    scale = 2.0 ** data.draw(st.integers(-498, 498), label="exponent")
+    row = st.lists(st.integers(-3, 3), min_size=dims, max_size=dims)
+    distinct = data.draw(st.lists(row, min_size=1, max_size=6), label="distinct")
+    rows = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40), label="rows")
+    labels = data.draw(st.lists(st.sampled_from(["control", "depression"]),
+                                min_size=len(rows), max_size=len(rows)), label="labels")
+    # 2 to 40 queries: one to three blocks, the last of any size
+    queries = np.array(data.draw(st.lists(row, min_size=2, max_size=40), label="queries")) * scale
+    ks = data.draw(st.sets(st.sampled_from(range(1, len(rows) + 1, 2)), min_size=1), label="ks")
+    train = np.array(rows, dtype=float) * scale
+    model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
+    blocked = list(_answers(model, queries, {2.0: ks}))
+    assert blocked == scan_answers(model, queries, {2.0: ks})
+    for query, answer in zip(queries, blocked):
+        assert answer[2.0] == {k: knn_scan(train, labels, query, k, 2.0) for k in ks}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_answers_equal_scan_from_1e_minus_150_to_1e150(data):
+    # any floats times 10^-150 .. 10^150: subnormal and underflowing squares at
+    # the low end, sums past the filter's ceiling at the high end
+    dims = data.draw(st.integers(1, 17), label="dims")
+    scale = 10.0 ** data.draw(st.integers(-150, 150), label="exponent")
+    values = st.floats(-1e3, 1e3)
+    shape = (data.draw(st.integers(1, 30), label="rows"), dims)
+    train = data.draw(arrays(np.float64, shape, elements=values), label="train") * scale
+    shape = (data.draw(st.integers(2, 40), label="query count"), dims)
+    queries = data.draw(arrays(np.float64, shape, elements=values), label="queries") * scale
+    labels = data.draw(st.lists(st.sampled_from(["control", "depression"]),
+                                min_size=len(train), max_size=len(train)), label="labels")
+    ks = data.draw(st.sets(st.sampled_from(range(1, len(train) + 1, 2)), min_size=1), label="ks")
+    model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
+    ks_by_p = {1.0: ks, 2.0: ks}
+    assert list(_answers(model, queries, ks_by_p)) == scan_answers(model, queries, ks_by_p)
+
+
+def far_cluster(seed):
+    """Rows and queries 1e7 from the origin and about 0.1 apart, labelled by row parity.
+
+    |t|^2 - 2 q.t of such rows is near -1e14, where its rounding error
+    exceeds the spread of their squared distances.
+    """
+    rng = np.random.default_rng(seed)
+    train = 1e7 + rng.normal(scale=0.1, size=(64, 16))
+    queries = 1e7 + rng.normal(scale=0.1, size=(16, 16))
+    labels = ["control", "depression"] * 32
+    return knn_fit(train, labels, k=1, scaler=identity_scaler(16)), queries
+
+
+def test_filter_margin_keeps_the_neighbours_rounding_hides(monkeypatch):
+    model, queries = far_cluster(40)
+    ks_by_p = {2.0: {1, 3, 5}}
+    work = np.empty((2, len(queries), 64))
+    nearest = [_nearest(query_distances(model, q), 5, 2.0) for q in queries]
+    # the premise: ranked by s alone, some query's nearest row is not among its
+    # first five, so a filter without its margin would drop it
+    s = (-2.0 * queries) @ model.train_matrix.T + (model.train_matrix ** 2).sum(axis=1)
+    assert any(head[0] not in np.argsort(row, kind="stable")[:5] for head, row in zip(nearest, s))
+    assert [rows for _kth, rows in _filtered_heads(model, queries, 5, work)] == nearest
+    assert list(_answers(model, queries, ks_by_p)) == scan_answers(model, queries, ks_by_p)
+    monkeypatch.setattr("vocalscreen.model._MARGIN", 0.0)
+    assert [rows for _kth, rows in _filtered_heads(model, queries, 5, work)] != nearest
+
+
+def test_filter_takes_few_exact_distances(monkeypatch):
+    # 1600 rows of separated clusters: a block of 16 queries needs exact distances
+    # for about 16 x 7 rows, not 16 x 1600
+    rng = np.random.default_rng(41)
+    train = rng.normal(size=(1600, 16)) + rng.integers(0, 4, size=(1600, 1)) * 3.0
+    labels = ["control", "depression"] * 800
+    model = knn_fit(train, labels, k=1, scaler=fit_scaler(train))
+    queries = transform(model.scaler, rng.normal(size=(16, 16)))
+    columns = []
+
+    def counting(diffs, p):
+        columns.append(diffs.shape[1])
+        return _minkowski(diffs, p)
+
+    monkeypatch.setattr("vocalscreen.model._minkowski", counting)
+    blocked = list(_answers(model, queries, {2.0: {1, 3, 5, 7}}))
+    assert columns and sum(columns) <= 2 * 16 * 7
+    assert blocked == scan_answers(model, queries, {2.0: {1, 3, 5, 7}})
+
+
+def test_only_several_queries_take_the_filter(monkeypatch):
+    # one query is faster as a scan, so knn_predict never builds a filter
+    model, queries = far_cluster(42)
+    calls = []
+
+    def counting(model, block, count, out):
+        calls.append(len(block))
+        return _filtered_heads(model, block, count, out)
+
+    monkeypatch.setattr("vocalscreen.model._filtered_heads", counting)
+    next(_answers(model, queries[:1], {2.0: {1}}))
+    assert calls == []
+    list(_answers(model, queries[:2], {1.0: {1}}))
+    assert calls == []
+    list(_answers(model, queries[:2], {2.0: {1}}))
+    assert calls == [2]
+    # and then differences no query against every row
+    monkeypatch.setattr("vocalscreen.model._differences", None)
+    list(_answers(model, queries, {2.0: {1}}))
+
+
+def test_block_raises_for_the_query_whose_nearest_rows_overflow():
+    # in one block, query 0's third nearest distance is 2 and query 1's is past
+    # float64 (its two nearest are 0.5 away): query 0 is answered, query 1 raises
+    matrix = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e200, 0.0], [1e200, 1.0]])
+    model = knn_fit(matrix, ["control", "depression", "control", "depression", "control"],
+                    k=1, scaler=identity_scaler(2))
+    answers = _answers(model, np.array([[0.0, 0.0], [1e200, 0.5]]), {2.0: {1, 3}})
+    with overflow_guard():
+        assert next(answers) == {2.0: {1: ("control", 1.0), 3: ("control", 2 / 3)}}
+        with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: .* nearest row 3 "):
+            next(answers)
+
+
+def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():
+    # every distance of these queries overflows under p = 2 and p = 3 alike; the
+    # error names the p asked for first, as the scan of each p in turn did,
+    # whether p = 2 comes from the block filter or not
+    matrix = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    model = knn_fit(matrix, ["control", "depression", "control"], k=1,
+                    scaler=identity_scaler(2))
+    queries = np.array([[1e200, 0.0], [0.0, -1e200]])
+    for order in ([2.0, 3.0], [3.0, 2.0]):
+        for block in (queries, queries[:1]):
+            with overflow_guard(), pytest.raises(DistanceOverflow,
+                                                 match=rf"^p = {order[0]!r}: .* nearest row 3 "):
+                next(_answers(model, block, {p: {3} for p in order}))
