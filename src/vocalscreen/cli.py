@@ -149,7 +149,7 @@ def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
     Each row is one model.knn_predict call, looked up on the module so that
     a tracer wrapping it counts every query.
     """
-    with _named(model_path, model.DistanceOverflow), model.overflow_guard():
+    with _named(model_path, model.DistanceOverflow):
         return [model.knn_predict(fitted, row) for row in matrix]
 
 

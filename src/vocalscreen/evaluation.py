@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import VocalScreenError
 from .features import N_FEATURES
-from .model import (_answers, as_matrix, fit_scaler, identity_scaler, knn_fit, overflow_guard,
-                    transform)
+from .model import _answers, as_matrix, fit_scaler, identity_scaler, knn_fit
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -157,10 +156,10 @@ def select_best(candidates) -> dict:
 def grid_select(space, features, labels, folds: int, seed: int = 0) -> dict:
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
-    Each fold fits one model per scaler and standardizes its held-out rows
-    once; model._answers answers every held-out row for every (p, k) of
-    that scaler's candidates, so the predictions are those of one
-    knn_predict per candidate and row.
+    Each fold fits one model per scaler; one model._answers call
+    standardizes the fold's held-out rows with that model's scaler and
+    answers them for every (p, k) of the scaler's candidates, so the
+    predictions are those of one knn_predict per candidate and row.
 
     Returns the selection_report.json payload: ``folds``, ``seed``,
     ``candidates`` in definition order, each {pipeline, k, p, scaler,
@@ -188,11 +187,9 @@ def grid_select(space, features, labels, folds: int, seed: int = 0) -> dict:
             for _, p, k in members:
                 replace(fitted, k=k, p=p)  # KnnModel checks k and p against the fold
                 ks_by_p.setdefault(p, set()).add(k)
-            with overflow_guard():
-                queries = transform(scaler, matrix[held_out])
-                for t, answers in zip(held_out, _answers(fitted, queries, ks_by_p)):
-                    for j, p, k in members:
-                        hits[j][i] += answers[p][k][0] == labels[t]
+            for t, answers in zip(held_out, _answers(fitted, matrix[held_out], ks_by_p)):
+                for j, p, k in members:
+                    hits[j][i] += answers[p][k][0] == labels[t]
     candidates = [{"pipeline": c.describe(), "k": c.k, "p": c.p, "scaler": c.use_scaler,
                    "fold_scores": s.tolist(), "mean_cv_score": float(s.mean())}
                   for c, s in zip(space, np.array(hits) / [len(fold) for fold in fold_sets])]

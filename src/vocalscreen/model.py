@@ -10,14 +10,18 @@ depend on k, so grid selection orders the first max-k rows once per
 are sorted: a partition finds the max-k-th distance first.
 
 One query loop, _answers, answers every query of predict, evaluate and
-grid selection, and votes every k of a p on one neighbor ordering. Given
-several queries, it answers p = 2 for blocks of _BLOCK of them at once:
-one BLAS product ranks every training row by |t|^2 - 2 q.t, which orders
-rows as their squared distance does, and only the rows that ranking
-cannot rule out, by a margin above its rounding error, get an exact
-distance (_filtered_heads). A single query, and every p but 2, is a
-scan: the query is differenced against the training rows once and the
-differences go to each such p. Both paths take every exact distance from
+grid selection, and votes every k of a p on one neighbor ordering. It
+takes raw feature rows, standardizes them with the model's scaler, and
+runs under one numpy error state in which a distance that overflows
+float64 reads inf quietly: such a distance decides nothing unless it is
+among a query's k nearest, and then the loop raises DistanceOverflow.
+Given several queries, it answers p = 2 for blocks of _BLOCK of them at
+once: one BLAS product ranks every training row by |t|^2 - 2 q.t, which
+orders rows as their squared distance does, and only the rows that
+ranking cannot rule out, by a margin above its rounding error, get an
+exact distance (_filtered_heads). A single query, and every p but 2, is
+a scan: each such p differences the query against the training rows.
+Both paths take every exact distance from
 one distance kernel, _minkowski, which works on a dimension-major copy
 of the training matrix and sums a query's |a - b|^p terms over
 dimensions with whole-row vector adds in np.sum's pairwise order, so
@@ -99,12 +103,25 @@ class ScalerOverflow(VocalScreenError):
     pass
 
 
+def _real(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, if they are bool, integer or float values.
+
+    Anything else raises VocalScreenError naming ``what``: converted as
+    floats, numeric text would parse and a complex value lose its
+    imaginary part.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise VocalScreenError(f"{what} must hold real numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
 def as_matrix(features) -> np.ndarray:
     """Coerce a (rows, dims) array-like, or one feature row, to a 2-D float64 matrix.
 
-    Raises VocalScreenError if any value is NaN or infinite.
+    Raises VocalScreenError if a value is not a real number, or is NaN or infinite.
     """
-    matrix = np.asarray(features, dtype=np.float64)
+    matrix = _real(features, "a feature matrix")
     if matrix.ndim < 2:  # one feature row is a matrix of one row, an empty list of none
         matrix = matrix.reshape(min(matrix.size, 1), matrix.size)
     bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
@@ -118,15 +135,16 @@ class ScalerParams:
     """Per-dimension means and population standard deviations.
 
     Zero-variance dimensions store std 1 so they transform to 0 instead
-    of dividing by zero. Means must be finite and stds finite and positive.
+    of dividing by zero. Means must be finite and stds finite and positive,
+    both of bool, integer or float values.
     """
 
     means: np.ndarray
     stds: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.stds, dtype=np.float64)
+        means = _real(self.means, "scaler means")
+        stds = _real(self.stds, "scaler stds")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
         if means.shape != stds.shape or means.ndim != 1 or not means.size:
@@ -238,18 +256,6 @@ def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
     return _sum_rows(diffs) ** (1.0 / p)
 
 
-def overflow_guard():
-    """Numpy error state for a batch of KNN queries: |a - b|^p overflows quietly.
-
-    A distance that overflows float64 reads inf, which decides nothing
-    while at least k distances stay finite; _nearest raises
-    DistanceOverflow, naming p, when one of the inf rows would be chosen.
-    Enter it once per batch of queries: numpy's error state costs about
-    2 % of one query.
-    """
-    return np.errstate(over="ignore")
-
-
 def check_k_and_p(k, p) -> None:
     """Reject a k that is not a positive odd int, or a p that is not a finite number >= 1.
 
@@ -273,8 +279,9 @@ def check_k_and_p(k, p) -> None:
 class KnnModel:
     """Standardized training matrix plus the hyperparameters that query it.
 
-    The matrix is finite with one column per scaler dimension, the labels
-    are strings of at most two values, and k and p pass check_k_and_p.
+    The matrix is finite, of bool, integer or float values, with one
+    column per scaler dimension, the labels are strings of at most two
+    values, and k and p pass check_k_and_p.
     """
 
     train_matrix: np.ndarray
@@ -285,7 +292,7 @@ class KnnModel:
     feature_config: FeatureConfig
 
     def __post_init__(self):
-        matrix = np.asarray(self.train_matrix, dtype=np.float64)
+        matrix = _real(self.train_matrix, "a train matrix")
         object.__setattr__(self, "train_matrix", matrix)
         object.__setattr__(self, "train_labels", tuple(self.train_labels))
         if matrix.ndim != 2 or matrix.shape[0] != len(self.train_labels):
@@ -348,32 +355,25 @@ def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
     return np.subtract(columns, diffs, out=diffs)
 
 
-def _overflow(p: float, count: int) -> DistanceOverflow:
-    return DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row {count}"
-                            f" overflows float64")
+def _nearest(d: np.ndarray, count: int) -> tuple:
+    """(count-th distance, the first ``count`` indices of the distances d, nearest first).
 
-
-def _nearest(d: np.ndarray, count: int, p: float) -> list:
-    """The first ``count`` indices of the exponent-p distances d, nearest first.
-
-    Equal distances go to the lower row index, so this is the head of the
-    full stable argsort; only the rows at or below the count-th distance
-    are sorted.
+    Equal distances go to the lower row index, so the indices are the head
+    of the full stable argsort; only the rows at or below the count-th
+    distance are sorted.
     """
     kth = np.partition(d, count - 1)[count - 1]
-    if kth == np.inf:  # training rows are finite, so only an overflow reads inf
-        raise _overflow(p, count)
     # every row tied with or nearer than the count-th, in index order, so the
     # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last
     head = np.flatnonzero(~(d > kth))
-    return head[np.argsort(d[head], kind="stable")][:count].tolist()
+    return kth, head[np.argsort(d[head], kind="stable")][:count].tolist()
 
 
 def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndarray) -> list:
     """_nearest's first ``count`` p = 2 rows for each query of a block, found through a filter.
 
-    Returns one (count-th distance, rows) pair per query; the caller
-    raises DistanceOverflow when that distance is inf, as _nearest does.
+    Returns one (count-th distance, rows) pair per query, as _nearest
+    does, and leaves numpy's error state to the caller, _answers.
     ``out`` is a float64 work array of shape (2, at least len(block),
     training rows), which the caller reuses across blocks: at 16 queries
     of 1624 rows each half is above malloc's mmap threshold, and fresh
@@ -410,18 +410,17 @@ def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndar
     columns = model._dims_major
     dims = len(columns)
     queries = np.asarray(block)[:, _lane_order(dims)]  # coordinates in the columns' order
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, ranked = out[:, :len(block)]
-        np.matmul(-2.0 * queries, columns, out=s)  # scaling by -2 is exact
-        s += model._squared_norms
-        np.copyto(ranked, s)
-        ranked.partition(count - 1, axis=1)
-        kth = ranked[:, count - 1]
-        scale = np.einsum("ij,ij->i", queries, queries) + model._squared_norms.max()
-        limit = np.where(scale < _CEILING, kth + _MARGIN * (dims + 4) * (scale + 2.0 ** -1022),
-                         np.inf)
-        # a flat index search, which measured three times as fast as np.nonzero's pair
-        which, rows = np.divmod(np.flatnonzero(~(s > limit[:, None])), s.shape[1])
+    s, ranked = out[:, :len(block)]
+    np.matmul(-2.0 * queries, columns, out=s)  # scaling by -2 is exact
+    s += model._squared_norms
+    np.copyto(ranked, s)
+    ranked.partition(count - 1, axis=1)
+    kth = ranked[:, count - 1]
+    scale = np.einsum("ij,ij->i", queries, queries) + model._squared_norms.max()
+    limit = np.where(scale < _CEILING, kth + _MARGIN * (dims + 4) * (scale + 2.0 ** -1022),
+                     np.inf)
+    # a flat index search, which measured three times as fast as np.nonzero's pair
+    which, rows = np.divmod(np.flatnonzero(~(s > limit[:, None])), s.shape[1])
     diffs = columns[:, rows]
     distances = _minkowski(np.subtract(diffs, queries.T[:, which], out=diffs), 2.0)
     order = np.lexsort((rows, distances, which))
@@ -451,40 +450,44 @@ def _votes(model: KnnModel, nearest: list, ks) -> dict:
     return winners
 
 
-def _answers(model: KnnModel, queries, ks_by_p: dict):
-    """Answer standardized queries for every p and k of ``ks_by_p``, {p: ks}.
+def _answers(model: KnnModel, rows, ks_by_p: dict) -> list:
+    """Answer raw feature rows for every p and k of ``ks_by_p``, {p: ks}.
 
-    Yields {p: {k: (label, vote fraction)}} per query. Given more than
-    one query, p = 2 is answered for a block of _BLOCK queries at a time by
-    _filtered_heads. Every other p is a scan: each query is differenced
-    against the training rows once, and _minkowski overwrites its input,
-    so every scanned p but the last takes a copy. A query raises for the
-    p it fails on first, in ks_by_p order, whichever path answers it. The
-    loop is a generator so that one query's difference buffers are freed
-    only when the next query's are made: freed at once, they measured
-    slower to allocate again.
+    Returns one {p: {k: (label, vote fraction)}} per row. The rows are
+    standardized with the model's scaler, and the whole call runs with
+    overflow and invalid values quiet: an overflowing distance reads inf,
+    and a query raises DistanceOverflow, naming p, only when its max(ks)-th
+    nearest distance is inf (training rows are finite, so only an overflow
+    reads inf). A query raises for the p it fails on first, in ks_by_p
+    order, whichever path answers it. Given more than one row, p = 2 is
+    answered for a block of _BLOCK queries at a time by _filtered_heads;
+    every other p is a scan of its own differences. Each query's
+    differences are freed only when the next ones are made: freed at once,
+    they measured slower to allocate again.
     """
-    filtered = len(queries) > 1 and 2 in ks_by_p
-    scanned = [p for p in ks_by_p if not (filtered and p == 2)]
-    last = scanned[-1] if scanned else None
-    if filtered:  # the blocks' (count-th distance, rows) pairs, one block at a time
-        work = np.empty((2, _BLOCK, len(model.train_labels)))
-        heads = chain.from_iterable(
-            _filtered_heads(model, queries[start:start + _BLOCK], max(ks_by_p[2]), work)
-            for start in range(0, len(queries), _BLOCK))
-    for query in queries:
-        diffs = _differences(model, query) if scanned else None
-        answers = {}
-        for p, ks in ks_by_p.items():
-            if filtered and p == 2:
-                kth, nearest = next(heads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        queries = transform(model.scaler, rows)
+        filtered = len(queries) > 1 and 2 in ks_by_p
+        if filtered:  # the blocks' (count-th distance, rows) pairs, one block at a time
+            work = np.empty((2, _BLOCK, len(model.train_labels)))
+            heads = chain.from_iterable(
+                _filtered_heads(model, queries[start:start + _BLOCK], max(ks_by_p[2]), work)
+                for start in range(0, len(queries), _BLOCK))
+        answers = []
+        for query in queries:
+            votes = {}
+            for p, ks in ks_by_p.items():
+                if filtered and p == 2:
+                    kth, nearest = next(heads)
+                else:
+                    diffs = _differences(model, query)
+                    kth, nearest = _nearest(_minkowski(diffs, p), max(ks))
                 if kth == np.inf:
-                    raise _overflow(p, max(ks))
-            else:
-                distances = _minkowski(diffs if p == last else diffs.copy(), p)
-                nearest = _nearest(distances, max(ks), p)
-            answers[p] = _votes(model, nearest, ks)
-        yield answers
+                    raise DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row"
+                                           f" {max(ks)} overflows float64")
+                votes[p] = _votes(model, nearest, ks)
+            answers.append(votes)
+    return answers
 
 
 def knn_predict(model: KnnModel, v) -> tuple:
@@ -494,21 +497,17 @@ def knn_predict(model: KnnModel, v) -> tuple:
     distances are broken by lower row index. A query that is not one
     finite row of the model's width, of bool, integer or float values,
     raises VocalScreenError. Raises DistanceOverflow if the k-th nearest
-    distance overflows; run queries inside ``overflow_guard()`` to keep
-    the overflows of farther rows quiet.
+    distance overflows float64; a farther row's overflow changes no answer
+    and warns of nothing.
     """
-    query = np.asarray(v)
-    if query.dtype.kind not in "biuf":  # a complex or text value would convert silently
-        raise VocalScreenError(f"a query must hold real numbers, got dtype {query.dtype}")
-    query = query.astype(np.float64, copy=False)
+    query = _real(v, "a query")
     if query.shape != model.scaler.means.shape:
         raise VocalScreenError(f"a query must be one row of {len(model.scaler.means)}"
                                f" feature values, got shape {query.shape}")
     if not np.isfinite(query).all():
         raise VocalScreenError(f"query value {np.flatnonzero(~np.isfinite(query))[0]}"
                                f" is not finite")
-    answers = next(_answers(model, [transform(model.scaler, query)], {model.p: (model.k,)}))
-    return answers[model.p][model.k]
+    return _answers(model, query[None], {model.p: (model.k,)})[0][model.p][model.k]
 
 
 def _model_payload(model: KnnModel) -> dict:

@@ -303,6 +303,9 @@ def test_usage_error_exits_2(tmp_path, capsys):
         # 13 MFCCs are taken from the mel bands, so 5 bands cannot give them
         (["extract", "--manifest", "m.csv", "--out", out, "--n-mels", "5"],
          "--n-fft/--fft-hop/--n-mels: n_mfcc cannot exceed n_mels"),
+        # 14 mel filters held no FFT bin, and their log floor went into the MFCCs
+        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "256", "--fft-hop", "128"],
+         "--n-fft/--fft-hop/--n-mels: 14 of the 128 mel filters hold no FFT bin"),
         (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
          "--segment-seconds"),
         # an infinite duration overflowed its sample count into a traceback
@@ -346,6 +349,25 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_extract_bounds_n_mels_before_allocating(tmp_path):
+    # --n-mels 100000 on a recording with a segment ended in numpy's
+    # _ArrayMemoryError traceback from a 74.5 GiB DCT matrix; run in a child whose
+    # address space is capped, so a regression cannot take this process's memory
+    (tmp_path / "tone.wav").write_bytes(encode_wav(tone(220.0, seconds=5.0)))
+    (tmp_path / "m.csv").write_text("path,label,participant\ntone.wav,control,p0\n")
+    src = [str(Path(__file__).resolve().parent.parent / "src")]
+    src += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(src))
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30));"
+              " from vocalscreen.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", capped, "extract", "--manifest", "m.csv",
+                           "--out", str(tmp_path / "o"), "--n-mels", "100000"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ("error: --n-fft/--fft-hop/--n-mels: n_mels 100000 exceeds n_fft + 2"
+                           " = 2050, the most mel filters an n_fft spectrum can fill\n")
 
 
 def test_synth_into_a_path_under_a_file_exits_1_naming_it(tmp_path, capsys):

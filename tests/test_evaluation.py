@@ -231,9 +231,11 @@ def test_grid_select_matches_brute_force_scan_with_ties():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), folds=st.sampled_from([2, 3]))
 def test_grid_select_equals_single_candidate_runs(data, folds):
-    # a single candidate is differenced, taken to its p and voted alone, as every
-    # (scaler, p) pair once was; the default grid shares each row's differences
-    # between p = 1 and p = 2. Repeated integer rows make ties at every k.
+    # a single candidate is answered alone, for its one (scaler, p) pair; a grid
+    # answers every p and k of a scaler in one query loop per fold, the default
+    # grid's p = 2 through the block filter and every other p by a scan, so a grid
+    # of p = 1 and p = 3 scans each row twice, each p on its own differences.
+    # Repeated integer rows make ties at every k.
     dims = data.draw(st.integers(min_value=1, max_value=3), label="dims")
     row = st.lists(st.integers(min_value=-2, max_value=2), min_size=dims, max_size=dims)
     distinct = data.draw(st.lists(row, min_size=1, max_size=6), label="distinct")
@@ -245,11 +247,14 @@ def test_grid_select_equals_single_candidate_runs(data, folds):
     features = np.array(rows, dtype=float)
     features[:, 0] *= data.draw(st.sampled_from([1.0, 1e3]), label="scale")  # scaler matters
     seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
-    report = grid_select(default_grid(), features, labels, folds=folds, seed=seed)
-    singles = [grid_select([c], features, labels, folds=folds, seed=seed)["best"]
-               for c in default_grid()]
-    assert report["candidates"] == singles
-    assert report["best"] == select_best(singles)
+    scanned = [PipelineCandidate(k=k, p=p, use_scaler=s) for k in (1, 3) for p in (1.0, 3.0)
+               for s in (True, False)]
+    for grid in (default_grid(), scanned):
+        report = grid_select(grid, features, labels, folds=folds, seed=seed)
+        singles = [grid_select([c], features, labels, folds=folds, seed=seed)["best"]
+                   for c in grid]
+        assert report["candidates"] == singles
+        assert report["best"] == select_best(singles)
 
 
 def result(k, p, use_scaler, mean):

@@ -30,7 +30,6 @@ from vocalscreen.model import (
     knn_fit,
     knn_predict,
     load_model,
-    overflow_guard,
     save_model,
     transform,
     _answers,
@@ -125,6 +124,26 @@ def test_non_finite_rows_rejected(fit, bad):
         fit([list(row) for row in matrix])
 
 
+def test_model_layer_takes_only_real_numbers():
+    # numeric text was fitted as floats, and a complex matrix lost its imaginary
+    # part with only a ComplexWarning; bool and integer values are numbers
+    text = [["1.5"] * 16, ["2.5"] * 16, ["0.5"] * 16]
+    with pytest.raises(VocalScreenError, match="^a feature matrix must hold real numbers,"
+                                               " got dtype <U3"):
+        knn_fit(text, ["control", "depression", "control"], k=1)
+    with pytest.raises(VocalScreenError, match="^a feature matrix .* got dtype complex128"):
+        fit_scaler(np.ones((3, 2)) + 1j)
+    with pytest.raises(VocalScreenError, match="^scaler means must hold real numbers"):
+        ScalerParams(means=["0.5"], stds=[1.0])
+    with pytest.raises(VocalScreenError, match="^scaler stds .* got dtype object"):
+        ScalerParams(means=[0.5], stds=[None])
+    with pytest.raises(VocalScreenError, match="^a train matrix must hold real numbers"):
+        KnnModel(train_matrix=[["1.5"]], train_labels=["control"], k=1, p=2.0,
+                 scaler=identity_scaler(1), feature_config=FeatureConfig())
+    assert as_matrix([[True, 2], [0, 3]]).tolist() == [[1.0, 2.0], [0.0, 3.0]]
+    assert as_matrix(np.ones((2, 2), dtype=np.float32)).dtype == np.float64
+
+
 # --- minkowski ----------------------------------------------------------------
 
 
@@ -180,8 +199,6 @@ def assert_distance_paths_equal_former(matrix, query, p):
     former = former_minkowski(matrix, query, p)
     model = knn_fit(matrix, ["control"] * len(matrix), k=1, p=p)
     assert bits(query_distances(model, query)) == bits(former)
-    with overflow_guard():
-        assert bits(query_distances(model, query)) == bits(former)
     # the query loop answers with the nearest row of the former distances: that row
     # alone is labelled depression, and equal distances go to the lower row
     if not np.isinf(former).all():  # else the nearest distance overflows
@@ -189,8 +206,7 @@ def assert_distance_paths_equal_former(matrix, query, p):
         labels[np.argsort(former, kind="stable")[0]] = "depression"
         model = KnnModel(train_matrix=matrix, train_labels=labels, k=1, p=p,
                          scaler=identity_scaler(matrix.shape[1]), feature_config=FeatureConfig())
-        with overflow_guard():
-            (answer,) = _answers(model, [query], {p: {1}})
+        (answer,) = _answers(model, [query], {p: {1}})
         assert answer == {p: {1: ("depression", 1.0)}}
 
 
@@ -234,7 +250,7 @@ def test_distance_paths_equal_former_on_edge_differences(p):
         queries = [np.zeros(dims), np.full(dims, -0.0), np.full(dims, 5e-324),
                    *rng.choice(EDGE_VALUES, size=(6, dims))]
         for query in queries:
-            with overflow_guard():
+            with np.errstate(over="ignore"):
                 assert_distance_paths_equal_former(matrix, query, p)
 
 
@@ -412,7 +428,7 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
     full = np.argsort(former_minkowski(model.train_matrix, transform(model.scaler, query), p),
                       kind="stable")
     for count in range(1, len(rows) + 1):
-        assert _nearest(query_distances(model, query), count, p) == full[:count].tolist()
+        assert _nearest(query_distances(model, query), count)[1] == full[:count].tolist()
 
 
 def test_nearest_rows_of_a_large_table_are_head_of_stable_argsort():
@@ -422,7 +438,7 @@ def test_nearest_rows_of_a_large_table_are_head_of_stable_argsort():
     d = np.round(np.random.default_rng(37).normal(size=1000) ** 2, 2)
     full = np.argsort(d, kind="stable").tolist()
     for count in range(1, 1001):
-        assert _nearest(d, count, 2.0) == full[:count]
+        assert _nearest(d, count)[1] == full[:count]
 
 
 def test_nearest_rows_of_nan_query_follow_stable_argsort():
@@ -435,7 +451,7 @@ def test_nearest_rows_of_nan_query_follow_stable_argsort():
             former = former_minkowski(model.train_matrix, np.array(query), p)
             distances = query_distances(model, query)
             assert np.isnan(former).all() and np.isnan(distances).all()
-            assert _nearest(distances, 3, p) == np.argsort(former, kind="stable").tolist()
+            assert _nearest(distances, 3)[1] == np.argsort(former, kind="stable").tolist()
             with pytest.raises(VocalScreenError, match="is not finite"):
                 knn_predict(model, query)
 
@@ -622,6 +638,11 @@ def saved_payload(tmp_path):
     (lambda m: m["train"]["labels"].__setitem__(0, "other"),
      r"labels must be binary, got \['control', 'depression', 'other'\]"),
     (lambda m: m["train"]["matrix"][0].__setitem__(0, float("nan")), "must be finite"),
+    # numeric text was read as the number it spells, and the model answered queries
+    (lambda m: m["train"]["matrix"][1].__setitem__(2, "0.25"),
+     "a train matrix must hold real numbers, got dtype <U"),
+    (lambda m: m["scaler"]["means"].__setitem__(0, "0.25"),
+     "scaler means must hold real numbers, got dtype <U"),
     (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
     (lambda m: m.update(feature_config=[1, 2]), "feature_config must be an object"),
     (lambda m: m.update(feature_config=2048), "feature_config must be an object"),
@@ -701,8 +722,7 @@ def test_load_model_fuzz_raises_only_vocalscreen_errors(tmp_path_factory, mutati
         assert isinstance(loaded, KnnModel)
         assert type(loaded.k) is int and type(loaded.p) in (int, float) and loaded.p < np.inf
         try:
-            with overflow_guard():
-                label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
+            label, fraction = knn_predict(loaded, np.zeros(len(loaded.scaler.means)))
         except DistanceOverflow as exc:
             assert str(exc).startswith(f"p = {loaded.p!r}: ")
             continue
@@ -713,8 +733,7 @@ def test_overflowing_distance_raises_naming_p():
     rng = np.random.default_rng(33)
     model = knn_fit(rng.random((10, 16)) * 10, ["control", "depression"] * 5, k=3, p=1e300)
     with pytest.raises(DistanceOverflow, match=r"^p = 1e\+300: "):
-        with overflow_guard():
-            knn_predict(model, np.zeros(16))
+        knn_predict(model, np.zeros(16))
     # selection reports it too, here on raw values whose every difference is too large to square
     matrix = np.repeat(np.arange(6.0)[:, None] * 1e200, 2, axis=1)
     with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: "):
@@ -736,26 +755,28 @@ def test_grid_select_names_the_only_overflowing_p():
 
 
 def test_overflow_of_farther_rows_keeps_the_answer():
-    # with p = 400 the row 10 away overflows (10^400) but the three nearest do
-    # not, so the query is answered as without the error state: no exception,
-    # the head of the stable argsort, the same vote
-    matrix = np.array([[0.0, 0.5], [1.0, 0.0], [0.5, 1.0], [0.2, 0.1], [10.0, 0.0]])
-    labels = ["control", "depression", "depression", "control", "depression"]
-    model = knn_fit(matrix, labels, k=3, p=400.0, scaler=identity_scaler(2))
-    query = np.zeros(2)
-    with np.errstate(over="ignore"):
-        former = former_minkowski(model.train_matrix, query, 400.0)
-    assert np.isinf(former[4]) and np.isfinite(former[:4]).all()
-    full = np.argsort(former, kind="stable")
-    with overflow_guard():
-        distances = query_distances(model, query)
+    # with p = 400 the row 10 away overflows (10^400), and with p = 2 the row 1e200
+    # away (its square), but the three nearest do not, so a bare query, in numpy's
+    # default error state, is answered as without the overflow: no exception and no
+    # warning (which pytest makes an error), the head of the stable argsort, the
+    # same vote
+    for p, far in ((400.0, 10.0), (2.0, 1e200)):
+        matrix = np.array([[0.0, 0.5], [1.0, 0.0], [0.5, 1.0], [0.2, 0.1], [far, 0.0]])
+        labels = ["control", "depression", "depression", "control", "depression"]
+        model = knn_fit(matrix, labels, k=3, p=p, scaler=identity_scaler(2))
+        query = np.zeros(2)
+        with np.errstate(over="ignore"):
+            former = former_minkowski(model.train_matrix, query, p)
+            distances = query_distances(model, query)
+        assert np.isinf(former[4]) and np.isfinite(former[:4]).all()
+        full = np.argsort(former, kind="stable")
         assert bits(distances) == bits(former)
-        assert _nearest(distances, 3, 400.0) == full[:3].tolist()
+        assert _nearest(distances, 3)[1] == full[:3].tolist()
         assert knn_predict(model, query) == former_vote(labels, full, 3)
-        with pytest.raises(DistanceOverflow, match=r"^p = 400\.0: .* nearest row 5 "):
-            next(_answers(model, [query], {400.0: {5}}))
-    grid_select([PipelineCandidate(k=1, p=400.0, use_scaler=False)], matrix[:4].repeat(2, axis=0),
-                labels[:4] * 2, folds=2)
+        with pytest.raises(DistanceOverflow, match=rf"^p = {p!r}: .* nearest row 5 "):
+            _answers(model, [query], {p: {5}})
+        grid_select([PipelineCandidate(k=1, p=p, use_scaler=False)],
+                    matrix[:4].repeat(2, axis=0), labels[:4] * 2, folds=2)
 
 
 # --- p = 2 candidate filter -------------------------------------------------------
@@ -763,7 +784,7 @@ def test_overflow_of_farther_rows_keeps_the_answer():
 
 def scan_answers(model, queries, ks_by_p):
     """Each query answered alone, so by the scan that the filter must match."""
-    return [next(_answers(model, [query], ks_by_p)) for query in queries]
+    return [_answers(model, [query], ks_by_p)[0] for query in queries]
 
 
 @settings(max_examples=150, deadline=None)
@@ -784,7 +805,7 @@ def test_block_answers_equal_oracle_and_scan_on_exact_ties(data):
     ks = data.draw(st.sets(st.sampled_from(range(1, len(rows) + 1, 2)), min_size=1), label="ks")
     train = np.array(rows, dtype=float) * scale
     model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
-    blocked = list(_answers(model, queries, {2.0: ks}))
+    blocked = _answers(model, queries, {2.0: ks})
     assert blocked == scan_answers(model, queries, {2.0: ks})
     for query, answer in zip(queries, blocked):
         assert answer[2.0] == {k: knn_scan(train, labels, query, k, 2.0) for k in ks}
@@ -807,7 +828,7 @@ def test_block_answers_equal_scan_from_1e_minus_150_to_1e150(data):
     ks = data.draw(st.sets(st.sampled_from(range(1, len(train) + 1, 2)), min_size=1), label="ks")
     model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
     ks_by_p = {1.0: ks, 2.0: ks}
-    assert list(_answers(model, queries, ks_by_p)) == scan_answers(model, queries, ks_by_p)
+    assert _answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
 
 
 def far_cluster(seed):
@@ -827,13 +848,13 @@ def test_filter_margin_keeps_the_neighbours_rounding_hides(monkeypatch):
     model, queries = far_cluster(40)
     ks_by_p = {2.0: {1, 3, 5}}
     work = np.empty((2, len(queries), 64))
-    nearest = [_nearest(query_distances(model, q), 5, 2.0) for q in queries]
+    nearest = [_nearest(query_distances(model, q), 5)[1] for q in queries]
     # the premise: ranked by s alone, some query's nearest row is not among its
     # first five, so a filter without its margin would drop it
     s = (-2.0 * queries) @ model.train_matrix.T + (model.train_matrix ** 2).sum(axis=1)
     assert any(head[0] not in np.argsort(row, kind="stable")[:5] for head, row in zip(nearest, s))
     assert [rows for _kth, rows in _filtered_heads(model, queries, 5, work)] == nearest
-    assert list(_answers(model, queries, ks_by_p)) == scan_answers(model, queries, ks_by_p)
+    assert _answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
     monkeypatch.setattr("vocalscreen.model._MARGIN", 0.0)
     assert [rows for _kth, rows in _filtered_heads(model, queries, 5, work)] != nearest
 
@@ -845,7 +866,7 @@ def test_filter_takes_few_exact_distances(monkeypatch):
     train = rng.normal(size=(1600, 16)) + rng.integers(0, 4, size=(1600, 1)) * 3.0
     labels = ["control", "depression"] * 800
     model = knn_fit(train, labels, k=1, scaler=fit_scaler(train))
-    queries = transform(model.scaler, rng.normal(size=(16, 16)))
+    queries = rng.normal(size=(16, 16))
     columns = []
 
     def counting(diffs, p):
@@ -853,7 +874,7 @@ def test_filter_takes_few_exact_distances(monkeypatch):
         return _minkowski(diffs, p)
 
     monkeypatch.setattr("vocalscreen.model._minkowski", counting)
-    blocked = list(_answers(model, queries, {2.0: {1, 3, 5, 7}}))
+    blocked = _answers(model, queries, {2.0: {1, 3, 5, 7}})
     assert columns and sum(columns) <= 2 * 16 * 7
     assert blocked == scan_answers(model, queries, {2.0: {1, 3, 5, 7}})
 
@@ -868,28 +889,30 @@ def test_only_several_queries_take_the_filter(monkeypatch):
         return _filtered_heads(model, block, count, out)
 
     monkeypatch.setattr("vocalscreen.model._filtered_heads", counting)
-    next(_answers(model, queries[:1], {2.0: {1}}))
+    _answers(model, queries[:1], {2.0: {1}})
     assert calls == []
-    list(_answers(model, queries[:2], {1.0: {1}}))
+    _answers(model, queries[:2], {1.0: {1}})
     assert calls == []
-    list(_answers(model, queries[:2], {2.0: {1}}))
+    _answers(model, queries[:2], {2.0: {1}})
     assert calls == [2]
     # and then differences no query against every row
     monkeypatch.setattr("vocalscreen.model._differences", None)
-    list(_answers(model, queries, {2.0: {1}}))
+    _answers(model, queries, {2.0: {1}})
 
 
 def test_block_raises_for_the_query_whose_nearest_rows_overflow():
     # in one block, query 0's third nearest distance is 2 and query 1's is past
-    # float64 (its two nearest are 0.5 away): query 0 is answered, query 1 raises
+    # float64 (its two nearest are 0.5 away): a block of query 0 alone is answered,
+    # and a block holding query 1, before or after query 0, raises
     matrix = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e200, 0.0], [1e200, 1.0]])
     model = knn_fit(matrix, ["control", "depression", "control", "depression", "control"],
                     k=1, scaler=identity_scaler(2))
-    answers = _answers(model, np.array([[0.0, 0.0], [1e200, 0.5]]), {2.0: {1, 3}})
-    with overflow_guard():
-        assert next(answers) == {2.0: {1: ("control", 1.0), 3: ("control", 2 / 3)}}
+    near, far = [0.0, 0.0], [1e200, 0.5]
+    answer = {2.0: {1: ("control", 1.0), 3: ("control", 2 / 3)}}
+    assert _answers(model, np.array([near, near]), {2.0: {1, 3}}) == [answer, answer]
+    for block in ([near, far], [far, near]):
         with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: .* nearest row 3 "):
-            next(answers)
+            _answers(model, np.array(block), {2.0: {1, 3}})
 
 
 def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():
@@ -902,6 +925,5 @@ def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():
     queries = np.array([[1e200, 0.0], [0.0, -1e200]])
     for order in ([2.0, 3.0], [3.0, 2.0]):
         for block in (queries, queries[:1]):
-            with overflow_guard(), pytest.raises(DistanceOverflow,
-                                                 match=rf"^p = {order[0]!r}: .* nearest row 3 "):
-                next(_answers(model, block, {p: {3} for p in order}))
+            with pytest.raises(DistanceOverflow, match=rf"^p = {order[0]!r}: .* nearest row 3 "):
+                _answers(model, block, {p: {3} for p in order})
