@@ -760,7 +760,7 @@ def test_overflow_of_farther_rows_keeps_the_answer():
     # default error state, is answered as without the overflow: no exception and no
     # warning (which pytest makes an error), the head of the stable argsort, the
     # same vote
-    for p, far in ((400.0, 10.0), (2.0, 1e200)):
+    for p, far, named in ((400.0, 10.0, r"400\.0"), (2.0, 1e200, r"2\.0")):
         matrix = np.array([[0.0, 0.5], [1.0, 0.0], [0.5, 1.0], [0.2, 0.1], [far, 0.0]])
         labels = ["control", "depression", "depression", "control", "depression"]
         model = knn_fit(matrix, labels, k=3, p=p, scaler=identity_scaler(2))
@@ -773,7 +773,7 @@ def test_overflow_of_farther_rows_keeps_the_answer():
         assert bits(distances) == bits(former)
         assert _nearest(distances, 3)[1] == full[:3].tolist()
         assert knn_predict(model, query) == former_vote(labels, full, 3)
-        with pytest.raises(DistanceOverflow, match=rf"^p = {p!r}: .* nearest row 5 "):
+        with pytest.raises(DistanceOverflow, match=rf"^p = {named}: .* nearest row 5 "):
             _answers(model, [query], {p: {5}})
         grid_select([PipelineCandidate(k=1, p=p, use_scaler=False)],
                     matrix[:4].repeat(2, axis=0), labels[:4] * 2, folds=2)
