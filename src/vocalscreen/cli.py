@@ -40,8 +40,8 @@ import numpy as np
 
 from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
-from .features import (N_FEATURES, FeatureConfig, extract_features, read_features_csv,
-                       write_features_csv)
+from .features import (N_FEATURES, FeatureConfig, extract_features, mel_filterbank,
+                       read_features_csv, write_features_csv)
 
 
 class _UsageError(VocalScreenError):
@@ -209,6 +209,10 @@ def cmd_extract(ns) -> int:
         raise _UsageError(f"--segment-seconds/--n-fft: a {segment_seconds} s segment holds"
                           f" {segment_samples} samples, fewer than one {config.n_fft}-sample"
                           f" FFT frame")
+    # the bank extraction uses, made now so a mel filter that holds no FFT bin is a
+    # usage error; n_fft is bounded by the segment first, as n_mels is by n_fft
+    with _named("--n-fft/--fft-hop/--n-mels", ValueError, usage=True):
+        mel_filterbank(audio_io.DEFAULT_SAMPLE_RATE, config)
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
         raise VocalScreenError(f"{manifest_path}: empty manifest")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip
+from .audio_io import AudioClip
 from .errors import VocalScreenError
 
 N_MFCC = 13
@@ -44,51 +44,9 @@ class FeaturesFileError(VocalScreenError):
     """A features CSV whose header or rows do not form a finite feature table."""
 
 
-def mel(freq_hz):
-    """Hz -> mel."""
-    return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
-
-
-def mel_inverse(mels):
-    """mel -> Hz."""
-    return 700.0 * (10.0 ** (np.asarray(mels, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_breakpoints(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """The n_mels + 2 filter edge/center frequencies in Hz.
-
-    Points are equally spaced on the mel scale between fmin and fmax;
-    filter j spans (points[j], points[j+2]) and peaks at points[j+1].
-    """
-    return mel_inverse(np.linspace(mel(fmin), mel(fmax), n_mels + 2))
-
-
-def _empty_filters(config: "FeatureConfig", sample_rate: int) -> int:
-    """How many of mel_filterbank's filters for ``config`` would hold no FFT bin.
-
-    Filter j weighs bin m exactly when points[j] < m * sample_rate / n_fft
-    < points[j + 2], and bin frequencies are exact multiples of the bin
-    step at the rates and sizes extract uses. The first bin above each
-    lower edge is found by one division, corrected by one either way for
-    its rounding, so no array of bins is made.
-    """
-    points = mel_breakpoints(config.n_mels, config.fmin, config.fmax)
-    lower, upper = points[:-2], points[2:]
-    step = sample_rate / config.n_fft
-    first = np.floor(lower / step) + 1
-    first -= (first - 1) * step > lower
-    first += first * step <= lower
-    return int(np.count_nonzero((first > config.n_fft // 2) | (first * step >= upper)))
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction constants. Defaults assume 16 kHz input.
-
-    At DEFAULT_SAMPLE_RATE, the rate extract works at, every mel filter
-    holds at least one FFT bin: an empty one would feed the MFCCs a
-    constant log floor.
-    """
+    """Extraction constants. Defaults assume 16 kHz input."""
 
     n_fft: int = 2048
     hop: int = 512
@@ -107,21 +65,17 @@ class FeatureConfig:
             raise ValueError("need 0 < hop <= n_fft")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
             raise ValueError("n_fft must be a power of two, at least 2")
-        if not 0 <= self.fmin < self.fmax < math.inf:
-            raise ValueError("need 0 <= fmin < fmax, fmax finite")
+        if not 0 <= self.fmin < self.fmax:
+            raise ValueError("need 0 <= fmin < fmax")
         if self.n_mfcc != N_MFCC:
             raise ValueError(f"n_mfcc must be {N_MFCC}, the MFCC columns of a features table")
         if self.n_mfcc > self.n_mels:
             raise ValueError("n_mfcc cannot exceed n_mels")
-        # a bin lies inside at most two filters, so this bound comes before any
-        # array of n_mels values is made
+        # a bin lies inside at most two filters, at any sample rate, so more filters
+        # than this leave one empty; checked here, no array of n_mels values is made
         if self.n_mels > self.n_fft + 2:
             raise ValueError(f"n_mels {self.n_mels} exceeds n_fft + 2 = {self.n_fft + 2},"
                              f" the most mel filters an n_fft spectrum can fill")
-        empty = _empty_filters(self, DEFAULT_SAMPLE_RATE)
-        if empty:
-            raise ValueError(f"{empty} of the {self.n_mels} mel filters hold no FFT bin of an"
-                             f" n_fft {self.n_fft} spectrum at {DEFAULT_SAMPLE_RATE} Hz")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
         if not self.peak_threshold_db >= 0:
@@ -182,16 +136,45 @@ def power_spectra(segment: AudioClip, config: FeatureConfig = FeatureConfig()) -
     return np.abs(spectra) ** 2
 
 
+def mel(freq_hz):
+    """Hz -> mel."""
+    return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
+
+
+def mel_inverse(mels):
+    """mel -> Hz."""
+    return 700.0 * (10.0 ** (np.asarray(mels, dtype=np.float64) / 2595.0) - 1.0)
+
+
+def mel_breakpoints(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
+    """The n_mels + 2 filter edge/center frequencies in Hz.
+
+    Points are equally spaced on the mel scale between fmin and fmax;
+    filter j spans (points[j], points[j+2]) and peaks at points[j+1].
+    """
+    return mel_inverse(np.linspace(mel(fmin), mel(fmax), n_mels + 2))
+
+
 @lru_cache(maxsize=8)
 def mel_filterbank(sample_rate: int, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, n_fft/2 + 1), area-normalized.
 
     Cached and read-only; 16000 and 16000.0 hash equal, so they share one entry.
+    A filter that would hold no FFT bin at ``sample_rate`` raises
+    ValueError before the bank is made: its band would feed the MFCCs a
+    constant log floor.
     """
     if config.fmax > sample_rate / 2:
         raise ValueError(f"fmax {config.fmax} exceeds Nyquist {sample_rate / 2}")
     points = mel_breakpoints(config.n_mels, config.fmin, config.fmax)
     bin_freqs = np.arange(config.n_fft // 2 + 1) * (sample_rate / config.n_fft)
+    # filter j weighs exactly the bins strictly between points[j] and points[j + 2]
+    held = (np.searchsorted(bin_freqs, points[2:], "left")
+            - np.searchsorted(bin_freqs, points[:-2], "right"))
+    empty = np.count_nonzero(held == 0)
+    if empty:
+        raise ValueError(f"{empty} of the {config.n_mels} mel filters hold no FFT bin of an"
+                         f" n_fft {config.n_fft} spectrum at {sample_rate} Hz")
     bank = np.zeros((config.n_mels, config.n_fft // 2 + 1))
     for j in range(config.n_mels):
         lower, center, upper = points[j], points[j + 1], points[j + 2]

@@ -181,8 +181,11 @@ def fit_scaler(features) -> ScalerParams:
 
 
 def transform(scaler: ScalerParams, x) -> np.ndarray:
-    """Standardize one feature row or a (rows, dims) matrix: (x - means) / stds, broadcast."""
-    return (np.asarray(x, dtype=np.float64) - scaler.means) / scaler.stds
+    """Standardize one feature row or a (rows, dims) matrix: (x - means) / stds, broadcast.
+
+    Values that are not bool, integer or float raise VocalScreenError, as in as_matrix.
+    """
+    return (_real(x, "a feature row") - scaler.means) / scaler.stds
 
 
 @cache

@@ -353,8 +353,10 @@ def test_usage_error_exits_2(tmp_path, capsys):
 
 def test_extract_bounds_n_mels_before_allocating(tmp_path):
     # --n-mels 100000 on a recording with a segment ended in numpy's
-    # _ArrayMemoryError traceback from a 74.5 GiB DCT matrix; run in a child whose
-    # address space is capped, so a regression cannot take this process's memory
+    # _ArrayMemoryError traceback from a 74.5 GiB DCT matrix, and a check of the mel
+    # filters at 2**30 FFT bins would ask for 8 GB arrays of breakpoints; run in a
+    # child whose address space is capped, so a regression cannot take this
+    # process's memory
     (tmp_path / "tone.wav").write_bytes(encode_wav(tone(220.0, seconds=5.0)))
     (tmp_path / "m.csv").write_text("path,label,participant\ntone.wav,control,p0\n")
     src = [str(Path(__file__).resolve().parent.parent / "src")]
@@ -362,12 +364,19 @@ def test_extract_bounds_n_mels_before_allocating(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(src))
     capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30));"
               " from vocalscreen.cli import main; sys.exit(main(sys.argv[1:]))")
-    done = subprocess.run([sys.executable, "-c", capped, "extract", "--manifest", "m.csv",
-                           "--out", str(tmp_path / "o"), "--n-mels", "100000"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr == ("error: --n-fft/--fft-hop/--n-mels: n_mels 100000 exceeds n_fft + 2"
-                           " = 2050, the most mel filters an n_fft spectrum can fill\n")
+    for flags, message in [
+        (["--n-mels", "100000"], "--n-fft/--fft-hop/--n-mels: n_mels 100000 exceeds n_fft + 2"
+         " = 2050, the most mel filters an n_fft spectrum can fill"),
+        (["--n-fft", str(2 ** 30), "--n-mels", str(10 ** 9)], "--segment-seconds/--n-fft: a 4.0 s"
+         " segment holds 64000 samples, fewer than one 1073741824-sample FFT frame"),
+        (["--n-fft", "32768", "--n-mels", "32770"], "--n-fft/--fft-hop/--n-mels: 9525 of the"
+         " 32770 mel filters hold no FFT bin of an n_fft 32768 spectrum at 16000 Hz"),
+    ]:
+        done = subprocess.run([sys.executable, "-c", capped, "extract", "--manifest", "m.csv",
+                               "--out", str(tmp_path / "o"), *flags],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: {message}\n"
 
 
 def test_synth_into_a_path_under_a_file_exits_1_naming_it(tmp_path, capsys):

@@ -440,40 +440,50 @@ def test_feature_config_invariants():
             FeatureConfig(**{field: value})
 
 
-def empty_filters_bin_by_bin(n_fft, n_mels, fmin, fmax):
+def empty_filters_bin_by_bin(rate, n_fft, n_mels, fmin, fmax):
     """Mel filters with no bin strictly between their edges, every bin tried."""
     points = mel_breakpoints(n_mels, fmin, fmax)
-    bins = np.arange(n_fft // 2 + 1) * (RATE / n_fft)
+    bins = np.arange(n_fft // 2 + 1) * (rate / n_fft)
     inside = (bins > points[:-2, None]) & (bins < points[2:, None])
     return int(np.count_nonzero(~inside.any(axis=1)))
 
 
-def test_feature_config_rejects_empty_mel_filters():
+def test_filterbank_rejects_empty_mel_filters():
     # extract --n-fft 256 wrote 14 MFCC inputs that were the log floor constant
-    for n_fft, n_mels, fmin, fmax in itertools.product(
-            (64, 128, 256, 512, 1024, 2048), (13, 40, 100, 128, 256), (0.0, 300.0),
-            (4000.0, 8000.0)):
-        empty = empty_filters_bin_by_bin(n_fft, n_mels, fmin, fmax)
+    for rate, n_fft, n_mels, fmin, fmax in itertools.product(
+            (RATE, 22050, 44100), (64, 128, 256, 512, 1024, 2048), (13, 40, 66, 100, 128, 256),
+            (0.0, 300.0), (4000.0, 8000.0)):
+        empty = empty_filters_bin_by_bin(rate, n_fft, n_mels, fmin, fmax)
         fields = dict(n_fft=n_fft, hop=n_fft, n_mels=n_mels, fmin=fmin, fmax=fmax)
         if n_mels > n_fft + 2:
             assert empty, fields  # the bound rejects only what the count would
+            with pytest.raises(ValueError, match=f"^n_mels {n_mels} exceeds n_fft"):
+                FeatureConfig(**fields)
             continue
+        # the count depends on the rate, so a config is checked where it meets one
+        config = FeatureConfig(**fields)
         if empty:
             with pytest.raises(ValueError, match=f"^{empty} of the {n_mels} mel filters hold no"
-                                                 f" FFT bin of an n_fft {n_fft} spectrum"):
-                FeatureConfig(**fields)
+                                                 f" FFT bin of an n_fft {n_fft} spectrum at"
+                                                 f" {rate} Hz$"):
+                mel_filterbank(rate, config)
         else:  # and the bank itself fills every filter
-            assert mel_filterbank(RATE, FeatureConfig(**fields)).any(axis=1).all(), fields
-    assert empty_filters_bin_by_bin(512, 128, 0.0, 8000.0) == 1
-    assert empty_filters_bin_by_bin(256, 128, 0.0, 8000.0) == 14
-    assert empty_filters_bin_by_bin(2048, 1500, 0.0, 8000.0) == 299
+            assert mel_filterbank(rate, config).any(axis=1).all(), (rate, fields)
+    assert empty_filters_bin_by_bin(RATE, 512, 128, 0.0, 8000.0) == 1
+    assert empty_filters_bin_by_bin(RATE, 256, 128, 0.0, 8000.0) == 14
+    assert empty_filters_bin_by_bin(RATE, 2048, 1500, 0.0, 8000.0) == 299
+    # a bin on a filter's upper edge is outside it: 7750 Hz is bin 31 of n_fft 64, and
+    # the breakpoints end on it exactly
+    with pytest.raises(ValueError, match="^13 of the 13 mel filters"):
+        mel_filterbank(RATE, FeatureConfig(n_fft=64, hop=64, n_mels=13, fmin=7600.0,
+                                           fmax=7750.0))
     # a bin lies inside at most two filters: n_mels is bounded before any array of
     # its size is made
     with pytest.raises(ValueError, match=r"^n_mels 2051 exceeds n_fft \+ 2 = 2050"):
         FeatureConfig(n_mels=2051)
-    # and so is fmax, whose breakpoints would all be NaN
-    with pytest.raises(ValueError, match="fmax finite"):
-        FeatureConfig(fmax=math.inf)
+    # a config past 16 kHz's Nyquist frequency still serves a 22.05 kHz clip
+    clip = AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * np.arange(22050) / 22050), 22050)
+    assert np.isfinite(mfcc(clip, FeatureConfig(fmax=11025.0))).all()
 
 
 def test_features_csv_roundtrip_exact(tmp_path):

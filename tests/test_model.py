@@ -140,6 +140,8 @@ def test_model_layer_takes_only_real_numbers():
     with pytest.raises(VocalScreenError, match="^a train matrix must hold real numbers"):
         KnnModel(train_matrix=[["1.5"]], train_labels=["control"], k=1, p=2.0,
                  scaler=identity_scaler(1), feature_config=FeatureConfig())
+    with pytest.raises(VocalScreenError, match="^a feature row must hold real numbers"):
+        transform(identity_scaler(2), ["1.5", "2.5"])
     assert as_matrix([[True, 2], [0, 3]]).tolist() == [[1.0, 2.0], [0.0, 3.0]]
     assert as_matrix(np.ones((2, 2), dtype=np.float32)).dtype == np.float64
 
@@ -624,6 +626,16 @@ def saved_payload(tmp_path):
     return json.loads((tmp_path / "model.json").read_text())
 
 
+def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
+    # extract --n-fft 512 once wrote such a model: its constants are compared with
+    # the features' record, never turned into a filterbank, so it still loads
+    payload = saved_payload(tmp_path)
+    payload["feature_config"].update(n_fft=512, hop=128)
+    path = tmp_path / "n_fft_512.json"
+    write_redigested(path, payload)
+    assert load_model(path).feature_config == FeatureConfig(n_fft=512, hop=128)
+
+
 @pytest.mark.parametrize("mutate, reason", [
     (lambda m: m.update(p=0.5), "p must be >= 1"),
     (lambda m: m.pop("scaler"), "missing field 'scaler'"),
@@ -913,6 +925,11 @@ def test_block_raises_for_the_query_whose_nearest_rows_overflow():
     for block in ([near, far], [far, near]):
         with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: .* nearest row 3 "):
             _answers(model, np.array(block), {2.0: {1, 3}})
+    # the filter still finds query 0's rows in the block query 1 overflows in
+    with np.errstate(over="ignore", invalid="ignore"):
+        heads = _filtered_heads(model, np.array([near, far]), 3, np.empty((2, 2, 5)))
+    assert heads[0] == (2.0, [0, 1, 2])
+    assert heads[1][0] == np.inf and heads[1][1][:2] == [3, 4]
 
 
 def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():
