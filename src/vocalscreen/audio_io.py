@@ -97,6 +97,11 @@ class AudioClip:
     expects mono. ``AudioClip(...)`` checks the shape and scans every
     sample; ``_from_checked`` builds a clip from values derived from
     checked samples (see the module docstring), without that scan.
+
+    Both keep the array they are given, without a copy, and mark it
+    read-only, so a later write through it raises ValueError instead of
+    putting an unchecked value into a checked clip. A view of that array
+    taken before construction is still writable and still aliases it.
     """
 
     samples: np.ndarray
@@ -116,12 +121,14 @@ class AudioClip:
             raise ValueError(f"samples must have shape (n,) or (n, channels), got {shape}")
         if not _in_range(self.samples):
             raise ValueError("samples must be finite and lie in [-1.0, 1.0]")
+        self.samples.flags.writeable = False
 
     @classmethod
     def _from_checked(cls, samples: np.ndarray, sample_rate: int) -> "AudioClip":
         """A clip of float64 ``samples`` of a valid shape, each derived from
         checked samples, at a valid ``sample_rate``: built without a scan."""
         clip = object.__new__(cls)
+        samples.flags.writeable = False
         object.__setattr__(clip, "samples", samples)
         object.__setattr__(clip, "sample_rate", sample_rate)
         return clip

@@ -18,11 +18,14 @@ only) > built-in default, taken from the library's dataclasses. Each
 ``--key=value`` (``--key`` / ``--no-key`` for true / false) and parsed
 ahead of the command line, so it is checked like the same flag typed
 out; an unknown key is a usage error. ``--seed`` exists only for synth,
-split and select, the stages that draw random numbers. Every run records
-its parsed flags, all but --out and --config, in <out>/<command>.run.json;
-extract's record holds its constants in the nested shape train binds from
-the extract.run.json beside --features. Outputs never embed timestamps, so
-reruns with the same inputs and seed are byte-identical.
+split and select, the stages that draw random numbers. A handler writes
+its outputs and prints its summary; then ``main``, the one writer of run
+records, writes <out>/<command>.run.json: the parsed flags, all but --out
+and --config, or for extract the record its handler returns, which holds
+its constants in the nested shape train binds from the extract.run.json
+beside --features. A stage that fails writes no record. Outputs never
+embed timestamps, so reruns with the same inputs and seed are
+byte-identical.
 """
 
 import argparse
@@ -88,15 +91,6 @@ def load_config(path) -> list:
     return args
 
 
-def _write_run_config(ns, record: dict | None = None) -> None:
-    """Write <out>/<command>.run.json: ``record``, by default every parsed flag but --out
-    and --config, under the command's name."""
-    if record is None:
-        record = {key: value for key, value in vars(ns).items()
-                  if key not in ("out", "config", "handler")}
-    dataset.write_json(Path(ns.out) / f"{ns.command}.run.json", {**record, "command": ns.command})
-
-
 def _recorded_config(features_path) -> FeatureConfig | None:
     """The feature_config of the extract.run.json beside a features CSV; None without one."""
     path = Path(features_path).parent / "extract.run.json"
@@ -111,12 +105,13 @@ def _segment_id(manifest_path: str, index: int) -> str:
     return f"{base}.seg{index:03d}"
 
 
-def _join_features(features_path, manifest_path, manifest: dataset.DatasetManifest):
-    """Select feature rows by manifest order; fail loudly on missing ids."""
+def _join_features(features_path, manifest_path):
+    """The feature rows and labels of the manifest's segments, in manifest order; a segment
+    missing from the features CSV names both files."""
     ids, _labels, matrix = read_features_csv(features_path)
     index = {sid: i for i, sid in enumerate(ids)}
     rows, labels = [], []
-    for row in manifest:
+    for row in dataset.load_manifest(manifest_path):
         if row.path not in index:
             raise VocalScreenError(f"{features_path}: no row for segment {row.path!r}"
                                    f" of {manifest_path}")
@@ -156,7 +151,7 @@ def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
 # --- subcommand handlers -------------------------------------------------
 
 
-def cmd_synth(ns) -> int:
+def cmd_synth(ns) -> None:
     with _named("--seed/--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
         spec = synth.CohortSpec(
             speakers_per_class=ns.speakers_per_class,
@@ -164,10 +159,8 @@ def cmd_synth(ns) -> int:
             seed=ns.seed,
         )
     manifest = synth.generate_cohort(spec, ns.out)
-    _write_run_config(ns)
     print(f"synth: wrote {len(manifest)} recordings + cohort.csv to {ns.out}")
     print(f"note: {synth.NON_CLINICAL_NOTE}")
-    return 0
 
 
 def _recording_features(wav_path, source_id: str, silence, segment_seconds, config) -> list:
@@ -187,7 +180,9 @@ def _recording_features(wav_path, source_id: str, silence, segment_seconds, conf
     return [extract_features(seg, config) for seg in segments]
 
 
-def cmd_extract(ns) -> int:
+def cmd_extract(ns) -> dict:
+    """Write features.csv and segments.csv; return the run record, which holds the
+    constants in the nested shape train binds."""
     manifest_path = Path(ns.manifest)
     with _named("--frame-seconds/--hop-seconds/--threshold-ratio", ValueError, usage=True):
         silence = preprocess.SilenceParams(
@@ -216,7 +211,7 @@ def cmd_extract(ns) -> int:
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
         raise VocalScreenError(f"{manifest_path}: empty manifest")
-    feature_rows, segment_rows = [], []
+    feature_rows, segment_rows, recording_of = [], [], {}
     for row in manifest.rows:
         wav_path = Path(row.path)
         if not wav_path.is_absolute():
@@ -224,45 +219,46 @@ def cmd_extract(ns) -> int:
         values = _recording_features(wav_path, row.path, silence, segment_seconds, config)
         feature_rows += values
         for i in range(len(values)):
-            segment_rows.append(dataset.ManifestRow(path=_segment_id(row.path, i),
-                                                    label=row.label, participant=row.participant))
+            sid = _segment_id(row.path, i)
+            if sid in recording_of:  # a/b.wav and a__b.wav, or x.wav and x.WAV
+                raise VocalScreenError(f"{manifest_path}: recordings {recording_of[sid]!r} and"
+                                       f" {row.path!r} both give segment id {sid!r}")
+            recording_of[sid] = row.path
+            segment_rows.append(dataset.ManifestRow(path=sid, label=row.label,
+                                                    participant=row.participant))
+    segment_manifest = dataset.DatasetManifest(rows=segment_rows)
 
     ns.out.mkdir(parents=True, exist_ok=True)
     write_features_csv(ns.out / "features.csv", [r.path for r in segment_rows],
                        [r.label for r in segment_rows], feature_rows)
-    segment_manifest = dataset.DatasetManifest(rows=segment_rows)
     dataset.save_manifest(ns.out / "segments.csv", segment_manifest)
-    _write_run_config(ns, {
+    counts = segment_manifest.label_counts()
+    summary = ", ".join(f"{label}={counts[label]}" for label in sorted(counts))
+    print(f"extract: {len(segment_manifest)} segments ({summary}) -> {ns.out}")
+    return {
         "manifest": str(manifest_path),
         "segment_seconds": segment_seconds,
         "silence": asdict(silence),
         "feature_config": asdict(config),
-    })
-    counts = segment_manifest.label_counts()
-    summary = ", ".join(f"{label}={counts[label]}" for label in sorted(counts))
-    print(f"extract: {len(segment_manifest)} segments ({summary}) -> {ns.out}")
-    return 0
+    }
 
 
-def cmd_split(ns) -> int:
+def cmd_split(ns) -> None:
     with _named("--train-fraction/--mode", ValueError, usage=True):
         spec = dataset.SplitSpec(train_fraction=ns.train_fraction, seed=ns.seed, mode=ns.mode)
     manifest = dataset.load_manifest(ns.manifest)
     train, test = dataset.split(manifest, spec)
     ns.out.mkdir(parents=True, exist_ok=True)
     sidecar = dataset.write_split(ns.out, train, test, spec)
-    _write_run_config(ns)
     print(f"split[{spec.mode}]: train={sidecar['counts']['train']['total']}"
           f" test={sidecar['counts']['test']['total']} -> {ns.out}")
-    return 0
 
 
-def cmd_train(ns) -> int:
+def cmd_train(ns) -> None:
     k, p, use_scaler = ns.k, ns.p, ns.scaler
     with _named("--k/--p", ValueError, model.EvenK, usage=True):
         model.check_k_and_p(k, p)
-    manifest = dataset.load_manifest(ns.manifest)
-    features, labels = _join_features(ns.features, ns.manifest, manifest)
+    features, labels = _join_features(ns.features, ns.manifest)
     if not labels:
         raise model.EmptyTrainingSet(f"{ns.manifest}: no segments to train on")
     with _named(ns.features, model.ScalerOverflow):
@@ -273,17 +269,14 @@ def cmd_train(ns) -> int:
                                feature_config=_recorded_config(ns.features) or FeatureConfig())
     ns.out.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, ns.out / "model.json")
-    _write_run_config(ns)
     print(f"train: {evaluation.PipelineCandidate(k, p, use_scaler).describe()}"
           f" on {len(labels)} segments -> {ns.out / 'model.json'}")
-    return 0
 
 
-def cmd_evaluate(ns) -> int:
-    manifest = dataset.load_manifest(ns.manifest)
-    if not len(manifest):
+def cmd_evaluate(ns) -> None:
+    features, truth = _join_features(ns.features, ns.manifest)
+    if not truth:
         raise evaluation.EmptyInput(f"{ns.manifest}: no segments to score")
-    features, truth = _join_features(ns.features, ns.manifest, manifest)
     fitted = _load_model(ns.model, ns.features)
     split_mode = "unknown"
     if ns.split_sidecar:
@@ -304,12 +297,10 @@ def cmd_evaluate(ns) -> int:
     dataset.write_json(ns.out / "eval_report.json", report)
     text = evaluation.render_eval_text(report)
     (ns.out / "eval_report.txt").write_text(text)
-    _write_run_config(ns)
     print(text, end="")
-    return 0
 
 
-def cmd_predict(ns) -> int:
+def cmd_predict(ns) -> None:
     fitted = _load_model(ns.model, ns.features)
     ids, _labels, matrix = read_features_csv(ns.features)
     buffer = io.StringIO()
@@ -319,19 +310,15 @@ def cmd_predict(ns) -> int:
         writer.writerow([sid, label, repr(score)])
     text = buffer.getvalue()
     print(text, end="")
-    if ns.out:
-        out_dir = Path(ns.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "predictions.csv").write_text(text)
-        _write_run_config(ns)
-    return 0
+    if ns.out is not None:
+        ns.out.mkdir(parents=True, exist_ok=True)
+        (ns.out / "predictions.csv").write_text(text)
 
 
-def cmd_select(ns) -> int:
+def cmd_select(ns) -> None:
     with _named("--folds", ValueError, usage=True):
         evaluation.check_folds(ns.folds)
-    manifest = dataset.load_manifest(ns.manifest)
-    features, labels = _join_features(ns.features, ns.manifest, manifest)
+    features, labels = _join_features(ns.features, ns.manifest)
     # a class short of folds, or a fold's training part short of the grid's largest k
     with (_named(ns.features, model.DistanceOverflow, model.ScalerOverflow),
           _named(f"{ns.manifest}: too few rows for --folds {ns.folds}",
@@ -340,12 +327,10 @@ def cmd_select(ns) -> int:
                                         folds=ns.folds, seed=ns.seed)
     ns.out.mkdir(parents=True, exist_ok=True)
     dataset.write_json(ns.out / "selection_report.json", report)
-    _write_run_config(ns)
     print(evaluation.render_selection_text(report), end="")
-    return 0
 
 
-def cmd_stats(ns) -> int:
+def cmd_stats(ns) -> None:
     _ids, labels, matrix = read_features_csv(ns.features)
     if not labels:
         raise VocalScreenError(f"{ns.features}: no feature rows")
@@ -360,9 +345,7 @@ def cmd_stats(ns) -> int:
     dataset.write_json(ns.out / "stats.json", {"descriptives": stats, "t_tests": t_tests})
     text = evaluation.render_stats_text(stats, t_tests)
     (ns.out / "stats.txt").write_text(text)
-    _write_run_config(ns)
     print(text, end="")
-    return 0
 
 
 # --- parser ---------------------------------------------------------------
@@ -433,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common], help="print segment_id,label,score per row")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--out", default=None, help="also write predictions.csv here")
+    p.add_argument("--out", type=Path, default=None, help="also write predictions.csv here")
     p.set_defaults(handler=cmd_predict)
 
     p = sub.add_parser("select", parents=[seeded],
@@ -459,7 +442,14 @@ def main(argv=None) -> int:
             # config flags go right after the subcommand, so a flag on the command line wins
             at = argv.index(ns.command) + 1
             ns = parser.parse_args(argv[:at] + load_config(ns.config) + argv[at:])
-        return ns.handler(ns)
+        record = ns.handler(ns)
+        if ns.out is not None:  # every stage but predict without --out
+            if record is None:
+                record = {key: value for key, value in vars(ns).items()
+                          if key not in ("out", "config", "handler")}
+            dataset.write_json(ns.out / f"{ns.command}.run.json",
+                               {**record, "command": ns.command})
+        return 0
     except (VocalScreenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1

@@ -129,14 +129,17 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     check_folds(folds)
     if not labels:
         raise TooFewSamplesPerClass(f"no rows to deal into {folds} folds")
-    stream = SplitMix64(seed)
-    fold_indices = [[] for _ in range(folds)]
-    for label in sorted(set(labels)):
-        class_idx = [i for i, lab in enumerate(labels) if lab == label]
+    # every class is checked before anything is made that grows with folds
+    by_class = {label: [i for i, lab in enumerate(labels) if lab == label]
+                for label in sorted(set(labels))}
+    for label, class_idx in by_class.items():
         if len(class_idx) < folds:
             raise TooFewSamplesPerClass(
                 f"class {label!r} has {len(class_idx)} rows < {folds} folds"
             )
+    stream = SplitMix64(seed)
+    fold_indices = [[] for _ in range(folds)]
+    for class_idx in by_class.values():
         shuffled = fisher_yates(class_idx, stream)
         base, extra = divmod(len(shuffled), folds)
         start = 0

@@ -16,6 +16,7 @@ from vocalscreen.audio_io import (
     decode_wav,
     encode_wav,
     load_mono,
+    load_wav,
     max_wav_frames,
     resample,
     save_wav,
@@ -721,3 +722,23 @@ def test_clip_invariants():
             AudioClip(samples=np.zeros(4), sample_rate=rate)
     clip = AudioClip(samples=np.zeros(8000), sample_rate=16000)
     assert clip.duration_seconds == 0.5
+
+
+def test_clip_samples_cannot_change_after_the_check(tmp_path):
+    # a write through the array the clip kept put NaN into a checked clip
+    x = np.array([0.5, 0.25, -0.25])
+    clip = AudioClip(samples=x, sample_rate=16000)
+    assert clip.samples is x  # kept, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        x[1] = np.nan
+    assert clip.samples.tolist() == [0.5, 0.25, -0.25]
+    # an array the check rejects is left as the caller had it
+    bad = np.array([0.5, 1.5])
+    with pytest.raises(ValueError, match=r"\[-1.0, 1.0\]"):
+        AudioClip(samples=bad, sample_rate=16000)
+    bad[1] = 0.0
+    save_wav(tmp_path / "a.wav", AudioClip(samples=np.zeros((4, 2)), sample_rate=48000))
+    for made in (load_mono(tmp_path / "a.wav"), to_mono(load_wav(tmp_path / "a.wav")),
+                 resample(clip, 8000)):
+        with pytest.raises(ValueError, match="read-only"):
+            made.samples[0] = 0.0

@@ -84,7 +84,7 @@ def float32_wav(samples, sample_rate) -> bytes:
 
 
 def test_extract_rejects_nan_sample(tmp_path, capsys):
-    samples = tone(220.0, seconds=10.0).samples
+    samples = tone(220.0, seconds=10.0).samples.copy()
     samples[DEFAULT_SAMPLE_RATE] = np.nan  # one NaN once silenced the whole recording
     (tmp_path / "nan.wav").write_bytes(float32_wav(samples, DEFAULT_SAMPLE_RATE))
     manifest = tmp_path / "m.csv"
@@ -125,6 +125,25 @@ def test_extract_names_a_recording_without_a_segment(tmp_path, capsys):
     assert out.startswith("extract: 2 segments (control=0, depression=2) ->")
     ids, _, _ = read_features_csv(tmp_path / "out" / "features.csv")
     assert ids == ["long.seg000", "long.seg001"]
+
+
+@pytest.mark.parametrize("first, second, sid", [
+    ("a/b.wav", "a__b.wav", "a__b.seg000"),
+    ("x.wav", "x.WAV", "x.seg000"),
+])
+def test_extract_rejects_recordings_that_share_a_segment_id(tmp_path, capsys, first, second,
+                                                            sid):
+    # extract wrote both rows to features.csv, then failed naming only the id
+    (tmp_path / "a").mkdir()
+    for name in (first, second):
+        (tmp_path / name).write_bytes(encode_wav(tone(220.0, seconds=5.0)))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,label,participant\n{first},control,p0\n{second},control,p1\n")
+    rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {manifest}: recordings {first!r} and"
+                                       f" {second!r} both give segment id {sid!r}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_split_outputs(small_cohort):
@@ -351,19 +370,24 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_extract_bounds_n_mels_before_allocating(tmp_path):
-    # --n-mels 100000 on a recording with a segment ended in numpy's
-    # _ArrayMemoryError traceback from a 74.5 GiB DCT matrix, and a check of the mel
-    # filters at 2**30 FFT bins would ask for 8 GB arrays of breakpoints; run in a
-    # child whose address space is capped, so a regression cannot take this
-    # process's memory
-    (tmp_path / "tone.wav").write_bytes(encode_wav(tone(220.0, seconds=5.0)))
-    (tmp_path / "m.csv").write_text("path,label,participant\ntone.wav,control,p0\n")
+def capped_main(argv, limit_bytes, cwd=None) -> subprocess.CompletedProcess:
+    """cli.main(argv) run in a child whose address space is capped, so a regression that
+    allocates before it checks cannot take this process's memory."""
     src = [str(Path(__file__).resolve().parent.parent / "src")]
     src += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(src))
-    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30));"
-              " from vocalscreen.cli import main; sys.exit(main(sys.argv[1:]))")
+    capped = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit_bytes},"
+              f" {limit_bytes})); from vocalscreen.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", capped, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_extract_bounds_n_mels_before_allocating(tmp_path):
+    # --n-mels 100000 on a recording with a segment ended in numpy's
+    # _ArrayMemoryError traceback from a 74.5 GiB DCT matrix, and a check of the mel
+    # filters at 2**30 FFT bins would ask for 8 GB arrays of breakpoints
+    (tmp_path / "tone.wav").write_bytes(encode_wav(tone(220.0, seconds=5.0)))
+    (tmp_path / "m.csv").write_text("path,label,participant\ntone.wav,control,p0\n")
     for flags, message in [
         (["--n-mels", "100000"], "--n-fft/--fft-hop/--n-mels: n_mels 100000 exceeds n_fft + 2"
          " = 2050, the most mel filters an n_fft spectrum can fill"),
@@ -372,9 +396,8 @@ def test_extract_bounds_n_mels_before_allocating(tmp_path):
         (["--n-fft", "32768", "--n-mels", "32770"], "--n-fft/--fft-hop/--n-mels: 9525 of the"
          " 32770 mel filters hold no FFT bin of an n_fft 32768 spectrum at 16000 Hz"),
     ]:
-        done = subprocess.run([sys.executable, "-c", capped, "extract", "--manifest", "m.csv",
-                               "--out", str(tmp_path / "o"), *flags],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        done = capped_main(["extract", "--manifest", "m.csv", "--out", str(tmp_path / "o"),
+                            *flags], 2 << 30, cwd=tmp_path)
         assert done.returncode == 2, done.stderr
         assert done.stderr == f"error: {message}\n"
 
@@ -864,6 +887,21 @@ def test_too_few_rows_names_manifest_and_flag(small_cohort, tmp_path, capsys, st
     assert main([stage, "--features", str(work / "features.csv"), "--manifest", str(manifest),
                  "--out", str(tmp_path / "o"), *flags]) == 1
     assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_select_checks_folds_before_allocating(small_cohort, tmp_path):
+    # on 20 rows, --folds 100000000 and 2**63 built one list per fold before comparing
+    # a class with them, and ended in a MemoryError traceback under a 1 GiB cap
+    work = small_cohort / "work"
+    manifest = first_rows_manifest(work, tmp_path / "few.csv", {"control": 10, "depression": 10})
+    for folds in (100000000, 2 ** 63):
+        done = capped_main(["select", "--features", str(work / "features.csv"),
+                            "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                            "--folds", str(folds)], 1 << 30)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == (f"error: {manifest}: too few rows for --folds {folds}:"
+                               f" class 'control' has 10 rows < {folds} folds\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +95,13 @@ def test_dft_linearity():
     np.testing.assert_allclose(combined, separate, rtol=1e-9, atol=1e-12)
 
 
+def test_complex_spectrum_is_the_hann_windowed_dft():
+    # the power spectrum cannot tell a window from its negation; the complex one can
+    frame = np.arange(8.0)
+    np.testing.assert_allclose(complex_spectrum(frame), np.fft.rfft(frame * hann_reference(8)),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_power_spectra_framing():
     clip = AudioClip(samples=np.zeros(2048 + 512 * 3 + 100), sample_rate=RATE)
     spectra = power_spectra(clip, FeatureConfig())
@@ -139,6 +147,19 @@ def test_filterbank_matches_literal_construction():
 
 def test_filterbank_rejects_fmax_above_nyquist():
     with pytest.raises(ValueError):
+        mel_filterbank(8000, FeatureConfig())
+
+
+def test_spectral_steps_name_what_they_cannot_take():
+    # a bare ValueError also comes from later checks (an empty filter past Nyquist),
+    # or from numpy, so each message is matched
+    with pytest.raises(ValueError, match="^unknown window 'hamming'$"):
+        complex_spectrum(np.zeros(8), window="hamming")
+    with pytest.raises(ValueError, match="^frame must be one-dimensional$"):
+        complex_spectrum(np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="^power_spectra expects a mono clip$"):
+        power_spectra(AudioClip(samples=np.zeros((4096, 2)), sample_rate=RATE))
+    with pytest.raises(ValueError, match=r"^fmax 8000.0 exceeds Nyquist 4000.0$"):
         mel_filterbank(8000, FeatureConfig())
 
 
@@ -415,6 +436,25 @@ def test_extract_features_row_invariants(samples, config):
 
 
 # --- types and serialization ------------------------------------------------
+
+
+def test_feature_config_bounds_and_record():
+    # n_fft 2 passes the power-of-two rule; the n_mels bound is what rejects it
+    with pytest.raises(ValueError, match=r"^n_mels 128 exceeds n_fft \+ 2 = 4,"):
+        FeatureConfig(n_fft=2, hop=1)
+    with pytest.raises(ValueError, match="^need 0 <= fmin < fmax$"):
+        FeatureConfig(fmin=-0.5)
+    with pytest.raises(ValueError, match="^n_mfcc cannot exceed n_mels$"):
+        FeatureConfig(n_mels=12)
+    assert FeatureConfig(peak_threshold_db=0.0).peak_threshold_db == 0.0
+    with pytest.raises(ValueError, match="^peak_threshold_db must be non-negative$"):
+        FeatureConfig(peak_threshold_db=-0.5)
+    record = {f.name: getattr(FeatureConfig(), f.name) for f in fields(FeatureConfig)}
+    assert FeatureConfig.from_record(record) == FeatureConfig()
+    for bad in ({**record, "extra": 1}, {k: v for k, v in record.items() if k != "hop"}, [1]):
+        with pytest.raises(ValueError, match="^feature_config must be an object with exactly"):
+            FeatureConfig.from_record(bad)
+
 
 
 def test_feature_config_invariants():

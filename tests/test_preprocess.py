@@ -192,3 +192,11 @@ def test_segment_set_shares_rate_and_exact_length():
     assert len(segs) == 3
     assert {s.sample_rate for s in segs} == {RATE}
     assert all(len(s) == int(2.5 * RATE) for s in segs)
+
+
+def test_voiced_audio_and_segments_are_read_only():
+    clip = clip_of(np.r_[np.zeros(RATE), np.full(2 * RATE, 0.5)])
+    voiced = remove_silence(clip)
+    for made in (voiced, *segment(voiced, 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            made.samples[0] = 0.0
