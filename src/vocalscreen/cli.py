@@ -158,7 +158,9 @@ def cmd_synth(ns) -> None:
             seconds_per_speaker=ns.seconds_per_speaker,
             seed=ns.seed,
         )
-    manifest = synth.generate_cohort(spec, ns.out)
+    # a valid length can still need more memory than there is: one speaker's samples
+    with _named("--seconds-per-speaker", MemoryError):
+        manifest = synth.generate_cohort(spec, ns.out)
     print(f"synth: wrote {len(manifest)} recordings + cohort.csv to {ns.out}")
     print(f"note: {synth.NON_CLINICAL_NOTE}")
 

@@ -76,8 +76,8 @@ class FeatureConfig:
         if self.n_mels > self.n_fft + 2:
             raise ValueError(f"n_mels {self.n_mels} exceeds n_fft + 2 = {self.n_fft + 2},"
                              f" the most mel filters an n_fft spectrum can fill")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
+        if not 0 < self.log_floor < math.inf:  # NaN too, which a JSON record can hold
+            raise ValueError(f"log_floor must be positive and finite, got {self.log_floor!r}")
         if not self.peak_threshold_db >= 0:
             raise ValueError("peak_threshold_db must be non-negative")
 

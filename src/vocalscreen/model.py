@@ -21,18 +21,14 @@ orders rows as their squared distance does, and only the rows that
 ranking cannot rule out, by a margin above its rounding error, get an
 exact distance (_filtered_heads). A single query, and every p but 2, is
 a scan: each such p differences the query against the training rows.
-Both paths take every exact distance from
-one distance kernel, _minkowski, which works on a dimension-major copy
-of the training matrix and sums a query's |a - b|^p terms over
-dimensions with whole-row vector adds in np.sum's pairwise order, so
-each distance is bit-identical to
-np.sum(np.abs(a - b) ** p, axis=-1) ** (1 / p). The dimensions of each
-whole block of eight are stored in lane order (_lane_order), so the
-pairwise combination of np.sum's eight running sums is three adds of one
-contiguous half onto the other; every add keeps its operands and their
-order, so no bit changes. The kernel skips the steps that change no bit:
-p = 2 squares without the absolute value and takes np.sqrt, p = 1 takes
-neither power.
+Both paths take every exact distance from one distance kernel,
+_minkowski, which works on a dimension-major copy of the training matrix
+and adds a query's |a - b|^p terms left to right over the dimensions,
+|a0 - b0|^p + |a1 - b1|^p + ..., one numpy reduction for all training
+rows, then takes the 1/p root. So each distance is bit-identical to a
+plain loop that adds a row's terms in turn. The kernel skips the steps
+that change no bit: p = 2 squares without the absolute value and takes
+np.sqrt, p = 1 takes neither power.
 
 KnnModel is the one owner of what a valid model is: whether fitted,
 loaded from a file or re-parameterized for a grid candidate, it checks
@@ -48,7 +44,7 @@ and streams them to the digest and the file.
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -57,11 +53,6 @@ from .errors import VocalScreenError
 from .features import FeatureConfig
 
 MODEL_SCHEMA_VERSION = 1
-
-# np.sum's eight running sums r0..r7, stored so that its combination
-# ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) adds contiguous halves: r0+r1 sit at
-# rows 0 and 4, r2+r3 at 2 and 6, and so on
-_LANES = [0, 4, 2, 6, 1, 5, 3, 7]
 
 # matrix rows per C-encoder call in save_model
 _CHUNK_ROWS = 128
@@ -188,75 +179,34 @@ def transform(scaler: ScalerParams, x) -> np.ndarray:
     return (_real(x, "a feature row") - scaler.means) / scaler.stds
 
 
-@cache
-def _lane_order(dims: int) -> np.ndarray:
-    """The order _sum_rows needs the dimensions of a dimension-major array in.
-
-    Each whole block of 8 dimensions is stored in _LANES order; the tail
-    of dims mod 8, and every dimension below 8, keeps its place. Made once
-    per dimension count and read-only, so every caller shares it.
-    """
-    order = np.arange(dims)
-    blocks = dims - dims % 8
-    order[:blocks] = order[:blocks].reshape(-1, 8)[:, _LANES].ravel()
-    order.flags.writeable = False
-    return order
-
-
-def _sum_rows(terms: np.ndarray) -> np.ndarray:
-    """Sum the rows of ``terms``, in _lane_order, into ``terms[0]`` in np.sum's pairwise order.
-
-    Each column is added up exactly as np.sum adds the values of one
-    contiguous row: sequentially below 8 values; up to 128, in eight
-    running sums (value i goes to sum i mod 8), combined pairwise, then
-    the tail of n mod 8 values in turn; above 128, as two halves split at
-    a multiple of 8, so every half's blocks of 8 are whole blocks of the
-    lane order. Every step is a whole-row vector add. With the rows in
-    lane order the combination is three halvings (rows 4-7 onto 0-3, 2-3
-    onto 0-1, 1 onto 0) of contiguous, disjoint rows, which numpy adds
-    without the copy a strided, interleaved add of one buffer costs; each
-    add has np.sum's operands in np.sum's operand order, so no bit changes,
-    not even a NaN's sign. Skipping np.sum's +0.0 start changes no bit
-    unless a column is all -0.0, which |a - b|^p never is.
-    """
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _sum_rows(terms[:half])
-        terms[0] += _sum_rows(terms[half:])
-        return terms[0]
-    tail = 1  # below 8 rows, every row after the first
-    if n >= 8:
-        tail = n - n % 8
-        for start in range(8, tail, 8):
-            terms[:8] += terms[start:start + 8]
-        for half in (4, 2, 1):  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-            terms[:half] += terms[half:2 * half]
-    for row in terms[tail:]:
-        terms[0] += row
-    return terms[0]
-
-
 def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
-    """Minkowski distances from a dimension-major (dims, ...) array of a - b.
+    """Minkowski distances from a C-contiguous, dimension-major (dims, n) array of a - b.
 
-    The one distance kernel, on dimensions in _lane_order: ``diffs`` is
-    overwritten with |a - b|^p, summed over dimensions by _sum_rows, and
-    the sums are taken to the 1/p. Both power steps run on arrays, so a
-    pair and a stack share them. p = 2 squares a - b in place and takes
-    np.sqrt of the sums, p = 1 sums |a - b| as it is; no bit changes,
-    because numpy computes ``** 2.0`` as np.square and ``** 0.5`` as
-    np.sqrt, (-x)^2 == x^2, and x ** 1.0 == x. A NaN difference may keep
-    its sign bit under p = 2.
+    The one distance kernel: ``diffs`` is overwritten with |a - b|^p, its
+    rows are added left to right, and the sums are taken to the 1/p. numpy
+    reduces the first axis of such an array row by row when n >= 2, but
+    sums a lone column, contiguous, pairwise, so that one is accumulated.
+    Both power steps run on arrays, so a pair and a stack share them. p = 2
+    squares a - b in place and takes np.sqrt of the sums, p = 1 sums
+    |a - b| as it is; no bit changes, because numpy computes ``** 2.0`` as
+    np.square and ``** 0.5`` as np.sqrt, (-x)^2 == x^2, and x ** 1.0 == x.
+    Starting each sum at its first term, not at +0.0, changes no bit, as
+    |a - b|^p is never -0.0. A NaN difference may keep its sign bit under
+    p = 2.
     """
     if p == 2:
         np.square(diffs, out=diffs)
-        return np.sqrt(_sum_rows(diffs))
-    np.abs(diffs, out=diffs)
-    if p == 1:
-        return _sum_rows(diffs)
-    diffs **= p
-    return _sum_rows(diffs) ** (1.0 / p)
+    else:
+        np.abs(diffs, out=diffs)
+        if p != 1:
+            diffs **= p
+    if diffs.shape[1] == 1:
+        sums = np.add.accumulate(diffs)[-1]
+    else:
+        sums = np.add.reduce(diffs, axis=0)
+    if p == 2:
+        return np.sqrt(sums)
+    return sums if p == 1 else sums ** (1.0 / p)
 
 
 def check_k_and_p(k, p) -> None:
@@ -316,9 +266,9 @@ class KnnModel:
     def _dims_major(self) -> np.ndarray:
         """The training matrix as a C-contiguous (dims, rows) copy, made once per model.
 
-        Its rows are the dimensions in _lane_order, the order _sum_rows adds them in.
+        Its rows are the dimensions in order, the order _minkowski adds them in.
         """
-        return np.ascontiguousarray(self.train_matrix.T[_lane_order(self.train_matrix.shape[1])])
+        return np.ascontiguousarray(self.train_matrix.T)
 
     @cached_property
     def _squared_norms(self) -> np.ndarray:
@@ -347,14 +297,11 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
 
 
 def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
-    """Training rows minus a standardized query, dimension-major in lane order.
-
-    This is _minkowski's input.
-    """
+    """Training rows minus a standardized query, dimension-major: _minkowski's input."""
     columns = model._dims_major
     # one flat subtract from the query repeated along each dimension's row; numpy
     # buffers the broadcast form of this subtract, which measured slower
-    diffs = np.repeat(query[_lane_order(len(query))], columns.shape[1]).reshape(columns.shape)
+    diffs = np.repeat(query, columns.shape[1]).reshape(columns.shape)
     return np.subtract(columns, diffs, out=diffs)
 
 
@@ -372,12 +319,12 @@ def _nearest(d: np.ndarray, count: int) -> tuple:
     return kth, head[np.argsort(d[head], kind="stable")][:count].tolist()
 
 
-def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndarray) -> list:
-    """_nearest's first ``count`` p = 2 rows for each query of a block, found through a filter.
+def _filtered_heads(model: KnnModel, queries: np.ndarray, count: int, out: np.ndarray) -> list:
+    """_nearest's first ``count`` p = 2 rows for each of a block of queries, found through a filter.
 
     Returns one (count-th distance, rows) pair per query, as _nearest
     does, and leaves numpy's error state to the caller, _answers.
-    ``out`` is a float64 work array of shape (2, at least len(block),
+    ``out`` is a float64 work array of shape (2, at least len(queries),
     training rows), which the caller reuses across blocks: at 16 queries
     of 1624 rows each half is above malloc's mmap threshold, and fresh
     ones, each page faulted in anew, measured to double this function's
@@ -389,7 +336,8 @@ def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndar
        count-th smallest s of the query. A NaN s keeps its row, so a block
        whose filter overflows scans every row.
     3. Exact distances of the candidates by _minkowski, which sums each
-       column on its own, so each has the bits the full scan gives it.
+       column on its own, left to right, so each has the bits the full
+       scan gives it.
     4. Each query's candidates ordered by (distance, row): _nearest's head.
 
     No nearest row is lost. Let u = 2^-53, d the dimension count and
@@ -399,8 +347,11 @@ def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndar
     terms' magnitudes in any summation order, so for any BLAS and thread
     count; those sums are at most M and |q||t| <= M / 2, and the last
     addition adds u |s| <= 2 u M, so s is within 2(d + 1) u M of
-    |t|^2 - 2 q.t. The kernel's squared distance is within (d + 2) u of
-    |t - q|^2 <= 2M, relatively, and its square root rounds monotonically.
+    |t|^2 - 2 q.t. The kernel's squared distance, d rounded squares of
+    rounded differences added left to right, is within (d + 2) u of
+    |t - q|^2 <= 2M, relatively (3 u per term, and (d - 1) u for the
+    recursive sum of non-negative terms, §4.2), and its square root rounds
+    monotonically.
     If row j is among the count nearest but not among the count of
     smallest s, one of those, r, ranks after j, so
     |t_j - q|^2 <= |t_r - q|^2 + 4(d + 4) u M and s_j <= kth + 8(d + 4) u M.
@@ -412,8 +363,7 @@ def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndar
     """
     columns = model._dims_major
     dims = len(columns)
-    queries = np.asarray(block)[:, _lane_order(dims)]  # coordinates in the columns' order
-    s, ranked = out[:, :len(block)]
+    s, ranked = out[:, :len(queries)]
     np.matmul(-2.0 * queries, columns, out=s)  # scaling by -2 is exact
     s += model._squared_norms
     np.copyto(ranked, s)
@@ -424,10 +374,10 @@ def _filtered_heads(model: KnnModel, block: np.ndarray, count: int, out: np.ndar
                      np.inf)
     # a flat index search, which measured three times as fast as np.nonzero's pair
     which, rows = np.divmod(np.flatnonzero(~(s > limit[:, None])), s.shape[1])
-    diffs = columns[:, rows]
+    diffs = columns.take(rows, axis=1)  # C-contiguous; columns[:, rows] is laid out by column
     distances = _minkowski(np.subtract(diffs, queries.T[:, which], out=diffs), 2.0)
     order = np.lexsort((rows, distances, which))
-    counts = np.bincount(which, minlength=len(block))
+    counts = np.bincount(which, minlength=len(queries))
     starts = np.cumsum(counts) - counts  # every query has at least count candidates
     heads = rows[order][starts[:, None] + np.arange(count)]
     return list(zip(distances[order][starts + count - 1].tolist(), heads.tolist()))

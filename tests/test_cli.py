@@ -521,7 +521,10 @@ def test_stats_rejects_non_utf8_features(tmp_path, capsys):
     ('[1, 2]', "list indices must be integers"),
     (json.dumps({"feature_config": {**asdict(FeatureConfig()), "hop": 512.0}}),
      "hop must be an integer, got 512.0"),
-], ids=["malformed-json", "unknown-field", "no-feature-config", "not-an-object", "float-hop"])
+    (json.dumps({"feature_config": {**asdict(FeatureConfig()), "log_floor": float("nan")}}),
+     "log_floor must be positive and finite, got nan"),
+], ids=["malformed-json", "unknown-field", "no-feature-config", "not-an-object", "float-hop",
+        "nan-log-floor"])
 def test_bad_extract_record_exits_1_naming_it(small_cohort, tmp_path, capsys, content, reason):
     """train, evaluate and predict read extract.run.json beside --features, naming it if bad."""
     work = small_cohort / "work"
@@ -903,6 +906,17 @@ def test_select_checks_folds_before_allocating(small_cohort, tmp_path):
         assert done.stderr == (f"error: {manifest}: too few rows for --folds {folds}:"
                                f" class 'control' has 10 rows < {folds} folds\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_names_the_flag_when_a_speaker_does_not_fit_in_memory(tmp_path):
+    # 100000 s is a valid length, but one speaker's float64 samples take 11.9 GiB,
+    # and the allocation ended in a MemoryError traceback under a 1 GiB cap
+    done = capped_main(["synth", "--out", str(tmp_path / "o"), "--speakers-per-class", "1",
+                        "--seconds-per-speaker", "100000"], 1 << 30)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: --seconds-per-speaker: ")
+    assert "11.9 GiB" in done.stderr and done.stderr.count("\n") == 1
 
 
 def test_stats_single_row_group_names_features_and_group(small_cohort, tmp_path, capsys):

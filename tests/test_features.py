@@ -472,6 +472,9 @@ def test_feature_config_invariants():
         FeatureConfig(n_mfcc=12)  # a features table holds 13 MFCC columns
     with pytest.raises(ValueError):
         FeatureConfig(log_floor=0.0)
+    for value in (float("nan"), float("inf")):  # features of such a floor are not finite
+        with pytest.raises(ValueError, match=f"log_floor must be positive and finite, got {value}"):
+            FeatureConfig(log_floor=value)
     with pytest.raises(ValueError):
         FeatureConfig(peak_threshold_db=float("nan"))
     for field, value in [("hop", True), ("hop", 512.5), ("n_mels", 128.5), ("n_fft", 2048.0),

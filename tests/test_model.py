@@ -185,12 +185,16 @@ def test_minkowski_examples():
 
 
 def former_minkowski(matrix, query, p):
-    """Distances as first written: np.sum over each row, then the 1/p root.
+    """Distances by definition: each row's |a - b|^p added left to right, then the 1/p root.
 
-    A reference the kernel cannot share, so a fault in the kernel's
+    A column loop the kernel cannot share, so a fault in the kernel's
     summation order shows as a changed bit.
     """
-    return np.sum(np.abs(matrix - query) ** p, axis=-1) ** (1.0 / p)
+    terms = np.abs(matrix - query) ** p
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
+    return total ** (1.0 / p)
 
 
 def bits(values) -> bytes:
@@ -212,9 +216,9 @@ def assert_distance_paths_equal_former(matrix, query, p):
         assert answer == {p: {1: ("depression", 1.0)}}
 
 
-# 1-40 dims cover the sequential, block-of-eight and tail steps; 127-129 the
-# switch to halving above 128, 200 a halving at a multiple of 8, and 257 a
-# halving of each half (128 + 129), so the lane order is checked at every size
+# every count up to 40, and larger ones on both sides of powers of two and
+# multiples of 8, where a sum in np.sum's pairwise order or in blocks of
+# eight would first change a bit
 DISTANCE_DIMS = [*range(1, 41), 64, 127, 128, 129, 200, 257]
 
 
@@ -254,6 +258,37 @@ def test_distance_paths_equal_former_on_edge_differences(p):
         for query in queries:
             with np.errstate(over="ignore"):
                 assert_distance_paths_equal_former(matrix, query, p)
+
+
+def test_lone_column_distances_equal_former(monkeypatch):
+    # numpy sums a contiguous (dims, 1) array pairwise, not row by row: a 1-row
+    # model's scan and a filter block with one candidate both make one
+    rng = np.random.default_rng(67)
+    for dims in (9, 16, 40):
+        row = rng.normal(size=(1, dims)) * 10.0 ** rng.uniform(-3, 3, size=(1, dims))
+        query = rng.normal(size=dims)
+        # the premise: the pairwise sum of this row differs from the left-to-right one
+        assert bits(np.sum(np.abs(row - query))) != bits(former_minkowski(row, query, 1.0))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert_distance_paths_equal_former(row, query, p)
+    # 17 queries make a tail block of one, whose query lies near row 5 alone
+    train = rng.normal(size=(64, 40)) * 10.0 ** rng.uniform(-3, 3, size=(64, 40))
+    noise = rng.normal(size=40) * 10.0 ** rng.uniform(-4, 0, size=40)
+    queries = np.vstack([rng.normal(size=(16, 40)), train[5] + noise])
+    model = knn_fit(train, ["control", "depression"] * 32, k=1)
+    calls = []
+
+    def recording(diffs, p):
+        calls.append((diffs.shape, _minkowski(diffs, p)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("vocalscreen.model._minkowski", recording)
+    assert _answers(model, queries, {2.0: {1}}) == scan_answers(model, queries, {2.0: {1}})
+    shape, distances = calls[1]  # the tail block's, the scans' come after
+    former = former_minkowski(train, queries[16], 2.0)
+    assert shape == (40, 1) and np.argmin(former) == 5
+    assert bits(distances) == bits(former[5])
+    assert bits(np.sqrt(np.sum((train[5] - queries[16]) ** 2))) != bits(former[5])
 
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -664,6 +699,9 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     (lambda m: m["feature_config"].update(peak_threshold_db=None), "'>=' not supported"),
     (lambda m: m["feature_config"].update(hop=True), "hop must be an integer, got True"),
     (lambda m: m["feature_config"].update(n_mels=128.5), "n_mels must be an integer"),
+    # json reads NaN and Infinity, and extract then wrote non-finite features
+    (lambda m: m["feature_config"].update(log_floor=float("nan")), "log_floor must be positive"),
+    (lambda m: m["feature_config"].update(log_floor=float("inf")), "log_floor must be positive"),
 ])
 def test_load_rejects_invalid_model_with_valid_digest(tmp_path, mutate, reason):
     payload = saved_payload(tmp_path)
