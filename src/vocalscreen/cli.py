@@ -18,11 +18,14 @@ only) > built-in default, taken from the library's dataclasses. Each
 ``--key=value`` (``--key`` / ``--no-key`` for true / false) and parsed
 ahead of the command line, so it is checked like the same flag typed
 out; an unknown key is a usage error. ``--seed`` exists only for synth,
-split and select, the stages that draw random numbers. A handler writes
-its outputs and prints its summary; then ``main``, the one writer of run
-records, writes <out>/<command>.run.json: the parsed flags, all but --out
-and --config, or for extract the record its handler returns, which holds
-its constants in the nested shape train binds from the extract.run.json
+split and select, the stages that draw random numbers. extract takes no
+tuning flag: it runs the pipeline's one set of constants
+(preprocess.SEGMENT_SECONDS, SilenceParams() and FeatureConfig()), which
+only a library caller sets otherwise. A handler writes its outputs and
+prints its summary; then ``main``, the one writer of run records, writes
+<out>/<command>.run.json: the parsed flags, all but --out and --config,
+or for extract the record its handler returns, which holds its
+constants in the nested shape train binds from the extract.run.json
 beside --features. A stage that fails writes no record. Outputs never
 embed timestamps, so reruns with the same inputs and seed are
 byte-identical.
@@ -43,8 +46,8 @@ import numpy as np
 
 from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
-from .features import (N_FEATURES, FeatureConfig, extract_features, mel_filterbank,
-                       read_features_csv, write_features_csv)
+from .features import (N_FEATURES, FeatureConfig, extract_features, read_features_csv,
+                       write_features_csv)
 
 
 class _UsageError(VocalScreenError):
@@ -165,7 +168,7 @@ def cmd_synth(ns) -> None:
     print(f"note: {synth.NON_CLINICAL_NOTE}")
 
 
-def _recording_features(wav_path, source_id: str, silence, segment_seconds, config) -> list:
+def _recording_features(wav_path, source_id: str) -> list:
     """Feature rows of one recording's segments, in segment order.
 
     A recording with less voiced audio than one segment yields no row and
@@ -174,42 +177,18 @@ def _recording_features(wav_path, source_id: str, silence, segment_seconds, conf
     """
     with _named(source_id, VocalScreenError, OSError, ValueError):
         clip = audio_io.load_mono(wav_path)
-        voiced = preprocess.remove_silence(clip, silence)
-        segments = preprocess.segment(voiced, segment_seconds)
+        voiced = preprocess.remove_silence(clip)
+        segments = preprocess.segment(voiced)
     if not segments:
         print(f"extract: {source_id}: no segment, {voiced.duration_seconds:.2f} s voiced"
-              f" is shorter than {segment_seconds} s", file=sys.stderr)
-    return [extract_features(seg, config) for seg in segments]
+              f" is shorter than {preprocess.SEGMENT_SECONDS} s", file=sys.stderr)
+    return [extract_features(seg) for seg in segments]
 
 
 def cmd_extract(ns) -> dict:
-    """Write features.csv and segments.csv; return the run record, which holds the
-    constants in the nested shape train binds."""
+    """Write features.csv and segments.csv with the pipeline's constants; return the run
+    record, which holds those constants in the nested shape train binds."""
     manifest_path = Path(ns.manifest)
-    with _named("--frame-seconds/--hop-seconds/--threshold-ratio", ValueError, usage=True):
-        silence = preprocess.SilenceParams(
-            frame_seconds=ns.frame_seconds,
-            hop_seconds=ns.hop_seconds,
-            threshold_ratio=ns.threshold_ratio,
-        )
-    segment_seconds = ns.segment_seconds
-    # every segment is cut at the canonical rate, so its length is known before any decode
-    with _named("--segment-seconds", ValueError, usage=True):
-        segment_samples = preprocess.sample_count(segment_seconds, "segment_seconds")
-    with _named("--n-fft/--fft-hop/--n-mels", ValueError, usage=True):
-        config = FeatureConfig(
-            n_fft=ns.n_fft,
-            hop=ns.fft_hop,
-            n_mels=ns.n_mels,
-        )
-    if segment_samples < config.n_fft:
-        raise _UsageError(f"--segment-seconds/--n-fft: a {segment_seconds} s segment holds"
-                          f" {segment_samples} samples, fewer than one {config.n_fft}-sample"
-                          f" FFT frame")
-    # the bank extraction uses, made now so a mel filter that holds no FFT bin is a
-    # usage error; n_fft is bounded by the segment first, as n_mels is by n_fft
-    with _named("--n-fft/--fft-hop/--n-mels", ValueError, usage=True):
-        mel_filterbank(audio_io.DEFAULT_SAMPLE_RATE, config)
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
         raise VocalScreenError(f"{manifest_path}: empty manifest")
@@ -218,7 +197,7 @@ def cmd_extract(ns) -> dict:
         wav_path = Path(row.path)
         if not wav_path.is_absolute():
             wav_path = manifest_path.parent / wav_path
-        values = _recording_features(wav_path, row.path, silence, segment_seconds, config)
+        values = _recording_features(wav_path, row.path)
         feature_rows += values
         for i in range(len(values)):
             sid = _segment_id(row.path, i)
@@ -239,9 +218,9 @@ def cmd_extract(ns) -> dict:
     print(f"extract: {len(segment_manifest)} segments ({summary}) -> {ns.out}")
     return {
         "manifest": str(manifest_path),
-        "segment_seconds": segment_seconds,
-        "silence": asdict(silence),
-        "feature_config": asdict(config),
+        "segment_seconds": preprocess.SEGMENT_SECONDS,
+        "silence": asdict(preprocess.SilenceParams()),
+        "feature_config": asdict(FeatureConfig()),
     }
 
 
@@ -377,20 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=synth.CohortSpec.seconds_per_speaker)
     p.set_defaults(handler=cmd_synth)
 
-    silence, features = preprocess.SilenceParams, FeatureConfig
     p = sub.add_parser("extract", parents=[writes],
                        help="decode, de-silence, segment, and extract features")
     p.add_argument("--manifest", required=True, help="recording manifest CSV")
-    p.add_argument("--segment-seconds", type=float, default=4.0)
-    p.add_argument("--frame-seconds", type=float, default=silence.frame_seconds,
-                   help="silence-detector frame")
-    p.add_argument("--hop-seconds", type=float, default=silence.hop_seconds,
-                   help="silence-detector hop")
-    p.add_argument("--threshold-ratio", type=float, default=silence.threshold_ratio,
-                   help="silence RMS ratio")
-    p.add_argument("--n-fft", type=int, default=features.n_fft)
-    p.add_argument("--fft-hop", type=int, default=features.hop)
-    p.add_argument("--n-mels", type=int, default=features.n_mels)
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("split", parents=[seeded], help="deterministic train/test split")

@@ -65,8 +65,8 @@ class FeatureConfig:
             raise ValueError("need 0 < hop <= n_fft")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
             raise ValueError("n_fft must be a power of two, at least 2")
-        if not 0 <= self.fmin < self.fmax:
-            raise ValueError("need 0 <= fmin < fmax")
+        if not 0 <= self.fmin < self.fmax < math.inf:
+            raise ValueError("need 0 <= fmin < fmax < inf")
         if self.n_mfcc != N_MFCC:
             raise ValueError(f"n_mfcc must be {N_MFCC}, the MFCC columns of a features table")
         if self.n_mfcc > self.n_mels:
@@ -78,8 +78,9 @@ class FeatureConfig:
                              f" the most mel filters an n_fft spectrum can fill")
         if not 0 < self.log_floor < math.inf:  # NaN too, which a JSON record can hold
             raise ValueError(f"log_floor must be positive and finite, got {self.log_floor!r}")
-        if not self.peak_threshold_db >= 0:
-            raise ValueError("peak_threshold_db must be non-negative")
+        if not self.peak_threshold_db >= 0 or self.peak_threshold_db == math.inf:
+            raise ValueError(f"peak_threshold_db must be non-negative and finite,"
+                             f" got {self.peak_threshold_db!r}")
 
     @classmethod
     def from_record(cls, record) -> "FeatureConfig":

@@ -2,8 +2,8 @@
 
 A recording is reduced to its voiced samples by frame-RMS thresholding,
 then cut into consecutive non-overlapping segments of a fixed duration
-(4 s in the screening pipeline); the trailing remainder is discarded so
-every segment frames identically downstream.
+(SEGMENT_SECONDS in the screening pipeline); the trailing remainder is
+discarded so every segment frames identically downstream.
 """
 
 from dataclasses import dataclass
@@ -12,6 +12,8 @@ import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip
 from .rng import round_half_up
+
+SEGMENT_SECONDS = 4.0  # the screening pipeline's segment length
 
 
 def sample_count(seconds: float, name: str, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
@@ -113,7 +115,7 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
                                    clip.sample_rate)
 
 
-def segment(clip: AudioClip, segment_seconds: float) -> SegmentSet:
+def segment(clip: AudioClip, segment_seconds: float = SEGMENT_SECONDS) -> SegmentSet:
     """Cut a clip into consecutive non-overlapping windows of fixed length.
 
     The trailing remainder shorter than one window is discarded. A clip

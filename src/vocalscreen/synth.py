@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, max_wav_frames, save_wav
-from .dataset import DatasetManifest, ManifestRow, save_manifest, write_json
+from .dataset import LABELS, DatasetManifest, ManifestRow, save_manifest, write_json
 from .errors import VocalScreenError
 from .preprocess import sample_count
 from .rng import round_half_up
@@ -87,6 +87,9 @@ class CohortSpec:
             raise ValueError(f"seconds_per_speaker {self.seconds_per_speaker} gives {samples}"
                              f" samples at {DEFAULT_SAMPLE_RATE} Hz, more than the {limit}"
                              " a mono PCM16 WAV holds")
+        if not self.class_profiles or not set(self.class_profiles) <= set(LABELS):
+            raise ValueError(f"class_profiles must be keyed by one or more of {LABELS},"
+                             f" got {sorted(self.class_profiles)}")
         profiles = list(self.class_profiles.values())
         if len(profiles) >= 2 and all(p == profiles[0] for p in profiles[1:]):
             raise ValueError("class profiles must differ in at least one parameter")
@@ -184,15 +187,17 @@ def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
     """
     out_dir = Path(out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         rows = []
         for class_idx, label in enumerate(sorted(spec.class_profiles)):
             profile = spec.class_profiles[label]
             for speaker_idx in range(spec.speakers_per_class):
                 rng = np.random.default_rng([spec.seed, class_idx, speaker_idx])
                 name = f"{label}_s{speaker_idx:02d}.wav"
-                # no name holds the clip, so it is freed before the next speaker's
-                save_wav(out_dir / name, _speaker_clip(profile, spec.seconds_per_speaker, rng))
+                clip = _speaker_clip(profile, spec.seconds_per_speaker, rng)
+                if not rows:  # made after the first clip, so a clip too large leaves no directory
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                save_wav(out_dir / name, clip)
+                del clip  # freed before the next speaker's clip is made
                 rows.append(ManifestRow(path=name, label=label, participant=f"{label}_s{speaker_idx:02d}"))
         manifest = DatasetManifest(rows=rows)
         save_manifest(out_dir / "cohort.csv", manifest)

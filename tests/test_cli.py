@@ -316,33 +316,6 @@ def test_usage_error_exits_2(tmp_path, capsys):
         (["select", *files, "--config", str(asks_help)], "'help'"),
         (["split", "--manifest", "m.csv", "--out", out, "--train-fraction", "1.5"],
          "--train-fraction"),
-        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1000"], "--n-fft"),
-        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "1", "--fft-hop", "1"],
-         "--n-fft"),
-        # 13 MFCCs are taken from the mel bands, so 5 bands cannot give them
-        (["extract", "--manifest", "m.csv", "--out", out, "--n-mels", "5"],
-         "--n-fft/--fft-hop/--n-mels: n_mfcc cannot exceed n_mels"),
-        # 14 mel filters held no FFT bin, and their log floor went into the MFCCs
-        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "256", "--fft-hop", "128"],
-         "--n-fft/--fft-hop/--n-mels: 14 of the 128 mel filters hold no FFT bin"),
-        (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "0"],
-         "--segment-seconds"),
-        # an infinite duration overflowed its sample count into a traceback
-        (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "inf"],
-         "--segment-seconds: segment_seconds must be positive and finite"),
-        (["extract", "--manifest", "m.csv", "--out", out, "--frame-seconds", "inf",
-          "--hop-seconds", "1"], "--frame-seconds/--hop-seconds/--threshold-ratio: need 0"),
-        # so did a finite one whose sample count overflows float64
-        (["extract", "--manifest", "m.csv", "--out", out, "--segment-seconds", "1e305"],
-         "--segment-seconds: segment_seconds must be positive and finite, got 1e+305"),
-        (["extract", "--manifest", "m.csv", "--out", out, "--frame-seconds", "1e305",
-          "--hop-seconds", "1e305"], "--frame-seconds/--hop-seconds/--threshold-ratio:"
-         " frame_seconds must be positive and finite, got 1e+305"),
-        # a hop of zero samples divided by zero once a file was read
-        (["extract", "--manifest", "m.csv", "--out", out, "--hop-seconds", "1e-6"],
-         "--frame-seconds/--hop-seconds/--threshold-ratio: hop_seconds must be positive"),
-        (["extract", "--manifest", "m.csv", "--out", out, "--n-fft", "4096",
-          "--segment-seconds", "0.2"], "--segment-seconds/--n-fft: a 0.2 s segment holds 3200"),
         (["synth", "--out", out, "--speakers-per-class", "0"], "--speakers-per-class"),
         (["synth", "--out", out, "--seconds-per-speaker", "nan"], "--seconds-per-speaker"),
         (["synth", "--out", out, "--seconds-per-speaker", "inf"], "--seconds-per-speaker"),
@@ -370,6 +343,23 @@ def test_usage_error_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_extract_takes_no_tuning_flag(tmp_path, capsys):
+    # extract runs the pipeline's constants; a library caller sets others
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for action in subcommands["extract"]._actions for flag in action.option_strings}
+    assert flags == {"-h", "--help", "--manifest", "--out", "--config"}
+    config = tmp_path / "extract.conf"
+    config.write_text("n_fft = 1024\n")
+    for extra, unrecognized in ((["--n-fft", "1024"], "--n-fft 1024"),
+                                (["--config", str(config)], "--n-fft=1024")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["extract", "--manifest", "m.csv", "--out", str(tmp_path / "o"), *extra])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {unrecognized}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def capped_main(argv, limit_bytes, cwd=None) -> subprocess.CompletedProcess:
     """cli.main(argv) run in a child whose address space is capped, so a regression that
     allocates before it checks cannot take this process's memory."""
@@ -380,26 +370,6 @@ def capped_main(argv, limit_bytes, cwd=None) -> subprocess.CompletedProcess:
               f" {limit_bytes})); from vocalscreen.cli import main; sys.exit(main(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", capped, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
-
-
-def test_extract_bounds_n_mels_before_allocating(tmp_path):
-    # --n-mels 100000 on a recording with a segment ended in numpy's
-    # _ArrayMemoryError traceback from a 74.5 GiB DCT matrix, and a check of the mel
-    # filters at 2**30 FFT bins would ask for 8 GB arrays of breakpoints
-    (tmp_path / "tone.wav").write_bytes(encode_wav(tone(220.0, seconds=5.0)))
-    (tmp_path / "m.csv").write_text("path,label,participant\ntone.wav,control,p0\n")
-    for flags, message in [
-        (["--n-mels", "100000"], "--n-fft/--fft-hop/--n-mels: n_mels 100000 exceeds n_fft + 2"
-         " = 2050, the most mel filters an n_fft spectrum can fill"),
-        (["--n-fft", str(2 ** 30), "--n-mels", str(10 ** 9)], "--segment-seconds/--n-fft: a 4.0 s"
-         " segment holds 64000 samples, fewer than one 1073741824-sample FFT frame"),
-        (["--n-fft", "32768", "--n-mels", "32770"], "--n-fft/--fft-hop/--n-mels: 9525 of the"
-         " 32770 mel filters hold no FFT bin of an n_fft 32768 spectrum at 16000 Hz"),
-    ]:
-        done = capped_main(["extract", "--manifest", "m.csv", "--out", str(tmp_path / "o"),
-                            *flags], 2 << 30, cwd=tmp_path)
-        assert done.returncode == 2, done.stderr
-        assert done.stderr == f"error: {message}\n"
 
 
 def test_synth_into_a_path_under_a_file_exits_1_naming_it(tmp_path, capsys):
@@ -523,8 +493,10 @@ def test_stats_rejects_non_utf8_features(tmp_path, capsys):
      "hop must be an integer, got 512.0"),
     (json.dumps({"feature_config": {**asdict(FeatureConfig()), "log_floor": float("nan")}}),
      "log_floor must be positive and finite, got nan"),
+    (json.dumps({"feature_config": {**asdict(FeatureConfig()), "fmax": float("inf")}}),
+     "need 0 <= fmin < fmax < inf"),
 ], ids=["malformed-json", "unknown-field", "no-feature-config", "not-an-object", "float-hop",
-        "nan-log-floor"])
+        "nan-log-floor", "inf-fmax"])
 def test_bad_extract_record_exits_1_naming_it(small_cohort, tmp_path, capsys, content, reason):
     """train, evaluate and predict read extract.run.json beside --features, naming it if bad."""
     work = small_cohort / "work"
@@ -548,11 +520,16 @@ def test_bad_extract_record_exits_1_naming_it(small_cohort, tmp_path, capsys, co
 
 
 def test_train_binds_the_constants_extract_recorded(small_cohort, tmp_path, capsys):
-    """extract --n-fft 1024, split and train into one directory: model.json says 1024, and
-    predict and evaluate refuse features whose extract.run.json says otherwise."""
+    """A run directory whose extract.run.json records n_fft 1024, split and train into it:
+    model.json says 1024, and predict and evaluate refuse features whose extract.run.json
+    says otherwise."""
     work, run = small_cohort / "work", tmp_path / "run"
-    assert main(["extract", "--manifest", str(small_cohort / "cohort" / "cohort.csv"),
-                 "--out", str(run), "--n-fft", "1024"]) == 0
+    run.mkdir()
+    for name in ("features.csv", "segments.csv"):
+        (run / name).write_bytes((work / name).read_bytes())
+    record = json.loads((Path(__file__).parent / "run_configs" / "extract.json").read_text())
+    record["feature_config"]["n_fft"] = 1024
+    (run / "extract.run.json").write_text(json.dumps(record))
     assert main(["split", "--manifest", str(run / "segments.csv"), "--out", str(run)]) == 0
     assert main(["train", "--features", str(run / "features.csv"),
                  "--manifest", str(run / "train.csv"), "--out", str(run)]) == 0
@@ -917,6 +894,7 @@ def test_synth_names_the_flag_when_a_speaker_does_not_fit_in_memory(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: --seconds-per-speaker: ")
     assert "11.9 GiB" in done.stderr and done.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_stats_single_row_group_names_features_and_group(small_cohort, tmp_path, capsys):
@@ -1028,9 +1006,6 @@ def test_readme_stage_run_configs_pinned(small_cohort, monkeypatch, capsys):
     defaults = [
         (["synth", "--out", "o"],
          {"speakers_per_class": 12, "seconds_per_speaker": 120.0, "seed": 0}),
-        (["extract", "--manifest", "m", "--out", "o"],
-         {"segment_seconds": 4.0, "frame_seconds": 0.05, "hop_seconds": 0.025,
-          "threshold_ratio": 0.1, "n_fft": 2048, "fft_hop": 512, "n_mels": 128}),
         (["split", "--manifest", "m", "--out", "o"],
          {"train_fraction": 0.8, "mode": "segment-level", "seed": 0}),
         (["train", "--features", "f", "--manifest", "m", "--out", "o"],

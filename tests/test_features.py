@@ -1,7 +1,11 @@
 import csv
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -442,12 +446,13 @@ def test_feature_config_bounds_and_record():
     # n_fft 2 passes the power-of-two rule; the n_mels bound is what rejects it
     with pytest.raises(ValueError, match=r"^n_mels 128 exceeds n_fft \+ 2 = 4,"):
         FeatureConfig(n_fft=2, hop=1)
-    with pytest.raises(ValueError, match="^need 0 <= fmin < fmax$"):
+    with pytest.raises(ValueError, match="^need 0 <= fmin < fmax < inf$"):
         FeatureConfig(fmin=-0.5)
     with pytest.raises(ValueError, match="^n_mfcc cannot exceed n_mels$"):
         FeatureConfig(n_mels=12)
     assert FeatureConfig(peak_threshold_db=0.0).peak_threshold_db == 0.0
-    with pytest.raises(ValueError, match="^peak_threshold_db must be non-negative$"):
+    with pytest.raises(ValueError, match="^peak_threshold_db must be non-negative and finite,"
+                                         " got -0.5$"):
         FeatureConfig(peak_threshold_db=-0.5)
     record = {f.name: getattr(FeatureConfig(), f.name) for f in fields(FeatureConfig)}
     assert FeatureConfig.from_record(record) == FeatureConfig()
@@ -475,8 +480,13 @@ def test_feature_config_invariants():
     for value in (float("nan"), float("inf")):  # features of such a floor are not finite
         with pytest.raises(ValueError, match=f"log_floor must be positive and finite, got {value}"):
             FeatureConfig(log_floor=value)
-    with pytest.raises(ValueError):
-        FeatureConfig(peak_threshold_db=float("nan"))
+    for value in (float("nan"), float("inf")):  # inf counted every local maximum a peak
+        with pytest.raises(ValueError, match=f"peak_threshold_db must be non-negative and finite,"
+                                             f" got {value}"):
+            FeatureConfig(peak_threshold_db=value)
+    # an infinite fmax was caught only by mel_filterbank, once a segment met a sample rate
+    with pytest.raises(ValueError, match="^need 0 <= fmin < fmax < inf$"):
+        FeatureConfig(fmax=float("inf"))
     for field, value in [("hop", True), ("hop", 512.5), ("n_mels", 128.5), ("n_fft", 2048.0),
                          ("n_mfcc", True)]:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
@@ -527,6 +537,22 @@ def test_filterbank_rejects_empty_mel_filters():
     # a config past 16 kHz's Nyquist frequency still serves a 22.05 kHz clip
     clip = AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * np.arange(22050) / 22050), 22050)
     assert np.isfinite(mfcc(clip, FeatureConfig(fmax=11025.0))).all()
+
+
+def test_filterbank_counts_empty_filters_before_making_the_bank():
+    # a bank of 32770 x 16385 float64 weights takes 4.3 GB, so the count must raise
+    # first; run in a child whose address space is capped at 1 GiB
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+            " from vocalscreen.features import FeatureConfig, mel_filterbank;"
+            " mel_filterbank(16000, FeatureConfig(n_fft=32768, hop=32768, n_mels=32770))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.endswith("\nValueError: 9525 of the 32770 mel filters hold no FFT bin"
+                                " of an n_fft 32768 spectrum at 16000 Hz\n"), done.stderr
 
 
 def test_features_csv_roundtrip_exact(tmp_path):

@@ -702,6 +702,8 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     # json reads NaN and Infinity, and extract then wrote non-finite features
     (lambda m: m["feature_config"].update(log_floor=float("nan")), "log_floor must be positive"),
     (lambda m: m["feature_config"].update(log_floor=float("inf")), "log_floor must be positive"),
+    # only mel_filterbank caught an infinite fmax, once a segment met a sample rate
+    (lambda m: m["feature_config"].update(fmax=float("inf")), "need 0 <= fmin < fmax < inf"),
 ])
 def test_load_rejects_invalid_model_with_valid_digest(tmp_path, mutate, reason):
     payload = saved_payload(tmp_path)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,23 @@ def test_profiles_must_differ():
         CohortSpec(class_profiles={"depression": profile, "control": profile})
     with pytest.raises(ValueError):
         CohortSpec(speakers_per_class=0)
+
+
+def test_class_labels_are_checked_before_any_wav_is_written(tmp_path):
+    # an 'anxious' class wrote anxious_s00.wav and control_s00.wav, then failed on the
+    # manifest's label check and wrote no cohort.csv
+    control = default_profiles()["control"]
+    profile = ClassProfile(f0_hz=150.0, f0_spread_hz=5.0, tilt_db_per_octave=-9.0,
+                           noise_floor_db=-44.0, pauses_per_minute=9.0)
+    out = tmp_path / "cohort"
+    for profiles, got in (({"anxious": profile, "control": control}, "'anxious', 'control'"),
+                          ({}, "")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"class_profiles must be keyed by one or more of ('control', 'depression'),"
+                f" got [{got}]")):
+            generate_cohort(CohortSpec(speakers_per_class=1, seconds_per_speaker=1.0,
+                                       class_profiles=profiles), out)
+    assert list(tmp_path.iterdir()) == []
 
 
 # 1e305 s is finite, but its sample count overflows float64
