@@ -48,6 +48,7 @@ from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
 from .features import (N_FEATURES, FeatureConfig, extract_features, read_features_csv,
                        write_features_csv)
+from .rng import check_seed
 
 
 class _UsageError(VocalScreenError):
@@ -110,15 +111,19 @@ def _segment_id(manifest_path: str, index: int) -> str:
 
 def _join_features(features_path, manifest_path):
     """The feature rows and labels of the manifest's segments, in manifest order; a segment
-    missing from the features CSV names both files."""
-    ids, _labels, matrix = read_features_csv(features_path)
+    missing from the features CSV, or labelled otherwise there, names both files."""
+    ids, csv_labels, matrix = read_features_csv(features_path)
     index = {sid: i for i, sid in enumerate(ids)}
     rows, labels = [], []
     for row in dataset.load_manifest(manifest_path):
         if row.path not in index:
             raise VocalScreenError(f"{features_path}: no row for segment {row.path!r}"
                                    f" of {manifest_path}")
-        rows.append(matrix[index[row.path]])
+        i = index[row.path]
+        if csv_labels[i] != row.label:
+            raise VocalScreenError(f"{features_path}: segment {row.path!r} is labelled"
+                                   f" {csv_labels[i]!r}, {manifest_path} labels it {row.label!r}")
+        rows.append(matrix[i])
         labels.append(row.label)
     return np.asarray(rows), labels
 
@@ -142,13 +147,12 @@ def _load_model(path, features_path) -> model.KnnModel:
 
 
 def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
-    """(label, vote fraction) of each row of ``matrix``; a DistanceOverflow names the model.
-
-    Each row is one model.knn_predict call, looked up on the module so that
-    a tracer wrapping it counts every query.
-    """
+    """(label, vote fraction) of each row of ``matrix``, from one model._answers call, so a
+    p = 2 model answers a table of two or more rows through the block filter; a
+    DistanceOverflow names the model."""
     with _named(model_path, model.DistanceOverflow):
-        return [model.knn_predict(fitted, row) for row in matrix]
+        answers = model._answers(fitted, matrix, {fitted.p: (fitted.k,)})
+    return [answer[fitted.p][fitted.k] for answer in answers]
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -225,6 +229,8 @@ def cmd_extract(ns) -> dict:
 
 
 def cmd_split(ns) -> None:
+    with _named("--seed", ValueError, usage=True):
+        check_seed(ns.seed)
     with _named("--train-fraction/--mode", ValueError, usage=True):
         spec = dataset.SplitSpec(train_fraction=ns.train_fraction, seed=ns.seed, mode=ns.mode)
     manifest = dataset.load_manifest(ns.manifest)
@@ -299,6 +305,8 @@ def cmd_predict(ns) -> None:
 def cmd_select(ns) -> None:
     with _named("--folds", ValueError, usage=True):
         evaluation.check_folds(ns.folds)
+    with _named("--seed", ValueError, usage=True):
+        check_seed(ns.seed)
     features, labels = _join_features(ns.features, ns.manifest)
     # a class short of folds, or a fold's training part short of the grid's largest k
     with (_named(ns.features, model.DistanceOverflow, model.ScalerOverflow),

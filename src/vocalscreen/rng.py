@@ -11,11 +11,20 @@ import math
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2^64): SplitMix64 keeps 64 bits of state, so such a
+    seed would give the stream of another."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 class SplitMix64:
-    """SplitMix64 pseudo-random stream over unsigned 64-bit integers."""
+    """SplitMix64 pseudo-random stream over unsigned 64-bit integers; the seed is
+    checked by check_seed."""
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        check_seed(seed)
+        self.state = seed
 
     def next_uint64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from conftest import chdir, tone
 from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
                                   to_mono)
-from vocalscreen.cli import build_parser, load_config, main
+from vocalscreen.cli import _predictions, build_parser, load_config, main
 from vocalscreen.dataset import DatasetManifest, ManifestRow, load_manifest, save_manifest
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import FeatureConfig, read_features_csv, write_features_csv
-from vocalscreen.model import EvenK, _payload_digest, knn_fit, load_model, save_model, transform
+from vocalscreen.model import (EvenK, _filtered_heads, _payload_digest, fit_scaler, knn_fit,
+                               knn_predict, load_model, save_model, transform)
 from vocalscreen.preprocess import remove_silence
 
 
@@ -394,6 +395,29 @@ def test_synth_rejects_a_negative_seed(tmp_path, monkeypatch, capsys, flag, env)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage", ["split", "select"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_split_and_select_reject_a_seed_outside_64_bits(tmp_path, monkeypatch, capsys, stage,
+                                                        seed, source):
+    # SplitMix64 kept the seed's low 64 bits: -1 drew the stream of 2^64 - 1, and
+    # 2^64 that of 0, while split.json recorded the seed given; the files are absent,
+    # as the seed is checked before any is read
+    argv = [stage, "--manifest", "m.csv", "--out", str(tmp_path / "o")]
+    if stage == "select":
+        argv += ["--features", "f.csv"]
+    if source == "flag":
+        argv += ["--seed", str(seed)]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"seed = {seed}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("VOCALSCREEN_SEED", str(seed))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --seed: seed must lie in [0, 2^64), got {seed}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--k", "4", "k must be odd, got 4"),
     ("--k", "0", "k must be >= 1, got 0"),
@@ -474,6 +498,28 @@ def test_segment_missing_from_features_names_both_files(small_cohort, tmp_path, 
     assert main(argv) == 1
     assert capsys.readouterr().err == (f"error: {features}: no row for segment {missing!r}"
                                        f" of {manifest}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "select", "evaluate"])
+def test_segment_labelled_otherwise_in_features_names_both_files(small_cohort, tmp_path, capsys,
+                                                                  stage):
+    # every control segment of the manifest read as depression: the stage fitted or
+    # scored the manifest's labels against the other features without a word
+    work = small_cohort / "work"
+    manifest = tmp_path / "flipped.csv"
+    source = work / ("test.csv" if stage == "evaluate" else "train.csv")
+    manifest.write_text(source.read_text().replace(",control,", ",depression,"))
+    first = next(row.path for row in load_manifest(source) if row.label == "control")
+    argv = [stage, "--features", str(work / "features.csv"), "--manifest", str(manifest),
+            "--out", str(tmp_path / "o")]
+    if stage == "evaluate":
+        argv += ["--model", str(tmp_path / "absent.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {work / 'features.csv'}: segment {first!r} is"
+                                       f" labelled 'control', {manifest} labels it"
+                                       f" 'depression'\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -633,7 +679,7 @@ def test_seed_precedence_flag_config_env(small_cohort, tmp_path, monkeypatch):
     assert seeds == {"env": 5, "config": 3, "flag": 11, "flag_first": 11}
 
 
-def test_config_lines_read_as_flags(small_cohort, tmp_path):
+def test_config_lines_read_as_flags(small_cohort, tmp_path, capsys):
     work = small_cohort / "work"
     train = ["train", "--features", str(work / "features.csv"),
              "--manifest", str(work / "train.csv")]
@@ -646,7 +692,7 @@ def test_config_lines_read_as_flags(small_cohort, tmp_path):
         stds = json.loads((out / "model.json").read_text())["scaler"]["stds"]
         assert (set(stds) == {1.0}) is not expected
 
-    # quoted values, underscores for dashes, and a negative seed
+    # quoted values, underscores for dashes, and a seed value that reaches the parser
     segments = str(work / "segments.csv")
     config = tmp_path / "split.cfg"
     config.write_text("mode = \"speaker-disjoint\"\ntrain_fraction = '0.67'\nseed = 2\n")
@@ -657,9 +703,11 @@ def test_config_lines_read_as_flags(small_cohort, tmp_path):
     for name in ("split.json", "train.csv", "test.csv", "split.run.json"):
         assert (tmp_path / "quoted" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
     config.write_text("seed = -1\n")
+    capsys.readouterr()
     assert main(["split", "--manifest", segments, "--out", str(tmp_path / "negative"),
-                 "--config", str(config)]) == 0
-    assert json.loads((tmp_path / "negative" / "split.json").read_text())["seed"] == -1
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: --seed: seed must lie in [0, 2^64), got -1\n"
+    assert not (tmp_path / "negative").exists()
 
 
 @pytest.mark.parametrize("argv, config, env, message", [
@@ -833,6 +881,75 @@ def test_overflowing_far_rows_keep_predictions(small_cohort, tmp_path, capsys):
     assert main(["predict", "--model", str(tmp_path / "fit" / "model.json"),
                  "--features", str(work / "features.csv")]) == 0
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("use_scaler", [True, False])
+def test_predictions_equal_one_knn_predict_per_row(p, use_scaler):
+    # every training row twice, under the other label, so equal distances tie and
+    # the lower row index must win in the block filter as in the scan; a third of
+    # the queries sit on a training row
+    rng = np.random.default_rng(28)
+    distinct = rng.integers(-3, 4, size=(15, 16)).astype(float)
+    train = np.concatenate([distinct, distinct])
+    labels = ["control", "depression"] * 15
+    queries = rng.integers(-3, 4, size=(40, 16)).astype(float)
+    queries[::3] = train[rng.integers(0, 30, size=14)]
+    for k in (1, 3, 5):
+        fitted = knn_fit(train, labels, k=k, p=p,
+                         scaler=fit_scaler(train) if use_scaler else None)
+        for n in (0, 1, 2, 16, 17, 40):
+            assert (_predictions(fitted, "model.json", queries[:n])
+                    == [knn_predict(fitted, row) for row in queries[:n]])
+
+
+def test_predict_takes_the_block_filter(small_cohort, tmp_path, capsys, monkeypatch):
+    # a p = 2 model answers a table of several rows in blocks of 16, not row by row
+    model_path = trained_model(small_cohort, tmp_path)
+    features = small_cohort / "work" / "features.csv"
+    blocks = []
+
+    def counting(fitted, queries, count, out):
+        blocks.append(len(queries))
+        return _filtered_heads(fitted, queries, count, out)
+
+    monkeypatch.setattr("vocalscreen.model._filtered_heads", counting)
+    assert main(["predict", "--model", str(model_path), "--features", str(features)]) == 0
+    rows = len(read_features_csv(features)[0])
+    assert rows > 16 and sum(blocks) == rows and blocks[0] == 16
+
+
+@pytest.mark.parametrize("stage", ["predict", "evaluate"])
+def test_overflow_in_the_second_block_names_model_file(tmp_path, capsys, stage):
+    # 40 queries near the training rows but row 20, the fifth of the second block,
+    # whose every square overflows
+    rng = np.random.default_rng(20)
+    labels = ["control", "depression"] * 20
+    train = rng.normal(size=(10, 16))
+    fitted = tmp_path / "model.json"
+    save_model(knn_fit(train, labels[:10], k=3, p=2.0), fitted)
+    queries = rng.normal(size=(40, 16))
+    queries[20] = 1e200
+    ids = [f"s{i:02d}" for i in range(40)]
+    features = tmp_path / "features.csv"
+    write_features_csv(features, ids, labels, queries)
+    argv = [stage, "--model", str(fitted), "--features", str(features)]
+    if stage == "evaluate":
+        manifest = tmp_path / "test.csv"
+        save_manifest(manifest, DatasetManifest(rows=[
+            ManifestRow(path=sid, label=label, participant="p0")
+            for sid, label in zip(ids, labels)]))
+        argv += ["--manifest", str(manifest), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {fitted}: p = 2.0: the distance |a - b|^p to nearest"
+                            f" row 3 overflows float64\n")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+    queries[20] = 0.0
+    write_features_csv(features, ids, labels, queries)
+    assert main(argv) == 0
 
 
 def first_rows_manifest(work, path, per_class) -> Path:
