@@ -130,6 +130,15 @@ def test_split_spec_validation():
         SplitSpec(mode="bogus")
 
 
+def test_splitmix64_takes_only_a_64_bit_seed():
+    # the low 64 bits of -1 and 2^64 are the seeds 2^64 - 1 and 0, so those
+    # seeds drew the same stream as these did
+    assert SplitMix64(2 ** 64 - 1).next_uint64() != SplitMix64(0).next_uint64()
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            SplitMix64(seed)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=120),
