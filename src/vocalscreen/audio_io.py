@@ -27,9 +27,10 @@ Writing is one block writer, ``_wav_writer``, behind both ``save_wav``
 (to a file) and ``encode_wav`` (to bytes). It checks the header first,
 so a clip no WAV can hold (not one or two channels, or a RIFF size or
 byte rate past 32 bits) raises ValueError before any byte is written.
-It then encodes and writes the body one block of 2^14 frames at a time,
-so writing holds one block's buffers beside the clip, not a full-size
-copy of it.
+It then encodes and writes the body one block at a time: a clip's
+blocks of 2^14 frames, or the blocks a ``ClipBlocks`` yields, so
+writing holds one block's buffers beside the clip, not a full-size copy
+of it, and ``save_wav`` can write a clip that is never held at all.
 
 The public steps ``decode_wav`` (or ``load_wav``) -> ``to_mono`` ->
 ``resample`` remain the reference: ``load_mono(path)`` is byte-identical
@@ -41,6 +42,7 @@ definition bit for bit (``astype(float64) / 32768``, ``mean(axis=1)``,
 ``np.interp`` over ``arange(n)``), signed zeros included.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 import io
 import struct
@@ -143,6 +145,22 @@ class AudioClip:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+@dataclass(frozen=True)
+class ClipBlocks:
+    """A mono clip as the blocks of its samples, for ``save_wav`` to write without holding it.
+
+    ``blocks`` yields 1-d float64 arrays whose lengths sum to ``frames``;
+    each is encoded before the next is drawn, so a producer may yield one
+    buffer refilled in place. Like ``AudioClip._from_checked``, the samples
+    are not scanned: they must be finite and in [-1, 1], derived from
+    values known to be (``synth`` scales its speakers by a finite peak).
+    """
+
+    blocks: Iterable
+    frames: int
+    sample_rate: int
 
 
 @dataclass(frozen=True)
@@ -306,50 +324,60 @@ def max_wav_frames(channels: int, bit_depth: int) -> int:
     return (0xFFFFFFFF - 36) // (channels * bit_depth // 8)
 
 
-def _wav_writer(clip: AudioClip, bit_depth: int):
-    """Check a clip's WAV header and return a function that writes the file to ``fh``.
+def _wav_writer(shape: tuple, sample_rate: int, bit_depth: int):
+    """Check the WAV header of samples of ``shape`` and return a function that writes the
+    file to ``fh`` from an iterable of blocks of those samples.
 
     Every header field is checked here, before anything is written:
-    ``bit_depth`` 16 or 32, one or two channels (what ``decode_wav``
-    reads), and a RIFF size and byte rate that fit their 32-bit fields;
-    each failure is a ValueError naming the field. The writer then writes
-    the 44-byte header and the body, little-endian ``<i2`` (PCM16) or
-    ``<f4`` (float32) interleaved frame by frame, one block of ``_BLOCK``
-    frames at a time, each encoded into block-sized arrays and written
-    from them. 2- and 4-byte samples make an even body, so the data chunk
-    needs no pad byte.
+    ``bit_depth`` 16 or 32, a shape of ``(frames,)`` or ``(frames, 1 or 2)``
+    (what ``decode_wav`` reads), and a RIFF size and byte rate that fit
+    their 32-bit fields; each failure is a ValueError naming the field.
+    The writer then writes the 44-byte header and the body, little-endian
+    ``<i2`` (PCM16) or ``<f4`` (float32) interleaved frame by frame, each
+    block encoded into block-sized arrays and written from them; blocks
+    that hold other than ``frames`` frames in all raise ValueError once
+    they run out. 2- and 4-byte samples make an even body, so the data
+    chunk needs no pad byte.
     """
     if bit_depth not in (16, 32):
         raise ValueError(f"bit_depth must be 16 or 32, got {bit_depth}")
-    channels, frames = clip.channels, len(clip)
+    frames, channels = shape[0], 1 if len(shape) == 1 else shape[1]
     if channels not in (1, 2):
-        raise ValueError(f"channels must be 1 or 2, got samples of shape {clip.samples.shape}")
+        raise ValueError(f"channels must be 1 or 2, got samples of shape {shape}")
     block_align = channels * bit_depth // 8
     body_bytes = frames * block_align
     if frames > max_wav_frames(channels, bit_depth):
         raise ValueError(f"RIFF size {36 + body_bytes} ({frames} frames of {block_align}"
                          " bytes) overflows 32 bits")
-    byte_rate = clip.sample_rate * block_align
+    byte_rate = sample_rate * block_align
     if byte_rate > 0xFFFFFFFF:
-        raise ValueError(f"byte rate {byte_rate} ({clip.sample_rate} Hz x {block_align}"
+        raise ValueError(f"byte rate {byte_rate} ({sample_rate} Hz x {block_align}"
                          " bytes per frame) overflows 32 bits")
     format_code, sample_type = ((FORMAT_PCM, "<i2") if bit_depth == 16
                                 else (FORMAT_IEEE_FLOAT, "<f4"))
     header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + body_bytes, b"WAVE",
-                         b"fmt ", 16, format_code, channels, clip.sample_rate, byte_rate,
+                         b"fmt ", 16, format_code, channels, sample_rate, byte_rate,
                          block_align, bit_depth, b"data", body_bytes)
 
-    def write(fh) -> None:
+    def write(fh, blocks) -> None:
         fh.write(header)
-        for lo in range(0, frames, _BLOCK):
-            block = clip.samples[lo:lo + _BLOCK]
+        written = 0
+        for block in blocks:
+            written += len(block)
             if bit_depth == 16:
                 block = np.multiply(block, INT16_SCALE)  # the block's one float temporary
                 np.clip(np.round(block, out=block), -32768, 32767, out=block)
             # frame by frame, so a column-major stereo clip is interleaved too
             fh.write(block.astype(sample_type, order="C"))
+        if written != frames:
+            raise ValueError(f"blocks held {written} frames, the header declares {frames}")
 
     return write
+
+
+def _clip_blocks(samples: np.ndarray):
+    """A clip's samples as views of ``_BLOCK`` frames each."""
+    return (samples[lo:lo + _BLOCK] for lo in range(0, len(samples), _BLOCK))
 
 
 def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
@@ -358,9 +386,9 @@ def encode_wav(clip: AudioClip, bit_depth: int = 16) -> bytes:
     PCM16 encoding rounds ``sample * 32768`` to the nearest integer and
     clamps to the int16 range, so decode(encode(decode(x))) is lossless.
     """
-    write = _wav_writer(clip, bit_depth)
+    write = _wav_writer(clip.samples.shape, clip.sample_rate, bit_depth)
     buffer = io.BytesIO()
-    write(buffer)
+    write(buffer, _clip_blocks(clip.samples))
     return buffer.getvalue()
 
 
@@ -543,13 +571,19 @@ def load_mono(path) -> AudioClip:
     return AudioClip._from_checked(samples, DEFAULT_SAMPLE_RATE)
 
 
-def save_wav(path, clip: AudioClip, bit_depth: int = 16) -> None:
-    """Write a clip as a WAV file: the bytes of encode_wav, one block of frames at a time.
+def save_wav(path, clip, bit_depth: int = 16) -> None:
+    """Write an AudioClip, or a ClipBlocks, as a WAV file, one block of frames at a time.
 
-    The header is checked before the file is opened, so a clip no WAV can
-    hold raises ValueError and leaves no file behind. Beyond the clip, the
-    writer holds one block's buffers (2^14 frames), however long the clip.
+    A clip is written as the bytes of encode_wav. The header is checked
+    before the file is opened, so a clip no WAV can hold raises ValueError
+    and leaves no file behind. Beyond the clip, the writer holds one
+    block's buffers (2^14 frames), however long the clip; a ClipBlocks is
+    written as its blocks come, so the clip is never held.
     """
-    write = _wav_writer(clip, bit_depth)
+    if isinstance(clip, ClipBlocks):
+        shape, blocks = (clip.frames,), clip.blocks
+    else:
+        shape, blocks = clip.samples.shape, _clip_blocks(clip.samples)
+    write = _wav_writer(shape, clip.sample_rate, bit_depth)
     with open(path, "wb") as fh:
-        write(fh)
+        write(fh, blocks)

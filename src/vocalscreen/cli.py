@@ -159,15 +159,15 @@ def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
 
 
 def cmd_synth(ns) -> None:
-    with _named("--seed/--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
+    with _named("--seed", ValueError, usage=True):
+        check_seed(ns.seed)
+    with _named("--speakers-per-class/--seconds-per-speaker", ValueError, usage=True):
         spec = synth.CohortSpec(
             speakers_per_class=ns.speakers_per_class,
             seconds_per_speaker=ns.seconds_per_speaker,
             seed=ns.seed,
         )
-    # a valid length can still need more memory than there is: one speaker's samples
-    with _named("--seconds-per-speaker", MemoryError):
-        manifest = synth.generate_cohort(spec, ns.out)
+    manifest = synth.generate_cohort(spec, ns.out)
     print(f"synth: wrote {len(manifest)} recordings + cohort.csv to {ns.out}")
     print(f"note: {synth.NON_CLINICAL_NOTE}")
 

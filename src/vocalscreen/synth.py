@@ -7,14 +7,17 @@ per-speaker jitter, Poisson-placed silent pauses, and additive white
 noise. Class profiles differ in fundamental frequency, tilt, noise floor,
 and pause density, which is exactly the surface the 16 features measure.
 
-A speaker's random scalars are drawn first; its samples are then filled
+A speaker's random scalars are drawn first; its samples are then made
 in fixed blocks of BLOCK samples, each running the whole signal chain in
-a few cache-sized buffers instead of a dozen full-length arrays. The
-blocked chain keeps every operation and its association, so each WAV is
-byte-identical to the one the whole-array chain writes (see
-``_speaker_clip``). ``generate_cohort`` holds one speaker's float64
-samples at a time and ``save_wav`` writes each WAV in blocks, so peak
-memory is one clip plus one block, however many speakers there are.
+four cache-sized buffers instead of a dozen full-length arrays
+(``_speaker_blocks``). The blocked chain keeps every operation and its
+association, so each WAV is byte-identical to the one the whole-array
+chain writes. A speaker is never held whole: ``generate_cohort`` spills
+its unscaled blocks to one unnamed scratch file in the output directory
+while it folds them into the peak, then reads them back, scales them to
+peak 0.9 and has ``save_wav`` encode each as it is read. Peak memory is
+a few blocks, however long and however many the speakers; the disk
+holds one speaker's float64 samples beside the WAVs.
 
 Every output is labeled synthetic and non-clinical; scores obtained on
 this cohort say nothing about clinical screening accuracy.
@@ -22,14 +25,15 @@ this cohort say nothing about clinical screening accuracy.
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+import tempfile
 
 import numpy as np
 
-from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip, max_wav_frames, save_wav
+from .audio_io import DEFAULT_SAMPLE_RATE, ClipBlocks, max_wav_frames, save_wav
 from .dataset import LABELS, DatasetManifest, ManifestRow, save_manifest, write_json
 from .errors import VocalScreenError
 from .preprocess import sample_count
-from .rng import round_half_up
+from .rng import check_seed, round_half_up
 
 NON_CLINICAL_NOTE = (
     "synthetic non-clinical audio generated for pipeline testing; "
@@ -79,8 +83,7 @@ class CohortSpec:
     def __post_init__(self):
         if self.speakers_per_class < 1:
             raise ValueError("speakers_per_class must be >= 1")
-        if self.seed < 0:  # np.random.default_rng takes no negative seed
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)  # the one seed rule of every seeded stage
         samples = sample_count(self.seconds_per_speaker, "seconds_per_speaker")
         limit = max_wav_frames(1, 16)  # each speaker is one mono PCM16 WAV
         if samples > limit:
@@ -95,15 +98,16 @@ class CohortSpec:
             raise ValueError("class profiles must differ in at least one parameter")
 
 
-def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generator) -> AudioClip:
-    """One speaker's DEFAULT_SAMPLE_RATE clip, filled block by block and normalised to peak 0.9.
+def _speaker_blocks(profile: ClassProfile, seconds: float, rng: "np.random.Generator"):
+    """Yield one speaker's DEFAULT_SAMPLE_RATE samples, unscaled, in blocks of BLOCK samples.
 
     Every random scalar is drawn first, in a fixed order: f0, vibrato rate,
     depth and phase, one phase per partial, envelope rate and phase, the
-    pause count, then each pause's duration and start. Each BLOCK-sample
-    block then runs the signal chain in block-sized buffers: time axis,
-    vibrato, running phase (cumsum carried over from the previous block),
-    partials, loudness envelope, pauses, and its share of the noise draw.
+    pause count, then each pause's duration and start. Each block then runs
+    the signal chain in block-sized buffers: time axis, vibrato, running
+    phase (cumsum carried over from the previous block), partials, loudness
+    envelope, pauses, and its share of the noise draw. Each yielded block is
+    one buffer, refilled in place for the next block.
 
     The samples equal those of the whole-array chain bit for bit: each
     product keeps its association (``((2 pi rate) t)``), cumsum is a
@@ -131,13 +135,12 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
         pauses.append((first, min(first + round_half_up(duration * DEFAULT_SAMPLE_RATE), n)))
     noise_sd = 10.0 ** (profile.noise_floor_db / 20.0)
 
-    mix = np.empty(n)
-    t_buf, phase_buf, partial_buf = np.empty((3, min(BLOCK, n)))
+    t_buf, phase_buf, partial_buf, voiced_buf = np.empty((4, min(BLOCK, n)))
     phase_sum = 0.0  # cumsum of the instantaneous f0 up to the block start
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         m = hi - lo
-        t, phase, partial, voiced = t_buf[:m], phase_buf[:m], partial_buf[:m], mix[lo:hi]
+        t, phase, partial, voiced = t_buf[:m], phase_buf[:m], partial_buf[:m], voiced_buf[:m]
         np.divide(np.arange(lo, hi), DEFAULT_SAMPLE_RATE, out=t)
         # inst_f0 = f0 * (1 + depth * sin(2 pi rate t + phase))
         np.multiply(two_pi * vibrato_rate, t, out=phase)
@@ -169,10 +172,41 @@ def _speaker_clip(profile: ClassProfile, seconds: float, rng: np.random.Generato
         for start, stop in pauses:
             voiced[max(start - lo, 0):max(stop - lo, 0)] = 0.0
         np.add(voiced, rng.normal(0.0, noise_sd, m), out=voiced)
-    peak = max(mix.max(), -mix.min())
-    if peak > 0:
-        mix *= 0.9 / peak  # never clips: |sample| <= 0.9
-    return AudioClip(samples=mix, sample_rate=DEFAULT_SAMPLE_RATE)
+        yield voiced
+
+
+def _save_speaker(path: Path, blocks, scratch) -> None:
+    """Write a speaker's blocks to ``path`` as a WAV normalised to peak 0.9, in two passes.
+
+    Pass 1 writes each unscaled block to ``scratch`` (an unbuffered file,
+    rewound here, so one serves every speaker) and folds its largest
+    magnitude into the peak. np.maximum carries a NaN through, so a
+    speaker whose samples are not all finite raises ValueError before its
+    WAV is opened. Pass 2 reads the blocks back, scales each by
+    ``0.9 / peak`` (the product the whole-array chain takes, so never
+    past 0.9) and hands it to ``save_wav`` to encode and write.
+    """
+    scratch.seek(0)
+    frames, peak = 0, 0.0
+    for block in blocks:
+        frames += len(block)
+        peak = np.maximum(peak, np.maximum(block.max(), -block.min()))
+        unwritten = memoryview(block).cast("B")
+        while unwritten:  # a raw write may take fewer bytes than it is given
+            unwritten = unwritten[scratch.write(unwritten):]
+    if not np.isfinite(peak):
+        raise ValueError(f"{path.name}: samples must be finite, got peak {peak}")
+    scale = 0.9 / peak if peak > 0 else 1.0
+
+    def scaled():
+        scratch.seek(0)
+        buffer = np.empty(min(BLOCK, frames))
+        for lo in range(0, frames, BLOCK):
+            block = buffer[:min(BLOCK, frames - lo)]
+            scratch.readinto(block)  # a regular file reads short only at its end
+            yield np.multiply(block, scale, out=block)
+
+    save_wav(path, ClipBlocks(scaled(), frames, DEFAULT_SAMPLE_RATE))
 
 
 def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
@@ -181,24 +215,25 @@ def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
     Deterministic for a fixed spec: each speaker draws from a generator
     seeded by (seed, class index, speaker index), so reruns are
     byte-identical and speakers are independent of generation order.
-    Manifest paths are relative to the output directory. One speaker's
-    float64 samples are held at a time, and each WAV is written in blocks,
-    so memory does not grow with the number of speakers.
+    Manifest paths are relative to the output directory. Each speaker's
+    samples pass through one unnamed scratch file in the output directory,
+    opened once for the cohort and gone when it is closed, so memory grows
+    neither with a speaker's length nor with the number of speakers.
     """
     out_dir = Path(out_dir)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         rows = []
-        for class_idx, label in enumerate(sorted(spec.class_profiles)):
-            profile = spec.class_profiles[label]
-            for speaker_idx in range(spec.speakers_per_class):
-                rng = np.random.default_rng([spec.seed, class_idx, speaker_idx])
-                name = f"{label}_s{speaker_idx:02d}.wav"
-                clip = _speaker_clip(profile, spec.seconds_per_speaker, rng)
-                if not rows:  # made after the first clip, so a clip too large leaves no directory
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                save_wav(out_dir / name, clip)
-                del clip  # freed before the next speaker's clip is made
-                rows.append(ManifestRow(path=name, label=label, participant=f"{label}_s{speaker_idx:02d}"))
+        with tempfile.TemporaryFile(dir=out_dir, buffering=0) as scratch:
+            for class_idx, label in enumerate(sorted(spec.class_profiles)):
+                profile = spec.class_profiles[label]
+                for speaker_idx in range(spec.speakers_per_class):
+                    rng = np.random.default_rng([spec.seed, class_idx, speaker_idx])
+                    name = f"{label}_s{speaker_idx:02d}.wav"
+                    _save_speaker(out_dir / name,
+                                  _speaker_blocks(profile, spec.seconds_per_speaker, rng), scratch)
+                    rows.append(ManifestRow(path=name, label=label,
+                                            participant=f"{label}_s{speaker_idx:02d}"))
         manifest = DatasetManifest(rows=rows)
         save_manifest(out_dir / "cohort.csv", manifest)
         sidecar = {"synthetic": True, "note": NON_CLINICAL_NOTE, **asdict(spec)}

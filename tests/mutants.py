@@ -1,4 +1,4 @@
-"""Mutation score of five modules' tests: audio_io, evaluation, features, model, preprocess.
+"""Mutation score of six modules' tests: audio_io, evaluation, features, model, preprocess, synth.
 
     python tests/mutants.py [--jobs 2] [--rerun]
 
@@ -57,6 +57,7 @@ TEST_FILES = {
     "features": "tests/test_features.py",
     "model": "tests/test_model.py",
     "preprocess": "tests/test_preprocess.py",
+    "synth": "tests/test_synth.py",
 }
 
 FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,

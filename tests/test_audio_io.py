@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from vocalscreen import audio_io
 from vocalscreen.audio_io import (
     AudioClip,
+    ClipBlocks,
     MalformedWav,
     UnsupportedFormat,
     decode_wav,
@@ -204,7 +205,7 @@ def test_roundtrip_pcm16_exact():
     ints = rng.integers(-32768, 32768, size=500)
     clip = AudioClip(samples=ints / 32768.0, sample_rate=8000)
     back = decode_wav(encode_wav(clip))
-    assert back.sample_rate == 8000
+    assert back.sample_rate == 8000 and back.channels == 1
     assert np.array_equal(back.samples, clip.samples)
 
 
@@ -305,12 +306,55 @@ def test_writer_limits_are_exact():
     assert max_wav_frames(1, 16) == 2_147_483_629  # 36 + 2 n <= 2^32 - 1
     assert max_wav_frames(2, 32) == (2 ** 32 - 1 - 36) // 8
     # the header of a clip at the frame limit is accepted; its body is not written
-    audio_io._wav_writer(_unchecked_clip(np.broadcast_to(0.0, (max_wav_frames(1, 16),))), 16)
+    audio_io._wav_writer((max_wav_frames(1, 16),), 16000, 16)
     back = decode_wav(encode_wav(AudioClip(samples=np.zeros(3), sample_rate=2 ** 31 - 1)))
     assert back.sample_rate == 2 ** 31 - 1  # byte rate 2^32 - 2
     back = decode_wav(encode_wav(AudioClip(samples=np.zeros((3, 2)), sample_rate=2 ** 29 - 1), 32))
     assert back.sample_rate == 2 ** 29 - 1 and back.channels == 2
     assert decode_wav(encode_wav(AudioClip(samples=np.zeros(3), sample_rate=1))).sample_rate == 1
+
+
+def refilled(blocks):
+    """``blocks`` yielded as views of one buffer, refilled in place for each."""
+    buffer = np.empty(max(map(len, blocks), default=0))
+    for block in blocks:
+        view = buffer[:len(block)]
+        view[:] = block
+        yield view
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=arrays(np.float64, st.integers(0, 40),
+                      elements=st.one_of(samples_in_range, half_steps)),
+       cuts=st.lists(st.integers(0, 40)), bit_depth=st.sampled_from([16, 32]))
+def test_save_wav_of_blocks_equals_encode_wav(tmp_path_factory, samples, cuts, bit_depth):
+    """A ClipBlocks writes the bytes of the clip its blocks join into, wherever the blocks
+    are cut (empty blocks too) and whether or not they share one buffer."""
+    blocks = np.split(samples, sorted(cuts))
+    expected = encode_wav(AudioClip(samples=samples, sample_rate=22050), bit_depth)
+    path = tmp_path_factory.mktemp("blocks") / "clip.wav"
+    for given_blocks in (iter(blocks), refilled(blocks)):
+        save_wav(path, ClipBlocks(given_blocks, len(samples), 22050), bit_depth)
+        assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("frames", [2, 4])
+def test_save_wav_rejects_blocks_short_or_long_of_their_frames(tmp_path, frames):
+    # the header declares ``frames``; a WAV whose body says otherwise would misread
+    with pytest.raises(ValueError, match=f"^blocks held 3 frames, the header declares {frames}$"):
+        save_wav(tmp_path / "a.wav", ClipBlocks(iter([np.zeros(2), np.zeros(1)]), frames, 16000))
+
+
+@pytest.mark.parametrize("frames, sample_rate, field", [
+    (max_wav_frames(1, 16) + 1, 16000, "RIFF size"),
+    (4, 2 ** 31, "byte rate"),
+])
+def test_save_wav_checks_the_header_of_blocks_before_opening(tmp_path, frames, sample_rate,
+                                                             field):
+    path = tmp_path / "out.wav"
+    with pytest.raises(ValueError, match=field):
+        save_wav(path, ClipBlocks(iter([]), frames, sample_rate))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("channels", [1, 2])

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import errno
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -390,9 +393,26 @@ def test_synth_rejects_a_negative_seed(tmp_path, monkeypatch, capsys, flag, env)
         monkeypatch.setenv("VOCALSCREEN_SEED", env)
     out = tmp_path / "o"
     assert main(["synth", "--out", str(out), "--speakers-per-class", "1", *flag]) == 2
-    assert capsys.readouterr().err == ("error: --seed/--speakers-per-class/--seconds-per-speaker:"
-                                       " seed must be >= 0, got -1\n")
+    assert capsys.readouterr().err == "error: --seed: seed must lie in [0, 2^64), got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_synth_rejects_a_seed_of_2_to_the_64(tmp_path, monkeypatch, capsys, source):
+    # numpy seeds from any non-negative integer, so 2^64 ran and synth.run.json recorded
+    # it; synth now takes the seed rule of split and select
+    seed = 2 ** 64
+    argv = ["synth", "--out", str(tmp_path / "o"), "--speakers-per-class", "1"]
+    if source == "flag":
+        argv += ["--seed", str(seed)]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"seed = {seed}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("VOCALSCREEN_SEED", str(seed))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --seed: seed must lie in [0, 2^64), got {seed}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("stage", ["split", "select"])
@@ -1002,16 +1022,32 @@ def test_select_checks_folds_before_allocating(small_cohort, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_synth_names_the_flag_when_a_speaker_does_not_fit_in_memory(tmp_path):
-    # 100000 s is a valid length, but one speaker's float64 samples take 11.9 GiB,
-    # and the allocation ended in a MemoryError traceback under a 1 GiB cap
-    done = capped_main(["synth", "--out", str(tmp_path / "o"), "--speakers-per-class", "1",
-                        "--seconds-per-speaker", "100000"], 1 << 30)
-    assert done.returncode == 1, done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: --seconds-per-speaker: ")
-    assert "11.9 GiB" in done.stderr and done.stderr.count("\n") == 1
-    assert not (tmp_path / "o").exists()
+def test_synth_names_the_out_dir_when_the_disk_fills(tmp_path, monkeypatch, capsys):
+    # a speaker passes through a scratch file in --out, so a long one needs disk, not
+    # memory; here the disk has room for 1000 bytes of the first block
+    class FullDisk(io.RawIOBase):
+        room = 1000
+
+        def seekable(self):
+            return True
+
+        def seek(self, offset, whence=0):
+            return 0
+
+        def write(self, data):
+            if not self.room:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            taken = min(self.room, len(data))
+            self.room -= taken
+            return taken
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kwargs: FullDisk())
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--speakers-per-class", "1",
+                 "--seconds-per-speaker", "2"]) == 1
+    assert capsys.readouterr().err == (f"error: cannot write cohort to {out}: [Errno 28]"
+                                       f" {os.strerror(errno.ENOSPC)}\n")
+    assert list(out.iterdir()) == []  # no WAV was opened, and no run record written
 
 
 def test_stats_single_row_group_names_features_and_group(small_cohort, tmp_path, capsys):

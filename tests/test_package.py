@@ -1,8 +1,11 @@
-"""The package surface: the names the README imports, and no unused import or
-private helper in src/."""
+"""The package surface: the names the README imports, what importing the CLI loads,
+and no unused import or private helper in src/."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,3 +85,14 @@ def test_unread_private_names_are_found():
 def test_no_module_defines_an_unread_private_name():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # synth's Generator annotation, evaluated at import, loaded numpy.random for every
+    # stage; only synth's generate_cohort draws from it
+    src = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, vocalscreen.cli; print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(src)), capture_output=True, text=True,
+        timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -1,16 +1,20 @@
 import hashlib
 import json
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vocalscreen import synth
 from vocalscreen.audio_io import (
     DEFAULT_SAMPLE_RATE,
     AudioClip,
+    encode_wav,
     load_wav,
     max_wav_frames,
     resample,
@@ -25,7 +29,7 @@ from vocalscreen.synth import (
     N_HARMONICS,
     ClassProfile,
     CohortSpec,
-    _speaker_clip,
+    _speaker_blocks,
     default_profiles,
     generate_cohort,
 )
@@ -35,6 +39,16 @@ from conftest import traced_peak
 
 def tiny_spec(seed=5, speakers=2, seconds=10.0):
     return CohortSpec(speakers_per_class=speakers, seconds_per_speaker=seconds, seed=seed)
+
+
+def speaker_clip(profile, seconds, rng) -> AudioClip:
+    """One speaker as a clip: the generator's blocks joined, then scaled to peak 0.9 as
+    generate_cohort scales them."""
+    mix = np.concatenate([block.copy() for block in _speaker_blocks(profile, seconds, rng)])
+    peak = max(mix.max(), -mix.min())
+    if peak > 0:
+        mix *= 0.9 / peak
+    return AudioClip(samples=mix, sample_rate=DEFAULT_SAMPLE_RATE)
 
 
 def test_generate_cohort_cardinality(tmp_path):
@@ -66,12 +80,12 @@ def test_cohort_sidecar_marks_synthetic(tmp_path):
 def test_speaker_clip_never_clips():
     for label, profile in default_profiles().items():
         rng = np.random.default_rng([1, 2, 3])
-        clip = _speaker_clip(profile, 15.0, rng)
+        clip = speaker_clip(profile, 15.0, rng)
         assert np.max(np.abs(clip.samples)) <= 0.9 + 1e-12
 
 
 def former_speaker_clip(profile, seconds, rng, sample_rate=DEFAULT_SAMPLE_RATE):
-    """_speaker_clip as first written, one full-length array per step: the reference."""
+    """A speaker's clip as first written, one full-length array per step: the reference."""
     n = round_half_up(seconds * sample_rate)
     t = np.arange(n) / sample_rate
 
@@ -127,7 +141,7 @@ DENSE = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
 @example(profile=DENSE, samples=8000, seed=4)  # 0.5 s: every pause runs to the end
 def test_speaker_clip_bytes_equal_former(profile, samples, seed):
     seconds = samples / DEFAULT_SAMPLE_RATE
-    clip = _speaker_clip(profile, seconds, np.random.default_rng(seed))
+    clip = speaker_clip(profile, seconds, np.random.default_rng(seed))
     former = former_speaker_clip(profile, seconds, np.random.default_rng(seed))
     assert len(clip.samples) == samples
     assert clip.samples.tobytes() == former.samples.tobytes()
@@ -142,11 +156,80 @@ def test_default_cohort_wavs_pinned(tmp_path):
     assert written == pinned
 
 
+def assert_cohort_equals_former(spec, out):
+    """Each WAV of a generated cohort holds the whole-array chain's clip, PCM16-encoded."""
+    for class_idx, label in enumerate(sorted(spec.class_profiles)):
+        for speaker_idx in range(spec.speakers_per_class):
+            former = former_speaker_clip(spec.class_profiles[label], spec.seconds_per_speaker,
+                                         np.random.default_rng([spec.seed, class_idx, speaker_idx]))
+            assert (out / f"{label}_s{speaker_idx:02d}.wav").read_bytes() == encode_wav(former)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_small_blocks_write_the_former_cohort(tmp_path, block):
+    """With BLOCK patched small, a speaker of 8005 samples spans many blocks and a tail,
+    on both passes through the scratch file, and still writes the former bytes."""
+    spec = tiny_spec(speakers=1, seconds=8005 / DEFAULT_SAMPLE_RATE)
+    with mock.patch.object(synth, "BLOCK", block):
+        generate_cohort(spec, tmp_path)
+    assert_cohort_equals_former(spec, tmp_path)
+
+
+def test_short_scratch_writes_write_the_same_cohort(tmp_path, monkeypatch):
+    """An unbuffered write may take fewer bytes than it is given; every byte still reaches
+    the scratch file, so every WAV keeps its bytes."""
+    make_temporary = tempfile.TemporaryFile
+
+    class ShortWrites:
+        def __init__(self, **kwargs):
+            self.file = make_temporary(**kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def seek(self, offset):
+            return self.file.seek(offset)
+
+        def readinto(self, buffer):
+            return self.file.readinto(buffer)
+
+        def write(self, data):
+            return self.file.write(memoryview(data)[:1000])  # 1000 of a block's bytes
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", ShortWrites)
+    spec = tiny_spec(speakers=1, seconds=1.5)
+    generate_cohort(spec, tmp_path)
+    assert_cohort_equals_former(spec, tmp_path)
+
+
+def test_scratch_file_leaves_no_file(tmp_path):
+    generate_cohort(tiny_spec(speakers=1, seconds=1.0), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cohort.csv", "cohort.json", "control_s00.wav", "depression_s00.wav"]
+
+
+def test_a_speaker_not_finite_raises_before_its_wav_is_opened(tmp_path):
+    # the whole-speaker AudioClip rejected a NaN sample; a peak folded with Python's max
+    # would have dropped it and written a WAV
+    profile = ClassProfile(f0_hz=float("nan"), f0_spread_hz=5.0, tilt_db_per_octave=-9.0,
+                           noise_floor_db=-44.0, pauses_per_minute=9.0)
+    spec = CohortSpec(speakers_per_class=1, seconds_per_speaker=2.5,
+                      class_profiles={"control": default_profiles()["control"],
+                                      "depression": profile})
+    with pytest.raises(ValueError, match=r"^depression_s00.wav: samples must be finite,"
+                                         r" got peak nan$"):
+        generate_cohort(spec, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["control_s00.wav"]
+
+
 def test_pause_density_measured_by_silence_remover():
     profile = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
                            noise_floor_db=-45.0, pauses_per_minute=10.0)
     rng = np.random.default_rng([9, 0, 0])
-    clip = _speaker_clip(profile, 120.0, rng)
+    clip = speaker_clip(profile, 120.0, rng)
     voiced = remove_silence(clip)
     removed = clip.duration_seconds - voiced.duration_seconds
     gaps_estimate = removed / 0.55  # pauses draw uniform 0.3..0.8 s
@@ -160,6 +243,9 @@ def test_profiles_must_differ():
         CohortSpec(class_profiles={"depression": profile, "control": profile})
     with pytest.raises(ValueError):
         CohortSpec(speakers_per_class=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            CohortSpec(seed=seed)
 
 
 def test_class_labels_are_checked_before_any_wav_is_written(tmp_path):
@@ -198,11 +284,18 @@ def test_seconds_per_speaker_limit_is_exact():
 
 
 def test_generate_cohort_holds_one_speaker(tmp_path):
-    """Two 20 s speakers: each clip is freed before the next one is made and
-    written in blocks, so the traced peak stays under 1.5 clips."""
+    """Two 20 s speakers: neither is held whole, so the traced peak stays under 1.5 clips."""
     one_clip = 20 * DEFAULT_SAMPLE_RATE * 8  # float64 bytes
     peak = traced_peak(generate_cohort, tiny_spec(speakers=1, seconds=20.0), tmp_path)
     assert peak < 1.5 * one_clip
+
+
+def test_generate_cohort_memory_does_not_grow_with_length(tmp_path):
+    """A 30 s speaker takes the traced memory of a 2 s one, within one block's four
+    buffers; the whole-speaker array added 28 s of float64 samples, 3.6 MB."""
+    short = traced_peak(generate_cohort, tiny_spec(speakers=1, seconds=2.0), tmp_path / "a")
+    long = traced_peak(generate_cohort, tiny_spec(speakers=1, seconds=30.0), tmp_path / "b")
+    assert long - short < 4 * BLOCK * 8
 
 
 def _cohort_cv_accuracy(gap_hz: float, seed: int, tmp_path) -> float:
