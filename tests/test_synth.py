@@ -29,6 +29,7 @@ from vocalscreen.synth import (
     N_HARMONICS,
     ClassProfile,
     CohortSpec,
+    IoFailure,
     _speaker_blocks,
     default_profiles,
     generate_cohort,
@@ -57,6 +58,8 @@ def test_generate_cohort_cardinality(tmp_path):
     wavs = sorted(p.name for p in tmp_path.glob("*.wav"))
     assert wavs == ["control_s00.wav", "control_s01.wav",
                     "depression_s00.wav", "depression_s01.wav"]
+    # the scratch file a speaker passes through has no name, so it leaves no file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "cohort.json", *wavs]
     assert (tmp_path / "cohort.csv").exists()
     assert manifest.label_counts() == {"control": 2, "depression": 2}
 
@@ -168,11 +171,19 @@ def assert_cohort_equals_former(spec, out):
 @pytest.mark.parametrize("block", [7, 1000])
 def test_small_blocks_write_the_former_cohort(tmp_path, block):
     """With BLOCK patched small, a speaker of 8005 samples spans many blocks and a tail,
-    on both passes through the scratch file, and still writes the former bytes."""
-    spec = tiny_spec(speakers=1, seconds=8005 / DEFAULT_SAMPLE_RATE)
-    with mock.patch.object(synth, "BLOCK", block):
-        generate_cohort(spec, tmp_path)
-    assert_cohort_equals_former(spec, tmp_path)
+    on both passes through the scratch file, and still writes the former bytes. Dense
+    pauses silence the whole of these speakers, leaving noise with a peak far below 1
+    (scaled up to 0.9) and, with no noise, a peak of 0 (written as silence)."""
+    silent = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
+                          noise_floor_db=float("-inf"), pauses_per_minute=3000.0)
+    for i, profiles in enumerate((default_profiles(), {"control": DENSE, "depression": silent})):
+        spec = CohortSpec(speakers_per_class=1, seconds_per_speaker=8005 / DEFAULT_SAMPLE_RATE,
+                          class_profiles=profiles, seed=5)
+        out = tmp_path / str(i)
+        with mock.patch.object(synth, "BLOCK", block):
+            generate_cohort(spec, out)
+        assert_cohort_equals_former(spec, out)
+    assert not load_wav(out / "depression_s00.wav").samples.any()
 
 
 def test_short_scratch_writes_write_the_same_cohort(tmp_path, monkeypatch):
@@ -205,10 +216,11 @@ def test_short_scratch_writes_write_the_same_cohort(tmp_path, monkeypatch):
     assert_cohort_equals_former(spec, tmp_path)
 
 
-def test_scratch_file_leaves_no_file(tmp_path):
-    generate_cohort(tiny_spec(speakers=1, seconds=1.0), tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "cohort.csv", "cohort.json", "control_s00.wav", "depression_s00.wav"]
+def test_an_unwritable_out_dir_is_an_io_failure(tmp_path):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "cohort"
+    with pytest.raises(IoFailure, match=f"^cannot write cohort to {re.escape(str(out))}: "):
+        generate_cohort(tiny_spec(speakers=1, seconds=1.0), out)
 
 
 def test_a_speaker_not_finite_raises_before_its_wav_is_opened(tmp_path):
@@ -236,11 +248,18 @@ def test_pause_density_measured_by_silence_remover():
     assert 10 <= gaps_estimate <= 30  # Poisson(20) gaps, some may overlap
 
 
+def test_default_spec_is_the_readme_cohort():
+    # the README's workflow: 24 speakers of 120 s, seed 0
+    assert (CohortSpec().speakers_per_class, CohortSpec().seconds_per_speaker,
+            CohortSpec().seed) == (12, 120.0, 0)
+
+
 def test_profiles_must_differ():
     profile = ClassProfile(f0_hz=100.0, f0_spread_hz=5.0, tilt_db_per_octave=-6.0,
                            noise_floor_db=-40.0, pauses_per_minute=5.0)
     with pytest.raises(ValueError):
         CohortSpec(class_profiles={"depression": profile, "control": profile})
+    CohortSpec(class_profiles={"control": profile})  # one class has none to differ from
     with pytest.raises(ValueError):
         CohortSpec(speakers_per_class=0)
     for seed in (-1, 2 ** 64):
