@@ -28,9 +28,9 @@ Writing is one block writer, ``_wav_writer``, behind both ``save_wav``
 so a clip no WAV can hold (not one or two channels, or a RIFF size or
 byte rate past 32 bits) raises ValueError before any byte is written.
 It then encodes and writes the body one block at a time: a clip's
-blocks of 2^14 frames, or the blocks a ``ClipBlocks`` yields, so
-writing holds one block's buffers beside the clip, not a full-size copy
-of it, and ``save_wav`` can write a clip that is never held at all.
+blocks of 2^14 frames, or the blocks a private ``_ClipBlocks`` yields
+(unscanned, like ``_from_checked``), so writing holds one block's
+buffers beside the clip, and ``save_wav`` can write a clip never held.
 
 The public steps ``decode_wav`` (or ``load_wav``) -> ``to_mono`` ->
 ``resample`` remain the reference: ``load_mono(path)`` is byte-identical
@@ -148,14 +148,14 @@ class AudioClip:
 
 
 @dataclass(frozen=True)
-class ClipBlocks:
+class _ClipBlocks:
     """A mono clip as the blocks of its samples, for ``save_wav`` to write without holding it.
 
     ``blocks`` yields 1-d float64 arrays whose lengths sum to ``frames``;
     each is encoded before the next is drawn, so a producer may yield one
-    buffer refilled in place. Like ``AudioClip._from_checked``, the samples
-    are not scanned: they must be finite and in [-1, 1], derived from
-    values known to be (``synth`` scales its speakers by a finite peak).
+    buffer refilled in place. Unchecked, like ``AudioClip._from_checked``:
+    no sample is scanned, so they must be finite and in [-1, 1], derived
+    from values known to be (``synth`` scales its speakers by a finite peak).
     """
 
     blocks: Iterable
@@ -572,15 +572,15 @@ def load_mono(path) -> AudioClip:
 
 
 def save_wav(path, clip, bit_depth: int = 16) -> None:
-    """Write an AudioClip, or a ClipBlocks, as a WAV file, one block of frames at a time.
+    """Write an AudioClip as a WAV file, one block of frames at a time.
 
     A clip is written as the bytes of encode_wav. The header is checked
     before the file is opened, so a clip no WAV can hold raises ValueError
     and leaves no file behind. Beyond the clip, the writer holds one
-    block's buffers (2^14 frames), however long the clip; a ClipBlocks is
-    written as its blocks come, so the clip is never held.
+    block's buffers (2^14 frames), however long the clip. The private,
+    unchecked ``_ClipBlocks`` is written as its blocks come, never held.
     """
-    if isinstance(clip, ClipBlocks):
+    if isinstance(clip, _ClipBlocks):
         shape, blocks = (clip.frames,), clip.blocks
     else:
         shape, blocks = clip.samples.shape, _clip_blocks(clip.samples)

@@ -323,10 +323,8 @@ def cmd_stats(ns) -> None:
     _ids, labels, matrix = read_features_csv(ns.features)
     if not labels:
         raise VocalScreenError(f"{ns.features}: no feature rows")
-    by_group = {}
-    for label, row in zip(labels, matrix):
-        by_group.setdefault(label, []).append(row)
-    by_group = {label: np.asarray(rows) for label, rows in by_group.items()}
+    column = np.asarray(labels)
+    by_group = {label: matrix[column == label] for label in dict.fromkeys(labels)}
     stats = evaluation.descriptive_stats(by_group)
     with _named(ns.features, evaluation.GroupTooSmall):
         t_tests = evaluation.group_t_tests(by_group) if len(by_group) == 2 else None

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VocalScreenError
-from .features import N_FEATURES
+from .features import FEATURE_COLUMNS, N_FEATURES, N_MFCC
 from .model import _answers, as_matrix, fit_scaler, identity_scaler, knn_fit
 from .rng import SplitMix64, fisher_yates
 
@@ -120,10 +120,10 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
     """Partition row indices into per-class-balanced folds.
 
     Each class's indices are shuffled by one shared SplitMix64 stream
-    (classes visited in sorted label order) and dealt into ``folds``
-    contiguous chunks whose sizes differ by at most one. Fold i is the
-    union of every class's chunk i. No rows, like a class of fewer rows
-    than folds, raise TooFewSamplesPerClass.
+    (classes visited in sorted label order) and cut by np.array_split into
+    ``folds`` chunks, the first ``len % folds`` one row longer. Fold i is
+    the sorted union of every class's chunk i. No rows, like a class of
+    fewer rows than folds, raise TooFewSamplesPerClass.
     """
     labels = list(labels)
     check_folds(folds)
@@ -138,16 +138,8 @@ def stratified_folds(labels, folds: int, seed: int) -> list:
                 f"class {label!r} has {len(class_idx)} rows < {folds} folds"
             )
     stream = SplitMix64(seed)
-    fold_indices = [[] for _ in range(folds)]
-    for class_idx in by_class.values():
-        shuffled = fisher_yates(class_idx, stream)
-        base, extra = divmod(len(shuffled), folds)
-        start = 0
-        for i in range(folds):
-            size = base + (1 if i < extra else 0)
-            fold_indices[i].extend(shuffled[start : start + size])
-            start += size
-    return [sorted(fold) for fold in fold_indices]
+    chunks = [np.array_split(fisher_yates(rows, stream), folds) for rows in by_class.values()]
+    return [sorted(np.concatenate(fold).tolist()) for fold in zip(*chunks)]
 
 
 def select_best(candidates) -> dict:
@@ -226,7 +218,8 @@ def summary_features(matrix: np.ndarray) -> np.ndarray:
     """Collapse 16-column feature rows to the 4 reported summaries:
     mean MFCC (over coefficients 0..12), centroid, complexity, ZCR."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    return np.column_stack([matrix[:, :13].mean(axis=1), matrix[:, 13], matrix[:, 14], matrix[:, 15]])
+    columns = [FEATURE_COLUMNS.index(name) for name in ("centroid", "complexity", "zcr")]
+    return np.column_stack([matrix[:, :N_MFCC].mean(axis=1), matrix[:, columns]])
 
 
 def _group_summaries(features_by_group: dict) -> dict:

@@ -231,8 +231,9 @@ def spectral_centroid(spectrum: np.ndarray) -> float | np.ndarray:
     return float(centroid) if spectrum.ndim == 1 else centroid
 
 
-def spectral_complexity(spectrum: np.ndarray, peak_threshold_db: float = 30.0,
-                        log_floor: float = 1e-10) -> int | np.ndarray:
+def spectral_complexity(spectrum: np.ndarray,
+                        peak_threshold_db: float = FeatureConfig.peak_threshold_db,
+                        log_floor: float = FeatureConfig.log_floor) -> int | np.ndarray:
     """Count of prominent spectral peaks in one frame.
 
     A peak is a strict local maximum on the dB spectrum that lies within

@@ -100,18 +100,14 @@ def remove_silence(clip: AudioClip, params: SilenceParams = SilenceParams()) -> 
     if len(rms) == 0 or (peak := rms.max()) == 0.0:
         return AudioClip._from_checked(np.zeros(0), clip.sample_rate)
 
-    # frames first..last of a voiced run cover [first * hop, last * hop + frame);
-    # a run that starts before the last one ends (a frame over two hops) extends it
+    # frames first..last of a run cover [first * hop, last * hop + frame); hi grows with the
+    # run, so a run that starts no later than the previous one ends extends its stretch
     voiced = np.concatenate(([False], rms >= params.threshold_ratio * peak, [False]))
     edges = np.flatnonzero(voiced[1:] != voiced[:-1])
-    runs = []
-    for first, stop in zip(edges[::2], edges[1::2]):
-        lo, hi = first * hop_len, (stop - 1) * hop_len + frame_len
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi])
-    return AudioClip._from_checked(np.concatenate([clip.samples[lo:hi] for lo, hi in runs]),
+    lo, hi = edges[::2] * hop_len, (edges[1::2] - 1) * hop_len + frame_len
+    opens = np.concatenate(([True], lo[1:] > hi[:-1]))
+    stretches = zip(lo[opens], hi[np.append(opens[1:], True)])
+    return AudioClip._from_checked(np.concatenate([clip.samples[a:b] for a, b in stretches]),
                                    clip.sample_rate)
 
 

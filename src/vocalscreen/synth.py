@@ -29,7 +29,7 @@ import tempfile
 
 import numpy as np
 
-from .audio_io import DEFAULT_SAMPLE_RATE, ClipBlocks, max_wav_frames, save_wav
+from .audio_io import DEFAULT_SAMPLE_RATE, _ClipBlocks, max_wav_frames, save_wav
 from .dataset import LABELS, DatasetManifest, ManifestRow, save_manifest, write_json
 from .errors import VocalScreenError
 from .preprocess import sample_count
@@ -178,35 +178,33 @@ def _speaker_blocks(profile: ClassProfile, seconds: float, rng: "np.random.Gener
 def _save_speaker(path: Path, blocks, scratch) -> None:
     """Write a speaker's blocks to ``path`` as a WAV normalised to peak 0.9, in two passes.
 
-    Pass 1 writes each unscaled block to ``scratch`` (an unbuffered file,
+    Pass 1 writes each unscaled block to ``scratch`` (a buffered file,
     rewound here, so one serves every speaker) and folds its largest
     magnitude into the peak. np.maximum carries a NaN through, so a
-    speaker whose samples are not all finite raises ValueError before its
-    WAV is opened. Pass 2 reads the blocks back, scales each by
-    ``0.9 / peak`` (the product the whole-array chain takes, so never
-    past 0.9) and hands it to ``save_wav`` to encode and write.
+    speaker whose samples are not all finite raises ValueError, and a full
+    disk OSError (the rewind flushes the buffer), before its WAV is opened.
+    Pass 2 reads the blocks back and has ``save_wav`` write each scaled by
+    ``0.9 / peak`` (the whole-array chain's product, so never past 0.9).
     """
     scratch.seek(0)
     frames, peak = 0, 0.0
     for block in blocks:
         frames += len(block)
         peak = np.maximum(peak, np.maximum(block.max(), -block.min()))
-        unwritten = memoryview(block).cast("B")
-        while unwritten:  # a raw write may take fewer bytes than it is given
-            unwritten = unwritten[scratch.write(unwritten):]
+        scratch.write(block)  # a buffered write takes every byte or raises
     if not np.isfinite(peak):
         raise ValueError(f"{path.name}: samples must be finite, got peak {peak}")
     scale = 0.9 / peak if peak > 0 else 1.0
+    scratch.seek(0)
 
     def scaled():
-        scratch.seek(0)
         buffer = np.empty(min(BLOCK, frames))
         for lo in range(0, frames, BLOCK):
             block = buffer[:min(BLOCK, frames - lo)]
             scratch.readinto(block)  # a regular file reads short only at its end
             yield np.multiply(block, scale, out=block)
 
-    save_wav(path, ClipBlocks(scaled(), frames, DEFAULT_SAMPLE_RATE))
+    save_wav(path, _ClipBlocks(scaled(), frames, DEFAULT_SAMPLE_RATE))
 
 
 def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
@@ -224,7 +222,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> DatasetManifest:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         rows = []
-        with tempfile.TemporaryFile(dir=out_dir, buffering=0) as scratch:
+        with tempfile.TemporaryFile(dir=out_dir) as scratch:
             for class_idx, label in enumerate(sorted(spec.class_profiles)):
                 profile = spec.class_profiles[label]
                 for speaker_idx in range(spec.speakers_per_class):

@@ -1,4 +1,4 @@
-"""Mutation score of six modules' tests: audio_io, evaluation, features, model, preprocess, synth.
+"""Mutation score of the tests of audio_io, cli, evaluation, features, model, preprocess, synth.
 
     python tests/mutants.py [--jobs 2] [--rerun]
 
@@ -53,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the modules mutated, each with the test file that must kill its mutants
 TEST_FILES = {
     "audio_io": "tests/test_audio_io.py",
+    "cli": "tests/test_cli.py",
     "evaluation": "tests/test_evaluation.py",
     "features": "tests/test_features.py",
     "model": "tests/test_model.py",

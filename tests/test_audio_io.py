@@ -11,9 +11,9 @@ from hypothesis.extra.numpy import arrays
 from vocalscreen import audio_io
 from vocalscreen.audio_io import (
     AudioClip,
-    ClipBlocks,
     MalformedWav,
     UnsupportedFormat,
+    _ClipBlocks,
     decode_wav,
     encode_wav,
     load_mono,
@@ -328,13 +328,13 @@ def refilled(blocks):
                       elements=st.one_of(samples_in_range, half_steps)),
        cuts=st.lists(st.integers(0, 40)), bit_depth=st.sampled_from([16, 32]))
 def test_save_wav_of_blocks_equals_encode_wav(tmp_path_factory, samples, cuts, bit_depth):
-    """A ClipBlocks writes the bytes of the clip its blocks join into, wherever the blocks
+    """A _ClipBlocks writes the bytes of the clip its blocks join into, wherever the blocks
     are cut (empty blocks too) and whether or not they share one buffer."""
     blocks = np.split(samples, sorted(cuts))
     expected = encode_wav(AudioClip(samples=samples, sample_rate=22050), bit_depth)
     path = tmp_path_factory.mktemp("blocks") / "clip.wav"
     for given_blocks in (iter(blocks), refilled(blocks)):
-        save_wav(path, ClipBlocks(given_blocks, len(samples), 22050), bit_depth)
+        save_wav(path, _ClipBlocks(given_blocks, len(samples), 22050), bit_depth)
         assert path.read_bytes() == expected
 
 
@@ -342,7 +342,8 @@ def test_save_wav_of_blocks_equals_encode_wav(tmp_path_factory, samples, cuts, b
 def test_save_wav_rejects_blocks_short_or_long_of_their_frames(tmp_path, frames):
     # the header declares ``frames``; a WAV whose body says otherwise would misread
     with pytest.raises(ValueError, match=f"^blocks held 3 frames, the header declares {frames}$"):
-        save_wav(tmp_path / "a.wav", ClipBlocks(iter([np.zeros(2), np.zeros(1)]), frames, 16000))
+        save_wav(tmp_path / "a.wav",
+                 _ClipBlocks(iter([np.zeros(2), np.zeros(1)]), frames, 16000))
 
 
 @pytest.mark.parametrize("frames, sample_rate, field", [
@@ -353,7 +354,7 @@ def test_save_wav_checks_the_header_of_blocks_before_opening(tmp_path, frames, s
                                                              field):
     path = tmp_path / "out.wav"
     with pytest.raises(ValueError, match=field):
-        save_wav(path, ClipBlocks(iter([]), frames, sample_rate))
+        save_wav(path, _ClipBlocks(iter([]), frames, sample_rate))
     assert not path.exists()
 
 

@@ -1242,3 +1242,65 @@ def test_split_and_cohort_sidecars_pinned(small_cohort, tmp_path):
         (tmp_path / "split.json", "split.speaker-disjoint.json"),
     ]:
         assert written.read_bytes() == (expected_dir / expected).read_bytes(), expected
+
+
+# each stage's required flags on small_cohort; every other flag keeps its default, so a
+# synth that runs makes 12 speakers of 120 s and meets the file-size cap in its scratch file
+SWEEP_BASES = {
+    "synth": ["synth"],
+    "split": ["split", "--manifest", "work/segments.csv"],
+    "train": ["train", "--features", "work/features.csv", "--manifest", "work/train.csv"],
+    "select": ["select", "--features", "work/features.csv", "--manifest", "work/train.csv"],
+}
+SWEEP_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e305", "1e-300", str(2 ** 63)]
+
+# run as ``python -c SWEEP_CHILD`` with a JSON list of argv on stdin: main runs each argv in
+# this one child, capped at 1 GiB of address space and 1 MiB per written file (Python ignores
+# SIGXFSZ, so a write past the cap raises OSError), and prints [exit code, stderr] of each
+SWEEP_CHILD = """import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+from vocalscreen.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            traceback.print_exc()
+            code = None
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_numeric_flag_takes_extreme_values_without_a_traceback(small_cohort, tmp_path):
+    """Each type=int or type=float flag of every stage, given 0, -1, nan, +-inf, 1e305,
+    1e-300 or 2**63 as ``--flag=value`` (as two tokens, argparse reads -inf as an option),
+    exits 0, 1 or 2 with no traceback, and a usage error (2) names the flag."""
+    for name in ("cohort", "work"):
+        (tmp_path / name).symlink_to(small_cohort / name)
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    cases = [(flag, [*SWEEP_BASES[stage], "--out", f"sweep/{stage}{flag}{value}",
+                     f"{flag}={value}"])
+             for stage, parser in subcommands.items() for action in parser._actions
+             if action.type in (int, float)
+             for flag in action.option_strings for value in SWEEP_VALUES]
+    assert sorted({argv[0] for _flag, argv in cases}) == sorted(SWEEP_BASES)
+    assert len(cases) == 9 * len(SWEEP_VALUES)
+    src = [str(Path(__file__).resolve().parent.parent / "src")]
+    src += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(src))
+    env.pop("VOCALSCREEN_SEED", None)
+    done = subprocess.run([sys.executable, "-c", SWEEP_CHILD], cwd=tmp_path, env=env,
+                          input=json.dumps([argv for _flag, argv in cases]),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for (flag, argv), (code, err) in zip(cases, json.loads(done.stdout), strict=True):
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        assert code != 2 or flag in err, (argv, err)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import knn_scan, pooled_t_reference
@@ -33,6 +33,7 @@ from vocalscreen.evaluation import (
     two_sample_t,
 )
 from vocalscreen.model import fit_scaler, identity_scaler, transform
+from vocalscreen.rng import SplitMix64, fisher_yates
 
 DEP, CON = "depression", "control"
 
@@ -105,6 +106,43 @@ def test_stratified_folds_deal_each_class_alone():
     assert sorted(i for fold in folds for i in fold) == list(range(15))
     for label, sizes in (("a", {2}), ("b", {3}), ("c", {2, 3})):
         assert {sum(labels[i] == label for i in fold) for fold in folds} == sizes
+
+
+def divmod_folds(labels, folds, seed):
+    """The former dealing of stratified_folds: each class's shuffled rows in chunks sized by
+    divmod, the first ``extra`` of them one row longer; the reference for np.array_split."""
+    stream = SplitMix64(seed)
+    fold_indices = [[] for _ in range(folds)]
+    for label in sorted(set(labels)):
+        shuffled = fisher_yates([i for i, lab in enumerate(labels) if lab == label], stream)
+        base, extra = divmod(len(shuffled), folds)
+        start = 0
+        for i in range(folds):
+            size = base + (1 if i < extra else 0)
+            fold_indices[i].extend(shuffled[start : start + size])
+            start += size
+    return [sorted(fold) for fold in fold_indices]
+
+
+@st.composite
+def dealable_labels(draw):
+    """(labels, folds): one to three classes of folds to 4 * folds + 3 rows each, so most
+    class sizes do not divide by folds, in a drawn order."""
+    folds = draw(st.integers(2, 8))
+    sizes = draw(st.lists(st.integers(folds, 4 * folds + 3), min_size=1, max_size=3))
+    labels = [label for label, size in zip("abc", sizes) for _ in range(size)]
+    return draw(st.permutations(labels)), folds
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dealable_labels(), seed=st.integers(0, 2 ** 64 - 1))
+@example(case=([DEP] * 13 + [CON] * 17, 5), seed=2 ** 64 - 1)
+@example(case=(["a"] * 7 + ["b"] * 9, 4), seed=0)
+def test_stratified_folds_equal_divmod_dealing(case, seed):
+    labels, folds = case
+    dealt = stratified_folds(labels, folds, seed)
+    assert dealt == divmod_folds(labels, folds, seed)
+    assert all(type(i) is int for fold in dealt for i in fold)
 
 
 def test_fold_count_below_two_and_no_rows_are_rejected():

@@ -58,6 +58,25 @@ def former_remove_silence(samples, frame_len, hop_len, ratio):
     return samples[keep]
 
 
+def run_merge_remove_silence(samples, frame_len, hop_len, ratio):
+    """The former run merge of remove_silence: each voiced run's [lo, hi) joins the last
+    kept stretch when it starts no later than that stretch ends; the reference for the
+    masks that took its place."""
+    rms = former_frame_rms(samples, frame_len, hop_len)
+    if len(rms) == 0 or rms.max() == 0.0:
+        return np.zeros(0)
+    voiced = np.concatenate(([False], rms >= ratio * rms.max(), [False]))
+    edges = np.flatnonzero(voiced[1:] != voiced[:-1])
+    runs = []
+    for first, stop in zip(edges[::2], edges[1::2]):
+        lo, hi = first * hop_len, (stop - 1) * hop_len + frame_len
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+    return np.concatenate([samples[lo:hi] for lo, hi in runs])
+
+
 @settings(max_examples=300, deadline=None)
 @given(samples=arrays(np.float64, st.integers(1, 300),
                       elements=st.sampled_from([0.0, -0.0, 1e-4, -0.002]) | st.floats(-1, 1)),
@@ -70,6 +89,11 @@ def former_remove_silence(samples, frame_len, hop_len, ratio):
 # the third of three runs overlaps the second, not the first
 @example(samples=np.array([1., 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]), frame_len=4,
          hop_fraction=0.25, ratio=0.5)
+# hop 2, frame 4: runs at frames 0 and 2 touch, the first ending where the second starts
+@example(samples=np.array([1., 1, 0, 0, 0, 0, 1, 1]), frame_len=4, hop_fraction=0.5, ratio=0.5)
+# a single run, in frames of 5 that are not a multiple of the hop of 2
+@example(samples=np.r_[np.zeros(9), np.ones(6), np.zeros(9)], frame_len=5, hop_fraction=0.4,
+         ratio=0.5)
 def test_remove_silence_equals_slice_loop(samples, frame_len, hop_fraction, ratio):
     hop_len = max(1, round(frame_len * hop_fraction))
     rate = 1000
@@ -82,6 +106,7 @@ def test_remove_silence_equals_slice_loop(samples, frame_len, hop_fraction, rati
     want = former_remove_silence(samples, frame_len, hop_len, ratio)
     assert np.array_equal(out, want)
     assert np.array_equal(np.signbit(out), np.signbit(want))
+    assert out.tobytes() == run_merge_remove_silence(samples, frame_len, hop_len, ratio).tobytes()
 
 
 def test_silence_params_invariants():

@@ -1,5 +1,8 @@
+import errno
 import hashlib
+import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -186,34 +189,31 @@ def test_small_blocks_write_the_former_cohort(tmp_path, block):
     assert not load_wav(out / "depression_s00.wav").samples.any()
 
 
-def test_short_scratch_writes_write_the_same_cohort(tmp_path, monkeypatch):
-    """An unbuffered write may take fewer bytes than it is given; every byte still reaches
-    the scratch file, so every WAV keeps its bytes."""
-    make_temporary = tempfile.TemporaryFile
+def test_a_full_disk_raises_before_the_speakers_wav_is_opened(tmp_path, monkeypatch):
+    """A speaker shorter than the scratch file's buffer reaches the disk only when pass 1
+    rewinds; a full disk raises there, before the speaker's WAV is opened."""
+    class FullDisk(io.RawIOBase):
+        def readable(self):
+            return True
 
-    class ShortWrites:
-        def __init__(self, **kwargs):
-            self.file = make_temporary(**kwargs)
+        def writable(self):
+            return True
 
-        def __enter__(self):
-            return self
+        def seekable(self):
+            return True
 
-        def __exit__(self, *exc):
-            self.file.close()
-
-        def seek(self, offset):
-            return self.file.seek(offset)
-
-        def readinto(self, buffer):
-            return self.file.readinto(buffer)
+        def seek(self, offset, whence=0):
+            return 0
 
         def write(self, data):
-            return self.file.write(memoryview(data)[:1000])  # 1000 of a block's bytes
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", ShortWrites)
-    spec = tiny_spec(speakers=1, seconds=1.5)
-    generate_cohort(spec, tmp_path)
-    assert_cohort_equals_former(spec, tmp_path)
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kwargs: io.BufferedRandom(FullDisk()))
+    samples = io.DEFAULT_BUFFER_SIZE // 8 // 2  # float64 samples filling half the buffer
+    spec = tiny_spec(speakers=1, seconds=samples / DEFAULT_SAMPLE_RATE)
+    with pytest.raises(IoFailure, match=f"{os.strerror(errno.ENOSPC)}$"):
+        generate_cohort(spec, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_unwritable_out_dir_is_an_io_failure(tmp_path):
