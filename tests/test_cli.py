@@ -708,6 +708,7 @@ def test_config_lines_read_as_flags(small_cohort, tmp_path, capsys):
         config.write_text(f"scaler = {value}\n")
         out = tmp_path / value
         assert main([*train, "--out", str(out), "--config", str(config)]) == 0
+        assert capsys.readouterr().out.endswith(f" segments -> {out / 'model.json'}\n")
         assert json.loads((out / "train.run.json").read_text())["scaler"] is expected
         stds = json.loads((out / "model.json").read_text())["scaler"]["stds"]
         assert (set(stds) == {1.0}) is not expected
@@ -728,6 +729,12 @@ def test_config_lines_read_as_flags(small_cohort, tmp_path, capsys):
                  "--config", str(config)]) == 2
     assert capsys.readouterr().err == "error: --seed: seed must lie in [0, 2^64), got -1\n"
     assert not (tmp_path / "negative").exists()
+    # a line with no "=" is named by its number, counting the comment and the blank line
+    config.write_text("# split options\n\nseed 2\n")
+    assert main(["split", "--manifest", segments, "--out", str(tmp_path / "no_equals"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:3: expected key=value, got 'seed 2'\n"
+    assert not (tmp_path / "no_equals").exists()
 
 
 @pytest.mark.parametrize("argv, config, env, message", [
