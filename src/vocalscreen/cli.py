@@ -147,12 +147,11 @@ def _load_model(path, features_path) -> model.KnnModel:
 
 
 def _predictions(fitted: model.KnnModel, model_path, matrix) -> list:
-    """(label, vote fraction) of each row of ``matrix``, from one model._answers call, so a
-    p = 2 model answers a table of two or more rows through the block filter; a
-    DistanceOverflow names the model."""
+    """(label, vote fraction) of each row of ``matrix``, from one neighbour query and one
+    vote, so a p = 2 model answers a table of two or more rows through the block filter;
+    a DistanceOverflow names the model."""
     with _named(model_path, model.DistanceOverflow):
-        answers = model._answers(fitted, matrix, {fitted.p: (fitted.k,)})
-    return [answer[fitted.p][fitted.k] for answer in answers]
+        return model._predict_rows(fitted, matrix)
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -234,7 +233,9 @@ def cmd_split(ns) -> None:
     with _named("--train-fraction/--mode", ValueError, usage=True):
         spec = dataset.SplitSpec(train_fraction=ns.train_fraction, seed=ns.seed, mode=ns.mode)
     manifest = dataset.load_manifest(ns.manifest)
-    train, test = dataset.split(manifest, spec)
+    # the fraction passed its own (0, 1) rule, so only the data can fail it: exit 1
+    with _named(f"--manifest {ns.manifest} with --train-fraction", dataset.DegenerateSplit):
+        train, test = dataset.split(manifest, spec)
     ns.out.mkdir(parents=True, exist_ok=True)
     sidecar = dataset.write_split(ns.out, train, test, spec)
     print(f"split[{spec.mode}]: train={sidecar['counts']['train']['total']}"

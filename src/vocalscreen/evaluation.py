@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import VocalScreenError
 from .features import FEATURE_COLUMNS, N_FEATURES, N_MFCC
-from .model import _answers, as_matrix, fit_scaler, identity_scaler, knn_fit
+from .model import _encode, _neighbours, _vote, as_matrix, fit_scaler, identity_scaler, knn_fit
 from .rng import SplitMix64, fisher_yates
 
 POSITIVE_LABEL = "depression"
@@ -151,10 +151,14 @@ def select_best(candidates) -> dict:
 def grid_select(space, features, labels, folds: int, seed: int = 0) -> dict:
     """Cross-validate every candidate under stratified k-fold CV; pick the best.
 
-    Each fold fits one model per scaler; one model._answers call
+    Each fold fits one model per scaler; one model._neighbours call
     standardizes the fold's held-out rows with that model's scaler and
-    answers them for every (p, k) of the scaler's candidates, so the
-    predictions are those of one knn_predict per candidate and row.
+    finds, for every p of the scaler's candidates, each row's max(k)
+    nearest training rows as one (rows, max k) array. One model._vote per p
+    votes every k of that p on prefixes of the array, so the predictions
+    are those of one knn_predict per candidate and row, and a candidate's
+    fold hits are one count of its winning label codes equal to the
+    held-out rows' own.
 
     Returns the selection_report.json payload: ``folds``, ``seed``,
     ``candidates`` in definition order, each {pipeline, k, p, scaler,
@@ -170,10 +174,12 @@ def grid_select(space, features, labels, folds: int, seed: int = 0) -> dict:
     if matrix.shape[0] != len(labels):
         raise LengthMismatch(f"{matrix.shape[0]} rows vs {len(labels)} labels")
     fold_sets = stratified_folds(labels, folds, seed)
-    hits = [[0] * folds for _ in space]
+    codes = _encode(labels)[1]
+    hits = np.zeros((len(space), folds), dtype=np.intp)
     for i, held_out in enumerate(fold_sets):
         train_idx = np.delete(np.arange(len(labels)), held_out)
         train_x, train_y = matrix[train_idx], [labels[t] for t in train_idx]
+        train_codes, truth = codes[train_idx], codes[held_out]
         for use_scaler in dict.fromkeys(c.use_scaler for c in space):
             scaler = fit_scaler(train_x) if use_scaler else identity_scaler(matrix.shape[1])
             fitted = knn_fit(train_x, train_y, k=1, scaler=scaler)
@@ -182,12 +188,14 @@ def grid_select(space, features, labels, folds: int, seed: int = 0) -> dict:
             for _, p, k in members:
                 replace(fitted, k=k, p=p)  # KnnModel checks k and p against the fold
                 ks_by_p.setdefault(p, set()).add(k)
-            for t, answers in zip(held_out, _answers(fitted, matrix[held_out], ks_by_p)):
-                for j, p, k in members:
-                    hits[j][i] += answers[p][k][0] == labels[t]
+            neighbours = _neighbours(fitted, matrix[held_out],
+                                     {p: max(ks) for p, ks in ks_by_p.items()})
+            votes = {p: _vote(neighbours[p], train_codes, ks) for p, ks in ks_by_p.items()}
+            for j, p, k in members:
+                hits[j, i] = np.count_nonzero(votes[p][k][0] == truth)
     candidates = [{"pipeline": c.describe(), "k": c.k, "p": c.p, "scaler": c.use_scaler,
                    "fold_scores": s.tolist(), "mean_cv_score": float(s.mean())}
-                  for c, s in zip(space, np.array(hits) / [len(fold) for fold in fold_sets])]
+                  for c, s in zip(space, hits / [len(fold) for fold in fold_sets])]
     means = [c["mean_cv_score"] for c in candidates]
     return {"folds": folds, "seed": seed, "candidates": candidates,
             "best": select_best(candidates), "generations": list(accumulate(means, max))}

@@ -9,18 +9,24 @@ depend on k, so grid selection orders the first max-k rows once per
 (fold, scaler, p) and every k votes on a prefix of them. Only those rows
 are sorted: a partition finds the max-k-th distance first.
 
-One query loop, _answers, answers every query of predict, evaluate and
-grid selection, and votes every k of a p on one neighbor ordering. It
-takes raw feature rows, standardizes them with the model's scaler, and
-runs under one numpy error state in which a distance that overflows
-float64 reads inf quietly: such a distance decides nothing unless it is
-among a query's k nearest, and then the loop raises DistanceOverflow.
-Given several queries, it answers p = 2 for blocks of _BLOCK of them at
-once: one BLAS product ranks every training row by |t|^2 - 2 q.t, which
-orders rows as their squared distance does, and only the rows that
-ranking cannot rule out, by a margin above its rounding error, get an
-exact distance (_filtered_heads). A single query, and every p but 2, is
-a scan: each such p differences the query against the training rows.
+One query loop, _neighbours, finds the neighbours of every query of
+predict, evaluate and grid selection: for each p asked for, one
+(queries, count) int array of each query's nearest training rows, nearest
+first. One vote step, _vote, turns such an array and the training rows'
+0/1 label codes into every k's winner and vote fraction with one
+cumulative sum along the neighbour axis, so no query is voted on alone,
+and grid selection counts a candidate's hits with one comparison.
+_neighbours takes raw feature rows, standardizes them with the model's
+scaler, and runs under one numpy error state in which a distance that
+overflows float64 reads inf quietly: such a distance decides nothing
+unless it is among a query's count nearest, and then the loop raises
+DistanceOverflow. Given several queries, it answers p = 2 for blocks of
+_BLOCK of them at once: one BLAS product ranks every training row by
+|t|^2 - 2 q.t, which orders rows as their squared distance does, and
+only the rows that ranking cannot rule out, by a margin above its
+rounding error, get an exact distance (_filtered_heads). A single query,
+and every p but 2, is a scan: each such p differences the query against
+the training rows.
 Both paths take every exact distance from one distance kernel,
 _minkowski, which works on a dimension-major copy of the training matrix
 and adds a query's |a - b|^p terms left to right over the dimensions,
@@ -45,7 +51,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -275,6 +281,22 @@ class KnnModel:
         """|t|^2 of every training row, made once per model for _filtered_heads."""
         return np.einsum("ij,ij->j", self._dims_major, self._dims_major)
 
+    @cached_property
+    def _encoded(self) -> tuple:
+        """_encode of the training labels, made once per model for _vote."""
+        return _encode(self.train_labels)
+
+
+def _encode(labels) -> tuple:
+    """(the distinct labels sorted, each label's index among them as an int array).
+
+    For binary labels the indices are the 0/1 codes _vote counts, and the
+    lower label has code 0.
+    """
+    classes = sorted(set(labels))
+    index = {label: code for code, label in enumerate(classes)}
+    return classes, np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
             scaler: ScalerParams | None = None,
@@ -306,7 +328,7 @@ def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
 
 
 def _nearest(d: np.ndarray, count: int) -> tuple:
-    """(count-th distance, the first ``count`` indices of the distances d, nearest first).
+    """(count-th distance, the first ``count`` indices of the distances d as an int array).
 
     Equal distances go to the lower row index, so the indices are the head
     of the full stable argsort; only the rows at or below the count-th
@@ -316,14 +338,15 @@ def _nearest(d: np.ndarray, count: int) -> tuple:
     # every row tied with or nearer than the count-th, in index order, so the
     # stable sort keeps the tie rule; "not >" also keeps NaN, which sorts last
     head = np.flatnonzero(~(d > kth))
-    return kth, head[np.argsort(d[head], kind="stable")][:count].tolist()
+    return kth, head[np.argsort(d[head], kind="stable")][:count]
 
 
-def _filtered_heads(model: KnnModel, queries: np.ndarray, count: int, out: np.ndarray) -> list:
+def _filtered_heads(model: KnnModel, queries: np.ndarray, count: int, out: np.ndarray) -> tuple:
     """_nearest's first ``count`` p = 2 rows for each of a block of queries, found through a filter.
 
-    Returns one (count-th distance, rows) pair per query, as _nearest
-    does, and leaves numpy's error state to the caller, _answers.
+    Returns (the count-th distance of each query, a (queries, count) int
+    array of each query's rows), as _nearest gives them for one query, and
+    leaves numpy's error state to the caller, _neighbours.
     ``out`` is a float64 work array of shape (2, at least len(queries),
     training rows), which the caller reuses across blocks: at 16 queries
     of 1624 rows each half is above malloc's mmap threshold, and fresh
@@ -379,68 +402,74 @@ def _filtered_heads(model: KnnModel, queries: np.ndarray, count: int, out: np.nd
     order = np.lexsort((rows, distances, which))
     counts = np.bincount(which, minlength=len(queries))
     starts = np.cumsum(counts) - counts  # every query has at least count candidates
-    heads = rows[order][starts[:, None] + np.arange(count)]
-    return list(zip(distances[order][starts + count - 1].tolist(), heads.tolist()))
+    return distances[order][starts + count - 1], rows[order][starts[:, None] + np.arange(count)]
 
 
-def _votes(model: KnnModel, nearest: list, ks) -> dict:
-    """Uniform vote of the first k ``nearest`` rows for every k in ks.
+def _neighbours(model: KnnModel, rows, counts: dict) -> dict:
+    """The nearest training rows of raw feature rows for every p of ``counts``, {p: count}.
 
-    One running label count over the first max(ks) rows gives each k its
-    winner -> {k: (label, vote fraction)}.
-    """
-    votes, winners = {}, {}
-    winner = None
-    for count, idx in enumerate(nearest[:max(ks)], 1):
-        label = model.train_labels[idx]
-        votes[label] = n = votes.get(label, 0) + 1
-        # only the label just counted can take the lead; a tie goes to the lower
-        # label, so even an (impossible) even vote has one winner
-        if winner is None or (n, winner) > (votes[winner], label):
-            winner = label
-        if count in ks:
-            winners[count] = (winner, votes[winner] / count)
-    return winners
-
-
-def _answers(model: KnnModel, rows, ks_by_p: dict) -> list:
-    """Answer raw feature rows for every p and k of ``ks_by_p``, {p: ks}.
-
-    Returns one {p: {k: (label, vote fraction)}} per row. The rows are
+    Returns {p: (queries, count) int array}, each row a query's first
+    ``count`` rows of the stable argsort of its distances. The rows are
     standardized with the model's scaler, and the whole call runs with
     overflow and invalid values quiet: an overflowing distance reads inf,
-    and a query raises DistanceOverflow, naming p, only when its max(ks)-th
+    and a query raises DistanceOverflow, naming p, only when its count-th
     nearest distance is inf (training rows are finite, so only an overflow
-    reads inf). A query raises for the p it fails on first, in ks_by_p
-    order, whichever path answers it. Given more than one row, p = 2 is
-    answered for a block of _BLOCK queries at a time by _filtered_heads;
-    every other p is a scan of its own differences. Each query's
-    differences are freed only when the next ones are made: freed at once,
-    they measured slower to allocate again.
+    reads inf). The first such query in row order raises, for the first p
+    it fails on in ``counts`` order, whichever path answers it. Given more
+    than one row, p = 2 is answered for a block of _BLOCK queries at a
+    time by _filtered_heads; every other p is a scan of its own
+    differences. Each query's differences are freed only when the next
+    ones are made: freed at once, they measured slower to allocate again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         queries = transform(model.scaler, rows)
-        filtered = len(queries) > 1 and 2 in ks_by_p
-        if filtered:  # the blocks' (count-th distance, rows) pairs, one block at a time
-            work = np.empty((2, _BLOCK, len(model.train_labels)))
-            heads = chain.from_iterable(
-                _filtered_heads(model, queries[start:start + _BLOCK], max(ks_by_p[2]), work)
-                for start in range(0, len(queries), _BLOCK))
-        answers = []
-        for query in queries:
-            votes = {}
-            for p, ks in ks_by_p.items():
-                if filtered and p == 2:
-                    kth, nearest = next(heads)
-                else:
+        kths = np.empty((len(queries), len(counts)))
+        neighbours = {}
+        for j, (p, count) in enumerate(counts.items()):
+            heads = neighbours[p] = np.empty((len(queries), count), dtype=np.intp)
+            if len(queries) > 1 and p == 2:
+                work = np.empty((2, _BLOCK, len(model.train_labels)))
+                for start in range(0, len(queries), _BLOCK):
+                    block = slice(start, start + _BLOCK)
+                    kths[block, j], heads[block] = _filtered_heads(model, queries[block],
+                                                                   count, work)
+            else:
+                for i, query in enumerate(queries):
                     diffs = _differences(model, query)
-                    kth, nearest = _nearest(_minkowski(diffs, p), max(ks))
-                if kth == np.inf:
-                    raise DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row"
-                                           f" {max(ks)} overflows float64")
-                votes[p] = _votes(model, nearest, ks)
-            answers.append(votes)
-    return answers
+                    kths[i, j], heads[i] = _nearest(_minkowski(diffs, p), count)
+    failed = np.flatnonzero(kths == np.inf)  # row-major: by query, then by p
+    if len(failed):
+        p, count = list(counts.items())[failed[0] % len(counts)]
+        raise DistanceOverflow(f"p = {p!r}: the distance |a - b|^p to nearest row"
+                               f" {count} overflows float64")
+    return neighbours
+
+
+def _vote(neighbours: np.ndarray, codes: np.ndarray, ks) -> dict:
+    """Uniform vote of each query's first k neighbours for every k in ks.
+
+    ``neighbours`` is a (queries, at least max(ks)) int array of training
+    rows, nearest first, and ``codes`` the 0/1 label code of every training
+    row. One cumulative sum along the neighbour axis counts the code-1
+    votes among the first k for every k at once -> {k: (winning codes,
+    vote fractions)}, one of each per query; a tie, which an odd k cannot
+    reach, goes to code 0, the lower label.
+    """
+    ones = np.cumsum(codes[neighbours], axis=1)
+    votes = {}
+    for k in ks:
+        top = ones[:, k - 1]
+        votes[k] = (2 * top > k).astype(np.intp), np.maximum(top, k - top) / k
+    return votes
+
+
+def _predict_rows(model: KnnModel, rows) -> list:
+    """(label, vote fraction) of each raw feature row, by the model's own k and p."""
+    neighbours = _neighbours(model, rows, {model.p: model.k})[model.p]
+    classes, codes = model._encoded
+    winners, fractions = _vote(neighbours, codes, (model.k,))[model.k]
+    return [(classes[code], fraction)
+            for code, fraction in zip(winners.tolist(), fractions.tolist())]
 
 
 def knn_predict(model: KnnModel, v) -> tuple:
@@ -460,7 +489,7 @@ def knn_predict(model: KnnModel, v) -> tuple:
     if not np.isfinite(query).all():
         raise VocalScreenError(f"query value {np.flatnonzero(~np.isfinite(query))[0]}"
                                f" is not finite")
-    return _answers(model, query[None], {model.p: (model.k,)})[0][model.p][model.k]
+    return _predict_rows(model, query[None])[0]
 
 
 def _model_payload(model: KnnModel) -> dict:

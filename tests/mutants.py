@@ -1,6 +1,6 @@
-"""Mutation score of the tests of audio_io, cli, evaluation, features, model, preprocess, synth.
+"""Mutation score of the tests of each module in TEST_FILES (all but rng, errors, __init__).
 
-    python tests/mutants.py [--jobs 2] [--rerun]
+    python tests/mutants.py [--jobs 2] [--rerun] [--modules model,evaluation,...]
 
 Run from the repository root. It copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory and makes one mutant at a time
@@ -27,10 +27,15 @@ Mutation sites are enumerated in ``ast.walk`` order, so the list is fixed
 for a given source (the report keeps each module's SHA-256).
 ``--rerun`` tests only the survivors in ``tests/mutants.json`` again, on
 the same sources, so a new test shows its effect as killed mutants.
+``--modules`` scores only the named modules, from scratch (or, with
+``--rerun``, their survivors), and keeps every other module's entries in
+``tests/mutants.json``. A module kept unscored must be the source its
+entries were made from: if its SHA-256 no longer matches the report's,
+the run refuses, naming it, before testing anything.
 
 pytest does not collect this file (its name does not start with
 ``test_``), and it is not part of tier-1: it runs a test file once per
-mutant, 1073 runs for the seven modules, which took 30 minutes with
+mutant, 1073 runs for seven of the modules, which took 30 minutes with
 ``--jobs 2`` on a 2-core machine.
 """
 
@@ -54,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TEST_FILES = {
     "audio_io": "tests/test_audio_io.py",
     "cli": "tests/test_cli.py",
+    "dataset": "tests/test_dataset.py",
     "evaluation": "tests/test_evaluation.py",
     "features": "tests/test_features.py",
     "model": "tests/test_model.py",
@@ -161,8 +167,25 @@ def run_tests(work: Path, test_file: str, timeout) -> str:
     return "passed" if proc.returncode == 0 else "failed"
 
 
+def source_of(module: str) -> tuple:
+    """(path relative to the root, text, SHA-256 of the text) of a mutated module."""
+    relative = Path("src") / "vocalscreen" / f"{module}.py"
+    source = (ROOT / relative).read_text()
+    return relative, source, hashlib.sha256(source.encode()).hexdigest()
+
+
+def module_list(text: str) -> list:
+    """The modules of a comma-separated --modules value, each one of TEST_FILES."""
+    modules = list(dict.fromkeys(name.strip() for name in text.split(",")))
+    for module in modules:
+        if module not in TEST_FILES:
+            raise argparse.ArgumentTypeError(f"{module!r} is not one of {', '.join(TEST_FILES)}")
+    return modules
+
+
 def tally(report: dict) -> None:
     """Set each module's counts and the overall score from ``report["mutants"]``."""
+    report["modules"] = dict(sorted(report["modules"].items()))
     for module, entry in report["modules"].items():
         statuses = [m["status"] for m in report["mutants"] if m["module"] == f"{module}.py"]
         entry.update({"run": len(statuses), **{s: statuses.count(s)
@@ -177,31 +200,38 @@ def main(argv=None) -> int:
                         help="mutants tested at once, each in its own copy (1-8)")
     parser.add_argument("--rerun", action="store_true",
                         help=f"test again only the survivors in {REPORT.relative_to(ROOT)}")
+    parser.add_argument("--modules", type=module_list,
+                        help="comma-separated modules to score, keeping the report's other"
+                             f" entries (of {', '.join(TEST_FILES)})")
     args = parser.parse_args(argv)
 
-    if args.rerun:
+    if args.rerun or args.modules:
         report = json.loads(REPORT.read_text())
-        modules = list(report["modules"])
     else:
         report = {"modules": {}, "mutants": []}
-        modules = sorted(TEST_FILES)
+    modules = args.modules or (list(report["modules"]) if args.rerun else sorted(TEST_FILES))
+    fresh = [] if args.rerun else modules
+    # a module that is not scored from scratch keeps entries made from its recorded source
+    for module in report["modules"]:
+        relative, _source, digest = source_of(module)
+        if module not in fresh and report["modules"][module]["sha256"] != digest:
+            print(f"{relative} ({module}) changed since {REPORT.relative_to(ROOT)} was written;"
+                  f" score it again with --modules {module}", file=sys.stderr)
+            return 1
+    for module in fresh:
+        report["modules"].pop(module, None)
+        report["mutants"] = [m for m in report["mutants"] if m["module"] != f"{module}.py"]
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies = queue.Queue()
         for job in range(args.jobs):
             copy_tree(Path(tmp) / str(job))
             copies.put(Path(tmp) / str(job))
         for module in modules:
-            relative = Path("src") / "vocalscreen" / f"{module}.py"
-            source = (ROOT / relative).read_text()
-            digest = hashlib.sha256(source.encode()).hexdigest()
+            relative, source, digest = source_of(module)
             lines = source.splitlines()
             test_file = TEST_FILES[module]
             all_sites = sites(ast.parse(source))
             if args.rerun:
-                if report["modules"][module]["sha256"] != digest:
-                    print(f"{relative} changed since {REPORT.relative_to(ROOT)} was written",
-                          file=sys.stderr)
-                    return 1
                 todo = [m["site"] for m in report["mutants"]
                         if m["module"] == f"{module}.py" and m["status"] == "survived"]
             else:

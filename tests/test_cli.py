@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import chdir, tone
 from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
                                   to_mono)
+from vocalscreen import evaluation, model
 from vocalscreen.cli import _predictions, build_parser, load_config, main
 from vocalscreen.dataset import DatasetManifest, ManifestRow, load_manifest, save_manifest
 from vocalscreen.errors import VocalScreenError
@@ -173,6 +174,22 @@ def test_split_speaker_disjoint(small_cohort, tmp_path):
     train = load_manifest(tmp_path / "train.csv")
     test = load_manifest(tmp_path / "test.csv")
     assert {row.participant for row in train}.isdisjoint({row.participant for row in test})
+
+
+@pytest.mark.parametrize("mode, fraction, message", [
+    ("segment-level", "1e-300", "3 paths cannot split at 1e-300"),
+    ("speaker-disjoint", "0.34", "speaker-disjoint train side has a single class"),
+])
+def test_degenerate_split_names_manifest_and_fraction(tmp_path, capsys, mode, fraction, message):
+    # the fraction lies in (0, 1), so it is no usage error: only the data fails it
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,participant\na.wav,control,p0\nb.wav,control,p1\n"
+                        "c.wav,depression,p2\n")
+    assert main(["split", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                 "--mode", mode, f"--train-fraction={fraction}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --manifest {manifest} with --train-fraction: {message}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_train_evaluate_predict_flow(small_cohort, tmp_path, capsys):
@@ -944,6 +961,45 @@ def test_predict_takes_the_block_filter(small_cohort, tmp_path, capsys, monkeypa
     assert main(["predict", "--model", str(model_path), "--features", str(features)]) == 0
     rows = len(read_features_csv(features)[0])
     assert rows > 16 and sum(blocks) == rows and blocks[0] == 16
+
+
+def test_query_and_vote_run_once_per_table_fold_and_scaler(small_cohort, tmp_path,
+                                                            monkeypatch):
+    # predict and evaluate query the neighbours of their whole table once and vote once;
+    # select queries once per fold and scaler (5 x 2) and votes once per p of each
+    # (2 more), never once per row. The counts are exact: no headroom
+    model_path = trained_model(small_cohort, tmp_path)
+    work = small_cohort / "work"
+    calls = []
+
+    def counted(name, function, rows_at):
+        def wrapper(*args):
+            calls.append((name, len(args[rows_at])))
+            return function(*args)
+        return wrapper
+
+    query = counted("query", model._neighbours, 1)
+    vote = counted("vote", model._vote, 0)
+    for module in (model, evaluation):
+        monkeypatch.setattr(module, "_neighbours", query)
+        monkeypatch.setattr(module, "_vote", vote)
+    features = str(work / "features.csv")
+    n_train, n_test = (len(load_manifest(work / name)) for name in ("train.csv", "test.csv"))
+    assert main(["predict", "--model", str(model_path), "--features", features]) == 0
+    rows = len(read_features_csv(features)[0])
+    assert calls == [("query", rows), ("vote", rows)]
+    calls.clear()
+    assert main(["evaluate", "--features", features, "--manifest", str(work / "test.csv"),
+                 "--model", str(model_path), "--split-sidecar", str(work / "split.json"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert calls == [("query", n_test), ("vote", n_test)]
+    calls.clear()
+    assert main(["select", "--features", features, "--manifest", str(work / "train.csv"),
+                 "--out", str(tmp_path / "select")]) == 0
+    assert [name for name, _rows in calls] == ["query", "vote", "vote"] * 10
+    # every training row is held out once, then queried and voted on per scaler and p
+    assert sum(n for name, n in calls if name == "query") == 2 * n_train
+    assert sum(n for name, n in calls if name == "vote") == 4 * n_train
 
 
 @pytest.mark.parametrize("stage", ["predict", "evaluate"])

@@ -124,10 +124,13 @@ def test_degenerate_splits():
 
 
 def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(train_fraction=0.0)
+    for fraction in (0.0, -0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^train_fraction must lie in \(0, 1\)$"):
+            SplitSpec(train_fraction=fraction)
     with pytest.raises(ValueError):
         SplitSpec(mode="bogus")
+    # the split flags' defaults, which split.json records
+    assert SplitSpec() == SplitSpec(train_fraction=0.8, seed=0, mode=SEGMENT_LEVEL)
 
 
 def test_splitmix64_takes_only_a_64_bit_seed():
@@ -196,7 +199,9 @@ def test_write_split_sidecar(tmp_path):
     sidecar = write_split(tmp_path, train, test, spec)
     assert (tmp_path / "train.csv").exists()
     assert (tmp_path / "test.csv").exists()
-    on_disk = json.loads((tmp_path / "split.json").read_text())
+    text = (tmp_path / "split.json").read_text()
+    assert text == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    on_disk = json.loads(text)
     assert on_disk == sidecar
     assert on_disk["mode"] == SEGMENT_LEVEL
     assert on_disk["counts"]["train"]["total"] == 8

@@ -1,7 +1,6 @@
 import copy
 import json
-from dataclasses import asdict
-from types import SimpleNamespace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -32,13 +31,14 @@ from vocalscreen.model import (
     load_model,
     save_model,
     transform,
-    _answers,
     _differences,
+    _encode,
     _filtered_heads,
     _minkowski,
     _nearest,
+    _neighbours,
     _payload_digest,
-    _votes,
+    _vote,
 )
 
 
@@ -150,7 +150,7 @@ def test_model_layer_takes_only_real_numbers():
 
 
 def query_distances(model, query):
-    """Distances from a raw query to every training row, as model._answers computes them."""
+    """Distances from a raw query to every training row, as model._neighbours computes them."""
     return _minkowski(_differences(model, transform(model.scaler, query)), model.p)
 
 
@@ -212,7 +212,7 @@ def assert_distance_paths_equal_former(matrix, query, p):
         labels[np.argsort(former, kind="stable")[0]] = "depression"
         model = KnnModel(train_matrix=matrix, train_labels=labels, k=1, p=p,
                          scaler=identity_scaler(matrix.shape[1]), feature_config=FeatureConfig())
-        (answer,) = _answers(model, [query], {p: {1}})
+        (answer,) = answers(model, [query], {p: {1}})
         assert answer == {p: {1: ("depression", 1.0)}}
 
 
@@ -283,7 +283,7 @@ def test_lone_column_distances_equal_former(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr("vocalscreen.model._minkowski", recording)
-    assert _answers(model, queries, {2.0: {1}}) == scan_answers(model, queries, {2.0: {1}})
+    assert answers(model, queries, {2.0: {1}}) == scan_answers(model, queries, {2.0: {1}})
     shape, distances = calls[1]  # the tail block's, the scans' come after
     former = former_minkowski(train, queries[16], 2.0)
     assert shape == (40, 1) and np.argmin(former) == 5
@@ -465,7 +465,7 @@ def test_nearest_rows_is_head_of_stable_argsort(data, p, use_scaler):
     full = np.argsort(former_minkowski(model.train_matrix, transform(model.scaler, query), p),
                       kind="stable")
     for count in range(1, len(rows) + 1):
-        assert _nearest(query_distances(model, query), count)[1] == full[:count].tolist()
+        assert _nearest(query_distances(model, query), count)[1].tolist() == full[:count].tolist()
 
 
 def test_nearest_rows_of_a_large_table_are_head_of_stable_argsort():
@@ -475,7 +475,7 @@ def test_nearest_rows_of_a_large_table_are_head_of_stable_argsort():
     d = np.round(np.random.default_rng(37).normal(size=1000) ** 2, 2)
     full = np.argsort(d, kind="stable").tolist()
     for count in range(1, 1001):
-        assert _nearest(d, count)[1] == full[:count]
+        assert _nearest(d, count)[1].tolist() == full[:count]
 
 
 def test_nearest_rows_of_nan_query_follow_stable_argsort():
@@ -488,7 +488,8 @@ def test_nearest_rows_of_nan_query_follow_stable_argsort():
             former = former_minkowski(model.train_matrix, np.array(query), p)
             distances = query_distances(model, query)
             assert np.isnan(former).all() and np.isnan(distances).all()
-            assert _nearest(distances, 3)[1] == np.argsort(former, kind="stable").tolist()
+            assert (_nearest(distances, 3)[1].tolist()
+                    == np.argsort(former, kind="stable").tolist())
             with pytest.raises(VocalScreenError, match="is not finite"):
                 knn_predict(model, query)
 
@@ -504,15 +505,53 @@ def former_vote(train_labels, nearest, k):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_votes_equal_former_vote_for_every_k(data):
-    # three labels and even k reach ties that a binary model with odd k never does
-    labels = data.draw(st.lists(st.sampled_from(["b", "a", "c"]), min_size=1, max_size=12),
-                       label="labels")
-    nearest = data.draw(st.permutations(range(len(labels))), label="nearest")
-    ks = data.draw(st.sets(st.integers(1, len(labels)), min_size=1), label="ks")
-    # a stand-in holding the labels _votes reads: a KnnModel holds at most two
-    model = SimpleNamespace(train_labels=tuple(labels))
-    assert _votes(model, nearest, ks) == {k: former_vote(labels, nearest, k) for k in ks}
+def test_vote_equals_former_vote_and_scan_for_every_odd_k(data):
+    # labels of one class or two, and rows that each order every training row
+    # their own way: query i's neighbours are the rows of its permutation
+    labels = data.draw(st.lists(st.sampled_from(["depression", "control"]), min_size=1,
+                                max_size=12), label="labels")
+    rows = data.draw(st.lists(st.permutations(range(len(labels))), min_size=1, max_size=6),
+                     label="neighbours")
+    top = data.draw(st.sampled_from(range(1, len(labels) + 1, 2)), label="max k")
+    ks = range(1, top + 1, 2)
+    classes, codes = _encode(labels)
+    votes = _vote(np.array(rows)[:, :top], codes, ks)
+    assert sorted(votes) == list(ks)
+    for i, nearest in enumerate(rows):
+        # a 1-d training set whose distances from 0 order its rows as ``nearest`` does
+        train = np.empty((len(labels), 1))
+        train[nearest, 0] = np.arange(len(labels))
+        for k in ks:
+            winners, fractions = votes[k]
+            vote = (classes[winners[i]], fractions[i])
+            assert vote == former_vote(labels, nearest, k) == knn_scan(train, labels, [0.0], k, 1.0)
+            assert type(fractions.tolist()[i]) is float
+
+
+def test_relabelling_the_codes_changes_only_the_votes():
+    # the neighbours of a model do not depend on its labels: a model of the same rows
+    # under permuted labels finds the same neighbour array, and voting that array with
+    # the permuted codes answers as the permuted model does
+    rng = np.random.default_rng(45)
+    train = rng.normal(size=(120, 6))
+    labels = ["depression" if x else "control" for x in rng.integers(0, 2, 120)]
+    permuted = [labels[i] for i in rng.permutation(120)]
+    queries = rng.normal(size=(40, 6))
+    counts = {1.0: 7, 2.0: 7}
+    model = knn_fit(train, labels, k=1, scaler=fit_scaler(train))
+    relabelled = knn_fit(train, permuted, k=1, scaler=fit_scaler(train))
+    neighbours = _neighbours(model, queries, counts)
+    again = _neighbours(relabelled, queries, counts)
+    assert all(np.array_equal(neighbours[p], again[p]) for p in counts)
+    classes, codes = relabelled._encoded
+    changed = False
+    for p in counts:
+        for k, (winners, fractions) in _vote(neighbours[p], codes, (1, 3, 5, 7)).items():
+            answers = [knn_predict(replace(relabelled, k=k, p=p), q) for q in queries]
+            assert [(classes[w], f) for w, f in zip(winners, fractions)] == answers
+            former = _vote(neighbours[p], model._encoded[1], (k,))[k][0]
+            changed |= not np.array_equal(winners, former)
+    assert changed
 
 
 def test_standardization_absorbs_feature_scaling():
@@ -823,10 +862,10 @@ def test_overflow_of_farther_rows_keeps_the_answer():
         assert np.isinf(former[4]) and np.isfinite(former[:4]).all()
         full = np.argsort(former, kind="stable")
         assert bits(distances) == bits(former)
-        assert _nearest(distances, 3)[1] == full[:3].tolist()
+        assert _nearest(distances, 3)[1].tolist() == full[:3].tolist()
         assert knn_predict(model, query) == former_vote(labels, full, 3)
         with pytest.raises(DistanceOverflow, match=rf"^p = {named}: .* nearest row 5 "):
-            _answers(model, [query], {p: {5}})
+            _neighbours(model, [query], {p: 5})
         grid_select([PipelineCandidate(k=1, p=p, use_scaler=False)],
                     matrix[:4].repeat(2, axis=0), labels[:4] * 2, folds=2)
 
@@ -834,9 +873,28 @@ def test_overflow_of_farther_rows_keeps_the_answer():
 # --- p = 2 candidate filter -------------------------------------------------------
 
 
+def answers(model, queries, ks_by_p):
+    """{p: {k: (label, vote fraction)}} of each query, from one _neighbours call and one
+    _vote per p, as grid selection votes, {p: ks}."""
+    neighbours = _neighbours(model, queries, {p: max(ks) for p, ks in ks_by_p.items()})
+    classes, codes = model._encoded
+    votes = {p: _vote(neighbours[p], codes, ks) for p, ks in ks_by_p.items()}
+    return [{p: {k: (classes[winners[i]], fractions[i]) for k, (winners, fractions) in by_k.items()}
+             for p, by_k in votes.items()} for i in range(len(queries))]
+
+
 def scan_answers(model, queries, ks_by_p):
     """Each query answered alone, so by the scan that the filter must match."""
-    return [_answers(model, [query], ks_by_p)[0] for query in queries]
+    return [answers(model, [query], ks_by_p)[0] for query in queries]
+
+
+def assert_block_neighbours_equal_scan(model, queries, counts):
+    """The neighbour rows of a table are those of each query found alone, by the scan."""
+    blocked = _neighbours(model, queries, counts)
+    for p, count in counts.items():
+        assert blocked[p].shape == (len(queries), count) and blocked[p].dtype == np.intp
+        scanned = [_neighbours(model, [query], counts)[p][0].tolist() for query in queries]
+        assert blocked[p].tolist() == scanned
 
 
 @settings(max_examples=150, deadline=None)
@@ -857,7 +915,8 @@ def test_block_answers_equal_oracle_and_scan_on_exact_ties(data):
     ks = data.draw(st.sets(st.sampled_from(range(1, len(rows) + 1, 2)), min_size=1), label="ks")
     train = np.array(rows, dtype=float) * scale
     model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
-    blocked = _answers(model, queries, {2.0: ks})
+    assert_block_neighbours_equal_scan(model, queries, {2.0: max(ks)})
+    blocked = answers(model, queries, {2.0: ks})
     assert blocked == scan_answers(model, queries, {2.0: ks})
     for query, answer in zip(queries, blocked):
         assert answer[2.0] == {k: knn_scan(train, labels, query, k, 2.0) for k in ks}
@@ -880,7 +939,8 @@ def test_block_answers_equal_scan_from_1e_minus_150_to_1e150(data):
     ks = data.draw(st.sets(st.sampled_from(range(1, len(train) + 1, 2)), min_size=1), label="ks")
     model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
     ks_by_p = {1.0: ks, 2.0: ks}
-    assert _answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
+    assert_block_neighbours_equal_scan(model, queries, {1.0: max(ks), 2.0: max(ks)})
+    assert answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
 
 
 def far_cluster(seed):
@@ -900,20 +960,21 @@ def test_filter_margin_keeps_the_neighbours_rounding_hides(monkeypatch):
     model, queries = far_cluster(40)
     ks_by_p = {2.0: {1, 3, 5}}
     work = np.empty((2, len(queries), 64))
-    nearest = [_nearest(query_distances(model, q), 5)[1] for q in queries]
+    nearest = [_nearest(query_distances(model, q), 5)[1].tolist() for q in queries]
     # the premise: ranked by s alone, some query's nearest row is not among its
     # first five, so a filter without its margin would drop it
     s = (-2.0 * queries) @ model.train_matrix.T + (model.train_matrix ** 2).sum(axis=1)
     assert any(head[0] not in np.argsort(row, kind="stable")[:5] for head, row in zip(nearest, s))
-    assert [rows for _kth, rows in _filtered_heads(model, queries, 5, work)] == nearest
-    assert _answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
+    assert _filtered_heads(model, queries, 5, work)[1].tolist() == nearest
+    assert answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
     monkeypatch.setattr("vocalscreen.model._MARGIN", 0.0)
-    assert [rows for _kth, rows in _filtered_heads(model, queries, 5, work)] != nearest
+    assert _filtered_heads(model, queries, 5, work)[1].tolist() != nearest
 
 
 def test_filter_takes_few_exact_distances(monkeypatch):
-    # 1600 rows of separated clusters: a block of 16 queries needs exact distances
-    # for about 16 x 7 rows, not 16 x 1600
+    # 1600 rows of separated clusters: each query of a block needs exact distances for
+    # at most 2 x 7 rows, not 1600. The filter is row by row, so a block of one query
+    # takes that query's share of a block of 16. Each takes exactly 7 here: headroom 2x
     rng = np.random.default_rng(41)
     train = rng.normal(size=(1600, 16)) + rng.integers(0, 4, size=(1600, 1)) * 3.0
     labels = ["control", "depression"] * 800
@@ -926,9 +987,35 @@ def test_filter_takes_few_exact_distances(monkeypatch):
         return _minkowski(diffs, p)
 
     monkeypatch.setattr("vocalscreen.model._minkowski", counting)
-    blocked = _answers(model, queries, {2.0: {1, 3, 5, 7}})
+    work = np.empty((2, 1, 1600))
+    for query in transform(model.scaler, queries):
+        columns.clear()
+        _filtered_heads(model, query[None], 7, work)
+        assert columns and sum(columns) <= 2 * 7
+    columns.clear()
+    blocked = answers(model, queries, {2.0: {1, 3, 5, 7}})
     assert columns and sum(columns) <= 2 * 16 * 7
     assert blocked == scan_answers(model, queries, {2.0: {1, 3, 5, 7}})
+
+
+def test_filter_takes_every_row_past_its_ceiling(monkeypatch):
+    # rows 1e200 from the origin put |q|^2 + max|t|^2 past _CEILING, where the margin
+    # could overflow: every query of the block takes all 5 exact distances, no headroom
+    matrix = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e200, 0.0], [1e200, 1.0]])
+    model = knn_fit(matrix, ["control", "depression", "control", "depression", "control"],
+                    k=1, scaler=identity_scaler(2))
+    columns = []
+
+    def counting(diffs, p):
+        columns.append(diffs.shape[1])
+        return _minkowski(diffs, p)
+
+    monkeypatch.setattr("vocalscreen.model._minkowski", counting)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in ([[0.0, 0.0]], [[1e200, 0.5]], [[0.0, 0.0], [1e200, 0.5]]):
+            columns.clear()
+            _filtered_heads(model, np.array(block), 3, np.empty((2, 2, 5)))
+            assert columns == [5 * len(block)]
 
 
 def test_only_several_queries_take_the_filter(monkeypatch):
@@ -941,15 +1028,15 @@ def test_only_several_queries_take_the_filter(monkeypatch):
         return _filtered_heads(model, block, count, out)
 
     monkeypatch.setattr("vocalscreen.model._filtered_heads", counting)
-    _answers(model, queries[:1], {2.0: {1}})
+    _neighbours(model, queries[:1], {2.0: 1})
     assert calls == []
-    _answers(model, queries[:2], {1.0: {1}})
+    _neighbours(model, queries[:2], {1.0: 1})
     assert calls == []
-    _answers(model, queries[:2], {2.0: {1}})
+    _neighbours(model, queries[:2], {2.0: 1})
     assert calls == [2]
     # and then differences no query against every row
     monkeypatch.setattr("vocalscreen.model._differences", None)
-    _answers(model, queries, {2.0: {1}})
+    _neighbours(model, queries, {2.0: 1})
 
 
 def test_block_raises_for_the_query_whose_nearest_rows_overflow():
@@ -961,15 +1048,15 @@ def test_block_raises_for_the_query_whose_nearest_rows_overflow():
                     k=1, scaler=identity_scaler(2))
     near, far = [0.0, 0.0], [1e200, 0.5]
     answer = {2.0: {1: ("control", 1.0), 3: ("control", 2 / 3)}}
-    assert _answers(model, np.array([near, near]), {2.0: {1, 3}}) == [answer, answer]
+    assert answers(model, np.array([near, near]), {2.0: {1, 3}}) == [answer, answer]
     for block in ([near, far], [far, near]):
         with pytest.raises(DistanceOverflow, match=r"^p = 2\.0: .* nearest row 3 "):
-            _answers(model, np.array(block), {2.0: {1, 3}})
+            _neighbours(model, np.array(block), {2.0: 3})
     # the filter still finds query 0's rows in the block query 1 overflows in
     with np.errstate(over="ignore", invalid="ignore"):
-        heads = _filtered_heads(model, np.array([near, far]), 3, np.empty((2, 2, 5)))
-    assert heads[0] == (2.0, [0, 1, 2])
-    assert heads[1][0] == np.inf and heads[1][1][:2] == [3, 4]
+        kths, heads = _filtered_heads(model, np.array([near, far]), 3, np.empty((2, 2, 5)))
+    assert kths[0] == 2.0 and heads[0].tolist() == [0, 1, 2]
+    assert kths[1] == np.inf and heads[1][:2].tolist() == [3, 4]
 
 
 def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():
@@ -983,4 +1070,4 @@ def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():
     for order in ([2.0, 3.0], [3.0, 2.0]):
         for block in (queries, queries[:1]):
             with pytest.raises(DistanceOverflow, match=rf"^p = {order[0]!r}: .* nearest row 3 "):
-                _answers(model, block, {p: {3} for p in order})
+                _neighbours(model, block, {p: 3 for p in order})
