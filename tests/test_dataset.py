@@ -129,7 +129,7 @@ def test_split_spec_validation():
             SplitSpec(train_fraction=fraction)
     with pytest.raises(ValueError):
         SplitSpec(mode="bogus")
-    # the split flags' defaults, which split.json records
+    # --train-fraction and --mode take their defaults from here, and split.json records them
     assert SplitSpec() == SplitSpec(train_fraction=0.8, seed=0, mode=SEGMENT_LEVEL)
 
 
