@@ -39,7 +39,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,12 +95,29 @@ def load_config(path) -> list:
     return args
 
 
-def _recorded_config(features_path) -> FeatureConfig | None:
-    """The feature_config of the extract.run.json beside a features CSV; None without one."""
+def _recorded_constants(features_path) -> dict:
+    """The extraction constants of the extract.run.json beside a features CSV, keyed as
+    knn_fit takes them (feature_config, silence, segment_seconds); empty without one."""
     path = Path(features_path).parent / "extract.run.json"
-    if path.exists():
-        with open(path) as fh, _named(f"{path}: bad record", KeyError, TypeError, ValueError):
-            return FeatureConfig.from_record(json.load(fh)["feature_config"])
+    if not path.exists():
+        return {}
+    with open(path) as fh, _named(f"{path}: bad record", KeyError, TypeError, ValueError,
+                                  OverflowError):
+        record = json.load(fh)
+        constants = {"feature_config": FeatureConfig.from_record(record["feature_config"]),
+                     "silence": model.silence_from_record(record["silence"]),
+                     "segment_seconds": record["segment_seconds"]}
+        preprocess.sample_count(constants["segment_seconds"], "segment_seconds")
+    return constants
+
+
+def _each_constant(constants: dict) -> dict:
+    """Extraction constants by their own names: each dataclass of ``constants`` spread into
+    its fields, which no two share."""
+    each = {}
+    for name, value in constants.items():
+        each.update(asdict(value) if is_dataclass(value) else {name: value})
+    return each
 
 
 def _segment_id(manifest_path: str, index: int) -> str:
@@ -136,11 +153,12 @@ def _load_model(path, features_path) -> model.KnnModel:
     if dims != N_FEATURES:
         raise VocalScreenError(f"{path}: model takes {dims} feature dimensions,"
                                f" a features CSV holds {N_FEATURES}")
-    recorded = _recorded_config(features_path)
-    if recorded not in (None, fitted.feature_config):
-        ours, theirs = asdict(recorded), asdict(fitted.feature_config)
-        differ = ", ".join(f"{key} {ours[key]!r} (model {theirs[key]!r})"
-                           for key in ours if ours[key] != theirs[key])
+    recorded = _recorded_constants(features_path)
+    ours = _each_constant(recorded)
+    theirs = _each_constant({name: getattr(fitted, name) for name in recorded})
+    differ = ", ".join(f"{key} {ours[key]!r} (model {theirs[key]!r})"
+                       for key in ours if ours[key] != theirs[key])
+    if differ:
         raise VocalScreenError(f"{features_path}: extracted with other constants than"
                                f" {path} was trained on: {differ}")
     return fitted
@@ -254,7 +272,7 @@ def cmd_train(ns) -> None:
                   else model.identity_scaler(features.shape[1]))
     with _named(f"{ns.manifest}: too few rows for --k {k}", model.TooFewSamples):
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
-                               feature_config=_recorded_config(ns.features) or FeatureConfig())
+                               **_recorded_constants(ns.features))
     ns.out.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, ns.out / "model.json")
     print(f"train: {evaluation.PipelineCandidate(k, p, use_scaler).describe()}"

@@ -40,16 +40,17 @@ KnnModel is the one owner of what a valid model is: whether fitted,
 loaded from a file or re-parameterized for a grid candidate, it checks
 its k, p, matrix and labels on construction.
 
-Models persist as one versioned JSON document with a SHA-256 digest over
-the canonical serialization of every other field, so corruption and
-schema drift are detected on load. save_model renders the training
+Models persist as one versioned JSON document whose first field, alone
+on line 2, is the SHA-256 of every byte after that line, so any edit after
+it, whitespace included, fails the check. save_model renders the training
 matrix, nearly all of the file, with json's C encoder in chunks of rows
 and streams them to the digest and the file.
 """
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import re
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import repeat
 
@@ -57,8 +58,10 @@ import numpy as np
 
 from .errors import VocalScreenError
 from .features import FeatureConfig
+from .preprocess import SEGMENT_SECONDS, SilenceParams, sample_count
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
+_DIGEST_LINE = re.compile(rb'{\n "digest": "([0-9a-f]{64})",\n')  # a model file's lines 1-2
 
 # matrix rows per C-encoder call in save_model
 _CHUNK_ROWS = 128
@@ -240,7 +243,7 @@ class KnnModel:
 
     The matrix is finite, of bool, integer or float values, with one
     column per scaler dimension, the labels are strings of at most two
-    values, and k and p pass check_k_and_p.
+    values, and k and p pass check_k_and_p and segment_seconds sample_count.
     """
 
     train_matrix: np.ndarray
@@ -249,6 +252,8 @@ class KnnModel:
     p: float
     scaler: ScalerParams
     feature_config: FeatureConfig
+    segment_seconds: float = SEGMENT_SECONDS
+    silence: SilenceParams = SilenceParams()
 
     def __post_init__(self):
         matrix = _real(self.train_matrix, "a train matrix")
@@ -265,6 +270,7 @@ class KnnModel:
         if len(set(self.train_labels)) > 2:
             raise ValueError(f"labels must be binary, got {sorted(set(self.train_labels))}")
         check_k_and_p(self.k, self.p)
+        sample_count(self.segment_seconds, "segment_seconds")
         if matrix.shape[0] < self.k:
             raise TooFewSamples(f"{matrix.shape[0]} rows < k={self.k}")
 
@@ -299,13 +305,14 @@ def _encode(labels) -> tuple:
 
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
-            scaler: ScalerParams | None = None,
-            feature_config: FeatureConfig = FeatureConfig()) -> KnnModel:
+            scaler: ScalerParams | None = None, feature_config: FeatureConfig = FeatureConfig(),
+            segment_seconds: float = SEGMENT_SECONDS,
+            silence: SilenceParams = SilenceParams()) -> KnnModel:
     """Store the standardized training set; KNN has no other learning step.
 
-    ``scaler`` defaults to the identity (no standardization), and
-    ``feature_config`` records the constants the features were extracted
-    with. Labels must be binary and k odd so prediction votes cannot tie.
+    ``scaler`` defaults to the identity (no standardization); the last three
+    record how the features were extracted. Labels must be binary and k odd
+    so prediction votes cannot tie.
     """
     matrix = as_matrix(features)
     labels = tuple(str(label) for label in labels)
@@ -315,7 +322,8 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
         scaler = identity_scaler(matrix.shape[1])
     standardized = transform(scaler, matrix)
     return KnnModel(train_matrix=standardized, train_labels=labels, k=k, p=p,
-                    scaler=scaler, feature_config=feature_config)
+                    scaler=scaler, feature_config=feature_config,
+                    segment_seconds=segment_seconds, silence=silence)
 
 
 def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
@@ -492,26 +500,12 @@ def knn_predict(model: KnnModel, v) -> tuple:
     return _predict_rows(model, query[None])[0]
 
 
-def _model_payload(model: KnnModel) -> dict:
-    return {
-        "version": MODEL_SCHEMA_VERSION,
-        "k": model.k,
-        "p": model.p,
-        "scaler": {
-            "means": model.scaler.means.tolist(),
-            "stds": model.scaler.stds.tolist(),
-        },
-        "feature_config": asdict(model.feature_config),
-        "train": {
-            "matrix": model.train_matrix.tolist(),
-            "labels": list(model.train_labels),
-        },
-    }
-
-
-def _payload_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def silence_from_record(record) -> SilenceParams:
+    """The silence constants of a JSON record: an object holding exactly SilenceParams' fields."""
+    names = sorted(f.name for f in fields(SilenceParams))
+    if not isinstance(record, dict) or sorted(record) != names:
+        raise ValueError(f"silence must be an object with exactly the fields {', '.join(names)}")
+    return SilenceParams(**record)
 
 
 def _indented_rows(chunk: str) -> str:
@@ -526,57 +520,57 @@ def _indented_rows(chunk: str) -> str:
 def save_model(model: KnnModel, path) -> None:
     """Write the model file: json.dump(payload, fh, indent=1, sort_keys=True) and a newline.
 
-    Those are the bytes written, and the digest is that of
-    _payload_digest, but json runs its C encoder only without indent, and
-    the pure-Python one took most of this function's time on the training
-    matrix. So the matrix is rendered compact by the C encoder in chunks
-    of _CHUNK_ROWS rows, each chunk is fed to the digest and then written
-    re-indented, and the rest of the payload is rendered with an empty
-    matrix and split around it (the key text '"matrix":[]' cannot occur
-    inside an encoded string, whose quotes are escaped). The compact
-    chunks are kept until the digest, the file's first field, is known;
-    the file is written one re-indented chunk at a time, so its whole
-    text is never held in memory.
+    Those are the bytes written; "digest", the first key, holds the SHA-256
+    of every byte after its own line. json's C encoder runs only without
+    indent, so the payload is rendered indented with an empty matrix and a
+    digest of zeros, the matrix compact in chunks of _CHUNK_ROWS rows, each
+    re-indented. Each piece after the digest line is written and hashed in
+    turn, so the text is never held whole; the digest overwrites the zeros.
     """
-    payload = _model_payload(model)
-    matrix, payload["train"]["matrix"] = payload["train"]["matrix"], []
-    chunks = [json.dumps(matrix[start:start + _CHUNK_ROWS], separators=(",", ":"))[1:-1]
-              for start in range(0, len(matrix), _CHUNK_ROWS)]
-    head, _, tail = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":")).rpartition('"matrix":[]')
-    first, *rest = chunks  # a model has at least one row
-    digest = hashlib.sha256(f'{head}"matrix":[{first}'.encode())
-    for chunk in rest:
-        digest.update(f",{chunk}".encode())
-    digest.update(f"]{tail}".encode())
-    payload["digest"] = digest.hexdigest()
-    head, _, tail = json.dumps(payload, indent=1, sort_keys=True).rpartition('"matrix": []')
-    with open(path, "w") as fh:
-        fh.write(f'{head}"matrix": [\n{_indented_rows(first)}')
-        for chunk in rest:
-            fh.write(f",\n{_indented_rows(chunk)}")
-        fh.write(f"\n  ]{tail}\n")
+    payload = {"digest": "0" * 64, "version": MODEL_SCHEMA_VERSION, "k": model.k, "p": model.p,
+               "scaler": {"means": model.scaler.means.tolist(),
+                          "stds": model.scaler.stds.tolist()},
+               "feature_config": asdict(model.feature_config),
+               "segment_seconds": model.segment_seconds, "silence": asdict(model.silence),
+               "train": {"matrix": [], "labels": list(model.train_labels)}}
+    head, _, tail = (json.dumps(payload, indent=1, sort_keys=True).encode()
+                     .rpartition(b'"matrix": []'))
+    line = _DIGEST_LINE.match(head)
+    matrix, digest = model.train_matrix, hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(data: bytes) -> None:
+            fh.write(data)
+            digest.update(data)
+        fh.write(head[:line.end()])
+        write(head[line.end():] + b'"matrix": [\n')
+        for start in range(0, len(matrix), _CHUNK_ROWS):
+            rows = json.dumps(matrix[start:start + _CHUNK_ROWS].tolist(), separators=(",", ":"))
+            write((b",\n" if start else b"") + _indented_rows(rows[1:-1]).encode())
+        write(b"\n  ]" + tail + b"\n")
+        fh.seek(line.start(1))
+        fh.write(digest.hexdigest().encode())
 
 
 def load_model(path) -> KnnModel:
-    """Load a model file, verifying schema version and integrity digest.
-
-    A file that is not a valid model, digest or not, raises a
+    """Load a UTF-8 model file, verifying its version (the integer MODEL_SCHEMA_VERSION), then
+    its digest line and digest. A file that is not a valid model, digest or not, raises a
     VocalScreenError naming it.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads(data.decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptModelFile(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "version" not in payload:
         raise CorruptModelFile(f"{path}: missing version field")
-    if payload["version"] != MODEL_SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"{path}: version {payload['version']}, expected {MODEL_SCHEMA_VERSION}"
-        )
-    stored_digest = payload.pop("digest", None)
-    if stored_digest != _payload_digest(payload):
+    if type(payload["version"]) is not int or payload["version"] != MODEL_SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"{path}: version {payload['version']!r}, expected"
+                                    f" {MODEL_SCHEMA_VERSION}")
+    line = _DIGEST_LINE.match(data)
+    if line is None:
+        raise CorruptModelFile(f"{path}: line 2 is not the digest line")
+    if hashlib.sha256(memoryview(data)[line.end():]).hexdigest() != line[1].decode():
         raise CorruptModelFile(f"{path}: digest mismatch")
     try:
         return KnnModel(
@@ -586,6 +580,8 @@ def load_model(path) -> KnnModel:
             p=payload["p"],
             scaler=ScalerParams(means=payload["scaler"]["means"], stds=payload["scaler"]["stds"]),
             feature_config=FeatureConfig.from_record(payload["feature_config"]),
+            segment_seconds=payload["segment_seconds"],
+            silence=silence_from_record(payload["silence"]),
         )
     except KeyError as exc:
         raise CorruptModelFile(f"{path}: missing field {exc}") from exc

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import json
 import os
 import tracemalloc
 
@@ -36,6 +38,20 @@ def traced_peak(fn, *args, **kwargs) -> int:
         if started:
             tracemalloc.stop()
     return peak - before
+
+
+def write_redigested(path, payload) -> None:
+    """Write ``payload`` as a model file whose digest matches it, whatever its fields hold.
+
+    The file is json's indent=1, sort_keys=True layout and a newline, as
+    save_model writes, with "digest" (first among the payload's keys) on
+    line 2 holding the SHA-256 of every byte after that line.
+    """
+    text = json.dumps({**payload, "digest": "0" * 64}, indent=1, sort_keys=True) + "\n"
+    brace, line, rest = text.split("\n", 2)
+    assert (brace, line) == ("{", f' "digest": "{"0" * 64}",')
+    rest = rest.encode()
+    path.write_bytes(f'{{\n "digest": "{hashlib.sha256(rest).hexdigest()}",\n'.encode() + rest)
 
 
 def tone(freq_hz: float, seconds: float = 1.0, amplitude: float = 0.5,

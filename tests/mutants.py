@@ -1,4 +1,4 @@
-"""Mutation score of the tests of each module in TEST_FILES (all but rng, errors, __init__).
+"""Mutation score of the tests of each module in TEST_FILES (all but errors and __init__).
 
     python tests/mutants.py [--jobs 2] [--rerun] [--modules model,evaluation,...]
 
@@ -35,8 +35,9 @@ the run refuses, naming it, before testing anything.
 
 pytest does not collect this file (its name does not start with
 ``test_``), and it is not part of tier-1: it runs a test file once per
-mutant, 1073 runs for seven of the modules, which took 30 minutes with
-``--jobs 2`` on a 2-core machine.
+mutant, 1158 runs for the nine modules. 1073 of them took 30 minutes
+with ``--jobs 2`` on a 2-core machine; ``model``, ``cli`` and ``rng``
+(325 runs) took about 12 minutes.
 """
 
 import argparse
@@ -64,6 +65,7 @@ TEST_FILES = {
     "features": "tests/test_features.py",
     "model": "tests/test_model.py",
     "preprocess": "tests/test_preprocess.py",
+    "rng": "tests/test_rng.py",
     "synth": "tests/test_synth.py",
 }
 

@@ -697,6 +697,50 @@ def test_load_mono_holds_one_block(tmp_path, rate, dtype):
     assert traced_peak(load_mono, path) < clip_bytes + 2_000_000
 
 
+@pytest.mark.parametrize("rate, dtype, channels", [
+    (16000, np.int16, 1), (48000, np.float32, 2), (32000, np.float32, 1),
+    (44100, np.float32, 2), (22050, np.float32, 1), (8000, np.int16, 1),
+])
+def test_load_mono_reads_each_payload_byte_once(tmp_path, monkeypatch, rate, dtype, channels):
+    """Payload bytes that load_mono reads, against the payload's size: at a whole multiple
+    of 16 kHz each byte once, exactly. Otherwise a read may take again the one frame its
+    block shares with the block before, so the bound allows one frame per read after the
+    first, 4 or 5 frames here (measured: 0 at 44.1 kHz, 2 at 22.05 kHz and 4 at 8 kHz,
+    each at least 1 frame under its bound). Float frames are range-checked, so each is
+    read at least once; PCM16 skips only frames after the last output's neighbour."""
+    frames = 3 * audio_io._BLOCK * rate // 16000 + 7  # three output blocks and a part
+    samples = np.zeros((frames, channels), dtype=dtype)
+    path = tmp_path / "in.wav"
+    path.write_bytes(wav_of(samples, 1 if dtype == np.int16 else 3, rate, False))
+    read = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def readinto(self, buffer):
+            read.append(self.fh.readinto(buffer))
+            return read[-1]
+
+    monkeypatch.setattr(audio_io, "open", lambda *args: Counting(open(*args)), raising=False)
+    load_mono(path)
+    frame_bytes = samples.itemsize * channels
+    skipped = 0 if dtype == np.float32 else 2 * rate // 16000 + 2
+    assert samples.nbytes - skipped * frame_bytes <= sum(read)
+    assert sum(read) <= samples.nbytes + (len(read) - 1) * frame_bytes
+    if rate % 16000 == 0:
+        assert sum(read) == samples.nbytes
+
+
 @pytest.mark.parametrize("rate, dtype", [(48000, np.float32), (44100, np.int16)])
 @pytest.mark.parametrize("loader", [load_mono, audio_io.load_wav])
 def test_read_of_a_file_shrunk_after_its_header_walk_raises(tmp_path, rate, dtype, loader):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chdir, tone
+from conftest import chdir, tone, write_redigested
 from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
                                   to_mono)
 from vocalscreen import evaluation, model
@@ -26,8 +26,8 @@ from vocalscreen.cli import _predictions, build_parser, load_config, main
 from vocalscreen.dataset import DatasetManifest, ManifestRow, load_manifest, save_manifest
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import FeatureConfig, read_features_csv, write_features_csv
-from vocalscreen.model import (EvenK, _filtered_heads, _payload_digest, fit_scaler, knn_fit,
-                               knn_predict, load_model, save_model, transform)
+from vocalscreen.model import (EvenK, _filtered_heads, fit_scaler, knn_fit, knn_predict,
+                               load_model, save_model, transform)
 from vocalscreen.preprocess import remove_silence
 
 
@@ -646,6 +646,67 @@ def test_train_binds_the_constants_extract_recorded(small_cohort, tmp_path, caps
         assert not (tmp_path / "o").exists()
 
 
+def test_model_binds_segment_seconds_and_silence(small_cohort, tmp_path, capsys):
+    """train binds the record's segment_seconds and silence constants, and predict and
+    evaluate refuse features cut with others, naming each differing key. A model bound
+    only feature_config, and predict answered features cut into 2 s segments at a 0.5
+    silence threshold with exit 0."""
+    work = small_cohort / "work"
+    model_file = trained_model(small_cohort, tmp_path)
+    assert json.loads(model_file.read_text())["segment_seconds"] == 4.0
+    assert json.loads(model_file.read_text())["silence"]["threshold_ratio"] == 0.1
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "features.csv").write_bytes((work / "features.csv").read_bytes())
+    record = json.loads((work / "extract.run.json").read_text())
+    record["segment_seconds"] = 2.0
+    record["silence"]["threshold_ratio"] = 0.5
+    (other / "extract.run.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    for argv in (["predict", "--model", str(model_file), "--out", str(tmp_path / "o")],
+                 ["evaluate", "--model", str(model_file), "--manifest", str(work / "test.csv"),
+                  "--out", str(tmp_path / "o")]):
+        assert main([*argv, "--features", str(other / "features.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {other / 'features.csv'}: extracted with other"
+                                f" constants than {model_file} was trained on: threshold_ratio"
+                                f" 0.5 (model 0.1), segment_seconds 2.0 (model 4.0)\n")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+    # trained beside that record, the model holds its constants and takes those features
+    (other / "train.csv").write_bytes((work / "train.csv").read_bytes())
+    assert main(["train", "--features", str(other / "features.csv"),
+                 "--manifest", str(other / "train.csv"), "--out", str(other)]) == 0
+    payload = json.loads((other / "model.json").read_text())
+    assert (payload["segment_seconds"], payload["silence"]["threshold_ratio"]) == (2.0, 0.5)
+    assert main(["predict", "--model", str(other / "model.json"),
+                 "--features", str(other / "features.csv")]) == 0
+
+
+@pytest.mark.parametrize("change, reason", [
+    (lambda r: r.pop("silence"), "'silence'"),
+    (lambda r: r.pop("segment_seconds"), "'segment_seconds'"),
+    (lambda r: r["silence"].update(threshold_ratio=1.0), r"threshold_ratio must be in \(0, 1\)"),
+    (lambda r: r["silence"].pop("hop_seconds"), "silence must be an object with exactly"),
+    (lambda r: r.update(segment_seconds=0.0), "segment_seconds must be positive and finite"),
+    (lambda r: r.update(segment_seconds=None), "unsupported operand"),
+    (lambda r: r.update(segment_seconds=10 ** 400), "int too large to convert to float"),
+])
+def test_bad_extract_record_constants_exit_1(small_cohort, tmp_path, capsys, change, reason):
+    work = small_cohort / "work"
+    (tmp_path / "features.csv").write_bytes((work / "features.csv").read_bytes())
+    record = json.loads((work / "extract.run.json").read_text())
+    change(record)
+    (tmp_path / "extract.run.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    for argv in (["train", "--manifest", str(work / "train.csv"), "--out", str(tmp_path / "o")],
+                 ["predict", "--model", str(trained_model(small_cohort, tmp_path))]):
+        assert main([*argv, "--features", str(tmp_path / "features.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'extract.run.json'}: bad record: ")
+        assert re.search(reason, err)
+        assert not (tmp_path / "o").exists()
+
+
 def test_bad_label_manifest_fails(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,label,participant\na.wav,anxious,p0\n")
@@ -1135,11 +1196,9 @@ def test_stats_single_row_group_names_features_and_group(small_cohort, tmp_path,
 def test_predict_rejects_invalid_model_with_valid_digest(small_cohort, tmp_path, capsys,
                                                          mutate, message):
     payload = json.loads(trained_model(small_cohort, tmp_path).read_text())
-    del payload["digest"]
     mutate(payload)
-    payload["digest"] = _payload_digest(payload)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    write_redigested(bad, payload)
     capsys.readouterr()
     assert main(["predict", "--model", str(bad),
                  "--features", str(small_cohort / "work" / "features.csv")]) == 1
@@ -1154,11 +1213,9 @@ def test_predict_rejects_invalid_model_with_valid_digest(small_cohort, tmp_path,
 def test_evaluate_rejects_boolean_k_or_p(small_cohort, tmp_path, capsys, field, message):
     # True passes k >= 1 and p >= 1, and "model_k": true would reach eval_report.json
     payload = json.loads(trained_model(small_cohort, tmp_path).read_text())
-    del payload["digest"]
     payload[field] = True
-    payload["digest"] = _payload_digest(payload)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    write_redigested(bad, payload)
     work = small_cohort / "work"
     capsys.readouterr()
     assert main(["evaluate", "--model", str(bad), "--features", str(work / "features.csv"),

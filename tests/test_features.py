@@ -45,6 +45,7 @@ from vocalscreen.features import (
     write_features_csv,
     zero_crossing_rate,
 )
+from vocalscreen.preprocess import segment
 
 RATE = 16000
 
@@ -104,6 +105,25 @@ def test_complex_spectrum_is_the_hann_windowed_dft():
     frame = np.arange(8.0)
     np.testing.assert_allclose(complex_spectrum(frame), np.fft.rfft(frame * hann_reference(8)),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_extract_features_takes_one_rfft_per_segment(monkeypatch):
+    """One rfft call per segment, over all of its frames at once.
+    Exact, no headroom: a change that takes more changes this test."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    segments = segment(tone(440.0, seconds=12.5), 4.0)
+    for seg in segments:
+        extract_features(seg)
+    config = FeatureConfig()
+    frames = 1 + (4 * 16000 - config.n_fft) // config.hop
+    assert calls == [(frames, config.n_fft)] * 3 == [(122, 2048)] * len(segments)
 
 
 def test_power_spectra_framing():

@@ -1,5 +1,8 @@
+import builtins
 import copy
+import hashlib
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import traced_peak
+from conftest import traced_peak, write_redigested
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.features import FeatureConfig
 from vocalscreen.model import (
+    _CHUNK_ROWS,
     CorruptModelFile,
     DistanceOverflow,
     KnnModel,
@@ -37,9 +41,9 @@ from vocalscreen.model import (
     _minkowski,
     _nearest,
     _neighbours,
-    _payload_digest,
     _vote,
 )
+from vocalscreen.preprocess import SilenceParams
 
 
 # --- scaler -----------------------------------------------------------------
@@ -594,14 +598,27 @@ def test_save_load_roundtrip_predicts_identically(tmp_path):
     assert loaded.feature_config == model.feature_config
 
 
+def test_save_load_keeps_every_extraction_constant(tmp_path):
+    model, _ = fitted_model()
+    model = replace(model, feature_config=FeatureConfig(n_fft=1024),
+                    segment_seconds=2.5, silence=SilenceParams(threshold_ratio=0.25))
+    save_model(model, tmp_path / "model.json")
+    payload = json.loads((tmp_path / "model.json").read_text())
+    assert (payload["segment_seconds"], payload["silence"]) == (
+        2.5, {"frame_seconds": 0.05, "hop_seconds": 0.025, "threshold_ratio": 0.25})
+    loaded = load_model(tmp_path / "model.json")
+    assert (loaded.feature_config, loaded.segment_seconds, loaded.silence) == (
+        FeatureConfig(n_fft=1024), 2.5, SilenceParams(threshold_ratio=0.25))
+
+
 def former_save_model(model, path):
     """The model writer as first written: json's pure-Python indent=1 encoder on the payload.
 
     A reference the streamed writer cannot share, so a fault in its
     chunking, re-indenting or streamed digest shows as a changed byte.
     """
-    payload = {
-        "version": 1,
+    write_redigested(path, {
+        "version": 2,
         "k": model.k,
         "p": model.p,
         "scaler": {
@@ -609,15 +626,13 @@ def former_save_model(model, path):
             "stds": [float(x) for x in model.scaler.stds],
         },
         "feature_config": asdict(model.feature_config),
+        "segment_seconds": model.segment_seconds,
+        "silence": asdict(model.silence),
         "train": {
             "matrix": [[float(x) for x in row] for row in model.train_matrix],
             "labels": list(model.train_labels),
         },
-    }
-    payload["digest"] = _payload_digest(payload)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 # quotes, backslashes, control characters, non-ASCII and the JSON punctuation
@@ -671,6 +686,116 @@ def test_load_rejects_version_mismatch(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("version", [1, True, 1.0, 2.0, "2", None])
+def test_load_takes_only_the_integer_version_2(tmp_path, version):
+    # version 1 files hashed a re-rendering of the payload; a bool or float passes == 2
+    # or == 1 but is not the integer the file format names
+    payload = saved_payload(tmp_path)
+    payload["version"] = version
+    path = tmp_path / "other.json"
+    write_redigested(path, payload)
+    with pytest.raises(SchemaVersionMismatch, match=re.escape(
+            f"{path}: version {version!r}, expected 2")):
+        load_model(path)
+
+
+def test_load_rejects_a_version_1_file(tmp_path):
+    # the former layout with its own digest: the version is read before the digest
+    model, _ = fitted_model()
+    path = tmp_path / "v1.json"
+    payload = {"version": 1, "k": model.k, "p": model.p,
+               "scaler": {"means": model.scaler.means.tolist(),
+                          "stds": model.scaler.stds.tolist()},
+               "feature_config": asdict(model.feature_config),
+               "train": {"matrix": model.train_matrix.tolist(),
+                         "labels": list(model.train_labels)}}
+    payload["digest"] = hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    with pytest.raises(SchemaVersionMismatch, match="version 1, expected 2"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('\n "k": 3', '\n "k":  3', 1),  # whitespace inside the payload
+    lambda text: text + "\n",  # a second newline at the end
+    lambda text: text[:-1],  # the last newline dropped
+    lambda text: text.replace("\n", "\r\n"),  # another line ending everywhere but line 2's
+])
+def test_any_byte_edit_after_the_digest_line_fails(tmp_path, edit):
+    model, _ = fitted_model()
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text()
+    head, rest = text[:81], text[81:]  # lines 1-2 are 2 + 79 bytes
+    assert head.endswith('",\n') and edit(rest) != rest
+    path.write_text(head + edit(rest), newline="")
+    assert json.loads(path.read_text()) == json.loads(text)  # the same payload
+    with pytest.raises(CorruptModelFile, match=f"^{re.escape(str(path))}: digest mismatch$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: json.dumps(json.loads(text)),  # compact: no line 2
+    lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True),  # other indent
+    lambda text: text.replace('"digest": "', '"digest":"', 1),
+    lambda text: re.sub('"digest": "([0-9a-f]+)"', lambda m: f'"digest": "{m[1].upper()}"', text),
+    lambda text: re.sub('"digest": "([0-9a-f]+)"', lambda m: f'"digest": "{m[1][1:]}"', text),
+    lambda text: re.sub('\n "digest": "[0-9a-f]+",', "", text),  # no digest at all
+])
+def test_load_rejects_a_second_line_not_in_the_digest_form(tmp_path, edit):
+    model, _ = fitted_model()
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(CorruptModelFile, match=f"^{re.escape(str(path))}: line 2 is not the"
+                                               f" digest line$"):
+        load_model(path)
+
+
+def test_load_reads_only_utf8(tmp_path):
+    # json.loads takes bytes in UTF-16 and UTF-32 too; a model file is UTF-8
+    model, _ = fitted_model()
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text()
+    for encoding in ("utf-16", "utf-32", "utf-8-sig"):
+        path.write_bytes(text.encode(encoding))
+        with pytest.raises(CorruptModelFile, match="not valid JSON"):
+            load_model(path)
+
+
+def test_model_file_io_costs(tmp_path, monkeypatch):
+    """load_model opens the file once and renders nothing; save_model renders the matrix
+    in one C-encoder call per _CHUNK_ROWS rows and the rest of the payload in one call.
+    Exact counts, no headroom: a change that renders or reads more changes this test."""
+    rng = np.random.default_rng(37)
+    rows = 2 * _CHUNK_ROWS + 1  # three chunks, the last of one row
+    train = rng.normal(size=(rows, 16))
+    model = knn_fit(train, ["control", "depression"] * (rows // 2) + ["control"], k=3,
+                    scaler=fit_scaler(train))
+    path = tmp_path / "model.json"
+    dumps, opens = [], []
+    real_dumps, real_open = json.dumps, builtins.open
+
+    def counting_dumps(obj, **kwargs):
+        dumps.append(kwargs.get("indent"))
+        return real_dumps(obj, **kwargs)
+
+    def counting_open(file, *args, **kwargs):
+        if file == path:
+            opens.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    save_model(model, path)
+    assert dumps == [1, None, None, None] and opens == ["wb"]  # the rest, then each chunk
+    dumps.clear(), opens.clear()
+    load_model(path)
+    assert dumps == [] and opens == ["rb"]
+
+
 def test_load_rejects_flipped_payload(tmp_path):
     model, _ = fitted_model()
     path = tmp_path / "model.json"
@@ -687,13 +812,6 @@ def test_load_rejects_non_json(tmp_path):
     path.write_bytes(b"\x00\x01 not json")
     with pytest.raises(CorruptModelFile):
         load_model(path)
-
-
-def write_redigested(path, payload):
-    """Write ``payload`` as a model file whose digest matches it."""
-    payload = {key: value for key, value in payload.items() if key != "digest"}
-    payload["digest"] = _payload_digest(payload)
-    path.write_text(json.dumps(payload))
 
 
 def saved_payload(tmp_path):
@@ -732,6 +850,7 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     (lambda m: m["scaler"]["means"].__setitem__(0, "0.25"),
      "scaler means must hold real numbers, got dtype <U"),
     (lambda m: (m["scaler"]["means"].pop(), m["scaler"]["stds"].pop()), "scaler dimensions"),
+    (lambda m: m["train"]["labels"].pop(), "train matrix rows must match label count"),
     (lambda m: m.update(feature_config=[1, 2]), "feature_config must be an object"),
     (lambda m: m.update(feature_config=2048), "feature_config must be an object"),
     (lambda m: m.update(feature_config=None), "feature_config must be an object"),
@@ -745,6 +864,19 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     (lambda m: m["feature_config"].update(log_floor=float("inf")), "log_floor must be positive"),
     # only mel_filterbank caught an infinite fmax, once a segment met a sample rate
     (lambda m: m["feature_config"].update(fmax=float("inf")), "need 0 <= fmin < fmax < inf"),
+    (lambda m: m.pop("segment_seconds"), "missing field 'segment_seconds'"),
+    (lambda m: m.update(segment_seconds=0.0), "segment_seconds must be positive and finite"),
+    (lambda m: m.update(segment_seconds=float("nan")), "segment_seconds must be positive"),
+    (lambda m: m.update(segment_seconds=1e-5), r"got 1e-05 \(0\.16 samples at 16000 Hz\)"),
+    (lambda m: m.update(segment_seconds="4.0"), "not supported between"),
+    (lambda m: m.pop("silence"), "missing field 'silence'"),
+    (lambda m: m.update(silence=None),
+     "silence must be an object with exactly the fields frame_seconds, hop_seconds,"
+     " threshold_ratio"),
+    (lambda m: m["silence"].pop("hop_seconds"), "silence must be an object with exactly"),
+    (lambda m: m["silence"].update(gate=1), "silence must be an object with exactly"),
+    (lambda m: m["silence"].update(threshold_ratio=1.5), r"threshold_ratio must be in \(0, 1\)"),
+    (lambda m: m["silence"].update(hop_seconds=0.1), "need 0 < hop_seconds <= frame_seconds"),
 ])
 def test_load_rejects_invalid_model_with_valid_digest(tmp_path, mutate, reason):
     payload = saved_payload(tmp_path)
@@ -762,7 +894,8 @@ def model_mutations():
         ("k",), ("p",), ("version",), ("feature_config",), ("scaler",), ("scaler", "means"),
         ("scaler", "stds"), ("scaler", "means", 0), ("scaler", "stds", 1), ("train",),
         ("train", "matrix"), ("train", "matrix", 0), ("train", "matrix", 2, 1),
-        ("train", "labels"), ("train", "labels", 0),
+        ("train", "labels"), ("train", "labels", 0), ("segment_seconds",), ("silence",),
+        ("silence", "hop_seconds"), ("silence", "threshold_ratio"),
     ])
     values = st.one_of(
         st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=3),

@@ -216,6 +216,46 @@ def test_a_full_disk_raises_before_the_speakers_wav_is_opened(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_each_speaker_passes_through_the_scratch_file_once_each_way(tmp_path, monkeypatch):
+    """Pass 1 writes a speaker's 8-byte float64 samples to the scratch file once, and pass 2
+    reads them back once: 8 x samples bytes each way per speaker. Exact, no headroom: a
+    change that writes or reads the scratch file more changes this test."""
+    moved = []  # (speaker, from 1, "write" or "read", bytes): each speaker rewinds twice
+    make_scratch = tempfile.TemporaryFile
+
+    class Counting:
+        def __init__(self, **kwargs):
+            self.fh, self.rewinds = make_scratch(**kwargs), 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def seek(self, offset, whence=0):
+            self.rewinds += 1
+            return self.fh.seek(offset, whence)
+
+        def write(self, data):
+            moved.append(((self.rewinds + 1) // 2, "write", memoryview(data).nbytes))
+            return self.fh.write(data)
+
+        def readinto(self, buffer):
+            got = self.fh.readinto(buffer)
+            moved.append((self.rewinds // 2, "read", got))
+            return got
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", Counting)
+    manifest = generate_cohort(tiny_spec(speakers=2, seconds=2.3), tmp_path)
+    samples = [load_wav(tmp_path / row.path).samples.size for row in manifest]
+    assert samples == [36800] * 4
+    for way in ("write", "read"):
+        per_speaker = [sum(n for speaker, kind, n in moved if (speaker, kind) == (i + 1, way))
+                       for i in range(len(samples))]
+        assert per_speaker == [8 * n for n in samples]
+
+
 def test_an_unwritable_out_dir_is_an_io_failure(tmp_path):
     (tmp_path / "afile").write_text("")
     out = tmp_path / "afile" / "cohort"
