@@ -19,14 +19,14 @@ only) > built-in default, taken from the library's dataclasses. Each
 ahead of the command line, so it is checked like the same flag typed
 out; an unknown key is a usage error. ``--seed`` exists only for synth,
 split and select, the stages that draw random numbers. extract takes no
-tuning flag: it runs the pipeline's one set of constants
-(preprocess.SEGMENT_SECONDS, SilenceParams() and FeatureConfig()), which
-only a library caller sets otherwise. A handler writes its outputs and
-prints its summary; then ``main``, the one writer of run records, writes
-<out>/<command>.run.json: the parsed flags, all but --out and --config,
-or for extract the record its handler returns, which holds its
-constants in the nested shape train binds from the extract.run.json
-beside --features. A stage that fails writes no record. Outputs never
+tuning flag: it runs one features.Extraction(), the pipeline's
+constants, which only a library caller sets otherwise. A handler writes
+its outputs and prints its summary; then ``main``, the one writer of run
+records, writes <out>/<command>.run.json: the parsed flags, all but
+--out and --config, or for extract the manifest and asdict of the
+Extraction it ran, which train binds into the model from the
+extract.run.json beside --features, and evaluate and predict compare
+with the model's. A stage that fails writes no record. Outputs never
 embed timestamps, so reruns with the same inputs and seed are
 byte-identical.
 """
@@ -39,14 +39,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import audio_io, dataset, evaluation, model, preprocess, synth
 from .errors import VocalScreenError
-from .features import (N_FEATURES, FeatureConfig, extract_features, read_features_csv,
+from .features import (N_FEATURES, Extraction, extract_features, read_features_csv,
                        write_features_csv)
 from .rng import check_seed
 
@@ -95,28 +95,21 @@ def load_config(path) -> list:
     return args
 
 
-def _recorded_constants(features_path) -> dict:
-    """The extraction constants of the extract.run.json beside a features CSV, keyed as
-    knn_fit takes them (feature_config, silence, segment_seconds); empty without one."""
+def _recorded_extraction(features_path) -> Extraction | None:
+    """The Extraction recorded in the extract.run.json beside a features CSV, or None."""
     path = Path(features_path).parent / "extract.run.json"
     if not path.exists():
-        return {}
+        return None
     with open(path) as fh, _named(f"{path}: bad record", KeyError, TypeError, ValueError,
                                   OverflowError):
-        record = json.load(fh)
-        constants = {"feature_config": FeatureConfig.from_record(record["feature_config"]),
-                     "silence": model.silence_from_record(record["silence"]),
-                     "segment_seconds": record["segment_seconds"]}
-        preprocess.sample_count(constants["segment_seconds"], "segment_seconds")
-    return constants
+        return Extraction.from_record(json.load(fh))
 
 
-def _each_constant(constants: dict) -> dict:
-    """Extraction constants by their own names: each dataclass of ``constants`` spread into
-    its fields, which no two share."""
+def _each_constant(extraction: Extraction) -> dict:
+    """Extraction constants by their own names, each group spread: no two share a name."""
     each = {}
-    for name, value in constants.items():
-        each.update(asdict(value) if is_dataclass(value) else {name: value})
+    for name, value in asdict(extraction).items():
+        each.update(value if isinstance(value, dict) else {name: value})
     return each
 
 
@@ -153,9 +146,9 @@ def _load_model(path, features_path) -> model.KnnModel:
     if dims != N_FEATURES:
         raise VocalScreenError(f"{path}: model takes {dims} feature dimensions,"
                                f" a features CSV holds {N_FEATURES}")
-    recorded = _recorded_constants(features_path)
-    ours = _each_constant(recorded)
-    theirs = _each_constant({name: getattr(fitted, name) for name in recorded})
+    # features without a record are not checked: the model is compared with itself
+    ours = _each_constant(_recorded_extraction(features_path) or fitted.extraction)
+    theirs = _each_constant(fitted.extraction)
     differ = ", ".join(f"{key} {ours[key]!r} (model {theirs[key]!r})"
                        for key in ours if ours[key] != theirs[key])
     if differ:
@@ -189,8 +182,8 @@ def cmd_synth(ns) -> None:
     print(f"note: {synth.NON_CLINICAL_NOTE}")
 
 
-def _recording_features(wav_path, source_id: str) -> list:
-    """Feature rows of one recording's segments, in segment order.
+def _recording_features(wav_path, source_id: str, extraction: Extraction) -> list:
+    """Feature rows of one recording's segments, made with ``extraction``, in segment order.
 
     A recording with less voiced audio than one segment yields no row and
     is named on stderr with its voiced seconds. The recording's audio is
@@ -198,27 +191,28 @@ def _recording_features(wav_path, source_id: str) -> list:
     """
     with _named(source_id, VocalScreenError, OSError, ValueError):
         clip = audio_io.load_mono(wav_path)
-        voiced = preprocess.remove_silence(clip)
-        segments = preprocess.segment(voiced)
+        voiced = preprocess.remove_silence(clip, extraction.silence)
+        segments = preprocess.segment(voiced, extraction.segment_seconds)
     if not segments:
         print(f"extract: {source_id}: no segment, {voiced.duration_seconds:.2f} s voiced"
-              f" is shorter than {preprocess.SEGMENT_SECONDS} s", file=sys.stderr)
-    return [extract_features(seg) for seg in segments]
+              f" is shorter than {extraction.segment_seconds} s", file=sys.stderr)
+    return [extract_features(seg, extraction.feature_config) for seg in segments]
 
 
 def cmd_extract(ns) -> dict:
-    """Write features.csv and segments.csv with the pipeline's constants; return the run
-    record, which holds those constants in the nested shape train binds."""
+    """Write features.csv and segments.csv with the pipeline's constants, one Extraction;
+    return the run record, which holds that object in the nested shape train binds."""
     manifest_path = Path(ns.manifest)
     manifest = dataset.load_manifest(manifest_path)
     if len(manifest) == 0:
         raise VocalScreenError(f"{manifest_path}: empty manifest")
+    extraction = Extraction()
     feature_rows, segment_rows, recording_of = [], [], {}
     for row in manifest.rows:
         wav_path = Path(row.path)
         if not wav_path.is_absolute():
             wav_path = manifest_path.parent / wav_path
-        values = _recording_features(wav_path, row.path)
+        values = _recording_features(wav_path, row.path, extraction)
         feature_rows += values
         for i in range(len(values)):
             sid = _segment_id(row.path, i)
@@ -237,12 +231,7 @@ def cmd_extract(ns) -> dict:
     counts = segment_manifest.label_counts()
     summary = ", ".join(f"{label}={counts[label]}" for label in sorted(counts))
     print(f"extract: {len(segment_manifest)} segments ({summary}) -> {ns.out}")
-    return {
-        "manifest": str(manifest_path),
-        "segment_seconds": preprocess.SEGMENT_SECONDS,
-        "silence": asdict(preprocess.SilenceParams()),
-        "feature_config": asdict(FeatureConfig()),
-    }
+    return {"manifest": str(manifest_path), **asdict(extraction)}
 
 
 def cmd_split(ns) -> None:
@@ -272,7 +261,7 @@ def cmd_train(ns) -> None:
                   else model.identity_scaler(features.shape[1]))
     with _named(f"{ns.manifest}: too few rows for --k {k}", model.TooFewSamples):
         fitted = model.knn_fit(features, labels, k=k, p=p, scaler=scaler,
-                               **_recorded_constants(ns.features))
+                               extraction=_recorded_extraction(ns.features) or Extraction())
     ns.out.mkdir(parents=True, exist_ok=True)
     model.save_model(fitted, ns.out / "model.json")
     print(f"train: {evaluation.PipelineCandidate(k, p, use_scaler).describe()}"

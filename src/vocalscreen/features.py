@@ -26,6 +26,7 @@ import numpy as np
 
 from .audio_io import AudioClip
 from .errors import VocalScreenError
+from .preprocess import SEGMENT_SECONDS, SilenceParams, sample_count
 
 N_MFCC = 13
 
@@ -61,6 +62,9 @@ class FeatureConfig:
         for name in ("n_fft", "hop", "n_mels", "n_mfcc"):
             if type(getattr(self, name)) is not int:  # not a bool either
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("fmin", "fmax", "log_floor", "peak_threshold_db"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.hop <= self.n_fft:
             raise ValueError("need 0 < hop <= n_fft")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
@@ -82,14 +86,35 @@ class FeatureConfig:
             raise ValueError(f"peak_threshold_db must be non-negative and finite,"
                              f" got {self.peak_threshold_db!r}")
 
+
+def _exactly(group, name: str, record):
+    """The ``group`` dataclass of a JSON object holding exactly its fields, named ``name``."""
+    names = {f.name for f in fields(group)}
+    if not isinstance(record, dict) or record.keys() != names:
+        raise ValueError(f"{name} must be an object with exactly the fields "
+                         f"{', '.join(sorted(names))}")
+    return group(**record)
+
+
+@dataclass(frozen=True)
+class Extraction:
+    """Every constant that turns a recording into feature rows; asdict gives the nested
+    shape of extract.run.json and model.json. segment_seconds must pass sample_count."""
+
+    feature_config: FeatureConfig = FeatureConfig()
+    silence: SilenceParams = SilenceParams()
+    segment_seconds: float = SEGMENT_SECONDS
+
+    def __post_init__(self):
+        sample_count(self.segment_seconds, "segment_seconds")
+
     @classmethod
-    def from_record(cls, record) -> "FeatureConfig":
-        """The config of a JSON record: an object holding exactly this class's fields."""
-        names = {f.name for f in fields(cls)}
-        if not isinstance(record, dict) or record.keys() != names:
-            raise ValueError(f"feature_config must be an object with exactly the fields "
-                             f"{', '.join(sorted(names))}")
-        return cls(**record)
+    def from_record(cls, record) -> "Extraction":
+        """The constants of a JSON object holding the three keys, a run record or a model
+        payload; checked and read in field order, each group holding exactly its fields."""
+        return cls(_exactly(FeatureConfig, "feature_config", record["feature_config"]),
+                   _exactly(SilenceParams, "silence", record["silence"]),
+                   record["segment_seconds"])
 
 
 @lru_cache(maxsize=8)

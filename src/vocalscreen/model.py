@@ -50,15 +50,14 @@ and streams them to the digest and the file.
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
 from .errors import VocalScreenError
-from .features import FeatureConfig
-from .preprocess import SEGMENT_SECONDS, SilenceParams, sample_count
+from .features import Extraction
 
 MODEL_SCHEMA_VERSION = 2
 _DIGEST_LINE = re.compile(rb'{\n "digest": "([0-9a-f]{64})",\n')  # a model file's lines 1-2
@@ -243,7 +242,7 @@ class KnnModel:
 
     The matrix is finite, of bool, integer or float values, with one
     column per scaler dimension, the labels are strings of at most two
-    values, and k and p pass check_k_and_p and segment_seconds sample_count.
+    values, k and p pass check_k_and_p, and ``extraction`` made the rows.
     """
 
     train_matrix: np.ndarray
@@ -251,9 +250,7 @@ class KnnModel:
     k: int
     p: float
     scaler: ScalerParams
-    feature_config: FeatureConfig
-    segment_seconds: float = SEGMENT_SECONDS
-    silence: SilenceParams = SilenceParams()
+    extraction: Extraction = Extraction()
 
     def __post_init__(self):
         matrix = _real(self.train_matrix, "a train matrix")
@@ -270,7 +267,6 @@ class KnnModel:
         if len(set(self.train_labels)) > 2:
             raise ValueError(f"labels must be binary, got {sorted(set(self.train_labels))}")
         check_k_and_p(self.k, self.p)
-        sample_count(self.segment_seconds, "segment_seconds")
         if matrix.shape[0] < self.k:
             raise TooFewSamples(f"{matrix.shape[0]} rows < k={self.k}")
 
@@ -305,13 +301,11 @@ def _encode(labels) -> tuple:
 
 
 def knn_fit(features, labels, k: int = 3, p: float = 2.0,
-            scaler: ScalerParams | None = None, feature_config: FeatureConfig = FeatureConfig(),
-            segment_seconds: float = SEGMENT_SECONDS,
-            silence: SilenceParams = SilenceParams()) -> KnnModel:
+            scaler: ScalerParams | None = None, extraction: Extraction = Extraction()) -> KnnModel:
     """Store the standardized training set; KNN has no other learning step.
 
-    ``scaler`` defaults to the identity (no standardization); the last three
-    record how the features were extracted. Labels must be binary and k odd
+    ``scaler`` defaults to the identity (no standardization); ``extraction``
+    records how the features were extracted. Labels must be binary and k odd
     so prediction votes cannot tie.
     """
     matrix = as_matrix(features)
@@ -322,8 +316,7 @@ def knn_fit(features, labels, k: int = 3, p: float = 2.0,
         scaler = identity_scaler(matrix.shape[1])
     standardized = transform(scaler, matrix)
     return KnnModel(train_matrix=standardized, train_labels=labels, k=k, p=p,
-                    scaler=scaler, feature_config=feature_config,
-                    segment_seconds=segment_seconds, silence=silence)
+                    scaler=scaler, extraction=extraction)
 
 
 def _differences(model: KnnModel, query: np.ndarray) -> np.ndarray:
@@ -500,14 +493,6 @@ def knn_predict(model: KnnModel, v) -> tuple:
     return _predict_rows(model, query[None])[0]
 
 
-def silence_from_record(record) -> SilenceParams:
-    """The silence constants of a JSON record: an object holding exactly SilenceParams' fields."""
-    names = sorted(f.name for f in fields(SilenceParams))
-    if not isinstance(record, dict) or sorted(record) != names:
-        raise ValueError(f"silence must be an object with exactly the fields {', '.join(names)}")
-    return SilenceParams(**record)
-
-
 def _indented_rows(chunk: str) -> str:
     """Compact matrix rows, '[1.0,2.0],[3.0,4.0]', in json's indent=1 layout at depth 3.
 
@@ -530,8 +515,7 @@ def save_model(model: KnnModel, path) -> None:
     payload = {"digest": "0" * 64, "version": MODEL_SCHEMA_VERSION, "k": model.k, "p": model.p,
                "scaler": {"means": model.scaler.means.tolist(),
                           "stds": model.scaler.stds.tolist()},
-               "feature_config": asdict(model.feature_config),
-               "segment_seconds": model.segment_seconds, "silence": asdict(model.silence),
+               **asdict(model.extraction),
                "train": {"matrix": [], "labels": list(model.train_labels)}}
     head, _, tail = (json.dumps(payload, indent=1, sort_keys=True).encode()
                      .rpartition(b'"matrix": []'))
@@ -579,9 +563,7 @@ def load_model(path) -> KnnModel:
             k=payload["k"],
             p=payload["p"],
             scaler=ScalerParams(means=payload["scaler"]["means"], stds=payload["scaler"]["stds"]),
-            feature_config=FeatureConfig.from_record(payload["feature_config"]),
-            segment_seconds=payload["segment_seconds"],
-            silence=silence_from_record(payload["silence"]),
+            extraction=Extraction.from_record(payload),
         )
     except KeyError as exc:
         raise CorruptModelFile(f"{path}: missing field {exc}") from exc

@@ -20,8 +20,10 @@ def sample_count(seconds: float, name: str, sample_rate: int = DEFAULT_SAMPLE_RA
     """Whole samples in ``seconds`` at ``sample_rate``, rounded half up.
 
     Raises ValueError, naming the duration ``name``, unless the count is
-    finite and at least one.
+    finite and at least one, or if ``seconds`` is a bool.
     """
+    if isinstance(seconds, bool):  # True would read as 1 s
+        raise ValueError(f"{name} must be a number, got {seconds!r}")
     samples = seconds * sample_rate
     if not 0.5 <= samples < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {seconds}"

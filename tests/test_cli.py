@@ -10,7 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from conftest import chdir, tone, write_redigested
 from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
                                   to_mono)
-from vocalscreen import evaluation, model
+from vocalscreen import cli, evaluation, model
 from vocalscreen.cli import _predictions, build_parser, load_config, main
 from vocalscreen.dataset import DatasetManifest, ManifestRow, load_manifest, save_manifest
 from vocalscreen.errors import VocalScreenError
-from vocalscreen.features import FeatureConfig, read_features_csv, write_features_csv
+from vocalscreen.features import (Extraction, FeatureConfig, read_features_csv,
+                                  write_features_csv)
 from vocalscreen.model import (EvenK, _filtered_heads, fit_scaler, knn_fit, knn_predict,
                                load_model, save_model, transform)
 from vocalscreen.preprocess import remove_silence
@@ -39,13 +40,17 @@ def test_synth_outputs_exist(small_cohort):
     assert json.loads((cohort / "synth.run.json").read_text())["command"] == "synth"
 
 
-def test_extract_segment_count_matches_voiced_durations(small_cohort):
-    manifest = load_manifest(small_cohort / "cohort" / "cohort.csv")
-    expected = 0
-    for row in manifest:
+def voiced_segment_count(small_cohort, seconds: float) -> int:
+    """Whole segments of ``seconds`` in the voiced audio of every cohort recording."""
+    count = 0
+    for row in load_manifest(small_cohort / "cohort" / "cohort.csv"):
         clip = resample(to_mono(load_wav(small_cohort / "cohort" / row.path)), DEFAULT_SAMPLE_RATE)
-        voiced = remove_silence(clip)
-        expected += math.floor(voiced.duration_seconds / 4.0)
+        count += math.floor(remove_silence(clip).duration_seconds / seconds)
+    return count
+
+
+def test_extract_segment_count_matches_voiced_durations(small_cohort):
+    expected = voiced_segment_count(small_cohort, 4.0)
     ids, labels, matrix = read_features_csv(small_cohort / "work" / "features.csv")
     assert len(ids) == expected
     assert matrix.shape == (expected, 16)
@@ -690,6 +695,11 @@ def test_model_binds_segment_seconds_and_silence(small_cohort, tmp_path, capsys)
     (lambda r: r.update(segment_seconds=0.0), "segment_seconds must be positive and finite"),
     (lambda r: r.update(segment_seconds=None), "unsupported operand"),
     (lambda r: r.update(segment_seconds=10 ** 400), "int too large to convert to float"),
+    # a bool read as 1 s, and train wrote it into model.json
+    (lambda r: r.update(segment_seconds=True), "segment_seconds must be a number, got True"),
+    (lambda r: r["silence"].update(frame_seconds=True, hop_seconds=True),
+     "frame_seconds must be a number, got True"),
+    (lambda r: r["feature_config"].update(fmax=True), "fmax must be a number, got True"),
 ])
 def test_bad_extract_record_constants_exit_1(small_cohort, tmp_path, capsys, change, reason):
     work = small_cohort / "work"
@@ -705,6 +715,35 @@ def test_bad_extract_record_constants_exit_1(small_cohort, tmp_path, capsys, cha
         assert err.startswith(f"error: {tmp_path / 'extract.run.json'}: bad record: ")
         assert re.search(reason, err)
         assert not (tmp_path / "o").exists()
+
+
+def test_extract_runs_and_records_one_extraction(small_cohort, tmp_path, monkeypatch, capsys):
+    """extract cuts and featurizes with the Extraction it records: with 2 s segments,
+    segments.csv counts 2 s segments, extract.run.json says 2.0, and a model trained on
+    the 4 s features refuses them."""
+
+    @dataclass(frozen=True)
+    class TwoSeconds(Extraction):
+        segment_seconds: float = 2.0
+
+    monkeypatch.setattr(cli, "Extraction", TwoSeconds)
+    with chdir(small_cohort):
+        assert main(["extract", "--manifest", "cohort/cohort.csv", "--out", str(tmp_path)]) == 0
+    expected = voiced_segment_count(small_cohort, 2.0)
+    assert expected > voiced_segment_count(small_cohort, 4.0)
+    assert len(load_manifest(tmp_path / "segments.csv")) == expected
+    assert len(read_features_csv(tmp_path / "features.csv")[0]) == expected
+    record = json.loads((tmp_path / "extract.run.json").read_text())
+    assert record["segment_seconds"] == 2.0
+    assert record == {"manifest": "cohort/cohort.csv", "command": "extract",
+                      **asdict(TwoSeconds())}
+    model_file = trained_model(small_cohort, tmp_path)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_file),
+                 "--features", str(tmp_path / "features.csv")]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'features.csv'}: extracted with"
+                                       f" other constants than {model_file} was trained on:"
+                                       f" segment_seconds 2.0 (model 4.0)\n")
 
 
 def test_bad_label_manifest_fails(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import csv
 import itertools
+import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +28,7 @@ from vocalscreen.audio_io import AudioClip
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import (
     CSV_HEADER,
+    Extraction,
     FeatureConfig,
     FeaturesFileError,
     SegmentTooShort,
@@ -45,7 +48,7 @@ from vocalscreen.features import (
     write_features_csv,
     zero_crossing_rate,
 )
-from vocalscreen.preprocess import segment
+from vocalscreen.preprocess import SilenceParams, segment
 
 RATE = 16000
 
@@ -462,7 +465,7 @@ def test_extract_features_row_invariants(samples, config):
 # --- types and serialization ------------------------------------------------
 
 
-def test_feature_config_bounds_and_record():
+def test_feature_config_bounds():
     # n_fft 2 passes the power-of-two rule; the n_mels bound is what rejects it
     with pytest.raises(ValueError, match=r"^n_mels 128 exceeds n_fft \+ 2 = 4,"):
         FeatureConfig(n_fft=2, hop=1)
@@ -474,12 +477,6 @@ def test_feature_config_bounds_and_record():
     with pytest.raises(ValueError, match="^peak_threshold_db must be non-negative and finite,"
                                          " got -0.5$"):
         FeatureConfig(peak_threshold_db=-0.5)
-    record = {f.name: getattr(FeatureConfig(), f.name) for f in fields(FeatureConfig)}
-    assert FeatureConfig.from_record(record) == FeatureConfig()
-    for bad in ({**record, "extra": 1}, {k: v for k, v in record.items() if k != "hop"}, [1]):
-        with pytest.raises(ValueError, match="^feature_config must be an object with exactly"):
-            FeatureConfig.from_record(bad)
-
 
 
 def test_feature_config_invariants():
@@ -511,6 +508,104 @@ def test_feature_config_invariants():
                          ("n_mfcc", True)]:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             FeatureConfig(**{field: value})
+    # True passed each range check as 1.0, and a record holding it loaded
+    for field in ("fmin", "fmax", "log_floor", "peak_threshold_db"):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got True$"):
+            FeatureConfig(**{field: True})
+
+
+# --- extraction constants -----------------------------------------------------
+
+
+def default_record() -> dict:
+    """A run record of the default constants, as extract writes and json reads it back."""
+    return json.loads(json.dumps({"manifest": "cohort/cohort.csv", "command": "extract",
+                                  **asdict(Extraction())}))
+
+
+def test_extraction_defaults_are_the_pipeline_constants():
+    extraction = Extraction()
+    assert (extraction.feature_config, extraction.silence, extraction.segment_seconds) == (
+        FeatureConfig(), SilenceParams(), 4.0)
+    # the nested shape of extract.run.json and model.json, in field order
+    assert list(asdict(extraction)) == ["feature_config", "silence", "segment_seconds"]
+    assert asdict(extraction)["silence"] == {"frame_seconds": 0.05, "hop_seconds": 0.025,
+                                             "threshold_ratio": 0.1}
+    assert Extraction.from_record(default_record()) == extraction
+
+
+@pytest.mark.parametrize("group, names", [
+    ("feature_config", "fmax, fmin, hop, log_floor, n_fft, n_mels, n_mfcc, peak_threshold_db"),
+    ("silence", "frame_seconds, hop_seconds, threshold_ratio"),
+])
+def test_extraction_record_groups_hold_exactly_their_fields(group, names):
+    record = default_record()
+    group_fields = record[group]
+    first = next(iter(group_fields))
+    for bad in ({**group_fields, "extra": 1}, {k: v for k, v in group_fields.items() if k != first},
+                {}, list(group_fields), None, 1, "x"):
+        with pytest.raises(ValueError, match=f"^{group} must be an object with exactly the"
+                                             f" fields {re.escape(names)}$"):
+            Extraction.from_record({**record, group: bad})
+    # the fields are then the group's own checks
+    with pytest.raises(ValueError, match=f"^{first} must be"):
+        Extraction.from_record({**record, group: {**group_fields, first: True}})
+
+
+def test_extraction_record_is_checked_in_field_order():
+    """Each field is read, then checked, in turn, so the first fault in field order is named."""
+    names = ["feature_config", "silence", "segment_seconds"]
+    bad = {"feature_config": None, "silence": None, "segment_seconds": 0.0}
+    messages = {"feature_config": "^feature_config must be an object",
+                "silence": "^silence must be an object",
+                "segment_seconds": "^segment_seconds must be positive and finite"}
+    for i, name in enumerate(names):
+        record = {**default_record(), **{later: bad[later] for later in names[i + 1:]}}
+        with pytest.raises(ValueError, match=messages[name]):
+            Extraction.from_record({**record, name: bad[name]})
+        record.pop(name)
+        with pytest.raises(KeyError, match=f"^'{name}'$"):
+            Extraction.from_record(record)
+    with pytest.raises(TypeError, match="list indices must be integers"):
+        Extraction.from_record([1, 2])
+
+
+def test_extraction_segment_seconds_passes_sample_count():
+    assert Extraction(segment_seconds=2.0).segment_seconds == 2.0
+    assert Extraction(segment_seconds=1 / 32000).segment_seconds == 1 / 32000  # one sample
+    for seconds in (0.0, -4.0, float("nan"), float("inf"), 1e305, 1e-5):
+        with pytest.raises(ValueError, match="^segment_seconds must be positive and finite"):
+            Extraction(segment_seconds=seconds)
+    with pytest.raises(ValueError, match="^segment_seconds must be a number, got True$"):
+        Extraction(segment_seconds=True)  # would read as 1 s
+    with pytest.raises(TypeError):
+        Extraction(segment_seconds="4.0")
+
+
+@st.composite
+def extractions(draw):
+    """Any valid set of extraction constants."""
+    n_fft = 2 ** draw(st.integers(4, 13))
+    fmax = draw(st.floats(1e-3, 1e6))
+    frame = draw(st.floats(1 / 32000, 1e3))
+    return Extraction(
+        FeatureConfig(n_fft=n_fft, hop=draw(st.integers(1, n_fft)),
+                      n_mels=draw(st.integers(13, n_fft + 2)),
+                      fmin=draw(st.floats(0.0, fmax, exclude_max=True)), fmax=fmax,
+                      log_floor=draw(st.floats(5e-324, 1e308)),
+                      peak_threshold_db=draw(st.floats(0.0, 1e308))),
+        SilenceParams(frame_seconds=frame, hop_seconds=draw(st.floats(1 / 32000, frame)),
+                      threshold_ratio=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                     exclude_max=True))),
+        draw(st.floats(1 / 32000, 1e9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(extraction=extractions())
+def test_extraction_record_round_trips(extraction):
+    """Any valid constants, written as extract writes them and read back, are the same."""
+    record = json.loads(json.dumps({"manifest": "m.csv", **asdict(extraction)}))
+    assert Extraction.from_record(record) == extraction
 
 
 def empty_filters_bin_by_bin(rate, n_fft, n_mels, fmin, fmax):

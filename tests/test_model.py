@@ -15,7 +15,7 @@ from conftest import traced_peak, write_redigested
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import PipelineCandidate, grid_select
-from vocalscreen.features import FeatureConfig
+from vocalscreen.features import Extraction, FeatureConfig
 from vocalscreen.model import (
     _CHUNK_ROWS,
     CorruptModelFile,
@@ -143,7 +143,7 @@ def test_model_layer_takes_only_real_numbers():
         ScalerParams(means=[0.5], stds=[None])
     with pytest.raises(VocalScreenError, match="^a train matrix must hold real numbers"):
         KnnModel(train_matrix=[["1.5"]], train_labels=["control"], k=1, p=2.0,
-                 scaler=identity_scaler(1), feature_config=FeatureConfig())
+                 scaler=identity_scaler(1))
     with pytest.raises(VocalScreenError, match="^a feature row must hold real numbers"):
         transform(identity_scaler(2), ["1.5", "2.5"])
     assert as_matrix([[True, 2], [0, 3]]).tolist() == [[1.0, 2.0], [0.0, 3.0]]
@@ -215,7 +215,7 @@ def assert_distance_paths_equal_former(matrix, query, p):
         labels = ["control"] * len(matrix)
         labels[np.argsort(former, kind="stable")[0]] = "depression"
         model = KnnModel(train_matrix=matrix, train_labels=labels, k=1, p=p,
-                         scaler=identity_scaler(matrix.shape[1]), feature_config=FeatureConfig())
+                         scaler=identity_scaler(matrix.shape[1]))
         (answer,) = answers(model, [query], {p: {1}})
         assert answer == {p: {1: ("depression", 1.0)}}
 
@@ -595,20 +595,19 @@ def test_save_load_roundtrip_predicts_identically(tmp_path):
     queries = rng.normal(size=(100, 16))
     for q in queries:
         assert knn_predict(loaded, q) == knn_predict(model, q)
-    assert loaded.feature_config == model.feature_config
+    assert loaded.extraction == model.extraction
 
 
 def test_save_load_keeps_every_extraction_constant(tmp_path):
     model, _ = fitted_model()
-    model = replace(model, feature_config=FeatureConfig(n_fft=1024),
-                    segment_seconds=2.5, silence=SilenceParams(threshold_ratio=0.25))
+    extraction = Extraction(FeatureConfig(n_fft=1024), SilenceParams(threshold_ratio=0.25), 2.5)
+    model = replace(model, extraction=extraction)
     save_model(model, tmp_path / "model.json")
     payload = json.loads((tmp_path / "model.json").read_text())
     assert (payload["segment_seconds"], payload["silence"]) == (
         2.5, {"frame_seconds": 0.05, "hop_seconds": 0.025, "threshold_ratio": 0.25})
     loaded = load_model(tmp_path / "model.json")
-    assert (loaded.feature_config, loaded.segment_seconds, loaded.silence) == (
-        FeatureConfig(n_fft=1024), 2.5, SilenceParams(threshold_ratio=0.25))
+    assert loaded.extraction == extraction
 
 
 def former_save_model(model, path):
@@ -625,9 +624,9 @@ def former_save_model(model, path):
             "means": [float(x) for x in model.scaler.means],
             "stds": [float(x) for x in model.scaler.stds],
         },
-        "feature_config": asdict(model.feature_config),
-        "segment_seconds": model.segment_seconds,
-        "silence": asdict(model.silence),
+        "feature_config": asdict(model.extraction.feature_config),
+        "segment_seconds": model.extraction.segment_seconds,
+        "silence": asdict(model.extraction.silence),
         "train": {
             "matrix": [[float(x) for x in row] for row in model.train_matrix],
             "labels": list(model.train_labels),
@@ -659,7 +658,6 @@ def saved_models(draw):
             means=draw(arrays(np.float64, dims, elements=matrix_values), label="means"),
             stds=draw(arrays(np.float64, dims, elements=st.floats(5e-324, 1.7e308)), label="stds"),
         ),
-        feature_config=FeatureConfig(),
     )
 
 
@@ -706,7 +704,7 @@ def test_load_rejects_a_version_1_file(tmp_path):
     payload = {"version": 1, "k": model.k, "p": model.p,
                "scaler": {"means": model.scaler.means.tolist(),
                           "stds": model.scaler.stds.tolist()},
-               "feature_config": asdict(model.feature_config),
+               "feature_config": asdict(model.extraction.feature_config),
                "train": {"matrix": model.train_matrix.tolist(),
                          "labels": list(model.train_labels)}}
     payload["digest"] = hashlib.sha256(
@@ -827,7 +825,7 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     payload["feature_config"].update(n_fft=512, hop=128)
     path = tmp_path / "n_fft_512.json"
     write_redigested(path, payload)
-    assert load_model(path).feature_config == FeatureConfig(n_fft=512, hop=128)
+    assert load_model(path).extraction.feature_config == FeatureConfig(n_fft=512, hop=128)
 
 
 @pytest.mark.parametrize("mutate, reason", [
@@ -869,6 +867,17 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     (lambda m: m.update(segment_seconds=float("nan")), "segment_seconds must be positive"),
     (lambda m: m.update(segment_seconds=1e-5), r"got 1e-05 \(0\.16 samples at 16000 Hz\)"),
     (lambda m: m.update(segment_seconds="4.0"), "not supported between"),
+    # a bool passed each range check as 0 or 1 and was stored as a bool
+    (lambda m: m.update(segment_seconds=True), "segment_seconds must be a number, got True"),
+    (lambda m: m["silence"].update(frame_seconds=True, hop_seconds=True),
+     "frame_seconds must be a number, got True"),
+    (lambda m: m["silence"].update(frame_seconds=2.0, hop_seconds=True),
+     "hop_seconds must be a number, got True"),
+    (lambda m: m["feature_config"].update(fmin=True), "fmin must be a number, got True"),
+    (lambda m: m["feature_config"].update(fmax=True), "fmax must be a number, got True"),
+    (lambda m: m["feature_config"].update(log_floor=True), "log_floor must be a number, got True"),
+    (lambda m: m["feature_config"].update(peak_threshold_db=True),
+     "peak_threshold_db must be a number, got True"),
     (lambda m: m.pop("silence"), "missing field 'silence'"),
     (lambda m: m.update(silence=None),
      "silence must be an object with exactly the fields frame_seconds, hop_seconds,"

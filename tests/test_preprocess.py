@@ -126,6 +126,10 @@ def test_silence_params_invariants():
     for frame, hop, name in ((1e305, 1e305, "frame_seconds"), (0.05, 1e-6, "hop_seconds")):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             SilenceParams(frame_seconds=frame, hop_seconds=hop)
+    # True passed every range check as 1 s
+    for frame, hop, name in ((True, True, "frame_seconds"), (2.0, True, "hop_seconds")):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got True$"):
+            SilenceParams(frame_seconds=frame, hop_seconds=hop)
 
 
 def test_remove_silence_tone_after_silence():
@@ -209,6 +213,9 @@ def test_segment_rejects_bad_duration():
     # 1e305 s overflows its sample count; 1e-6 s rounds to 0 samples, a window of none
     for seconds in (0.0, -1.0, np.nan, np.inf, 1e305, 1e-6):
         with pytest.raises(ValueError, match="segment_seconds must be positive and finite"):
+            segment(clip_of(np.zeros(10)), seconds)
+    for seconds in (True, False):  # not 1 s and 0 s
+        with pytest.raises(ValueError, match=f"^segment_seconds must be a number, got {seconds}$"):
             segment(clip_of(np.zeros(10)), seconds)
 
 

@@ -325,8 +325,9 @@ def test_class_labels_are_checked_before_any_wav_is_written(tmp_path):
 
 
 # 1e305 s is finite, but its sample count overflows float64
-# 1e7 s is 1.6e11 samples, more than a mono PCM16 WAV holds
-@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 1e305, 1e7, -1.0, 0.0, 0.00003])
+# 1e7 s is 1.6e11 samples, more than a mono PCM16 WAV holds; True is not a number of seconds
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 1e305, 1e7, -1.0, 0.0, 0.00003,
+                                     True])
 def test_seconds_per_speaker_must_give_a_sample(seconds):
     with pytest.raises(ValueError, match="seconds_per_speaker"):
         CohortSpec(seconds_per_speaker=seconds)
