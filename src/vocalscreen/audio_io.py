@@ -49,7 +49,7 @@ import struct
 
 import numpy as np
 
-from .errors import VocalScreenError
+from .errors import VocalScreenError, integer, real
 
 # Canonical pipeline rate. All frequency constants downstream (mel range,
 # FFT bin spacing) assume clips were resampled to this on ingestion.
@@ -110,13 +110,8 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.dtype.kind not in "biuf":  # a complex or text value would convert silently
-            raise ValueError(f"samples must be real numbers, got dtype {samples.dtype}")
-        object.__setattr__(self, "samples", samples.astype(np.float64, copy=False))
-        if type(self.sample_rate) is not int:  # not a bool either
-            raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
-        if self.sample_rate <= 0:
+        object.__setattr__(self, "samples", real(self.samples, "samples"))
+        if integer(self.sample_rate, "sample_rate") <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         shape = self.samples.shape
         if not (len(shape) == 1 or len(shape) == 2 and shape[1] >= 1):
@@ -508,9 +503,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     blocks of output positions by gathering the two neighbours of each,
     without an input-length abscissa or output-length temporaries.
     """
-    if type(target_rate) is not int:  # not a bool either
-        raise ValueError(f"target_rate must be an integer, got {target_rate!r}")
-    if target_rate <= 0:
+    if integer(target_rate, "target_rate") <= 0:
         raise ValueError("target_rate must be positive")
     if clip.samples.ndim != 1:
         raise ValueError("resample expects a mono clip; call to_mono first")

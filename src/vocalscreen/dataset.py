@@ -18,8 +18,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import VocalScreenError
-from .rng import SplitMix64, fisher_yates, round_half_up
+from .errors import VocalScreenError, number
+from .rng import SplitMix64, check_seed, fisher_yates, round_half_up
 
 LABELS = ("control", "depression")
 
@@ -87,8 +87,9 @@ class SplitSpec:
     mode: str = SEGMENT_LEVEL
 
     def __post_init__(self):
-        if not 0 < self.train_fraction < 1:
+        if not 0 < number(self.train_fraction, "train_fraction") < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
+        check_seed(self.seed)
         if self.mode not in SPLIT_MODES:
             raise ValueError(f"mode must be one of {SPLIT_MODES}")
 

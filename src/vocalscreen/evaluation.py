@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import VocalScreenError
+from .errors import VocalScreenError, integer
 from .features import FEATURE_COLUMNS, N_FEATURES, N_MFCC
 from .model import _encode, _neighbours, _vote, as_matrix, fit_scaler, identity_scaler, knn_fit
 from .rng import SplitMix64, fisher_yates
@@ -111,8 +111,8 @@ def default_grid() -> list:
 
 
 def check_folds(folds) -> None:
-    """Reject a fold count below 2."""
-    if folds < 2:
+    """Reject a fold count that is not an integer of at least 2."""
+    if integer(folds, "folds") < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
 
 

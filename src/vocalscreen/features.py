@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioClip
-from .errors import VocalScreenError
+from .errors import VocalScreenError, integer, number
 from .preprocess import SEGMENT_SECONDS, SilenceParams, sample_count
 
 N_MFCC = 13
@@ -59,12 +59,8 @@ class FeatureConfig:
     peak_threshold_db: float = 30.0
 
     def __post_init__(self):
-        for name in ("n_fft", "hop", "n_mels", "n_mfcc"):
-            if type(getattr(self, name)) is not int:  # not a bool either
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("fmin", "fmax", "log_floor", "peak_threshold_db"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for f in fields(self):
+            (integer if f.type is int else number)(getattr(self, f.name), f.name)
         if not 0 < self.hop <= self.n_fft:
             raise ValueError("need 0 < hop <= n_fft")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):

@@ -56,7 +56,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import VocalScreenError
+from .errors import VocalScreenError, integer, number, real
 from .features import Extraction
 
 MODEL_SCHEMA_VERSION = 2
@@ -102,25 +102,12 @@ class ScalerOverflow(VocalScreenError):
     pass
 
 
-def _real(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array, if they are bool, integer or float values.
-
-    Anything else raises VocalScreenError naming ``what``: converted as
-    floats, numeric text would parse and a complex value lose its
-    imaginary part.
-    """
-    array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
-        raise VocalScreenError(f"{what} must hold real numbers, got dtype {array.dtype}")
-    return array.astype(np.float64, copy=False)
-
-
 def as_matrix(features) -> np.ndarray:
     """Coerce a (rows, dims) array-like, or one feature row, to a 2-D float64 matrix.
 
     Raises VocalScreenError if a value is not a real number, or is NaN or infinite.
     """
-    matrix = _real(features, "a feature matrix")
+    matrix = real(features, "a feature matrix")
     if matrix.ndim < 2:  # one feature row is a matrix of one row, an empty list of none
         matrix = matrix.reshape(min(matrix.size, 1), matrix.size)
     bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
@@ -142,8 +129,8 @@ class ScalerParams:
     stds: np.ndarray
 
     def __post_init__(self):
-        means = _real(self.means, "scaler means")
-        stds = _real(self.stds, "scaler stds")
+        means = real(self.means, "scaler means")
+        stds = real(self.stds, "scaler stds")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stds", stds)
         if means.shape != stds.shape or means.ndim != 1 or not means.size:
@@ -184,7 +171,7 @@ def transform(scaler: ScalerParams, x) -> np.ndarray:
 
     Values that are not bool, integer or float raise VocalScreenError, as in as_matrix.
     """
-    return (_real(x, "a feature row") - scaler.means) / scaler.stds
+    return (real(x, "a feature row") - scaler.means) / scaler.stds
 
 
 def _minkowski(diffs: np.ndarray, p: float) -> np.ndarray:
@@ -222,15 +209,11 @@ def check_k_and_p(k, p) -> None:
 
     A bool is neither. Raises EvenK for an even k, ValueError for the rest.
     """
-    if type(k) is not int:  # not a bool either, though True passes k >= 1
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
+    if integer(k, "k") < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k % 2 == 0:
         raise EvenK(f"k must be odd, got {k}")
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise ValueError(f"p must be a number, got {p!r}")
-    if not p >= 1:
+    if not number(p, "p") >= 1:
         raise ValueError("p must be >= 1")
     if p == np.inf:  # every distance would read 1.0 and every query tie
         raise ValueError("p must be finite, got inf")
@@ -253,7 +236,7 @@ class KnnModel:
     extraction: Extraction = Extraction()
 
     def __post_init__(self):
-        matrix = _real(self.train_matrix, "a train matrix")
+        matrix = real(self.train_matrix, "a train matrix")
         object.__setattr__(self, "train_matrix", matrix)
         object.__setattr__(self, "train_labels", tuple(self.train_labels))
         if matrix.ndim != 2 or matrix.shape[0] != len(self.train_labels):
@@ -483,7 +466,7 @@ def knn_predict(model: KnnModel, v) -> tuple:
     distance overflows float64; a farther row's overflow changes no answer
     and warns of nothing.
     """
-    query = _real(v, "a query")
+    query = real(v, "a query")
     if query.shape != model.scaler.means.shape:
         raise VocalScreenError(f"a query must be one row of {len(model.scaler.means)}"
                                f" feature values, got shape {query.shape}")

@@ -6,11 +6,12 @@ then cut into consecutive non-overlapping segments of a fixed duration
 discarded so every segment frames identically downstream.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE, AudioClip
+from .errors import number
 from .rng import round_half_up
 
 SEGMENT_SECONDS = 4.0  # the screening pipeline's segment length
@@ -19,12 +20,10 @@ SEGMENT_SECONDS = 4.0  # the screening pipeline's segment length
 def sample_count(seconds: float, name: str, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
     """Whole samples in ``seconds`` at ``sample_rate``, rounded half up.
 
-    Raises ValueError, naming the duration ``name``, unless the count is
-    finite and at least one, or if ``seconds`` is a bool.
+    Raises InvalidValue, naming the duration ``name``, unless ``seconds`` is a
+    number, and ValueError unless the count is finite and at least one.
     """
-    if isinstance(seconds, bool):  # True would read as 1 s
-        raise ValueError(f"{name} must be a number, got {seconds!r}")
-    samples = seconds * sample_rate
+    samples = number(seconds, name) * sample_rate
     if not 0.5 <= samples < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {seconds}"
                          f" ({samples:g} samples at {sample_rate} Hz)")
@@ -46,6 +45,8 @@ class SilenceParams:
     threshold_ratio: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            number(getattr(self, f.name), f.name)
         if not 0 < self.hop_seconds <= self.frame_seconds < np.inf:
             raise ValueError("need 0 < hop_seconds <= frame_seconds < inf")
         if not 0 < self.threshold_ratio < 1:

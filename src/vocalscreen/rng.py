@@ -8,13 +8,15 @@ Fisher-Yates shuffle with modulo-reduced draws and a descending index.
 
 import math
 
+from .errors import integer
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def check_seed(seed: int) -> None:
     """Reject a seed outside [0, 2^64): SplitMix64 keeps 64 bits of state, so such a
     seed would give the stream of another."""
-    if not 0 <= seed <= MASK64:
+    if not 0 <= integer(seed, "seed") <= MASK64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
 
 

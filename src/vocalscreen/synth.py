@@ -23,7 +23,7 @@ Every output is labeled synthetic and non-clinical; scores obtained on
 this cohort say nothing about clinical screening accuracy.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 import tempfile
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .audio_io import DEFAULT_SAMPLE_RATE, _ClipBlocks, max_wav_frames, save_wav
 from .dataset import LABELS, DatasetManifest, ManifestRow, save_manifest, write_json
-from .errors import VocalScreenError
+from .errors import InvalidValue, VocalScreenError, integer, number
 from .preprocess import sample_count
 from .rng import check_seed, round_half_up
 
@@ -50,13 +50,20 @@ class IoFailure(VocalScreenError):
 
 @dataclass(frozen=True)
 class ClassProfile:
-    """Signal-model knobs for one class of speakers."""
+    """Signal-model knobs for one class of speakers, each a number; pauses_per_minute, a
+    Poisson rate, is neither negative nor NaN (a noise_floor_db of -inf is noise-free)."""
 
     f0_hz: float
     f0_spread_hz: float
     tilt_db_per_octave: float
     noise_floor_db: float
     pauses_per_minute: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            number(getattr(self, f.name), f.name)
+        if not self.pauses_per_minute >= 0:
+            raise InvalidValue(f"pauses_per_minute must be >= 0, got {self.pauses_per_minute!r}")
 
 
 def default_profiles() -> dict:
@@ -81,7 +88,7 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.speakers_per_class < 1:
+        if integer(self.speakers_per_class, "speakers_per_class") < 1:
             raise ValueError("speakers_per_class must be >= 1")
         check_seed(self.seed)  # the one seed rule of every seeded stage
         samples = sample_count(self.seconds_per_speaker, "seconds_per_speaker")

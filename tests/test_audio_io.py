@@ -784,7 +784,7 @@ def test_clip_shape_is_mono_or_frames_by_channels(shape, accepted):
     (np.array([0], dtype="datetime64[s]"), "datetime64[s]"),
 ])
 def test_clip_rejects_samples_that_are_not_real_numbers(samples, dtype):
-    message = f"samples must be real numbers, got dtype {dtype}"
+    message = f"samples must hold real numbers, got dtype {dtype}"
     with pytest.raises(ValueError, match=re.escape(message)):
         AudioClip(samples=samples, sample_rate=16000)
 

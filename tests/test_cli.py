@@ -693,7 +693,7 @@ def test_model_binds_segment_seconds_and_silence(small_cohort, tmp_path, capsys)
     (lambda r: r["silence"].update(threshold_ratio=1.0), r"threshold_ratio must be in \(0, 1\)"),
     (lambda r: r["silence"].pop("hop_seconds"), "silence must be an object with exactly"),
     (lambda r: r.update(segment_seconds=0.0), "segment_seconds must be positive and finite"),
-    (lambda r: r.update(segment_seconds=None), "unsupported operand"),
+    (lambda r: r.update(segment_seconds=None), "segment_seconds must be a number, got None"),
     (lambda r: r.update(segment_seconds=10 ** 400), "int too large to convert to float"),
     # a bool read as 1 s, and train wrote it into model.json
     (lambda r: r.update(segment_seconds=True), "segment_seconds must be a number, got True"),

@@ -25,7 +25,7 @@ from oracles import (
 )
 from conftest import tone
 from vocalscreen.audio_io import AudioClip
-from vocalscreen.errors import VocalScreenError
+from vocalscreen.errors import InvalidValue, VocalScreenError
 from vocalscreen.features import (
     CSV_HEADER,
     Extraction,
@@ -578,8 +578,8 @@ def test_extraction_segment_seconds_passes_sample_count():
             Extraction(segment_seconds=seconds)
     with pytest.raises(ValueError, match="^segment_seconds must be a number, got True$"):
         Extraction(segment_seconds=True)  # would read as 1 s
-    with pytest.raises(TypeError):
-        Extraction(segment_seconds="4.0")
+    with pytest.raises(InvalidValue, match="^segment_seconds must be a number, got '4.0'$"):
+        Extraction(segment_seconds="4.0")  # would multiply out to a 48,000-character string
 
 
 @st.composite

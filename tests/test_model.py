@@ -854,7 +854,8 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     (lambda m: m.update(feature_config=None), "feature_config must be an object"),
     (lambda m: m["feature_config"].pop("hop"), "exactly the fields fmax, fmin, hop"),
     (lambda m: m["feature_config"].update(window="hann"), "exactly the fields"),
-    (lambda m: m["feature_config"].update(peak_threshold_db=None), "'>=' not supported"),
+    (lambda m: m["feature_config"].update(peak_threshold_db=None),
+     "peak_threshold_db must be a number, got None"),
     (lambda m: m["feature_config"].update(hop=True), "hop must be an integer, got True"),
     (lambda m: m["feature_config"].update(n_mels=128.5), "n_mels must be an integer"),
     # json reads NaN and Infinity, and extract then wrote non-finite features
@@ -866,7 +867,7 @@ def test_load_takes_a_model_extracted_with_empty_mel_filters(tmp_path):
     (lambda m: m.update(segment_seconds=0.0), "segment_seconds must be positive and finite"),
     (lambda m: m.update(segment_seconds=float("nan")), "segment_seconds must be positive"),
     (lambda m: m.update(segment_seconds=1e-5), r"got 1e-05 \(0\.16 samples at 16000 Hz\)"),
-    (lambda m: m.update(segment_seconds="4.0"), "not supported between"),
+    (lambda m: m.update(segment_seconds="4.0"), "segment_seconds must be a number, got '4.0'"),
     # a bool passed each range check as 0 or 1 and was stored as a bool
     (lambda m: m.update(segment_seconds=True), "segment_seconds must be a number, got True"),
     (lambda m: m["silence"].update(frame_seconds=True, hop_seconds=True),

@@ -23,6 +23,7 @@ from vocalscreen.audio_io import (
     resample,
     to_mono,
 )
+from vocalscreen.errors import InvalidValue
 from vocalscreen.evaluation import PipelineCandidate, grid_select
 from vocalscreen.features import extract_features
 from vocalscreen.preprocess import remove_silence, segment
@@ -275,6 +276,14 @@ def test_a_speaker_not_finite_raises_before_its_wav_is_opened(tmp_path):
                                          r" got peak nan$"):
         generate_cohort(spec, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["control_s00.wav"]
+
+
+@pytest.mark.parametrize("rate", [-1.0, float("nan")])
+def test_a_pause_rate_no_poisson_draw_takes_is_refused_when_the_profile_is_built(rate):
+    # numpy's bare "lam < 0 or lam is NaN" came only once control_s00.wav was written
+    with pytest.raises(InvalidValue, match=f"^pauses_per_minute must be >= 0, got {rate}$"):
+        ClassProfile(f0_hz=150.0, f0_spread_hz=5.0, tilt_db_per_octave=-9.0,
+                     noise_floor_db=-44.0, pauses_per_minute=rate)
 
 
 def test_pause_density_measured_by_silence_remover():
