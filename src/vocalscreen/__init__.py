@@ -15,7 +15,7 @@ from .audio_io import AudioClip, decode_wav, encode_wav, resample, to_mono
 from .errors import VocalScreenError
 from .evaluation import (confusion, default_grid, descriptive_stats, grid_select, group_t_tests,
                          precision_recall_f1)
-from .features import extract_features, read_features_csv, write_features_csv
+from .features import Extraction, extract_features, read_features_csv, write_features_csv
 from .model import fit_scaler, knn_fit, knn_predict, load_model, save_model
 from .preprocess import SilenceParams, remove_silence, segment
 

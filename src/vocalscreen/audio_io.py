@@ -50,6 +50,7 @@ import struct
 import numpy as np
 
 from .errors import VocalScreenError, integer, real
+from .rng import round_half_up
 
 # Canonical pipeline rate. All frequency constants downstream (mel range,
 # FFT bin spacing) assume clips were resampled to this on ingestion.
@@ -451,8 +452,6 @@ def _resampled(frames, n: int, source_rate: int, target_rate: int) -> np.ndarray
     monotonic rounding keeps between y0 and ``fl(y0 + fl(y1 - y0))``; that
     sum is within 2^-53 of y1, so it rounds into [-1, 1] (ties to even at 1).
     """
-    from .rng import round_half_up
-
     m = round_half_up(n * target_rate / source_rate)  # 0 when n is 0: then no block runs
     out = np.empty(m)
     if source_rate % target_rate == 0:

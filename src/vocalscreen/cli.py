@@ -19,9 +19,10 @@ only) > built-in default, taken from the library's dataclasses. Each
 ahead of the command line, so it is checked like the same flag typed
 out; an unknown key is a usage error. ``--seed`` exists only for synth,
 split and select, the stages that draw random numbers. extract takes no
-tuning flag: it runs one features.Extraction(), the pipeline's
-constants, which only a library caller sets otherwise. A handler writes
-its outputs and prints its summary; then ``main``, the one writer of run
+tuning flag: each recording's rows come from features.Extraction().rows,
+which owns the pipeline's constants and their order; only a library
+caller sets them otherwise. A handler calls the library, writes its
+outputs and prints its summary; then ``main``, the one writer of run
 records, writes <out>/<command>.run.json: the parsed flags, all but
 --out and --config, or for extract the manifest and asdict of the
 Extraction it ran, which train binds into the model from the
@@ -44,10 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio_io, dataset, evaluation, model, preprocess, synth
+from . import dataset, evaluation, model, synth
 from .errors import VocalScreenError
-from .features import (N_FEATURES, Extraction, extract_features, read_features_csv,
-                       write_features_csv)
+from .features import N_FEATURES, Extraction, read_features_csv, write_features_csv
 from .rng import check_seed
 
 
@@ -182,25 +182,8 @@ def cmd_synth(ns) -> None:
     print(f"note: {synth.NON_CLINICAL_NOTE}")
 
 
-def _recording_features(wav_path, source_id: str, extraction: Extraction) -> list:
-    """Feature rows of one recording's segments, made with ``extraction``, in segment order.
-
-    A recording with less voiced audio than one segment yields no row and
-    is named on stderr with its voiced seconds. The recording's audio is
-    dropped on return, before the caller reads the next file.
-    """
-    with _named(source_id, VocalScreenError, OSError, ValueError):
-        clip = audio_io.load_mono(wav_path)
-        voiced = preprocess.remove_silence(clip, extraction.silence)
-        segments = preprocess.segment(voiced, extraction.segment_seconds)
-    if not segments:
-        print(f"extract: {source_id}: no segment, {voiced.duration_seconds:.2f} s voiced"
-              f" is shorter than {extraction.segment_seconds} s", file=sys.stderr)
-    return [extract_features(seg, extraction.feature_config) for seg in segments]
-
-
 def cmd_extract(ns) -> dict:
-    """Write features.csv and segments.csv with the pipeline's constants, one Extraction;
+    """Write features.csv and segments.csv from each recording's rows under one Extraction;
     return the run record, which holds that object in the nested shape train binds."""
     manifest_path = Path(ns.manifest)
     manifest = dataset.load_manifest(manifest_path)
@@ -209,10 +192,11 @@ def cmd_extract(ns) -> dict:
     extraction = Extraction()
     feature_rows, segment_rows, recording_of = [], [], {}
     for row in manifest.rows:
-        wav_path = Path(row.path)
-        if not wav_path.is_absolute():
-            wav_path = manifest_path.parent / wav_path
-        values = _recording_features(wav_path, row.path, extraction)
+        with _named(row.path, VocalScreenError, OSError, ValueError):
+            values, voiced_seconds = extraction.rows(manifest_path.parent / row.path)
+        if not values:
+            print(f"extract: {row.path}: no segment, {voiced_seconds:.2f} s voiced"
+                  f" is shorter than {extraction.segment_seconds} s", file=sys.stderr)
         feature_rows += values
         for i in range(len(values)):
             sid = _segment_id(row.path, i)

@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import AudioClip, load_mono
 from .errors import VocalScreenError, integer, number
-from .preprocess import SEGMENT_SECONDS, SilenceParams, sample_count
+from .preprocess import SEGMENT_SECONDS, SilenceParams, remove_silence, sample_count, segment
 
 N_MFCC = 13
 
@@ -94,8 +94,9 @@ def _exactly(group, name: str, record):
 
 @dataclass(frozen=True)
 class Extraction:
-    """Every constant that turns a recording into feature rows; asdict gives the nested
-    shape of extract.run.json and model.json. segment_seconds must pass sample_count."""
+    """Every constant that turns a recording into feature rows, applied by ``rows``; asdict
+    gives the nested shape of extract.run.json and model.json. segment_seconds must pass
+    sample_count."""
 
     feature_config: FeatureConfig = FeatureConfig()
     silence: SilenceParams = SilenceParams()
@@ -111,6 +112,15 @@ class Extraction:
         return cls(_exactly(FeatureConfig, "feature_config", record["feature_config"]),
                    _exactly(SilenceParams, "silence", record["silence"]),
                    record["segment_seconds"])
+
+    def rows(self, path) -> tuple:
+        """The feature rows of a WAV file's segments, in segment order, and its voiced seconds:
+        load_mono, remove_silence with ``silence``, segment at ``segment_seconds``, then
+        extract_features with ``feature_config`` on each segment. A recording voiced for less
+        than one segment yields no row. Its audio is dropped on return."""
+        voiced = remove_silence(load_mono(path), self.silence)
+        return ([extract_features(seg, self.feature_config)
+                 for seg in segment(voiced, self.segment_seconds)], voiced.duration_seconds)
 
 
 @lru_cache(maxsize=8)

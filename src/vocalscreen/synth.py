@@ -100,6 +100,11 @@ class CohortSpec:
         if not self.class_profiles or not set(self.class_profiles) <= set(LABELS):
             raise ValueError(f"class_profiles must be keyed by one or more of {LABELS},"
                              f" got {sorted(self.class_profiles)}")
+        for label, profile in self.class_profiles.items():  # _speaker_blocks draws this mean
+            pauses = profile.pauses_per_minute * self.seconds_per_speaker / 60.0
+            if pauses > samples:
+                raise ValueError(f"class {label!r}: pauses_per_minute {profile.pauses_per_minute}"
+                                 f" expects {pauses:g} pauses, more than its {samples} samples")
         profiles = list(self.class_profiles.values())
         if len(profiles) >= 2 and all(p == profiles[0] for p in profiles[1:]):
             raise ValueError("class profiles must differ in at least one parameter")

@@ -137,6 +137,26 @@ def test_extract_names_a_recording_without_a_segment(tmp_path, capsys):
     assert ids == ["long.seg000", "long.seg001"]
 
 
+def test_extract_reads_an_absolute_path_as_it_is(tmp_path):
+    # a manifest elsewhere holding the WAV's absolute path gives the rows of a manifest
+    # beside it holding the relative path
+    (tmp_path / "wavs").mkdir()
+    wav = tmp_path / "wavs" / "long.wav"
+    wav.write_bytes(encode_wav(tone(220.0, seconds=9.0)))
+    (tmp_path / "elsewhere").mkdir()
+    tables = []
+    for manifest, path in ((tmp_path / "m.csv", "wavs/long.wav"),
+                           (tmp_path / "elsewhere" / "m.csv", str(wav))):
+        manifest.write_text(f"path,label,participant\n{path},control,p0\n")
+        out = manifest.parent / "out"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
+        tables.append(read_features_csv(out / "features.csv"))
+    (rel_ids, rel_labels, relative), (abs_ids, abs_labels, absolute) = tables
+    assert rel_ids == ["wavs__long.seg000", "wavs__long.seg001"]
+    assert abs_ids == [cli._segment_id(str(wav), i) for i in range(2)]
+    assert abs_labels == rel_labels and absolute.tobytes() == relative.tobytes()
+
+
 @pytest.mark.parametrize("first, second, sid", [
     ("a/b.wav", "a__b.wav", "a__b.seg000"),
     ("x.wav", "x.WAV", "x.seg000"),
@@ -744,6 +764,25 @@ def test_extract_runs_and_records_one_extraction(small_cohort, tmp_path, monkeyp
     assert capsys.readouterr().err == (f"error: {tmp_path / 'features.csv'}: extracted with"
                                        f" other constants than {model_file} was trained on:"
                                        f" segment_seconds 2.0 (model 4.0)\n")
+
+
+def test_extract_names_the_recording_an_extraction_cannot_featurize(tmp_path, monkeypatch,
+                                                                    capsys):
+    """A library Extraction whose mel filterbank leaves a filter empty fails in
+    extract_features, which once raised a bare ValueError out of main."""
+
+    @dataclass(frozen=True)
+    class Coarse(Extraction):
+        feature_config: FeatureConfig = FeatureConfig(n_fft=256, hop=128)
+
+    monkeypatch.setattr(cli, "Extraction", Coarse)
+    (tmp_path / "a.wav").write_bytes(encode_wav(tone(220.0, seconds=5.0)))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,label,participant\na.wav,control,p0\n")
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: a.wav: 14 of the 128 mel filters hold no FFT bin"
+                                       " of an n_fft 256 spectrum at 16000 Hz\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_label_manifest_fails(tmp_path, capsys):

@@ -286,6 +286,27 @@ def test_a_pause_rate_no_poisson_draw_takes_is_refused_when_the_profile_is_built
                      noise_floor_db=-44.0, pauses_per_minute=rate)
 
 
+# one pause per sample of a 1 s speaker is the most accepted; an infinite rate, and one
+# past numpy's Poisson limit (about 9.2e18), wrote control_s00.wav and then raised numpy's
+# bare "lam value too large"
+@pytest.mark.parametrize("rate, pauses", [(float("inf"), "inf"), (1e21, "1.66667e+19"),
+                                          (1.5 * 60 * DEFAULT_SAMPLE_RATE, "24000")])
+def test_more_pauses_than_samples_is_refused_before_any_wav(tmp_path, rate, pauses):
+    control = default_profiles()["control"]
+    profile = ClassProfile(f0_hz=115.0, f0_spread_hz=15.0, tilt_db_per_octave=-12.0,
+                           noise_floor_db=-38.0, pauses_per_minute=rate)
+    with pytest.raises(ValueError, match=re.escape(
+            f"class 'depression': pauses_per_minute {rate} expects {pauses} pauses,"
+            f" more than its {DEFAULT_SAMPLE_RATE} samples")):
+        generate_cohort(CohortSpec(speakers_per_class=1, seconds_per_speaker=1.0,
+                                   class_profiles={"control": control, "depression": profile}),
+                        tmp_path / "cohort")
+    assert list(tmp_path.iterdir()) == []
+    CohortSpec(speakers_per_class=1, seconds_per_speaker=1.0,
+               class_profiles={"control": control, "depression": ClassProfile(
+                   115.0, 15.0, -12.0, -38.0, 60.0 * DEFAULT_SAMPLE_RATE)})
+
+
 def test_pause_density_measured_by_silence_remover():
     profile = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
                            noise_floor_db=-45.0, pauses_per_minute=10.0)
