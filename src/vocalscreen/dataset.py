@@ -42,6 +42,10 @@ class UnknownLabel(VocalScreenError):
     """Label outside the closed {control, depression} set."""
 
 
+class BadParticipant(VocalScreenError):
+    """A participant code is empty, or one participant holds rows of both labels."""
+
+
 class DegenerateSplit(VocalScreenError):
     """Requested split would leave a side empty or single-class."""
 
@@ -59,13 +63,19 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        seen = set()
+        seen, label_of = set(), {}
         for row in self.rows:
             if row.label not in LABELS:
                 raise UnknownLabel(f"label {row.label!r} not in {LABELS}")
             if row.path in seen:
                 raise DuplicatePath(f"path {row.path!r} appears twice")
             seen.add(row.path)
+            if not row.participant:
+                raise BadParticipant(f"path {row.path!r} has an empty participant code")
+            first = label_of.setdefault(row.participant, row.label)
+            if first != row.label:
+                raise BadParticipant(f"participant {row.participant!r} is labelled both"
+                                     f" {first!r} and {row.label!r}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -115,7 +125,7 @@ def load_manifest(path) -> DatasetManifest:
         return DatasetManifest(rows=rows)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ManifestParseError(f"{path}: cannot read as CSV text: {exc}") from exc
-    except (UnknownLabel, DuplicatePath) as exc:
+    except (UnknownLabel, DuplicatePath, BadParticipant) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 

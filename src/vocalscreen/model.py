@@ -20,14 +20,20 @@ _neighbours takes raw feature rows, standardizes them with the model's
 scaler, and runs under one numpy error state in which a distance that
 overflows float64 reads inf quietly: such a distance decides nothing
 unless it is among a query's count nearest, and then the loop raises
-DistanceOverflow. Given several queries, it answers p = 2 for blocks of
-_BLOCK of them at once: one BLAS product ranks every training row by
-|t|^2 - 2 q.t, which orders rows as their squared distance does, and
-only the rows that ranking cannot rule out, by a margin above its
-rounding error, get an exact distance (_filtered_heads). A single query,
-and every p but 2, is a scan: each such p differences the query against
-the training rows.
-Both paths take every exact distance from one distance kernel,
+DistanceOverflow. It answers each p by one of three paths:
+- the scan, for a single query and for every p but 1 and 2: the query is
+  differenced against every training row and every distance taken;
+- the BLAS filter, for p = 2 and blocks of _BLOCK queries
+  (_filtered_heads): one product ranks every training row by
+  |t|^2 - 2 q.t, which orders rows as their squared distance does;
+- the float32 filter, for p = 1 and blocks of _BLOCK queries (_l1_heads):
+  each query's sum of |t - q| in float32, from a float32 copy of the
+  training matrix, ranks the rows at half the bytes of the scan.
+A filter takes an exact distance only for the rows its ranking cannot rule
+out: those within a margin of the query's count-th ranked value, the margin
+32 times a proven bound on the ranking's rounding error. So every head, tie
+and overflow is the scan's.
+All three paths take every exact distance from one distance kernel,
 _minkowski, which works on a dimension-major copy of the training matrix
 and adds a query's |a - b|^p terms left to right over the dimensions,
 |a0 - b0|^p + |a1 - b1|^p + ..., one numpy reduction for all training
@@ -65,12 +71,12 @@ _DIGEST_LINE = re.compile(rb'{\n "digest": "([0-9a-f]{64})",\n')  # a model file
 # matrix rows per C-encoder call in save_model
 _CHUNK_ROWS = 128
 
-# queries per block of the p = 2 candidate filter, and the filter's margin per
-# unit of (dims + 4) * (|q|^2 + max|t|^2 + smallest normal), 32 times the rounding
-# bound 8 u that _filtered_heads derives; at or above the ceiling, where s could
-# overflow, every row is a candidate
+# queries per block of the p = 2 and p = 1 candidate filters, and the factor by
+# which each filter's margin exceeds the first-order rounding bound its docstring
+# derives; at or above the p = 2 filter's ceiling, where s could overflow, every
+# row is a candidate
 _BLOCK = 16
-_MARGIN = 32 * 8 * 2.0 ** -53
+_MARGIN = 32
 _CEILING = 2.0 ** 1021
 
 
@@ -267,6 +273,19 @@ class KnnModel:
         return np.einsum("ij,ij->j", self._dims_major, self._dims_major)
 
     @cached_property
+    def _dims_major32(self) -> np.ndarray:
+        """_dims_major rounded to float32, made once per model for _l1_heads.
+
+        A value past float32's range reads inf; _l1_heads then takes every row.
+        """
+        return self._dims_major.astype(np.float32)
+
+    @cached_property
+    def _l1_norm_max(self) -> float:
+        """The largest sum |t_i| of a training row, made once per model for _l1_heads."""
+        return np.add.reduce(np.abs(self._dims_major), axis=0).max()
+
+    @cached_property
     def _encoded(self) -> tuple:
         """_encode of the training labels, made once per model for _vote."""
         return _encode(self.train_labels)
@@ -377,12 +396,83 @@ def _filtered_heads(model: KnnModel, queries: np.ndarray, count: int, out: np.nd
     ranked.partition(count - 1, axis=1)
     kth = ranked[:, count - 1]
     scale = np.einsum("ij,ij->i", queries, queries) + model._squared_norms.max()
-    limit = np.where(scale < _CEILING, kth + _MARGIN * (dims + 4) * (scale + 2.0 ** -1022),
-                     np.inf)
+    margin = _MARGIN * 8 * 2.0 ** -53 * (dims + 4) * (scale + 2.0 ** -1022)
+    limit = np.where(scale < _CEILING, kth + margin, np.inf)
+    return _candidate_heads(model, queries, count, 2.0, s, limit)
+
+
+def _l1_heads(model: KnnModel, queries: np.ndarray, count: int, out: np.ndarray) -> tuple:
+    """_nearest's first ``count`` p = 1 rows for each of a block of queries, found through a filter.
+
+    Returns what _filtered_heads returns, for p = 1, and leaves numpy's
+    error state to the caller, _neighbours. ``out`` is a float32 work
+    array of shape (2, at least len(queries), training rows), which the
+    caller reuses across blocks, as for _filtered_heads.
+
+    1. Filter: each query's sum of |t - q| over the dimensions, all in
+       float32, from a float32 copy of the dimension-major training matrix:
+       half the bytes of the float64 scan, and no exact distance yet.
+    2. Candidates: every row whose float32 sum is not above kth + 2 margin,
+       kth the count-th smallest sum of the query, the limit rounded up to
+       float32 so that the comparison stays in float32. A NaN sum keeps its
+       row.
+    3. Exact distances of the candidates, and
+    4. each query's candidates ordered by (distance, row), by
+       _candidate_heads, as for _filtered_heads.
+
+    No nearest row is lost. Let u = 2^-24, d the dimension count,
+    S_t = max over training rows of sum |t_i| and S_q = sum |q_i|, and
+    bound rounding to first order in u as in Higham, §3.1. Rounding t and
+    q to float32 moves each term |t_i - q_i| by at most u (|t_i| + |q_i|),
+    their float32 difference adds u of that again, and the float32 sum of
+    d non-negative terms adds at most (d - 1) u of their total (§4.2), so
+    the float32 sum is within (d + 1) u (S_t + S_q) of the real sum of
+    |t_i - q_i|; the kernel's float64 distance is within d 2^-53 (S_t + S_q)
+    of it, less than u (S_t + S_q). So the two are within
+    B = (d + 2) u (S_t + S_q), plus at most 2^-150 for each of the 2d
+    values that float32 rounds below its smallest normal, 2^-126
+    (float32 differences and sums below it are exact), which
+    (d + 2) u 2^-125 covers; the margin is 32 times that bound. If row j is
+    among the count nearest but not among the count of smallest sums, one
+    of those, r, ranks after j, so the sum of j is at most
+    dist_j + B <= dist_r + B <= sum_r + 2B <= kth + 2B. It needs every
+    float32 value to stay below float32's largest, about 2^128, which
+    holds while S_t + S_q < 2^126; from there on every row is a candidate.
+    """
+    columns = model._dims_major32
+    dims = len(columns)
+    sums, ranked = out[:, :len(queries)]
+    for query, total in zip(queries.astype(np.float32), sums):
+        # the four calls of _differences and _minkowski, in float32
+        diffs = np.repeat(query, columns.shape[1]).reshape(columns.shape)
+        np.abs(np.subtract(columns, diffs, out=diffs), out=diffs)
+        np.add.reduce(diffs, axis=0, out=total)
+    np.copyto(ranked, sums)
+    ranked.partition(count - 1, axis=1)
+    kth = ranked[:, count - 1].astype(float)
+    scale = np.abs(queries).sum(axis=1) + model._l1_norm_max
+    margin = _MARGIN * 2.0 ** -24 * (dims + 2) * (scale + 2.0 ** -125)
+    limit = np.where(scale < 2.0 ** 126, kth + 2 * margin, np.inf)
+    # one float32 step above the nearest float32 is at or above the limit
+    rounded = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
+    return _candidate_heads(model, queries, count, 1.0, sums, rounded)
+
+
+def _candidate_heads(model: KnnModel, queries: np.ndarray, count: int, p: float,
+                     s: np.ndarray, limit: np.ndarray) -> tuple:
+    """(count-th distance, first ``count`` rows) of each query from a filter's candidates.
+
+    The candidates of query i are the training rows j whose filter value
+    s[i, j] is not above limit[i]: at least count of them, and never fewer
+    than every row among its count nearest. Their exact distances come from
+    _minkowski, which sums each column on its own, left to right, so each
+    has the bits the full scan gives it, and each query's candidates are
+    ordered by (distance, row): _nearest's head.
+    """
     # a flat index search, which measured three times as fast as np.nonzero's pair
     which, rows = np.divmod(np.flatnonzero(~(s > limit[:, None])), s.shape[1])
-    diffs = columns.take(rows, axis=1)  # C-contiguous; columns[:, rows] is laid out by column
-    distances = _minkowski(np.subtract(diffs, queries.T[:, which], out=diffs), 2.0)
+    diffs = model._dims_major.take(rows, axis=1)  # C-contiguous, unlike [:, rows]
+    distances = _minkowski(np.subtract(diffs, queries.T[:, which], out=diffs), p)
     order = np.lexsort((rows, distances, which))
     counts = np.bincount(which, minlength=len(queries))
     starts = np.cumsum(counts) - counts  # every query has at least count candidates
@@ -401,9 +491,10 @@ def _neighbours(model: KnnModel, rows, counts: dict) -> dict:
     reads inf). The first such query in row order raises, for the first p
     it fails on in ``counts`` order, whichever path answers it. Given more
     than one row, p = 2 is answered for a block of _BLOCK queries at a
-    time by _filtered_heads; every other p is a scan of its own
-    differences. Each query's differences are freed only when the next
-    ones are made: freed at once, they measured slower to allocate again.
+    time by _filtered_heads and p = 1 by _l1_heads; every other p is a
+    scan of its own differences. Each query's differences are freed only
+    when the next ones are made: freed at once, they measured slower to
+    allocate again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         queries = transform(model.scaler, rows)
@@ -411,12 +502,12 @@ def _neighbours(model: KnnModel, rows, counts: dict) -> dict:
         neighbours = {}
         for j, (p, count) in enumerate(counts.items()):
             heads = neighbours[p] = np.empty((len(queries), count), dtype=np.intp)
-            if len(queries) > 1 and p == 2:
-                work = np.empty((2, _BLOCK, len(model.train_labels)))
+            if len(queries) > 1 and p in (1, 2):
+                filtered, dtype = (_l1_heads, np.float32) if p == 1 else (_filtered_heads, float)
+                work = np.empty((2, _BLOCK, len(model.train_labels)), dtype)
                 for start in range(0, len(queries), _BLOCK):
                     block = slice(start, start + _BLOCK)
-                    kths[block, j], heads[block] = _filtered_heads(model, queries[block],
-                                                                   count, work)
+                    kths[block, j], heads[block] = filtered(model, queries[block], count, work)
             else:
                 for i, query in enumerate(queries):
                     diffs = _differences(model, query)

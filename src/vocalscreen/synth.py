@@ -110,6 +110,21 @@ class CohortSpec:
             raise ValueError("class profiles must differ in at least one parameter")
 
 
+def _pauses_by_block(pauses, n: int) -> list:
+    """Each BLOCK-sample block's list of the (start, stop) sample spans in ``pauses`` it overlaps.
+
+    A span is listed under every block from the one holding its first sample
+    to the one holding its last, so a block zeroes only its own pauses and a
+    speaker costs O(blocks + pauses) visits, not O(blocks x pauses); a pause
+    of at most 0.8 s, shorter than a BLOCK, is listed under at most two.
+    """
+    by_block = [[] for _ in range(0, n, BLOCK)]
+    for start, stop in pauses:
+        for block in range(start // BLOCK, -(-stop // BLOCK)):
+            by_block[block].append((start, stop))
+    return by_block
+
+
 def _speaker_blocks(profile: ClassProfile, seconds: float, rng: "np.random.Generator"):
     """Yield one speaker's DEFAULT_SAMPLE_RATE samples, unscaled, in blocks of BLOCK samples.
 
@@ -149,7 +164,7 @@ def _speaker_blocks(profile: ClassProfile, seconds: float, rng: "np.random.Gener
 
     t_buf, phase_buf, partial_buf, voiced_buf = np.empty((4, min(BLOCK, n)))
     phase_sum = 0.0  # cumsum of the instantaneous f0 up to the block start
-    for lo in range(0, n, BLOCK):
+    for lo, block_pauses in zip(range(0, n, BLOCK), _pauses_by_block(pauses, n)):
         hi = min(lo + BLOCK, n)
         m = hi - lo
         t, phase, partial, voiced = t_buf[:m], phase_buf[:m], partial_buf[:m], voiced_buf[:m]
@@ -181,8 +196,8 @@ def _speaker_blocks(profile: ClassProfile, seconds: float, rng: "np.random.Gener
         np.multiply(0.15, t, out=t)
         np.add(1.0, t, out=t)
         np.multiply(voiced, t, out=voiced)
-        for start, stop in pauses:
-            voiced[max(start - lo, 0):max(stop - lo, 0)] = 0.0
+        for start, stop in block_pauses:
+            voiced[max(start - lo, 0):stop - lo] = 0.0
         np.add(voiced, rng.normal(0.0, noise_sd, m), out=voiced)
         yield voiced
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from vocalscreen.audio_io import AudioClip
+from vocalscreen.dataset import DatasetManifest, ManifestRow, save_manifest
+from vocalscreen.features import write_features_csv
 
 
 @contextlib.contextmanager
@@ -59,6 +61,31 @@ def tone(freq_hz: float, seconds: float = 1.0, amplitude: float = 0.5,
     t = np.arange(round(seconds * sample_rate)) / sample_rate
     return AudioClip(samples=amplitude * np.sin(2 * np.pi * freq_hz * t),
                      sample_rate=sample_rate)
+
+
+def feature_cohort(out=None) -> tuple:
+    """A cohort drawn in feature space: 36 participants (18 per class) x 28 rows x 16 dims.
+
+    Each participant's centre is N(0, 2^2) per dimension, plus 0.3 for the
+    depression class, and each row adds N(0, 1) noise, all drawn from
+    np.random.default_rng(0). Participant i is ``p{i:02d}``; the first 18
+    are controls. Returns (matrix, labels, participant codes), one entry per
+    row, participant by participant. Given ``out``, a directory, it also
+    writes them as out/features.csv and out/segments.csv, segment ids
+    ``<participant>.seg<NNN>``, for the CLI stages to read.
+    """
+    rng = np.random.default_rng(0)
+    positive = np.repeat([0, 1], 18)
+    centres = rng.normal(0.0, 2.0, (36, 16)) + 0.3 * positive[:, None]
+    matrix = np.repeat(centres, 28, axis=0) + rng.normal(size=(36 * 28, 16))
+    labels = [("control", "depression")[code] for code in positive.repeat(28)]
+    participants = [f"p{i:02d}" for i in range(36) for _ in range(28)]
+    if out is not None:
+        ids = [f"{code}.seg{j % 28:03d}" for j, code in enumerate(participants)]
+        write_features_csv(out / "features.csv", ids, labels, matrix)
+        save_manifest(out / "segments.csv", DatasetManifest(
+            rows=map(ManifestRow, ids, labels, participants)))
+    return matrix, labels, participants
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chdir, tone, write_redigested
+from conftest import chdir, feature_cohort, tone, write_redigested
 from vocalscreen.audio_io import (_BLOCK, DEFAULT_SAMPLE_RATE, encode_wav, load_wav, resample,
                                   to_mono)
 from vocalscreen import cli, evaluation, model
@@ -27,7 +27,7 @@ from vocalscreen.dataset import DatasetManifest, ManifestRow, load_manifest, sav
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.features import (Extraction, FeatureConfig, read_features_csv,
                                   write_features_csv)
-from vocalscreen.model import (EvenK, _filtered_heads, fit_scaler, knn_fit, knn_predict,
+from vocalscreen.model import (EvenK, _filtered_heads, _l1_heads, fit_scaler, knn_fit, knn_predict,
                                load_model, save_model, transform)
 from vocalscreen.preprocess import remove_silence
 
@@ -302,7 +302,7 @@ def test_select_report_does_not_depend_on_blas_threads(tmp_path):
     ids = [f"s{i:04d}" for i in range(1400)]
     write_features_csv(tmp_path / "features.csv", ids, labels, matrix)
     save_manifest(tmp_path / "train.csv", DatasetManifest(
-        rows=[ManifestRow(sid, label, f"p{i // 20}") for i, (sid, label)
+        rows=[ManifestRow(sid, label, f"p{i % 2}-{i // 40}") for i, (sid, label)
               in enumerate(zip(ids, labels))]))
     src = [str(Path(__file__).resolve().parent.parent / "src")]
     src += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
@@ -1087,19 +1087,36 @@ def test_predictions_equal_one_knn_predict_per_row(p, use_scaler):
 
 
 def test_predict_takes_the_block_filter(small_cohort, tmp_path, capsys, monkeypatch):
-    # a p = 2 model answers a table of several rows in blocks of 16, not row by row
-    model_path = trained_model(small_cohort, tmp_path)
-    features = small_cohort / "work" / "features.csv"
-    blocks = []
-
-    def counting(fitted, queries, count, out):
-        blocks.append(len(queries))
-        return _filtered_heads(fitted, queries, count, out)
-
-    monkeypatch.setattr("vocalscreen.model._filtered_heads", counting)
-    assert main(["predict", "--model", str(model_path), "--features", str(features)]) == 0
+    # a p = 2 model, and a p = 1 one, answers a table of several rows in blocks of 16
+    # through its filter, not row by row
+    work = small_cohort / "work"
+    features = work / "features.csv"
     rows = len(read_features_csv(features)[0])
-    assert rows > 16 and sum(blocks) == rows and blocks[0] == 16
+    for p, filtered in (("2", _filtered_heads), ("1", _l1_heads)):
+        assert main(["train", "--features", str(features), "--manifest", str(work / "train.csv"),
+                     "--out", str(tmp_path / p), "--k", "1", "--p", p]) == 0
+        blocks = []
+
+        def counting(fitted, queries, count, out, filtered=filtered):
+            blocks.append(len(queries))
+            return filtered(fitted, queries, count, out)
+
+        monkeypatch.setattr(f"vocalscreen.model.{filtered.__name__}", counting)
+        assert main(["predict", "--model", str(tmp_path / p / "model.json"),
+                     "--features", str(features)]) == 0
+        assert rows > 16 and sum(blocks) == rows and blocks[0] == 16
+
+
+def test_select_reads_the_feature_space_cohort_as_written(tmp_path):
+    # the cohort's features.csv and segments.csv, read by select, give the report that
+    # grid_select gives on the arrays the generator returns
+    matrix, labels, _ = feature_cohort(tmp_path)
+    assert main(["select", "--features", str(tmp_path / "features.csv"),
+                 "--manifest", str(tmp_path / "segments.csv"), "--out", str(tmp_path),
+                 "--seed", "3"]) == 0
+    report = json.loads((tmp_path / "selection_report.json").read_text())
+    assert report == evaluation.grid_select(evaluation.default_grid(), matrix, labels, folds=5,
+                                            seed=3)
 
 
 def test_query_and_vote_run_once_per_table_fold_and_scaler(small_cohort, tmp_path,
@@ -1159,7 +1176,7 @@ def test_overflow_in_the_second_block_names_model_file(tmp_path, capsys, stage):
     if stage == "evaluate":
         manifest = tmp_path / "test.csv"
         save_manifest(manifest, DatasetManifest(rows=[
-            ManifestRow(path=sid, label=label, participant="p0")
+            ManifestRow(path=sid, label=label, participant=f"p-{label}")
             for sid, label in zip(ids, labels)]))
         argv += ["--manifest", str(manifest), "--out", str(tmp_path / "o")]
     capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vocalscreen.dataset import (
     SEGMENT_LEVEL,
     SPEAKER_DISJOINT,
+    BadParticipant,
     DatasetManifest,
     DegenerateSplit,
     DuplicatePath,
@@ -35,11 +36,11 @@ def rows_for(n, participants=None, labels=None):
 
 def test_load_manifest_ok(tmp_path):
     path = tmp_path / "m.csv"
-    path.write_text("path,label,participant\na.wav,depression,p1\nb.wav,control,p2\nc.wav,control,p1\n")
+    path.write_text("path,label,participant\na.wav,depression,p1\nb.wav,control,p2\nc.wav,control,p2\n")
     manifest = load_manifest(path)
     assert len(manifest) == 3
     assert manifest.label_counts() == {"control": 2, "depression": 1}
-    assert [row.participant for row in manifest] == ["p1", "p2", "p1"]
+    assert [row.participant for row in manifest] == ["p1", "p2", "p2"]
 
 
 def test_load_manifest_errors(tmp_path):
@@ -62,6 +63,24 @@ def test_load_manifest_errors(tmp_path):
     dup.write_text("path,label,participant\na.wav,control,p1\na.wav,control,p2\n")
     with pytest.raises(DuplicatePath):
         load_manifest(dup)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("a.wav,control,p1\nb.wav,control,p2\nc.wav,depression,p1\n",
+     "participant 'p1' is labelled both 'control' and 'depression'"),
+    ("a.wav,depression,p1\nb.wav,control,p1\n",
+     "participant 'p1' is labelled both 'depression' and 'control'"),
+    ("a.wav,control,p1\nb.wav,depression,\n", "path 'b.wav' has an empty participant code"),
+])
+def test_a_participant_keeps_one_label_and_a_code(tmp_path, rows, message):
+    # per-participant folds, scores and label permutations need one label per person
+    path = tmp_path / "m.csv"
+    path.write_text("path,label,participant\n" + rows)
+    with pytest.raises(BadParticipant, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_manifest(path)
+    rows = [ManifestRow(*line.split(",")) for line in rows.splitlines()]
+    with pytest.raises(BadParticipant, match=f"^{re.escape(message)}$"):
+        DatasetManifest(rows=rows)
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -181,7 +200,8 @@ def former_segment_split(manifest, spec):
     fraction=st.floats(min_value=0.01, max_value=0.99),
 )
 def test_segment_split_equals_former_definition(n, speakers, seed, fraction):
-    manifest = DatasetManifest(rows=rows_for(n, participants=[f"p{i % speakers}" for i in range(n)]))
+    participants = [f"p{i % (2 * speakers)}" for i in range(n)]  # one label each
+    manifest = DatasetManifest(rows=rows_for(n, participants=participants))
     spec = SplitSpec(train_fraction=fraction, seed=seed)
     try:
         expected = former_segment_split(manifest, spec)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import feature_cohort
 from oracles import knn_scan, pooled_t_reference
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import (
@@ -298,6 +299,23 @@ def test_grid_select_equals_single_candidate_runs(data, folds):
 def result(k, p, use_scaler, mean):
     return {"pipeline": PipelineCandidate(k=k, p=p, use_scaler=use_scaler).describe(),
             "k": k, "p": p, "scaler": use_scaler, "fold_scores": [mean], "mean_cv_score": mean}
+
+
+def test_segment_folds_score_labels_that_carry_no_class_signal():
+    # the leak, pinned: the feature-space cohort's class labels permuted across its 36
+    # participants carry no class signal, yet 5 segment folds, which put rows of each
+    # participant on both sides, score the best candidate 0.999-1.000 (0.998 on the
+    # true labels): a held-out row's nearest rows are its own participant's
+    matrix, labels, participants = feature_cohort()
+    label_of = dict(zip(participants, labels))
+    codes = list(label_of)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        permuted = dict(zip(codes, rng.permutation([label_of[code] for code in codes])))
+        relabelled = [permuted[code] for code in participants]
+        assert relabelled != labels
+        report = grid_select(default_grid(), matrix, relabelled, folds=5)
+        assert report["best"]["mean_cv_score"] >= 0.99
 
 
 def test_select_best_tie_rules():

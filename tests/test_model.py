@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import traced_peak, write_redigested
+from conftest import feature_cohort, traced_peak, write_redigested
 from oracles import knn_scan
 from vocalscreen.errors import VocalScreenError
 from vocalscreen.evaluation import PipelineCandidate, grid_select
@@ -35,9 +35,11 @@ from vocalscreen.model import (
     load_model,
     save_model,
     transform,
+    _candidate_heads,
     _differences,
     _encode,
     _filtered_heads,
+    _l1_heads,
     _minkowski,
     _nearest,
     _neighbours,
@@ -1015,7 +1017,7 @@ def test_overflow_of_farther_rows_keeps_the_answer():
                     matrix[:4].repeat(2, axis=0), labels[:4] * 2, folds=2)
 
 
-# --- p = 2 candidate filter -------------------------------------------------------
+# --- p = 2 and p = 1 candidate filters -------------------------------------------
 
 
 def answers(model, queries, ks_by_p):
@@ -1060,11 +1062,12 @@ def test_block_answers_equal_oracle_and_scan_on_exact_ties(data):
     ks = data.draw(st.sets(st.sampled_from(range(1, len(rows) + 1, 2)), min_size=1), label="ks")
     train = np.array(rows, dtype=float) * scale
     model = knn_fit(train, labels, k=1, scaler=identity_scaler(dims))
-    assert_block_neighbours_equal_scan(model, queries, {2.0: max(ks)})
-    blocked = answers(model, queries, {2.0: ks})
-    assert blocked == scan_answers(model, queries, {2.0: ks})
+    assert_block_neighbours_equal_scan(model, queries, {1.0: max(ks), 2.0: max(ks)})
+    blocked = answers(model, queries, {1.0: ks, 2.0: ks})
+    assert blocked == scan_answers(model, queries, {1.0: ks, 2.0: ks})
     for query, answer in zip(queries, blocked):
-        assert answer[2.0] == {k: knn_scan(train, labels, query, k, 2.0) for k in ks}
+        for p in (1.0, 2.0):
+            assert answer[p] == {k: knn_scan(train, labels, query, k, p) for k in ks}
 
 
 @settings(max_examples=100, deadline=None)
@@ -1088,15 +1091,18 @@ def test_block_answers_equal_scan_from_1e_minus_150_to_1e150(data):
     assert answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
 
 
-def far_cluster(seed):
-    """Rows and queries 1e7 from the origin and about 0.1 apart, labelled by row parity.
+def far_cluster(seed, centre=1e7):
+    """Rows and queries ``centre`` from the origin and about 0.1 apart, labelled by row parity.
 
-    |t|^2 - 2 q.t of such rows is near -1e14, where its rounding error
-    exceeds the spread of their squared distances.
+    At 1e7, |t|^2 - 2 q.t of such rows is near -1e14, where its rounding
+    error exceeds the spread of their squared distances. At 1e5, float32
+    rounds each value to a step of 2^-7, so a float32 |t - q| sum can be off
+    by up to about 16 steps, more than the gaps between a query's nearest
+    sums; at 1e7 its steps of 1 would round every row alike.
     """
     rng = np.random.default_rng(seed)
-    train = 1e7 + rng.normal(scale=0.1, size=(64, 16))
-    queries = 1e7 + rng.normal(scale=0.1, size=(16, 16))
+    train = centre + rng.normal(scale=0.1, size=(64, 16))
+    queries = centre + rng.normal(scale=0.1, size=(16, 16))
     labels = ["control", "depression"] * 32
     return knn_fit(train, labels, k=1, scaler=identity_scaler(16)), queries
 
@@ -1114,6 +1120,60 @@ def test_filter_margin_keeps_the_neighbours_rounding_hides(monkeypatch):
     assert answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
     monkeypatch.setattr("vocalscreen.model._MARGIN", 0.0)
     assert _filtered_heads(model, queries, 5, work)[1].tolist() != nearest
+
+
+def test_l1_filter_margin_keeps_the_neighbours_float32_hides(monkeypatch):
+    model, queries = far_cluster(40, centre=1e5)
+    ks_by_p = {1.0: {1, 3, 5}}
+    work = np.empty((2, len(queries), 64), np.float32)
+    nearest = [_nearest(_minkowski(_differences(model, q), 1.0), 5)[1].tolist() for q in queries]
+    # the premise: some query's float32 sum to one of its five nearest rows is above
+    # the fifth smallest of its sums, so a filter without its margin would drop it
+    rows32, queries32 = model.train_matrix.astype(np.float32), queries.astype(np.float32)
+    sums = np.abs(rows32[None] - queries32[:, None]).sum(axis=2)
+    assert any(row[head].max() > np.partition(row, 4)[4] for head, row in zip(nearest, sums))
+    assert _l1_heads(model, queries, 5, work)[1].tolist() == nearest
+    assert answers(model, queries, ks_by_p) == scan_answers(model, queries, ks_by_p)
+    # S_t of the margin: the largest sum |t_i| of a row, added left to right
+    assert model._l1_norm_max == max(sum(map(abs, row)) for row in model.train_matrix.tolist())
+    monkeypatch.setattr("vocalscreen.model._MARGIN", 0.0)
+    assert _l1_heads(model, queries, 5, work)[1].tolist() != nearest
+
+
+def feature_cohort_folds():
+    """(model, held-out rows) of each of two folds of the feature-space cohort: even rows
+    train and odd rows are held out, then the other way round, with the scaler on."""
+    matrix, labels, _ = feature_cohort()
+    for train, held_out in ((matrix[::2], matrix[1::2]), (matrix[1::2], matrix[::2])):
+        yield knn_fit(train, labels[::2], k=1, scaler=fit_scaler(train)), held_out
+
+
+def test_l1_filter_takes_few_exact_distances(monkeypatch):
+    # on the feature-space cohort, 504 training rows per fold: each held-out row takes
+    # at most 2 x 7 exact p = 1 distances, not 504. Measured there: 7.01 a row on
+    # average and 8 at most, so the bound has headroom 1.75 over the worst row
+    counts = []
+
+    def counting(model, queries, count, p, s, limit):
+        counts.append(np.count_nonzero(~(s > limit[:, None]), axis=1))
+        return _candidate_heads(model, queries, count, p, s, limit)
+
+    monkeypatch.setattr("vocalscreen.model._candidate_heads", counting)
+    for model, held_out in feature_cohort_folds():
+        _neighbours(model, held_out, {1.0: 7})
+    counts = np.concatenate(counts)
+    assert len(counts) == 1008 and counts.min() >= 7 and counts.max() <= 2 * 7
+
+
+def test_l1_block_peak_memory():
+    # a block holds the standardized queries (twice while transform divides), a float32
+    # work array of 2 x 16 rows, one float32 difference array and the heads: measured
+    # 245,137 bytes against a bound of 322,560. A float32 (dims, block, rows) difference
+    # array alone, 516,096 bytes, would break it
+    model, held_out = next(feature_cohort_folds())
+    _neighbours(model, held_out[:2], {1.0: 7})  # the float32 copy is made once, outside
+    peak = traced_peak(_neighbours, model, held_out, {1.0: 7})
+    assert peak < 2 * held_out.nbytes + 3 * model._dims_major.nbytes
 
 
 def test_filter_takes_few_exact_distances(monkeypatch):
@@ -1163,25 +1223,51 @@ def test_filter_takes_every_row_past_its_ceiling(monkeypatch):
             assert columns == [5 * len(block)]
 
 
+def test_l1_filter_takes_every_row_past_float32_range(monkeypatch):
+    # rows 1e39 from the origin, past float32's largest value, read inf in the float32
+    # copy and put S_t past the filter's ceiling: every query of the block takes all 5
+    # exact distances, no headroom, and gets the scan's rows
+    matrix = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e39, 0.0], [1e39, 1.0]])
+    model = knn_fit(matrix, ["control", "depression", "control", "depression", "control"],
+                    k=1, scaler=identity_scaler(2))
+    columns = []
+
+    def counting(diffs, p):
+        columns.append(diffs.shape[1])
+        return _minkowski(diffs, p)
+
+    monkeypatch.setattr("vocalscreen.model._minkowski", counting)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in ([[0.0, 0.0]], [[1e39, 0.5]], [[0.0, 0.0], [1e39, 0.5]]):
+            columns.clear()
+            heads = _l1_heads(model, np.array(block), 3, np.empty((2, 2, 5), np.float32))[1]
+            assert columns == [5 * len(block)]
+            assert heads.tolist() == [_nearest(_minkowski(_differences(model, np.array(q)), 1.0),
+                                               3)[1].tolist() for q in block]
+
+
 def test_only_several_queries_take_the_filter(monkeypatch):
     # one query is faster as a scan, so knn_predict never builds a filter
     model, queries = far_cluster(42)
     calls = []
 
-    def counting(model, block, count, out):
-        calls.append(len(block))
-        return _filtered_heads(model, block, count, out)
+    def counting(filtered):
+        def count(model, block, count, out):
+            calls.append((filtered.__name__, len(block)))
+            return filtered(model, block, count, out)
+        return count
 
-    monkeypatch.setattr("vocalscreen.model._filtered_heads", counting)
-    _neighbours(model, queries[:1], {2.0: 1})
+    for filtered in (_filtered_heads, _l1_heads):
+        monkeypatch.setattr(f"vocalscreen.model.{filtered.__name__}", counting(filtered))
+    _neighbours(model, queries[:1], {1.0: 1, 2.0: 1})
     assert calls == []
-    _neighbours(model, queries[:2], {1.0: 1})
+    _neighbours(model, queries[:2], {3.0: 1})
     assert calls == []
-    _neighbours(model, queries[:2], {2.0: 1})
-    assert calls == [2]
+    _neighbours(model, queries[:2], {2.0: 1, 1.0: 1})
+    assert calls == [("_filtered_heads", 2), ("_l1_heads", 2)]
     # and then differences no query against every row
     monkeypatch.setattr("vocalscreen.model._differences", None)
-    _neighbours(model, queries, {2.0: 1})
+    _neighbours(model, queries, {1.0: 1, 2.0: 1})
 
 
 def test_block_raises_for_the_query_whose_nearest_rows_overflow():
@@ -1202,6 +1288,26 @@ def test_block_raises_for_the_query_whose_nearest_rows_overflow():
         kths, heads = _filtered_heads(model, np.array([near, far]), 3, np.empty((2, 2, 5)))
     assert kths[0] == 2.0 and heads[0].tolist() == [0, 1, 2]
     assert kths[1] == np.inf and heads[1][:2].tolist() == [3, 4]
+
+
+def test_l1_block_raises_for_the_query_whose_nearest_rows_overflow():
+    # query 0's third nearest p = 1 distance is 2; every distance of query 1 is past
+    # float64 (1e308 + 1e308 or more), and so past the filter's ceiling: a block
+    # holding query 1, before or after query 0, raises as the scan of query 1 alone does
+    matrix = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e308, 1e308], [-1e308, 1e308]])
+    model = knn_fit(matrix, ["control", "depression", "control", "depression", "control"],
+                    k=1, scaler=identity_scaler(2))
+    near, far = [0.0, 0.0], [-1e308, -1e308]
+    answer = {1.0: {1: ("control", 1.0), 3: ("control", 2 / 3)}}
+    assert answers(model, np.array([near, near]), {1.0: {1, 3}}) == [answer, answer]
+    message = r"^p = 1\.0: the distance \|a - b\|\^p to nearest row 3 overflows float64$"
+    for block in ([far], [near, far], [far, near], [near, near, far]):
+        with pytest.raises(DistanceOverflow, match=message):
+            _neighbours(model, np.array(block), {1.0: 3})
+    with np.errstate(over="ignore", invalid="ignore"):
+        kths, heads = _l1_heads(model, np.array([near, far]), 3, np.empty((2, 2, 5), np.float32))
+    assert kths[0] == 2.0 and heads[0].tolist() == [0, 1, 2]
+    assert kths[1] == np.inf and heads[1].tolist() == [0, 1, 2]
 
 
 def test_block_raises_for_the_first_overflowing_p_in_ks_by_p_order():

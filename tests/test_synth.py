@@ -154,6 +154,29 @@ def test_speaker_clip_bytes_equal_former(profile, samples, seed):
     assert clip.samples.tobytes() == former.samples.tobytes()
 
 
+def test_each_block_visits_only_its_own_pauses(monkeypatch):
+    # a 10 s speaker (10 blocks) with about 10,000 pauses: zeroing every pause in every
+    # block made one visit per pause and block, about 100,000. A pause lasts at most
+    # 0.8 s, less than a BLOCK, so it is visited in one block or two; these average
+    # 1.53 visits a pause, so the bound of 2 has headroom 1.3x. The bytes stay the
+    # whole-array chain's
+    profile = ClassProfile(f0_hz=150.0, f0_spread_hz=10.0, tilt_db_per_octave=-8.0,
+                           noise_floor_db=-45.0, pauses_per_minute=60000.0)
+    visits, pauses, listed = [], [], synth._pauses_by_block
+
+    def counting(spans, n):
+        by_block = listed(spans, n)
+        pauses.append(len(spans))
+        visits.append(sum(map(len, by_block)))
+        return by_block
+
+    monkeypatch.setattr(synth, "_pauses_by_block", counting)
+    clip = speaker_clip(profile, 10.0, np.random.default_rng(6))
+    former = former_speaker_clip(profile, 10.0, np.random.default_rng(6))
+    assert clip.samples.tobytes() == former.samples.tobytes()
+    assert pauses[0] > 9000 and pauses[0] <= visits[0] <= 2 * pauses[0]
+
+
 def test_default_cohort_wavs_pinned(tmp_path):
     """Every WAV of a small default cohort keeps the bytes the whole-array synthesis wrote."""
     generate_cohort(CohortSpec(speakers_per_class=2, seconds_per_speaker=10.0), tmp_path)
